@@ -25,21 +25,16 @@ from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
     SimilarityMap,
-    attractor_hull,
     find_separated_pair,
     iterate_ifs,
     sample_measure,
+    sampling_depth,
 )
 from .model import (
-    CodedPoint,
     Model,
     ModelComponent,
-    OmegaWord,
-    atom_mass_bound,
+    Word,
     build_model,
-    sample_disintegration,
-    sample_eta,
-    sample_eta_coded,
     verify_ssc,
 )
 from .beta_numeration import (
@@ -60,10 +55,8 @@ from .scenery import (
     ComparisonReport,
     ExtendedChain,
     Inconclusive,
-    InnerWord,
     NormalityImplied,
     PANEL_VERSION,
-    PrefixedWord,
     QSamples,
     SceneryOrbit,
     WindowMeasure,

@@ -21,6 +21,7 @@ from .algnum import (
     exact_float,
     exact_sign,
     is_pisot,
+    monic_scaled_field,
     named_constant,
     parse_scalar,
     scalar_to_str,
@@ -47,6 +48,7 @@ __all__ = [
     "FieldElement",
     "ExactScalar",
     "is_pisot",
+    "monic_scaled_field",
     "named_constant",
     "parse_scalar",
     "scalar_to_str",

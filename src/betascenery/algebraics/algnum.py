@@ -102,11 +102,6 @@ class AlgebraicNumber:
     def refine_bits(self, bits: int) -> Tuple[Fraction, Fraction]:
         return self.refine(Fraction(1, 2**bits))
 
-    def approx_fraction(self, bits: int = 128) -> Tuple[Fraction, Fraction]:
-        """(midpoint, radius) with radius <= 2^-bits."""
-        lo, hi = self.refine_bits(bits + 1)
-        return ((lo + hi) / 2, (hi - lo) / 2)
-
     def __float__(self) -> float:
         lo, hi = self.refine_bits(64)
         return float((lo + hi) / 2)
@@ -258,6 +253,21 @@ class NumberField:
 
     def __repr__(self) -> str:
         return f"NumberField({self.poly})"
+
+
+def monic_scaled_field(a: AlgebraicNumber) -> Tuple[NumberField, int]:
+    """The field generated by the algebraic integer c*a, plus the scale
+    c > 0, the leading coefficient of a's minimal polynomial.  A monic a
+    gives its own field on a itself and c = 1."""
+    p = a.min_poly
+    if p.is_monic:
+        return NumberField(a), 1
+    d = p.degree
+    c = p.leading  # primitive() keeps it positive
+    scaled = IntPolynomial(tuple(
+        p.coeffs[k] * c ** (d - 1 - k) if k < d else 1 for k in range(d + 1)))
+    gen = AlgebraicNumber(scaled, a.lo * c, a.hi * c, _validated=True)
+    return NumberField(gen), c
 
 
 class FieldElement:

@@ -147,14 +147,6 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def eval_interval(self, lo: Fraction, hi: Fraction) -> RatInterval:
-        """Certified range bound of p over [lo, hi] via interval Horner."""
-        x: RatInterval = (Fraction(lo), Fraction(hi))
-        acc: RatInterval = (Fraction(self.coeffs[-1]), Fraction(self.coeffs[-1]))
-        for c in reversed(self.coeffs[:-1]):
-            acc = interval_add(interval_mul(acc, x), (Fraction(c), Fraction(c)))
-        return acc
-
     def sign_at(self, x: Fraction) -> int:
         v = self(Fraction(x))
         return (v > 0) - (v < 0)

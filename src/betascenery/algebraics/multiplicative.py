@@ -27,9 +27,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .algnum import AlgebraicNumber, FieldElement, NumberField
+from .algnum import AlgebraicNumber, FieldElement, monic_scaled_field
 from .bigreal import BigReal
-from .intpoly import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -103,20 +102,9 @@ def _rat_rat(a: Fraction, b: Fraction) -> Verdict:
     return IndependentCertified("prime exponent vectors are not proportional")
 
 
-def _monic_scaled_field(a: AlgebraicNumber):
-    """(field of c*a with monic generator, scale c > 0)."""
-    p = a.min_poly
-    d = p.degree
-    c = p.leading  # primitive() keeps it positive
-    scaled = IntPolynomial(tuple(
-        p.coeffs[k] * c ** (d - 1 - k) if k < d else 1 for k in range(d + 1)))
-    gen = AlgebraicNumber(scaled, a.lo * c, a.hi * c, _validated=True)
-    return NumberField(gen), c
-
-
 def _rational_power(a: AlgebraicNumber, bound: int):
     """Least p in 1..bound with a^p rational, as (p, value), else None."""
-    field, c = _monic_scaled_field(a)
+    field, c = monic_scaled_field(a)
     beta = field.beta()
     power = field.from_rational(1)
     for p in range(1, bound + 1):
@@ -162,7 +150,7 @@ def _log_abs(x, prec: int = 192) -> BigReal:
 
 def _abs_power_algebraic(a: AlgebraicNumber, k: int) -> AlgebraicNumber:
     """|a|^k as an algebraic number (k may be negative)."""
-    field, c = _monic_scaled_field(a.abs_value())
+    field, c = monic_scaled_field(a.abs_value())
     elem = field.beta() ** abs(k) / Fraction(c) ** abs(k)
     if k < 0:
         elem = elem.inverse()

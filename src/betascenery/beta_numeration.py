@@ -18,6 +18,7 @@ Three arithmetic paths, chosen by the type of the starting point:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +31,11 @@ from .algebraics import (
     BigReal,
     ExactScalar,
     FieldElement,
-    IntPolynomial,
-    NumberField,
     exact_enclosure,
     exact_float,
     exact_sign,
     is_pisot,
+    monic_scaled_field,
 )
 from .rng import UniformStream
 
@@ -81,12 +81,15 @@ class BetaBase:
             self.beta = beta
             self.degree = beta.degree
             self.floor_beta = beta.floor()
-            self._field, self._scale = _field_of(beta)
+            self._field, self._scale = monic_scaled_field(beta)
             self._beta_elem = self._field.beta() / self._scale
         else:
             raise TypeError("base must be an integer, Fraction, or "
                             "AlgebraicNumber")
-        self.pisot = is_pisot(self.beta)
+
+    @functools.cached_property
+    def pisot(self) -> bool:
+        return is_pisot(self.beta)
 
     @property
     def is_integer(self) -> bool:
@@ -145,19 +148,6 @@ def _reject_field():
                      "base; express it in the base's field")
 
 
-def _field_of(beta: AlgebraicNumber) -> Tuple[NumberField, int]:
-    """Field of a monic rescaling c*beta, plus c (1 when beta is monic)."""
-    p = beta.min_poly
-    if p.is_monic:
-        return NumberField(beta), 1
-    d = p.degree
-    c = p.leading
-    scaled = IntPolynomial(tuple(
-        p.coeffs[k] * c ** (d - 1 - k) if k < d else 1 for k in range(d + 1)))
-    gen = AlgebraicNumber(scaled, beta.lo * c, beta.hi * c, _validated=True)
-    return NumberField(gen), c
-
-
 @dataclass
 class OrbitRecord:
     """A computed expansion: digits, exact or enclosed remainders, and the
@@ -167,18 +157,6 @@ class OrbitRecord:
     remainders: List[object]      # exact scalars or BigReal, one per step
     precision_used: int
     base: BetaBase
-
-    @property
-    def orbit(self) -> List[BigReal]:
-        """Remainder enclosures (exact remainders converted on demand)."""
-        out = []
-        for r in self.remainders:
-            if isinstance(r, BigReal):
-                out.append(r)
-            else:
-                lo, hi = exact_enclosure(r, 64)
-                out.append(BigReal.from_interval(lo, hi, 64))
-        return out
 
     def orbit_floats(self) -> np.ndarray:
         """Float values of x_0, ..., x_{n-1} (the points whose

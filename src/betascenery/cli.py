@@ -71,7 +71,7 @@ def _parse_beta(text: str) -> BetaBase:
     text = text.strip()
     try:
         return BetaBase(Fraction(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         pass
     try:
         return BetaBase(named_constant(text))
@@ -102,14 +102,14 @@ def _load_ifs(doc: dict, path: str) -> SimilarityIFS:
         try:
             maps.append(SimilarityMap(parse_scalar(str(entry["s"])),
                                       parse_scalar(str(entry["t"]))))
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, ZeroDivisionError) as e:
             raise CliError(f"{path}: map {k}: {e}") from e
-    weights = None
-    if doc.get("weights"):
-        weights = [Fraction(str(w)) for w in doc["weights"]]
     try:
+        weights = None
+        if doc.get("weights"):
+            weights = [Fraction(str(w)) for w in doc["weights"]]
         return SimilarityIFS(maps, weights)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise CliError(f"{path}: {e}") from e
 
 
@@ -153,8 +153,8 @@ def _finish(args, name: str, config: dict, results: dict,
 
 
 def _config_echo(args, fields: Sequence[str]) -> dict:
-    # only result-affecting parameters: out_dir and threads never change
-    # what gets computed, so they stay out of the echo (byte-identity)
+    # only result-affecting parameters: out_dir never changes what gets
+    # computed, so it stays out of the echo (byte-identity)
     cfg = {"seed": args.seed}
     for f in fields:
         cfg[f] = getattr(args, f)
@@ -276,10 +276,10 @@ def cmd_expand(args) -> int:
     base = _parse_beta(args.beta)
     rows = []
     for k, text in enumerate(args.x):
-        x = parse_scalar(text)
         try:
+            x = parse_scalar(text)
             rec = beta_orbit(base, x, args.digits)
-        except (ValueError, OrbitUndecidable) as e:
+        except (ValueError, ZeroDivisionError, OrbitUndecidable) as e:
             raise CliError(f"point {text!r}: {e}") from e
         rows.append((k, text, args.beta, args.digits,
                      " ".join(str(d) for d in rec.digits),
@@ -301,8 +301,8 @@ def cmd_parry(args) -> int:
     except (TypeError, ValueError) as e:
         raise CliError(str(e)) from e
     br, vals = pd.piece_floats()
-    rows = [(repr(br[j]), repr(br[j + 1]), repr(vals[j]))
-            for j in range(len(vals))]
+    rows = [(repr(float(br[j])), repr(float(br[j + 1])),
+             repr(float(vals[j]))) for j in range(len(vals))]
     csv_path = os.path.join(args.out_dir, "parry.csv")
     _write(csv_path, _csv_text(["piece_lo", "piece_hi", "density"], rows))
     results = {
@@ -423,7 +423,8 @@ def cmd_scenery(args) -> int:
         rows = []
         for wid, w in enumerate(orbit.windows[:args.dump_windows]):
             for blo, bhi, mass in w.csv_rows():
-                rows.append((wid, repr(blo), repr(bhi), repr(mass)))
+                rows.append((wid, repr(float(blo)), repr(float(bhi)),
+                             repr(float(mass))))
         wpath = os.path.join(args.out_dir, "windows.csv")
         _write(wpath, _csv_text(["window_id", "bin_lo", "bin_hi", "mass"],
                                 rows))
@@ -490,8 +491,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
                     "greedy beta-expansions, and magnification dynamics.")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all randomness derives from it")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; outputs are identical for any value")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file of argument defaults (a config echo "
                         "from a previous report round-trips)")
@@ -587,9 +586,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                if k not in drop and
                                any(a.dest == k for a in sp._actions)})
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         return args.func(args)

@@ -40,13 +40,15 @@ from .algebraics import (
     exact_float,
     exact_sign,
 )
-from .rng import UniformStream, cdf_thresholds
+from .rng import _BLOCK, UniformStream, cdf_thresholds
 from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
     SimilarityMap,
     canonical_scalar,
     find_separated_pair,
+    fold_paths,
+    sampling_depth,
 )
 
 
@@ -102,6 +104,12 @@ class Model:
         if sum(self.selection) != 1:
             raise ValueError("selection weights must sum to 1")
         self.hull = base.attractor_hull()
+        # the maps of all components, numbered component by component
+        self._path_maps = tuple(f for c in self.components for f in c.maps)
+        self._first_map = np.cumsum(
+            [0] + [c.size for c in self.components[:-1]])
+        self._inner_thresholds = [cdf_thresholds(c.weights)
+                                  for c in self.components]
 
     # -- structure ------------------------------------------------------------
 
@@ -121,18 +129,6 @@ class Model:
     @property
     def has_reflection(self) -> bool:
         return any(c.reflects for c in self.components)
-
-    def verify_ssc(self) -> bool:
-        """Strict disjointness of hull images inside every component."""
-        lo, hi = self.hull
-        for comp in self.components:
-            images = [f.image_interval(lo, hi) for f in comp.maps]
-            for a in range(len(images)):
-                for b in range(a + 1, len(images)):
-                    if not (exact_sign(images[a][1] - images[b][0]) < 0 or
-                            exact_sign(images[b][1] - images[a][0]) < 0):
-                        return False
-        return True
 
     def atom_mass_bound(self, omega: Sequence[int]) -> Fraction:
         """Upper bound for the largest atom of eta_omega after these levels:
@@ -158,27 +154,40 @@ class Model:
 
     # -- sampling -------------------------------------------------------------
 
-    def omega_word(self, seed: int, *labels) -> "OmegaWord":
-        return OmegaWord(self.selection, seed, *labels)
+    def omega_word(self, seed: int, *labels) -> "Word":
+        """I.i.d. component symbols drawn from the selection weights."""
+        thresholds = cdf_thresholds(self.selection)
+        stream = UniformStream(seed, "omega", *labels)
+        return Word(source=lambda start: np.searchsorted(
+            thresholds, stream.slice(start, _BLOCK), side="right"))
 
-    def sample_omega(self, length: int, seed: int, *labels) -> np.ndarray:
-        """I.i.d. component symbols from the selection weights."""
-        return self.omega_word(seed, *labels).prefix(length)
-
-    def sample_inner(self, omega: np.ndarray, seed: int,
-                     *labels) -> np.ndarray:
-        """One inner map index per level, drawn from that level's component
-        weights."""
+    def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
+        """Inner map choices over the component word omega: position k
+        draws from the weights of component omega.symbol(k)."""
         stream = UniformStream(seed, "inner", *labels)
-        u = stream.slice(0, len(omega))
-        out = np.zeros(len(omega), dtype=np.int64)
-        for i, comp in enumerate(self.components):
-            mask = omega == i
-            if comp.size == 1 or not mask.any():
-                continue
-            thr = cdf_thresholds(comp.weights)
-            out[mask] = np.searchsorted(thr, u[mask], side="right")
-        return out
+
+        def source(start):
+            om = omega.take(start, _BLOCK)
+            return self._add_inner_draws(np.zeros(om.size, dtype=np.int64),
+                                         om, stream.slice(start, om.size))
+        return Word(source=source)
+
+    def _add_inner_draws(self, paths: np.ndarray, omega: np.ndarray,
+                         u: np.ndarray) -> np.ndarray:
+        """Add to paths, at each place, the inner map index that the
+        uniform u draws from the weights of component omega there."""
+        for i, thresholds in enumerate(self._inner_thresholds):
+            if thresholds.size > 1:
+                mask = omega == i
+                paths[mask] += np.searchsorted(thresholds, u[mask],
+                                               side="right")
+        return paths
+
+    def _fold(self, omega: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Float points of the (count, depth) component paths omega, with
+        the inner map at each place drawn by the uniforms u."""
+        paths = self._add_inner_draws(self._first_map[omega], omega, u)
+        return fold_paths(self._path_maps, self.hull, paths)
 
     def point_of_path(self, omega: Sequence[int],
                       inner: Sequence[int]) -> ExactScalar:
@@ -190,44 +199,18 @@ class Model:
             x = f.ratio * x + f.shift
         return canonical_scalar(x)
 
-    def sampling_depth(self, bits: int = 60) -> int:
-        import math
-        worst = max(abs(exact_float(c.ratio)) for c in self.components)
-        return max(1, math.ceil(bits / -math.log2(worst)))
-
     def sample_measure(self, count: int, seed: int, *labels,
                        depth: Optional[int] = None) -> np.ndarray:
         """`count` float draws from E_omega[eta_omega] = mu: every point gets
         an independent component path and inner path."""
         if depth is None:
-            depth = self.sampling_depth()
+            depth = sampling_depth([c.ratio for c in self.components])
         stream = UniformStream(seed, "model-measure", *labels)
         u = stream.slice(0, 2 * count * depth)
-        u_omega = u[:count * depth].reshape(count, depth)
-        u_inner = u[count * depth:].reshape(count, depth)
-        omega = np.searchsorted(cdf_thresholds(self.selection), u_omega,
+        omega = np.searchsorted(cdf_thresholds(self.selection),
+                                u[:count * depth].reshape(count, depth),
                                 side="right")
-        # per-component inner draw, then gather float coefficients
-        r = np.empty_like(u_inner)
-        t = np.empty_like(u_inner)
-        for i, comp in enumerate(self.components):
-            mask = omega == i
-            if not mask.any():
-                continue
-            if comp.size == 1:
-                inner = np.zeros(int(mask.sum()), dtype=np.int64)
-            else:
-                thr = cdf_thresholds(comp.weights)
-                inner = np.searchsorted(thr, u_inner[mask], side="right")
-            ri = np.array([exact_float(f.ratio) for f in comp.maps])
-            ti = np.array([exact_float(f.shift) for f in comp.maps])
-            r[mask] = ri[inner]
-            t[mask] = ti[inner]
-        lo, hi = self.hull
-        x = np.full(count, (exact_float(lo) + exact_float(hi)) / 2)
-        for k in range(depth - 1, -1, -1):
-            x = r[:, k] * x + t[:, k]
-        return x
+        return self._fold(omega, u[count * depth:].reshape(count, depth))
 
     def sample_eta(self, omega: Sequence[int], count: int, seed: int,
                    *labels) -> np.ndarray:
@@ -243,21 +226,7 @@ class Model:
                 "its contraction product drops below 2^-50")
         stream = UniformStream(seed, "eta", *labels)
         u = stream.slice(0, count * depth).reshape(count, depth)
-        lo, hi = self.hull
-        x = np.full(count, (exact_float(lo) + exact_float(hi)) / 2)
-        for k in range(depth - 1, -1, -1):
-            comp = self.components[int(omega[k])]
-            if comp.size == 1:
-                rk = exact_float(comp.maps[0].ratio)
-                tk = exact_float(comp.maps[0].shift)
-                x = rk * x + tk
-            else:
-                inner = np.searchsorted(cdf_thresholds(comp.weights),
-                                        u[:, k], side="right")
-                rk = np.array([exact_float(f.ratio) for f in comp.maps])
-                tk = np.array([exact_float(f.shift) for f in comp.maps])
-                x = rk[inner] * x + tk[inner]
-        return x
+        return self._fold(np.broadcast_to(omega, (count, depth)), u)
 
     # -- serialization ----------------------------------------------------------
 
@@ -372,51 +341,71 @@ def build_model(base: SimilarityIFS, max_length: int = 8,
     return Model(base, pair, components, selection)
 
 
-class OmegaWord:
-    """Lazily streamed i.i.d. component symbols.
+class Word:
+    """A symbol sequence read by position: ``symbol(k)``, ``take(start, n)``
+    and ``shift(m)``.
 
-    Symbols come from a counter-based uniform stream, so symbol(k) is
-    computable in any order and shift(m) is a cheap view: the shifted word
-    shares the stream and re-reads nothing.
+    ``Word(seq)`` is the finite word seq: reading past its end raises
+    IndexError.  With a ``source``, a function from a position to the
+    symbols from there on (an empty array where the word ends), the word
+    starts with ``head`` and grows its buffer a block at a time from the
+    source.  Every shifted view shares that one int64 buffer and differs
+    only in its offset.  Random words come from ``Model.omega_word`` and
+    ``Model.inner_word``, which map a block of their uniform stream
+    through the inverse-CDF thresholds with one vectorised searchsorted.
     """
 
-    __slots__ = ("_thresholds", "_stream", "seed")
+    __slots__ = ("_root", "_offset", "_buf", "_source")
 
-    def __init__(self, selection, seed: int, *labels, _stream=None):
-        self._thresholds = cdf_thresholds(selection)
-        self._stream = _stream if _stream is not None \
-            else UniformStream(seed, "omega", *labels)
-        self.seed = seed
+    def __init__(self, head: Sequence[int] = (), source=None):
+        self._root = self
+        self._offset = 0
+        self._buf = np.array(head, dtype=np.int64)
+        self._source = source
+
+    @classmethod
+    def prefixed(cls, head: Sequence[int], tail: "Word") -> "Word":
+        """Finitely many fixed leading symbols before the word tail."""
+        h = len(head)
+        return cls(head, lambda start: tail.take(start - h, _BLOCK))
+
+    def _grow(self, stop: int) -> np.ndarray:
+        """Extend this root buffer to at least `stop` symbols, unless the
+        word ends first."""
+        parts = [self._buf]
+        size = self._buf.size
+        while size < stop and self._source is not None:
+            more = self._source(size)
+            if not more.size:
+                break
+            parts.append(more)
+            size += more.size
+        if len(parts) > 1:
+            self._buf = np.concatenate(parts)
+        return self._buf
 
     def symbol(self, k: int) -> int:
-        u = self._stream[k]
-        return int(np.searchsorted(self._thresholds, u, side="right"))
+        j = self._offset + k
+        buf = self._root._buf
+        if j >= buf.size:
+            buf = self._root._grow(j + 1)
+            if j >= buf.size:
+                raise IndexError(
+                    f"symbol sequence exhausted at position {j}; supply a "
+                    "longer prefix or a lazy word")
+        return int(buf[j])
 
-    def prefix(self, n: int) -> np.ndarray:
-        u = self._stream.slice(0, n)
-        return np.searchsorted(self._thresholds, u, side="right") \
-            .astype(np.int64)
+    def take(self, start: int, n: int) -> np.ndarray:
+        """The n symbols from position start on, fewer where the word
+        ends."""
+        j = self._offset + start
+        return self._root._grow(j + n)[j:j + n].copy()
 
-    def shift(self, m: int) -> "OmegaWord":
-        out = OmegaWord.__new__(OmegaWord)
-        out._thresholds = self._thresholds
-        out._stream = self._stream.shift(m)
-        out.seed = self.seed
+    def shift(self, m: int) -> "Word":
+        out = object.__new__(Word)
+        out._root = self._root
+        out._offset = self._offset + m
         return out
-
-    def __getitem__(self, k: int) -> int:
-        return self.symbol(k)
-
-
-@dataclass(frozen=True)
-class CodedPoint:
-    """Truncated coding-map value for one (component, inner) digit path:
-    the exact partial sum of shifted translations, carried as an enclosure,
-    plus the geometric tail bound (product of |ratios|) * diam(hull)."""
-    omega_prefix: Tuple[int, ...]
-    digits: Tuple[int, ...]
-    value: "BigReal"
-    tail_bound: float
 
 
 def verify_ssc(model: Model):
@@ -444,68 +433,3 @@ def verify_ssc(model: Model):
             if best is None or exact_sign(gap - best) < 0:
                 best = gap
     return float("inf") if best is None else best
-
-
-def sample_eta(model: Model, omega, count: int, depth: int,
-               seed: int, *labels) -> np.ndarray:
-    """Bulk float draws from eta_omega, truncated at `depth` levels."""
-    if isinstance(omega, OmegaWord):
-        omega = omega.prefix(depth)
-    omega = np.asarray(omega, dtype=np.int64)
-    if len(omega) < depth:
-        raise ValueError("omega prefix shorter than the requested depth")
-    return model.sample_eta(omega[:depth], count, seed, *labels)
-
-
-def sample_eta_coded(model: Model, omega, count: int, depth: int,
-                     seed: int, *labels, bits: int = 128):
-    """`count` CodedPoints for one component path: exact digit draws, the
-    exact truncated coding sum as an enclosure, and the tail bound."""
-    from .algebraics import BigReal, exact_enclosure
-
-    if isinstance(omega, OmegaWord):
-        omega = omega.prefix(depth)
-    omega = np.asarray(omega, dtype=np.int64)
-    if len(omega) < depth:
-        raise ValueError("omega prefix shorter than the requested depth")
-    omega = omega[:depth]
-    prefix = tuple(int(i) for i in omega)
-
-    stream = UniformStream(seed, "eta-coded", *labels)
-    u = stream.slice(0, count * depth).reshape(count, depth)
-    inner = np.zeros((count, depth), dtype=np.int64)
-    for k in range(depth):
-        comp = model.components[int(omega[k])]
-        if comp.size > 1:
-            thr = cdf_thresholds(comp.weights)
-            inner[:, k] = np.searchsorted(thr, u[:, k], side="right")
-
-    lo, hi = model.hull
-    diam = exact_float(hi - lo)
-    tail = 1.0
-    for i in omega:
-        tail *= abs(exact_float(model.components[int(i)].ratio))
-    tail *= diam
-
-    out = []
-    for row in range(count):
-        x = canonical_scalar(lo * 0)  # exact zero of the right flavor
-        for k in range(depth - 1, -1, -1):
-            f = model.components[int(omega[k])].maps[int(inner[row, k])]
-            x = f.ratio * x + f.shift
-        enc_lo, enc_hi = exact_enclosure(canonical_scalar(x), bits)
-        out.append(CodedPoint(prefix, tuple(int(d) for d in inner[row]),
-                              BigReal.from_interval(enc_lo, enc_hi, bits),
-                              tail))
-    return out
-
-
-def sample_disintegration(model: Model, count: int, seed: int, *labels,
-                          depth: Optional[int] = None) -> np.ndarray:
-    """Joint (omega, digits) sampling: the output distribution is the
-    original self-similar measure, up to the truncation bound."""
-    return model.sample_measure(count, seed, *labels, depth=depth)
-
-
-def atom_mass_bound(model: Model, omega_prefix) -> Fraction:
-    return model.atom_mass_bound(omega_prefix)

@@ -3,9 +3,8 @@
 Every random quantity in this package is drawn from a Philox stream keyed by
 (master seed, string labels).  Philox is counter-based: the draw at absolute
 index i is a pure function of (key, i), so infinite sequences can be
-materialized lazily, accessed at random offsets, and *shifted* by adjusting an
-index offset instead of reseeding.  That last property is what the dynamics
-code relies on: shifting a symbolic sequence must yield literally the same
+materialized lazily, a block at a time, and read at any offset.  The dynamics
+code relies on that: a shifted symbolic sequence must be literally the same
 tail, not an equidistributed imitation.
 
 Reproducibility contract: for a fixed master seed and label path, draws are
@@ -49,17 +48,14 @@ class UniformStream:
 
     ``stream[i]`` is a float in [0, 1) depending only on (seed, labels, i).
     Blocks of 1024 draws are generated on demand from Philox with the block
-    index placed in the counter, and cached.  ``shift(m)`` returns a view of
-    the same underlying sequence starting at index m; views share the cache.
+    index placed in the counter, and cached.
     """
 
-    __slots__ = ("_key", "_offset", "_blocks")
+    __slots__ = ("_key", "_blocks")
 
-    def __init__(self, seed: int, *labels: object, _key: int | None = None,
-                 _offset: int = 0, _blocks: dict | None = None):
-        self._key = derive_key(seed, *labels) if _key is None else _key
-        self._offset = _offset
-        self._blocks = {} if _blocks is None else _blocks
+    def __init__(self, seed: int, *labels: object):
+        self._key = derive_key(seed, *labels)
+        self._blocks = {}
 
     def _block(self, b: int) -> np.ndarray:
         blk = self._blocks.get(b)
@@ -72,30 +68,18 @@ class UniformStream:
     def __getitem__(self, i: int) -> float:
         if i < 0:
             raise IndexError("stream index must be nonnegative")
-        j = i + self._offset
-        return float(self._block(j // _BLOCK)[j % _BLOCK])
+        return float(self._block(i // _BLOCK)[i % _BLOCK])
 
     def slice(self, start: int, count: int) -> np.ndarray:
         """Uniforms at indices start .. start+count-1 as an array."""
-        j0 = start + self._offset
         out = np.empty(count)
         filled = 0
         while filled < count:
-            b, r = divmod(j0 + filled, _BLOCK)
+            b, r = divmod(start + filled, _BLOCK)
             take = min(_BLOCK - r, count - filled)
             out[filled:filled + take] = self._block(b)[r:r + take]
             filled += take
         return out
-
-    def shift(self, m: int) -> "UniformStream":
-        if m < 0:
-            raise ValueError("cannot shift before the start of the stream")
-        return UniformStream(0, _key=self._key, _offset=self._offset + m,
-                             _blocks=self._blocks)
-
-    @property
-    def offset(self) -> int:
-        return self._offset
 
 
 def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:
@@ -113,7 +97,3 @@ def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:
     out[-1] = 1.0 + 1e-9  # guard: a uniform draw can never fall past the end
     return np.asarray(out)
 
-
-def draw_symbol(thresholds: np.ndarray, u: float) -> int:
-    """Index of the first threshold exceeding u."""
-    return int(np.searchsorted(thresholds, u, side="right"))

@@ -3,22 +3,21 @@ Markov chain, orbit replay, the stationary suspension law, and the
 arithmetic obstruction check."""
 
 from .chain import ExtendedChain, build_extended_chain
-from .flow import (ComparisonReport, InnerWord, PrefixedWord, QSamples,
-                   SceneryOrbit, compare_scenery_to_Q, rescale_model_for_gap,
-                   sample_Q, scenery_orbit)
+from .flow import (ComparisonReport, QSamples, SceneryOrbit,
+                   compare_scenery_to_Q, rescale_model_for_gap, sample_Q,
+                   scenery_orbit)
 from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
 from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
-                      as_word, center_and_window, evaluate_panel,
-                      focus_point, panel_average, panel_names,
-                      point_mass_window, window_of_state)
+                      center_and_window, evaluate_panel, focus_point,
+                      panel_average, panel_names, point_mass_window,
+                      window_of_state)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
-    "ComparisonReport", "InnerWord", "PrefixedWord", "QSamples",
-    "SceneryOrbit", "compare_scenery_to_Q", "rescale_model_for_gap",
-    "sample_Q", "scenery_orbit",
+    "ComparisonReport", "QSamples", "SceneryOrbit", "compare_scenery_to_Q",
+    "rescale_model_for_gap", "sample_Q", "scenery_orbit",
     "Inconclusive", "NormalityImplied", "spectrum_obstruction",
-    "DEFAULT_BINS_HALF", "PANEL_VERSION", "WindowMeasure", "as_word",
+    "DEFAULT_BINS_HALF", "PANEL_VERSION", "WindowMeasure",
     "center_and_window", "evaluate_panel", "focus_point", "panel_average",
     "panel_names", "point_mass_window", "window_of_state",
 ]

@@ -75,9 +75,6 @@ class ExtendedChain:
                       for p, r in zip(self.stationary, self.roofs)])
         return w / w.sum()
 
-    def to_float_matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix])
-
 
 def build_extended_chain(model: Model) -> ExtendedChain:
     """Construct the exact chain for a model.

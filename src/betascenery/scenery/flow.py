@@ -15,18 +15,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..algebraics import exact_float, exact_sign
-from ..model import Model, OmegaWord, build_model, verify_ssc
-from ..rng import UniformStream, cdf_thresholds
+from ..model import Model, Word, build_model, verify_ssc
+from ..rng import UniformStream
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
-from .windows import (DEFAULT_BINS_HALF, MASS_CUTOFF, PANEL_VERSION,
-                      WindowMeasure, as_word, evaluate_panel, panel_average,
-                      panel_names, window_of_state)
+from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
+                      panel_average, panel_names, window_of_state)
 
 
 def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
@@ -47,61 +46,6 @@ def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
     scaled = build_model(base, pair_words=(model.pair.word_i,
                                            model.pair.word_j))
     return scaled, c
-
-
-class InnerWord:
-    """Lazy inner-map choices: position k draws from the weights of the
-    component that omega selects at k.  Deterministic in (seed, labels)."""
-
-    __slots__ = ("_model", "_omega", "_stream", "_thresholds")
-
-    def __init__(self, model: Model, omega, seed: Optional[int] = None,
-                 *labels, _stream=None):
-        self._model = model
-        self._omega = as_word(omega)
-        if _stream is not None:
-            self._stream = _stream
-        else:
-            if seed is None:
-                raise ValueError("need a seed (or an existing stream)")
-            self._stream = UniformStream(seed, "inner", *labels)
-        self._thresholds = [cdf_thresholds(c.weights)
-                            for c in model.components]
-
-    def symbol(self, k: int) -> int:
-        th = self._thresholds[self._omega.symbol(k)]
-        return int(np.searchsorted(th, self._stream[k], side="right"))
-
-    def prefix(self, n: int) -> np.ndarray:
-        return np.array([self.symbol(k) for k in range(n)], dtype=np.int64)
-
-    def shift(self, m: int) -> "InnerWord":
-        out = object.__new__(InnerWord)
-        out._model = self._model
-        out._omega = self._omega.shift(m)
-        out._stream = self._stream.shift(m)
-        out._thresholds = self._thresholds
-        return out
-
-
-class PrefixedWord:
-    """A word with finitely many fixed leading symbols before a lazy tail."""
-
-    __slots__ = ("head", "tail")
-
-    def __init__(self, head: Sequence[int], tail):
-        self.head = tuple(int(s) for s in head)
-        self.tail = tail
-
-    def symbol(self, k: int) -> int:
-        if k < len(self.head):
-            return self.head[k]
-        return self.tail.symbol(k - len(self.head))
-
-    def shift(self, m: int):
-        if m < len(self.head):
-            return PrefixedWord(self.head[m:], self.tail)
-        return self.tail.shift(m - len(self.head))
 
 
 @dataclass
@@ -130,7 +74,8 @@ def _require_separated(model: Model) -> None:
             "rescale_model_for_gap first")
 
 
-def scenery_orbit(model: Model, omega=None, inner=None, a: int = 0,
+def scenery_orbit(model: Model, omega: Optional[Word] = None,
+                  inner: Optional[Word] = None, a: int = 0,
                   T: float = 50.0, dt: float = 0.25,
                   n_samples: int = 500_000, seed: int = 0,
                   bins_half: int = DEFAULT_BINS_HALF,
@@ -139,19 +84,16 @@ def scenery_orbit(model: Model, omega=None, inner=None, a: int = 0,
     """Replay the zoom flow from (omega, inner, a) for time T, emitting the
     window at each multiple of dt.
 
-    omega and inner default to fresh seeded lazy words; explicit sequences
-    are accepted and must be long enough to cover T.  n_samples caps the
+    omega and inner default to fresh seeded lazy words; explicit finite
+    words must be long enough to cover T.  n_samples caps the
     cylinder-descent work per window (a resolution budget, not a sampling
     count).
     """
     _require_separated(model)
     if omega is None:
         omega = model.omega_word(seed, "orbit-omega")
-    omega = as_word(omega)
     if inner is None:
-        inner = InnerWord(model, omega, seed, "orbit-inner")
-    else:
-        inner = as_word(inner)
+        inner = model.inner_word(omega, seed, "orbit-inner")
     roofs = _component_roofs(model)
     signs = [exact_sign(c.ratio) for c in model.components]
 
@@ -221,9 +163,9 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
             i0, u0 = state[0], state[1]
             a0 = state[2] if chain.has_orientation else 0
             tail_omega = model.omega_word(seed, "Q-omega", j)
-            omega = PrefixedWord((i0,), tail_omega)
-            tail_inner = InnerWord(model, omega.shift(1), seed, "Q-inner", j)
-            inner = PrefixedWord((u0,), tail_inner)
+            omega = Word.prefixed((i0,), tail_omega)
+            inner = Word.prefixed((u0,), model.inner_word(
+                tail_omega, seed, "Q-inner", j))
             windows.append(window_of_state(
                 model, omega, inner, a0, float(ts[j]),
                 bins_half=bins_half, node_budget=n_samples,

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..algebraics import exact_float
-from ..model import Model
+from ..model import Model, Word
 
 DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
@@ -121,34 +121,6 @@ def center_and_window(points: np.ndarray, focus: float, t: float,
     return WindowMeasure(hist, zero_near)
 
 
-class _SeqWord:
-    """Adapter giving finite symbol sequences the lazy-word interface."""
-
-    __slots__ = ("seq", "offset")
-
-    def __init__(self, seq, offset: int = 0):
-        self.seq = seq
-        self.offset = offset
-
-    def symbol(self, k: int) -> int:
-        j = k + self.offset
-        if j >= len(self.seq):
-            raise IndexError(
-                f"symbol sequence exhausted at position {j}; supply a longer "
-                "prefix or a lazy word")
-        return int(self.seq[j])
-
-    def shift(self, m: int) -> "_SeqWord":
-        return _SeqWord(self.seq, self.offset + m)
-
-
-def as_word(w):
-    """Accept either a lazy word object (symbol/shift) or a plain sequence."""
-    if hasattr(w, "symbol") and hasattr(w, "shift"):
-        return w
-    return _SeqWord(list(w))
-
-
 def _float_components(model: Model):
     """Per-component (ratio, shifts, weights) as floats, plus hull floats."""
     comps = []
@@ -162,11 +134,10 @@ def _float_components(model: Model):
     return comps, hlo, hhi
 
 
-def focus_point(model: Model, omega, inner, tol: float = 1e-15) -> float:
+def focus_point(model: Model, omega: Word, inner: Word,
+                tol: float = 1e-15) -> float:
     """The point coded by the inner path through the component sequence:
     the limit of the nested map compositions, to float accuracy."""
-    omega = as_word(omega)
-    inner = as_word(inner)
     comps, hlo, hhi = _float_components(model)
     scale = max(abs(hlo), abs(hhi), hhi - hlo, 1.0)
     a, b = 1.0, 0.0
@@ -179,9 +150,9 @@ def focus_point(model: Model, omega, inner, tol: float = 1e-15) -> float:
     return b + a * 0.5 * (hlo + hhi)
 
 
-def _split_focus_mass(bins: np.ndarray, node_mass: float, comps, omega,
-                      inner, level: int, a_sign: float, sgn: float,
-                      bins_half: int, eps_cut: float) -> None:
+def _split_focus_mass(bins: np.ndarray, node_mass: float, comps,
+                      omega: Word, inner: Word, level: int, a_sign: float,
+                      sgn: float, bins_half: int, eps_cut: float) -> None:
     """Distribute the focus cylinder's mass between the two central bins by
     word order instead of float positions: descend the inner path, crediting
     each sibling word's weight to whichever side of the chosen word it lies
@@ -211,7 +182,8 @@ def _split_focus_mass(bins: np.ndarray, node_mass: float, comps, omega,
     bins[bins_half] += node_mass * right
 
 
-def window_of_state(model: Model, omega, inner, a: int, zoom_t: float,
+def window_of_state(model: Model, omega: Word, inner: Word, a: int,
+                    zoom_t: float,
                     bins_half: int = DEFAULT_BINS_HALF,
                     eps_cut: float = MASS_CUTOFF,
                     node_budget: int = 500_000,
@@ -234,8 +206,6 @@ def window_of_state(model: Model, omega, inner, a: int, zoom_t: float,
     adding each sibling word's weight to the side it sits on.  Everything
     else is misassigned by at most eps_cut per straddling chain.
     """
-    omega = as_word(omega)
-    inner = as_word(inner)
     comps, hlo, hhi = _float_components(model)
     x = focus_point(model, omega, inner)
     ezoom = math.exp(zoom_t) / window_radius

@@ -241,61 +241,40 @@ class SimilarityIFS:
             return (L, H)
         return None
 
-    # -- sampling -------------------------------------------------------------
 
-    def sampling_depth(self, bits: int = 60) -> int:
-        """Word length making the truncation error below 2^-bits of hull."""
-        worst = max(abs(exact_float(f.ratio)) for f in self.maps)
-        return max(1, math.ceil(bits / -math.log2(worst)))
-
-    def sample(self, count: int, seed: int, *labels,
-               depth: Optional[int] = None) -> np.ndarray:
-        """`count` i.i.d. draws from the invariant measure as float64.
-
-        Deterministic given (seed, labels): symbols come from the counter
-        based stream, and each point is the word map applied to the hull
-        midpoint, evaluated innermost first.
-        """
-        if depth is None:
-            depth = self.sampling_depth()
-        syms = self.sample_words(count, depth, seed, *labels)
-        r = np.array([exact_float(f.ratio) for f in self.maps])
-        t = np.array([exact_float(f.shift) for f in self.maps])
-        lo, hi = self.attractor_hull()
-        x = np.full(count, (exact_float(lo) + exact_float(hi)) / 2)
-        for k in range(depth - 1, -1, -1):
-            rk = r[syms[:, k]]
-            tk = t[syms[:, k]]
-            x = rk * x + tk
-        return x
-
-    def sample_words(self, count: int, depth: int, seed: int,
-                     *labels) -> np.ndarray:
-        """(count, depth) array of symbol draws from the weights."""
-        stream = UniformStream(seed, "ifs-words", *labels)
-        u = stream.slice(0, count * depth).reshape(count, depth)
-        thresholds = cdf_thresholds(self.weights)
-        return np.searchsorted(thresholds, u, side="right").astype(np.int64)
-
-    def point_of_word(self, word: Sequence[int]) -> ExactScalar:
-        """Exact evaluation of the word map at the hull midpoint."""
-        lo, hi = self.attractor_hull()
-        x = (lo + hi) / 2
-        for i in reversed(word):
-            f = self.maps[i]
-            x = f.ratio * x + f.shift
-        return canonical_scalar(x)
+def sampling_depth(ratios: Sequence[ExactScalar], bits: int = 60) -> int:
+    """Word length making the truncation error below 2^-bits of the hull,
+    for maps with these contraction ratios."""
+    worst = max(abs(exact_float(r)) for r in ratios)
+    return max(1, math.ceil(bits / -math.log2(worst)))
 
 
-def attractor_hull(ifs: SimilarityIFS) -> Tuple[ExactScalar, ExactScalar]:
-    return ifs.attractor_hull()
+def fold_paths(maps: Sequence[SimilarityMap], hull, paths: np.ndarray
+               ) -> np.ndarray:
+    """Float points of the (count, depth) map-index words `paths`: each
+    word map applied to the hull midpoint, innermost map first."""
+    r = np.array([exact_float(f.ratio) for f in maps])
+    t = np.array([exact_float(f.shift) for f in maps])
+    lo, hi = hull
+    x = np.full(paths.shape[0], (exact_float(lo) + exact_float(hi)) / 2)
+    for k in range(paths.shape[1] - 1, -1, -1):
+        col = paths[:, k]
+        x = r[col] * x + t[col]
+    return x
 
 
 def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
                    seed: int = 0, *labels) -> np.ndarray:
-    """`count` draws from the invariant measure; each point sits within
-    diam(hull) * (max |ratio|)^depth of an exactly distributed one."""
-    return ifs.sample(count, seed, *labels, depth=depth)
+    """`count` i.i.d. draws from the invariant measure as float64; each
+    point sits within diam(hull) * (max |ratio|)^depth of an exactly
+    distributed one.  Deterministic given (seed, labels): symbols come from
+    the counter based stream."""
+    if depth is None:
+        depth = sampling_depth([f.ratio for f in ifs.maps])
+    u = UniformStream(seed, "ifs-words", *labels).slice(0, count * depth)
+    words = np.searchsorted(cdf_thresholds(ifs.weights),
+                            u.reshape(count, depth), side="right")
+    return fold_paths(ifs.maps, ifs.attractor_hull(), words)
 
 
 def iterate_ifs(ifs: SimilarityIFS, length: int,

@@ -100,7 +100,7 @@ def test_03_shift_identity(middle_thirds_model, two_ratio_model,
         m, _ = bs.rescale_model_for_gap(base_model)
         for s in range(50):
             om = m.omega_word(s, "c3-omega")
-            inner = bs.InnerWord(m, om, 1000 + s, "c3-inner")
+            inner = m.inner_word(om, 1000 + s, "c3-inner")
             comp = m.components[om.symbol(0)]
             roof = -math.log(abs(float(comp.ratio)))
             flip = bs.exact_sign(comp.ratio) < 0

@@ -64,6 +64,20 @@ class TestDigits:
         with pytest.raises(ValueError):
             BetaBase(Fraction(1, 2))
 
+    def test_pisot_decided_on_first_read(self, monkeypatch):
+        import betascenery.beta_numeration as bn
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return bs.is_pisot(x)
+        monkeypatch.setattr(bn, "is_pisot", counting)
+        base = BetaBase(bs.named_constant("tribonacci"))
+        assert calls == []
+        assert base.pisot is True
+        assert base.pisot is True
+        assert len(calls) == 1
+
     def test_rejects_point_outside_unit_interval(self):
         with pytest.raises(ValueError):
             beta_orbit(BetaBase(2), Fraction(3, 2), 4)

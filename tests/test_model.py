@@ -10,18 +10,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
+from betascenery.rng import UniformStream, cdf_thresholds
 from betascenery import (
     Model,
-    atom_mass_bound,
+    Word,
     build_model,
-    sample_disintegration,
-    sample_eta,
-    sample_eta_coded,
     sample_measure,
+    sampling_depth,
     verify_ssc,
 )
 
 from oracles import ks_between
+
+
+def cylinder(model, omega, inner):
+    """Exact image of the hull under a path's maps, composed from the base
+    IFS words behind each component map rather than through the model."""
+    ratio, shift = Fraction(1), Fraction(0)
+    for i, u in zip(omega, inner):
+        for s in model.components[i].words[u]:
+            f = model.base.maps[s]
+            shift, ratio = shift + ratio * f.shift, ratio * f.ratio
+    h0, h1 = model.hull
+    a, b = shift + ratio * h0, shift + ratio * h1
+    return (a, b) if ratio > 0 else (b, a)
 
 
 class TestStructure:
@@ -113,17 +125,96 @@ class TestOmegaWord:
             assert abs(counts[i] / n - float(sel)) < 0.03
 
 
+# positions on both sides of the first two block edges, and past them
+EDGES = [0, 1, 1022, 1023, 1024, 1025, 2046, 2047, 2048, 2049, 3100]
+
+
+def scalar_symbol(weights, stream, k):
+    """The definition of a drawn symbol, one position at a time."""
+    return int(np.searchsorted(cdf_thresholds(weights), stream[k],
+                               side="right"))
+
+
+class TestWord:
+    def test_omega_word_is_scalar_draw(self, two_ratio_model):
+        m = two_ratio_model
+        stream = UniformStream(3, "omega", "lab")
+        for order in (EDGES, EDGES[::-1]):
+            w = m.omega_word(3, "lab")
+            got = {k: w.symbol(k) for k in order}
+            assert got == {k: scalar_symbol(m.selection, stream, k)
+                           for k in order}
+
+    def test_shift_inside_a_block(self, two_ratio_model):
+        m = two_ratio_model
+        stream = UniformStream(3, "omega")
+        w = m.omega_word(3)
+        for shift in (1, 700, 1023, 1500):
+            v = w.shift(shift)
+            assert [v.symbol(k) for k in EDGES] == \
+                [scalar_symbol(m.selection, stream, k + shift)
+                 for k in EDGES]
+            assert v.shift(5).symbol(1020) == w.symbol(shift + 1025)
+            assert list(v.take(1020, 8)) == \
+                [w.symbol(shift + k) for k in range(1020, 1028)]
+
+    def test_inner_word_is_scalar_draw(self, two_ratio_model):
+        m = two_ratio_model
+        stream = UniformStream(6, "inner", "x")
+        for start in (0, 37, 1024):
+            omega = m.omega_word(5).shift(start)
+            inner = m.inner_word(omega, 6, "x")
+            assert [inner.symbol(k) for k in EDGES] == \
+                [scalar_symbol(m.components[omega.symbol(k)].weights,
+                               stream, k) for k in EDGES]
+            view = inner.shift(1000)
+            assert [view.symbol(k) for k in (23, 24, 1047, 1048)] == \
+                [inner.symbol(k) for k in (1023, 1024, 2047, 2048)]
+
+    def test_inner_word_over_a_fixed_head(self, two_ratio_model):
+        m = two_ratio_model
+        head = (2, 0, 1)
+        omega = Word.prefixed(head, m.omega_word(7))
+        omega_stream = UniformStream(7, "omega")
+        want_omega = [head[k] if k < len(head) else
+                      scalar_symbol(m.selection, omega_stream, k - len(head))
+                      for k in EDGES]
+        assert [omega.symbol(k) for k in EDGES] == want_omega
+        inner = Word.prefixed((1,), m.inner_word(omega, 8))
+        inner_stream = UniformStream(8, "inner")
+        want_inner = [1] + [
+            scalar_symbol(m.components[omega.symbol(k - 1)].weights,
+                          inner_stream, k - 1) for k in EDGES[1:]]
+        assert [inner.symbol(k) for k in EDGES] == want_inner
+        assert [inner.shift(2).symbol(k) for k in EDGES[:-1]] == \
+            [inner.symbol(k + 2) for k in EDGES[:-1]]
+
+    def test_finite_word_ends(self, two_ratio_model):
+        w = Word([1, 0, 2])
+        assert [w.symbol(k) for k in range(3)] == [1, 0, 2]
+        assert w.shift(2).symbol(0) == 2
+        assert list(w.take(0, 2)) == [1, 0]
+        assert list(w.take(1, 5)) == [0, 2]
+        for word, k in ((w, 3), (w.shift(2), 1), (w.shift(5), 0)):
+            with pytest.raises(IndexError):
+                word.symbol(k)
+        inner = two_ratio_model.inner_word(w.shift(1), 4)
+        assert inner.take(0, 5).size == 2
+        with pytest.raises(IndexError):
+            inner.symbol(2)
+
+
 class TestSampling:
     def test_eta_deterministic(self, two_ratio_model):
         m = two_ratio_model
         w = m.omega_word(3)
-        a = sample_eta(m, w, 500, 40, 9)
-        b = sample_eta(m, w, 500, 40, 9)
+        a = m.sample_eta(w.take(0, 40), 500, 9)
+        b = m.sample_eta(w.take(0, 40), 500, 9)
         assert np.array_equal(a, b)
 
     def test_eta_in_hull(self, two_ratio_model):
         m = two_ratio_model
-        xs = sample_eta(m, m.omega_word(1), 2000, 40, 2)
+        xs = m.sample_eta(m.omega_word(1).take(0, 40), 2000, 2)
         lo, hi = m.hull
         assert xs.min() >= float(lo) - 1e-12
         assert xs.max() <= float(hi) + 1e-12
@@ -134,11 +225,11 @@ class TestSampling:
         # through that word's similarity
         m = two_ratio_model
         omega = m.omega_word(23)
-        direct = sample_eta(m, omega, 30_000, 50, 101)
+        direct = m.sample_eta(omega.take(0, 50), 30_000, 101)
 
         comp = m.components[omega.symbol(0)]
         rng = np.random.default_rng(7)
-        tail = sample_eta(m, omega.shift(1), 30_000, 49, 202)
+        tail = m.sample_eta(omega.shift(1).take(0, 49), 30_000, 202)
         probs = np.array([float(x) for x in comp.weights])
         choice = rng.choice(len(comp.words), size=tail.size, p=probs)
         mixed = np.empty_like(tail)
@@ -154,29 +245,32 @@ class TestSampling:
 
     def test_disintegration_recovers_base_measure(self, middle_thirds_model):
         m = middle_thirds_model
-        mixed = sample_disintegration(m, 20_000, 5)
+        mixed = m.sample_measure(20_000, 5)
         direct = sample_measure(m.base, 20_000, seed=6)
         assert ks_between(mixed, direct) < 0.02
 
     def test_coded_points_match_value(self, middle_thirds_model):
-        # point_of_path picks a canonical point of the coded cylinder, and
-        # value approximates a point of the same cylinder, so the two agree
-        # within the advertised tail bound
+        # the path's maps applied to the hull midpoint give exactly the
+        # midpoint of the path's cylinder
         m = middle_thirds_model
-        pts = sample_eta_coded(m, m.omega_word(4), 5, 60, 8)
-        for p in pts:
-            x = m.point_of_path(p.omega_prefix, p.digits)
-            tail = Fraction(p.tail_bound)
-            assert Fraction(p.value.lo) - tail <= x <= Fraction(p.value.hi) + tail
-            assert float(p.tail_bound) < 1e-25
+        omega = m.omega_word(4)
+        om = omega.take(0, 60)
+        for s in range(5):
+            inner = m.inner_word(omega, 8, s).take(0, 60)
+            lo, hi = cylinder(m, om, inner)
+            assert m.point_of_path(om, inner) == (lo + hi) / 2
+            assert float(hi - lo) < 1e-25
 
     def test_point_of_path_in_hull(self, two_ratio_model):
         m = two_ratio_model
-        pts = sample_eta_coded(m, m.omega_word(10), 3, 30, 11)
-        lo, hi = m.hull
-        for p in pts:
-            x = m.point_of_path(p.omega_prefix, p.digits)
-            assert lo <= x <= hi
+        omega = m.omega_word(10)
+        om = omega.take(0, 30)
+        h0, h1 = m.hull
+        for s in range(3):
+            inner = m.inner_word(omega, 11, s).take(0, 30)
+            lo, hi = cylinder(m, om, inner)
+            x = m.point_of_path(om, inner)
+            assert h0 <= lo <= x <= hi <= h1
 
 
 class TestAtomBound:
@@ -184,7 +278,7 @@ class TestAtomBound:
         m = middle_thirds_model
         prev = Fraction(1)
         for n in range(1, 12):
-            b = atom_mass_bound(m, [0] * n)
+            b = m.atom_mass_bound([0] * n)
             assert 0 < b <= prev
             prev = b
         assert prev < Fraction(1, 1000)
@@ -198,7 +292,7 @@ class TestAtomBound:
         expect = Fraction(1)
         for s in prefix:
             expect *= max(m.components[s].weights)
-        assert atom_mass_bound(m, prefix) == expect
+        assert m.atom_mass_bound(prefix) == expect
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
@@ -206,14 +300,14 @@ class TestAtomBound:
         m = build_model(bs.SimilarityIFS(
             [bs.SimilarityMap(Fraction(1, 2), Fraction(0)),
              bs.SimilarityMap(Fraction(1, 3), Fraction(2, 3))]))
-        full = atom_mass_bound(m, prefix)
-        shorter = atom_mass_bound(m, prefix[:-1])
+        full = m.atom_mass_bound(prefix)
+        shorter = m.atom_mass_bound(prefix[:-1])
         assert 0 < full <= shorter <= 1
 
     def test_bound_formula(self, middle_thirds_model):
         # single component with two equal weights: bound halves per level
         m = middle_thirds_model
-        assert atom_mass_bound(m, [0, 0]) == Fraction(1, 4)
+        assert m.atom_mass_bound([0, 0]) == Fraction(1, 4)
 
 
 class TestSerialization:
@@ -231,9 +325,9 @@ class TestSerialization:
 
     def test_round_trip_sampling_identical(self, reflected_model):
         m2 = Model.from_json(reflected_model.to_json())
-        a = sample_eta(reflected_model, reflected_model.omega_word(2),
-                       400, 30, 3)
-        b = sample_eta(m2, m2.omega_word(2), 400, 30, 3)
+        a = reflected_model.sample_eta(
+            reflected_model.omega_word(2).take(0, 30), 400, 3)
+        b = m2.sample_eta(m2.omega_word(2).take(0, 30), 400, 3)
         assert np.array_equal(a, b)
 
     def test_json_is_versioned(self, middle_thirds_model):
@@ -256,10 +350,10 @@ class TestSerialization:
 class TestSamplingDepth:
     def test_depth_reaches_requested_bits(self, two_ratio_model):
         m = two_ratio_model
-        d = m.sampling_depth(60)
+        d = sampling_depth([c.ratio for c in m.components], 60)
         # worst contraction per level is max ratio 1/4
         assert Fraction(1, 4) ** d <= Fraction(1, 2 ** 60)
 
     def test_atom_bound_used_by_disintegration(self, middle_thirds_model):
-        xs = sample_disintegration(middle_thirds_model, 500, 1)
+        xs = middle_thirds_model.sample_measure(500, 1)
         assert np.isfinite(xs).all()

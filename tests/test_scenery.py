@@ -123,7 +123,7 @@ class TestWindows:
 
     def test_window_mass_bounded(self, mt_scaled):
         w = window_of_state(mt_scaled, mt_scaled.omega_word(1),
-                            bs.InnerWord(mt_scaled, mt_scaled.omega_word(1), 2),
+                            mt_scaled.inner_word(mt_scaled.omega_word(1), 2),
                             0, 3.0)
         assert w.bins.sum() <= 1.0 + 1e-9
         assert w.bins.min() >= 0.0
@@ -131,7 +131,7 @@ class TestWindows:
 
     def test_reflect_involution(self, mt_scaled):
         w = window_of_state(mt_scaled, mt_scaled.omega_word(4),
-                            bs.InnerWord(mt_scaled, mt_scaled.omega_word(4), 5),
+                            mt_scaled.inner_word(mt_scaled.omega_word(4), 5),
                             0, 2.0)
         r = w.reflect()
         assert np.array_equal(r.reflect().bins, w.bins)
@@ -139,7 +139,7 @@ class TestWindows:
 
     def test_orientation_flag_reflects(self, mt_scaled):
         om = mt_scaled.omega_word(6)
-        inner = bs.InnerWord(mt_scaled, om, 7)
+        inner = mt_scaled.inner_word(om, 7)
         w0 = window_of_state(mt_scaled, om, inner, 0, 2.5)
         w1 = window_of_state(mt_scaled, om, inner, 1, 2.5)
         assert w0.l1_distance(w1.reflect()) < 1e-8
@@ -168,7 +168,7 @@ class TestWindows:
     def test_panel_average(self, mt_scaled):
         om = mt_scaled.omega_word(8)
         ws = [window_of_state(mt_scaled, om,
-                              bs.InnerWord(mt_scaled, om, s), 0, 1.0)
+                              mt_scaled.inner_word(om, s), 0, 1.0)
               for s in range(3)]
         avg = panel_average(ws)
         stack = np.stack([evaluate_panel(w) for w in ws]).mean(axis=0)
@@ -190,7 +190,7 @@ class TestShiftIdentity:
         roof = math.log(3)
         for s in range(10):
             om = m.omega_word(s)
-            inner = bs.InnerWord(m, om, 100 + s)
+            inner = m.inner_word(om, 100 + s)
             w_zoom = window_of_state(m, om, inner, 0, roof + 0.4)
             w_shift = window_of_state(m, om.shift(1), inner.shift(1), 0, 0.4)
             assert w_zoom.l1_distance(w_shift) < 1e-6
@@ -200,7 +200,7 @@ class TestShiftIdentity:
         ch = build_extended_chain(m)
         for s in range(10):
             om = m.omega_word(50 + s)
-            inner = bs.InnerWord(m, om, 200 + s)
+            inner = m.inner_word(om, 200 + s)
             comp = m.components[om.symbol(0)]
             roof = -math.log(abs(float(comp.ratio)))
             flip = comp.ratio < 0
@@ -214,7 +214,7 @@ class TestSceneryOrbit:
     def test_replay_matches_direct_windows(self, mt_scaled):
         m = mt_scaled
         om = m.omega_word(3)
-        inner = bs.InnerWord(m, om, 3)
+        inner = m.inner_word(om, 3)
         orb = scenery_orbit(m, omega=om, inner=inner, T=4.0, dt=0.5, seed=3)
         assert len(orb) == len(orb.times)
         roof = math.log(3)

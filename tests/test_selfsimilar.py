@@ -11,7 +11,6 @@ import betascenery as bs
 from betascenery import (
     SimilarityIFS,
     SimilarityMap,
-    attractor_hull,
     find_separated_pair,
     iterate_ifs,
     sample_measure,
@@ -36,17 +35,17 @@ class TestMapsAndHulls:
         assert f.fixed_point() == Fraction(1)
 
     def test_middle_thirds_hull(self, middle_thirds):
-        assert attractor_hull(middle_thirds) == (Fraction(0), Fraction(1))
+        assert middle_thirds.attractor_hull() == (Fraction(0), Fraction(1))
 
     def test_two_ratio_hull(self, two_ratio):
-        assert attractor_hull(two_ratio) == (Fraction(0), Fraction(1))
+        assert two_ratio.attractor_hull() == (Fraction(0), Fraction(1))
 
     def test_reflected_hull(self, reflected):
-        assert attractor_hull(reflected) == (Fraction(0), Fraction(1))
+        assert reflected.attractor_hull() == (Fraction(0), Fraction(1))
 
     def test_all_reversing_hull(self):
         ifs = fifs([("-1/2", 0), ("-1/2", 1)])
-        assert attractor_hull(ifs) == (Fraction(-2, 3), Fraction(4, 3))
+        assert ifs.attractor_hull() == (Fraction(-2, 3), Fraction(4, 3))
 
     def test_default_weights_uniform(self, middle_thirds):
         assert middle_thirds.weights == (Fraction(1, 2), Fraction(1, 2))
@@ -184,7 +183,7 @@ class TestSampling:
     @settings(max_examples=15, deadline=None)
     def test_hull_invariant(self, seed):
         ifs = fifs([("-1/2", 0), ("-1/2", 1)])
-        lo, hi = attractor_hull(ifs)
+        lo, hi = ifs.attractor_hull()
         xs = sample_measure(ifs, 200, seed=seed)
         assert xs.min() >= float(lo) - 1e-12
         assert xs.max() <= float(hi) + 1e-12
