@@ -11,9 +11,6 @@ from .algebraics import (
     IndependentUpTo,
     IntPolynomial,
     NumberField,
-    exact_enclosure,
-    exact_float,
-    exact_sign,
     is_pisot,
     isolate_real_roots,
     multiplicative_relation,

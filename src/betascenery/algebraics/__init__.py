@@ -16,10 +16,6 @@ from .algnum import (
     ExactScalar,
     FieldElement,
     NumberField,
-    exact_abs,
-    exact_enclosure,
-    exact_float,
-    exact_sign,
     is_pisot,
     monic_scaled_field,
     named_constant,
@@ -52,10 +48,6 @@ __all__ = [
     "named_constant",
     "parse_scalar",
     "scalar_to_str",
-    "exact_sign",
-    "exact_float",
-    "exact_abs",
-    "exact_enclosure",
     "BigReal",
     "Dependent",
     "IndependentCertified",

@@ -14,12 +14,13 @@ every comparison is exact, with no floating point on the decision path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_add, interval_mul
-from .roots import RealRootInterval, isolate_real_roots, refine_real_root
+from .roots import (RealRootInterval, _root_separation_bound,
+                    isolate_real_roots, refine_real_root)
 
 
 def _count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -132,14 +133,15 @@ class AlgebraicNumber:
     def floor(self) -> int:
         r = self.to_rational()
         if r is not None:
-            return r.numerator // r.denominator
-        import math
+            return math.floor(r)
         lo, hi = self._lo, self._hi
         # degree >= 2 here, so the value is irrational and never sits on an
         # integer boundary: refinement must eventually decide the floor
         while math.floor(lo) != math.floor(hi):
             lo, hi = self.refine((hi - lo) / 4)
         return math.floor(lo)
+
+    __floor__ = floor
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         if self.min_poly != other.min_poly:
@@ -165,19 +167,6 @@ class AlgebraicNumber:
 
     def __repr__(self) -> str:
         return f"AlgebraicNumber({self.min_poly} ~ {float(self):.10g})"
-
-
-def _root_separation_bound(p: IntPolynomial) -> Fraction:
-    """A valid lower bound on the distance between distinct roots, from
-    Mahler's inequality sep > sqrt(3) * d^-(d+2)/2 * M(p)^-(d-1) with the
-    Mahler measure bounded by the coefficient 2-norm (Landau)."""
-    d = p.degree
-    if d < 2:
-        return Fraction(1)
-    norm_sq = sum(c * c for c in p.coeffs)
-    denom = (d ** (d + 2)) * (norm_sq ** (d - 1))
-    from math import isqrt
-    return Fraction(1, isqrt(denom) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +364,7 @@ class FieldElement:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return self.field.from_rational(Fraction(other)) / self
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -399,94 +388,97 @@ class FieldElement:
             return self.vec[0]
         return None
 
+    def _horner(self) -> Tuple[Fraction, Fraction]:
+        """Interval Horner: a rational enclosure of this element over the
+        generator's current isolating interval."""
+        gen = self.field.generator
+        x = (gen.lo, gen.hi)
+        acc = (self.vec[-1], self.vec[-1])
+        for c in reversed(self.vec[:-1]):
+            acc = interval_add(interval_mul(acc, x), (c, c))
+        return acc
+
+    def _enclose(self, done) -> Tuple[Fraction, Fraction]:
+        """The first enclosure that satisfies `done`, narrowing the shared
+        generator interval by steps of a sixteenth.  Callers pass only
+        irrational elements, which are neither zero nor an integer, so each
+        of their tests holds once the interval is narrow enough."""
+        gen = self.field.generator
+        while True:
+            acc = self._horner()
+            if done(acc):
+                return acc
+            gen.refine((gen.hi - gen.lo) / 16)
+
     def sign(self) -> int:
-        if self.is_zero():
-            return 0
         r = self.to_rational()
         if r is not None:
             return (r > 0) - (r < 0)
-        gen = self.field.generator
-        lo, hi = gen.lo, gen.hi
-        while True:
-            acc = (self.vec[-1], self.vec[-1])
-            for c in reversed(self.vec[:-1]):
-                acc = interval_add(interval_mul(acc, (lo, hi)), (c, c))
-            if acc[0] > 0:
-                return 1
-            if acc[1] < 0:
-                return -1
-            lo, hi = gen.refine((hi - lo) / 16)
-
-    def cmp(self, other) -> int:
-        return (self - other).sign()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field.poly == other.field.poly and self.vec == other.vec
-        try:
-            return (self - other).is_zero()
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.poly.coeffs, self.vec))
-
-    def __lt__(self, other):
-        return self.cmp(other) < 0
-
-    def __le__(self, other):
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self.cmp(other) > 0
-
-    def __ge__(self, other):
-        return self.cmp(other) >= 0
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
+        lo, _ = self._enclose(lambda iv: iv[0] > 0 or iv[1] < 0)
+        return 1 if lo > 0 else -1
 
     def floor(self) -> int:
         r = self.to_rational()
         if r is not None:
-            return r.numerator // r.denominator
-        import math
-        gen = self.field.generator
-        while True:
-            lo, hi = gen.lo, gen.hi
-            acc = (self.vec[-1], self.vec[-1])
-            for c in reversed(self.vec[:-1]):
-                acc = interval_add(interval_mul(acc, (lo, hi)), (c, c))
-            flo = math.floor(acc[0])
-            fhi = math.floor(acc[1])
-            if flo == fhi:
-                return flo
-            # an irrational element never equals an integer, so refining decides
-            gen.refine((hi - lo) / 16)
+            return math.floor(r)
+        lo, _ = self._enclose(
+            lambda iv: math.floor(iv[0]) == math.floor(iv[1]))
+        return math.floor(lo)
+
+    __floor__ = floor
 
     def enclosure(self, bits: int = 64) -> Tuple[Fraction, Fraction]:
         """Certified rational interval of width below 2^-bits."""
         r = self.to_rational()
         if r is not None:
             return (r, r)
-        gen = self.field.generator
         width = Fraction(1, 2 ** bits)
-        lo, hi = gen.lo, gen.hi
-        while True:
-            acc = (self.vec[-1], self.vec[-1])
-            for c in reversed(self.vec[:-1]):
-                acc = interval_add(interval_mul(acc, (lo, hi)), (c, c))
-            if acc[1] - acc[0] < width:
-                return acc
-            lo, hi = gen.refine((hi - lo) / 16)
+        return self._enclose(lambda iv: iv[1] - iv[0] < width)
 
     def __float__(self) -> float:
-        gen = self.field.generator
-        lo, hi = gen.refine_bits(80)
-        acc = (self.vec[-1], self.vec[-1])
-        for c in reversed(self.vec[:-1]):
-            acc = interval_add(interval_mul(acc, (lo, hi)), (c, c))
-        return float((acc[0] + acc[1]) / 2)
+        self.field.generator.refine_bits(80)
+        lo, hi = self._horner()
+        return float((lo + hi) / 2)
+
+    def _cmp(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            return FieldElement(self.field, (self.vec[0] - other,)
+                                + self.vec[1:]).sign()
+        return (self - other).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __eq__(self, other):
+        """Exact equality.  Elements of one field (same polynomial, same
+        root) are equal iff their coordinates are; across fields, only two
+        rational values are compared."""
+        if isinstance(other, FieldElement):
+            if self.field.same_field(other.field):
+                return self.vec == other.vec
+            r = self.to_rational()
+            return r is not None and r == other.to_rational()
+        if isinstance(other, (int, Fraction)):
+            return self.to_rational() == other
+        return NotImplemented
+
+    def __hash__(self):
+        r = self.to_rational()
+        if r is not None:
+            return hash(r)
+        return hash((self.field.poly.coeffs, self.vec))
 
     def to_algebraic(self) -> AlgebraicNumber:
         """Minimal polynomial + isolating interval for this element."""
@@ -518,15 +510,9 @@ class FieldElement:
             raise ArithmeticError("no resultant factor vanishes at element")
         # isolating interval: refine the generator until the Horner interval
         # of this element isolates exactly one root of the target
-        gen = self.field.generator
-        while True:
-            lo, hi = gen.lo, gen.hi
-            acc = (self.vec[-1], self.vec[-1])
-            for c in reversed(self.vec[:-1]):
-                acc = interval_add(interval_mul(acc, (lo, hi)), (c, c))
-            if _count_real_roots(target, acc[0], acc[1]) == 1:
-                return AlgebraicNumber(target, acc[0], acc[1], _validated=True)
-            gen.refine((hi - lo) / 16)
+        lo, hi = self._enclose(
+            lambda iv: _count_real_roots(target, *iv) == 1)
+        return AlgebraicNumber(target, lo, hi, _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +638,17 @@ def parse_scalar(text: str) -> ExactScalar:
             a = named_constant(s)
             return NumberField(a).beta()
 
-    if den:
-        value = _as_field_pair_div(to_part(num), to_part(den))
-    else:
-        value = to_part(num)
+    value = to_part(num) / to_part(den) if den else to_part(num)
     if neg:
         value = -value
     return value
-
-
-def _as_field_pair_div(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    if isinstance(a, Fraction):
-        return b.field.from_rational(a) / b
-    if isinstance(b, Fraction):
-        return a / b
-    return a / b
 
 
 def scalar_to_str(x: ExactScalar) -> str:
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, AlgebraicNumber):
-        return f"root ~ {exact_float(x):.12g} of {x.min_poly}"
+        return f"root ~ {float(x):.12g} of {x.min_poly}"
     parts = []
     for k, c in enumerate(x.vec):
         if not c:
@@ -694,25 +667,3 @@ def scalar_to_str(x: ExactScalar) -> str:
     body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
     return f"{body} ~ {float(x):.12g} (b root of {x.field.poly})"
 
-
-def exact_sign(x: ExactScalar) -> int:
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    return x.sign()
-
-
-def exact_enclosure(x: ExactScalar, bits: int = 64):
-    """Certified rational (lo, hi) with hi - lo < 2^-bits."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return (x, x)
-    return x.enclosure(bits)
-
-
-def exact_float(x) -> float:
-    return float(x)
-
-
-def exact_abs(x: ExactScalar) -> ExactScalar:
-    return -x if exact_sign(x) < 0 else x

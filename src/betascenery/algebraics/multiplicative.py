@@ -125,7 +125,7 @@ def _distinct_conjugate_moduli(a: AlgebraicNumber) -> bool:
     boxes = list(iso.complex_pairs)
     for _ in range(6):  # escalating refinement schedule
         bounds = [r.modulus_bounds() for r in reals]
-        bounds += [_box_modulus_bounds(b) for b in boxes]
+        bounds += [b.modulus_bounds() for b in boxes]
         for i in range(len(bounds)):
             for j in range(i + 1, len(bounds)):
                 if bounds[i][1] < bounds[j][0] or bounds[j][1] < bounds[i][0]:
@@ -134,12 +134,6 @@ def _distinct_conjugate_moduli(a: AlgebraicNumber) -> bool:
                  if r.width > 0 else r for r in reals]
         boxes = [refine_complex_box(p, b, b.diameter / 16) for b in boxes]
     return False
-
-
-def _box_modulus_bounds(box):
-    from .roots import _sqrt_lower, _sqrt_upper
-    lo2, hi2 = box.modulus_sq_bounds()
-    return (_sqrt_lower(lo2), _sqrt_upper(hi2))
 
 
 def _log_abs(x, prec: int = 192) -> BigReal:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import List, Tuple
 
 from .intpoly import IntPolynomial
@@ -78,6 +79,10 @@ class ComplexRootBox:
             max(im * im for im in (self.im_lo, self.im_hi))
         return (lo, hi)
 
+    def modulus_bounds(self) -> Tuple[Fraction, Fraction]:
+        lo2, hi2 = self.modulus_sq_bounds()
+        return (_sqrt_lower(lo2), _sqrt_upper(hi2))
+
     @property
     def diameter(self) -> Fraction:
         return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
@@ -91,18 +96,14 @@ class RootIsolation:
 
     def all_modulus_bounds(self) -> List[Tuple[Fraction, Fraction]]:
         """Modulus bounds for every root, conjugate pairs listed once."""
-        out = [r.modulus_bounds() for r in self.real_roots]
-        for box in self.complex_pairs:
-            lo2, hi2 = box.modulus_sq_bounds()
-            out.append((_sqrt_lower(lo2), _sqrt_upper(hi2)))
-        return out
+        return [r.modulus_bounds()
+                for r in self.real_roots + self.complex_pairs]
 
 
 def _sqrt_lower(x: Fraction) -> Fraction:
     """Rational lower bound on sqrt(x), tight to ~1e-12."""
     if x <= 0:
         return Fraction(0)
-    from math import isqrt
     scale = 10**12
     n = (x.numerator * scale * scale) // x.denominator
     return Fraction(isqrt(n), scale)
@@ -111,7 +112,6 @@ def _sqrt_lower(x: Fraction) -> Fraction:
 def _sqrt_upper(x: Fraction) -> Fraction:
     if x <= 0:
         return Fraction(0)
-    from math import isqrt
     scale = 10**12
     n = -((-x.numerator * scale * scale) // x.denominator)  # ceil
     return Fraction(isqrt(n) + 1, scale)
@@ -140,6 +140,18 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
     return RealRootInterval(lo, hi)
 
 
+def _root_separation_bound(p: IntPolynomial) -> Fraction:
+    """A valid lower bound on the distance between distinct roots, from
+    Mahler's inequality sep > sqrt(3) * d^-(d+2)/2 * M(p)^-(d-1) with the
+    Mahler measure bounded by the coefficient 2-norm (Landau)."""
+    d = p.degree
+    if d < 2:
+        return Fraction(1)
+    norm_sq = sum(c * c for c in p.coeffs)
+    denom = (d ** (d + 2)) * (norm_sq ** (d - 1))
+    return Fraction(1, isqrt(denom) + 1)
+
+
 def _count_in_box(dup, re_lo, re_hi, im_lo, im_hi) -> int:
     from sympy.polys.domains import ZZ
     from sympy.polys.rootisolation import dup_count_complex_roots
@@ -152,7 +164,10 @@ def refine_complex_box(p: IntPolynomial, box: ComplexRootBox,
     """Shrink a one-root rectangle below `diameter` by counted quadrisection.
 
     Each split is verified by the exact root count; if a split line happens to
-    pass through the root, a shifted split point is tried instead.
+    pass through the root, a shifted split point is tried instead.  A box
+    whose bottom edge lies on the real axis also counts the real roots on
+    that edge, so when no split decides, the edge is lifted to half the root
+    separation bound: the pair's root has 2 Im z = |z - conj(z)| >= sep.
     """
     dup = p.to_sympy_dup()
     cur = box
@@ -173,7 +188,7 @@ def refine_complex_box(p: IntPolynomial, box: ComplexRootBox,
                                        left.im_lo, left.im_hi)
                 n_right = _count_in_box(dup, right.re_lo, right.re_hi,
                                         right.im_lo, right.im_hi)
-            except Exception:
+            except NotImplementedError:   # sympy: a root on a split line
                 continue
             if n_left == 1 and n_right == 0:
                 cur = left
@@ -182,9 +197,12 @@ def refine_complex_box(p: IntPolynomial, box: ComplexRootBox,
                 cur = right
                 break
         else:
-            raise ArithmeticError(
-                "complex box refinement stalled; root may lie on every "
-                "candidate split line")
+            if cur.im_lo != 0:
+                raise ArithmeticError(
+                    "complex box refinement stalled; root may lie on every "
+                    "candidate split line")
+            cur = ComplexRootBox(cur.re_lo, cur.re_hi,
+                                 _root_separation_bound(p) / 2, cur.im_hi)
     return cur
 
 

@@ -31,9 +31,6 @@ from .algebraics import (
     BigReal,
     ExactScalar,
     FieldElement,
-    exact_enclosure,
-    exact_float,
-    exact_sign,
     is_pisot,
     monic_scaled_field,
 )
@@ -67,8 +64,7 @@ class BetaBase:
                 raise ValueError("base must exceed 1")
             self.beta: Union[Fraction, AlgebraicNumber] = beta
             self.degree = 1
-            self.floor_beta = int(beta) if beta.denominator == 1 \
-                else beta.numerator // beta.denominator
+            self.floor_beta = math.floor(beta)
             self._field = None
             self._beta_elem = None
         elif isinstance(beta, AlgebraicNumber):
@@ -80,7 +76,7 @@ class BetaBase:
                 return
             self.beta = beta
             self.degree = beta.degree
-            self.floor_beta = beta.floor()
+            self.floor_beta = math.floor(beta)
             self._field, self._scale = monic_scaled_field(beta)
             self._beta_elem = self._field.beta() / self._scale
         else:
@@ -102,16 +98,6 @@ class BetaBase:
         if self.is_integer:
             return int(self.beta)
         return self.floor_beta + 1
-
-    def float_value(self) -> float:
-        if isinstance(self.beta, Fraction):
-            return float(self.beta)
-        return float(self.beta)
-
-    def log_value(self, prec: int = 128) -> BigReal:
-        if isinstance(self.beta, Fraction):
-            return BigReal.from_fraction(self.beta, prec).log()
-        return BigReal.from_algebraic(self.beta, prec).log()
 
     def exact_value(self):
         """beta as a Fraction or a FieldElement, for exact orbit steps."""
@@ -140,7 +126,7 @@ class BetaBase:
         raise TypeError(f"unsupported point type {type(x).__name__}")
 
     def __repr__(self):
-        return f"BetaBase({self.float_value():.10g}, pisot={self.pisot})"
+        return f"BetaBase({float(self.beta):.10g}, pisot={self.pisot})"
 
 
 def _reject_field():
@@ -162,13 +148,7 @@ class OrbitRecord:
         """Float values of x_0, ..., x_{n-1} (the points whose
         equidistribution normality is about)."""
         pts = [self.start] + self.remainders[:-1]
-        vals = np.empty(len(pts))
-        for k, r in enumerate(pts):
-            if isinstance(r, BigReal):
-                vals[k] = float(r.value)
-            else:
-                vals[k] = exact_float(r)
-        return vals
+        return np.array([float(r) for r in pts])
 
     def reconstruct_exact(self):
         """Run the expansion backwards: ((x_n + d_n)/beta + ...)/beta.
@@ -197,7 +177,7 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         if x.lo < 0 or x.hi >= 1:
             raise ValueError("starting point must be certified inside [0, 1)")
         return _orbit_interval(base, x, steps)
-    if exact_sign(x) < 0 or exact_sign(x - 1) >= 0:
+    if x < 0 or x >= 1:
         raise ValueError("starting point must lie in [0, 1)")
     digits, rems = _orbit_exact(base, x, steps)
     return OrbitRecord(x, digits, rems, 0, base)
@@ -224,10 +204,7 @@ def _orbit_exact(base: BetaBase, x, steps: int):
     rems = []
     for _ in range(steps):
         y = b * x
-        if isinstance(y, Fraction):
-            d = y.numerator // y.denominator
-        else:
-            d = y.floor()
+        d = math.floor(y)
         x = y - d
         digits.append(int(d))
         rems.append(x)
@@ -235,7 +212,7 @@ def _orbit_exact(base: BetaBase, x, steps: int):
 
 
 def _orbit_interval(base: BetaBase, x: BigReal, steps: int) -> OrbitRecord:
-    needed = math.ceil(steps * math.log2(base.float_value())) + 64
+    needed = math.ceil(steps * math.log2(float(base.beta))) + 64
     prec = max(x.prec, needed)
     for attempt in range(2):
         if isinstance(base.beta, Fraction):
@@ -278,8 +255,8 @@ class ParryDensity:
     tail_bound: float
 
     def piece_floats(self) -> Tuple[np.ndarray, np.ndarray]:
-        br = np.array([exact_float(t) for t in self.breakpoints])
-        vals = np.array([exact_float(v) for v in self.values])
+        br = np.array([float(t) for t in self.breakpoints])
+        vals = np.array([float(v) for v in self.values])
         return br, vals
 
     def cdf(self, t: np.ndarray) -> np.ndarray:
@@ -293,14 +270,14 @@ class ParryDensity:
         return np.clip(cum[idx] + vals[idx] * (t - br[idx]), 0.0, 1.0)
 
     def cdf_exact(self, t: ExactScalar) -> ExactScalar:
-        if exact_sign(t) <= 0:
+        if t <= 0:
             return Fraction(0)
-        if exact_sign(t - 1) >= 0:
+        if t >= 1:
             return Fraction(1)
         acc = Fraction(0)
         for j, v in enumerate(self.values):
             lo, hi = self.breakpoints[j], self.breakpoints[j + 1]
-            if exact_sign(t - hi) >= 0:
+            if t >= hi:
                 acc = acc + v * (hi - lo)
             else:
                 acc = acc + v * (t - lo)
@@ -324,23 +301,13 @@ class ParryDensity:
 def orbit_of_one(base: BetaBase, max_terms: int):
     """Exact forward orbit 1, T(1), T^2(1), ... until it hits 0 or the cap.
     Returns (values including the leading 1, terminated_exactly)."""
-    if base._beta_elem is not None:
-        b = base._beta_elem
-        z: object = base._field.from_rational(1)
-        is_zero = lambda v: v.is_zero()
-    else:
-        b = base.beta
-        z = Fraction(1)
-        is_zero = lambda v: v == 0
+    b = base.exact_value()
+    z = b ** 0   # 1, in the arithmetic of beta
     out = [z]
     for _ in range(max_terms - 1):
         y = b * z
-        if isinstance(y, Fraction):
-            d = y.numerator // y.denominator
-        else:
-            d = y.floor()
-        z = y - d
-        if is_zero(z):
+        z = y - math.floor(y)
+        if z == 0:
             return out, True
         out.append(z)
     return out, False
@@ -357,27 +324,19 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     orbit, exact_end = orbit_of_one(base, truncation)
     n_terms = len(orbit)
 
-    if base._beta_elem is not None:
-        beta_inv = base._beta_elem.inverse()
-        one: object = base._field.from_rational(1)
-    else:
-        beta_inv = 1 / base.beta
-        one = Fraction(1)
+    beta_inv = 1 / base.exact_value()
 
     # distinct orbit values in (0, 1) are the interior breakpoints
     interior = []
     for z in orbit[1:]:
-        if exact_sign(z) > 0 and exact_sign(z - 1) < 0 and \
-                all(exact_sign(z - w) != 0 for w in interior):
+        if 0 < z < 1 and all(z != w for w in interior):
             interior.append(z)
-    import functools
-    interior.sort(key=functools.cmp_to_key(
-        lambda s, t: exact_sign(s - t)))
+    interior.sort()
     breakpoints = [Fraction(0)] + interior + [Fraction(1)]
 
     # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j
     powers = []
-    p = one
+    p = orbit[0]
     for _ in range(n_terms):
         powers.append(p)
         p = p * beta_inv
@@ -386,7 +345,7 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
         lo = breakpoints[j]
         total = powers[0] * 0
         for n, z in enumerate(orbit):
-            if exact_sign(z - lo) > 0:
+            if z > lo:
                 total = total + powers[n]
         raw.append(total)
 
@@ -398,7 +357,7 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     if exact_end:
         tail = 0.0
     else:
-        bf = base.float_value()
+        bf = float(base.beta)
         tail = bf ** (-(n_terms - 1)) / (1 - 1 / bf)
     return ParryDensity(base, tuple(breakpoints), values, normalizer,
                         n_terms, tail)
@@ -493,8 +452,12 @@ class MapSpec:
                 for k, c in enumerate(deriv)), x)
         if dpoly.is_zero:
             raise ValueError("derivative is identically zero")
-        lo_enc = exact_enclosure(hull_lo, 32)[0] - Fraction(1, 2 ** 30)
-        hi_enc = exact_enclosure(hull_hi, 32)[1] + Fraction(1, 2 ** 30)
+        if isinstance(hull_lo, FieldElement):
+            hull_lo = hull_lo.enclosure(32)[0]
+        if isinstance(hull_hi, FieldElement):
+            hull_hi = hull_hi.enclosure(32)[1]
+        lo_enc = hull_lo - Fraction(1, 2 ** 30)
+        hi_enc = hull_hi + Fraction(1, 2 ** 30)
         count = dpoly.count_roots(
             sympy.Rational(lo_enc.numerator, lo_enc.denominator),
             sympy.Rational(hi_enc.numerator, hi_enc.denominator))
@@ -545,11 +508,7 @@ def pushforward_samples(points, g: MapSpec, hull=None):
     moved = False
     for p in points:
         y = g.apply_exact(p)
-        if isinstance(y, Fraction):
-            f = y - (y.numerator // y.denominator)
-        else:
-            f = y - y.floor()
-        if exact_sign(y) < 0 or exact_sign(y - 1) >= 0:
+        out.append(y - math.floor(y))
+        if y < 0 or y >= 1:
             moved = True
-        out.append(f)
     return out, moved

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from .algebraics import (AlgebraicNumber, Dependent, IndependentCertified,
-                         IntPolynomial, exact_float, is_pisot,
+                         IntPolynomial, is_pisot,
                          multiplicative_relation, named_constant,
                          parse_scalar, scalar_to_str)
-from .beta_numeration import (BetaBase, OrbitUndecidable, beta_orbit,
+from .beta_numeration import (BetaBase, beta_orbit,
                               normality_from_orbit, parry_density)
 from .model import Model, build_model, verify_ssc
 from .rng import UniformStream, cdf_thresholds
@@ -279,7 +279,7 @@ def cmd_expand(args) -> int:
         try:
             x = parse_scalar(text)
             rec = beta_orbit(base, x, args.digits)
-        except (ValueError, ZeroDivisionError, OrbitUndecidable) as e:
+        except (ValueError, ArithmeticError) as e:
             raise CliError(f"point {text!r}: {e}") from e
         rows.append((k, text, args.beta, args.digits,
                      " ".join(str(d) for d in rec.digits),
@@ -320,8 +320,8 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
                         n_digits: int, seed: int):
     """Exact attractor points from independent disintegration paths, deep
     enough that coding ambiguity sits far below the digit horizon."""
-    log_beta = math.log(base.float_value())
-    ratios = [abs(exact_float(c.ratio)) for c in model.components]
+    log_beta = math.log(float(base.beta))
+    ratios = [abs(float(c.ratio)) for c in model.components]
     th_sel = cdf_thresholds(model.selection)
     th_inner = [cdf_thresholds(c.weights) for c in model.components]
     pts = []
@@ -342,10 +342,7 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
             acc += -math.log(ratios[i])
             k += 1
         x = model.point_of_path(omega, inner)
-        # reduce into [0, 1) exactly
-        fl = x.floor() if not isinstance(x, Fraction) \
-            else x.numerator // x.denominator
-        pts.append(x - fl)
+        pts.append(x - math.floor(x))   # reduce into [0, 1) exactly
     return pts
 
 
@@ -592,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, OrbitUndecidable) as e:
+    except (ValueError, TypeError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -37,8 +37,6 @@ from .algebraics import (
     FieldElement,
     IntPolynomial,
     NumberField,
-    exact_float,
-    exact_sign,
 )
 from .rng import _BLOCK, UniformStream, cdf_thresholds
 from .selfsimilar import (
@@ -81,7 +79,7 @@ class ModelComponent:
 
     @property
     def reflects(self) -> bool:
-        return exact_sign(self.ratio) < 0
+        return self.ratio < 0
 
 
 class Model:
@@ -122,7 +120,7 @@ class Model:
         """Exact distance between the two hull images of the pair component."""
         lo_j = self.pair.hull_j[0]
         hi_i = self.pair.hull_i[1]
-        if exact_sign(lo_j - hi_i) > 0:
+        if lo_j > hi_i:
             return canonical_scalar(lo_j - hi_i)
         return canonical_scalar(self.pair.hull_i[0] - self.pair.hull_j[1])
 
@@ -219,7 +217,7 @@ class Model:
         depth = len(omega)
         prod = 1.0
         for i in omega:
-            prod *= abs(exact_float(self.components[int(i)].ratio))
+            prod *= abs(float(self.components[int(i)].ratio))
         if prod > 2.0 ** -50:
             raise ValueError(
                 "component path too short for sampling; extend omega until "
@@ -312,8 +310,7 @@ def build_model(base: SimilarityIFS, max_length: int = 8,
         if ri != rj:
             raise ValueError("supplied words have different derivatives")
         hi_, hj_ = fi.image_interval(*hull), fj.image_interval(*hull)
-        if not (exact_sign(hi_[1] - hj_[0]) < 0 or
-                exact_sign(hj_[1] - hi_[0]) < 0):
+        if not (hi_[1] < hj_[0] or hj_[1] < hi_[0]):
             raise ValueError("supplied words are not strictly separated")
         pair = SeparatedPair(len(word_i), tuple(word_i), tuple(word_j),
                              ri, hi_, hj_)
@@ -415,21 +412,19 @@ def verify_ssc(model: Model):
     minimum; a model with only singletons returns float('inf').  A
     nonpositive gap raises, naming the offending component.
     """
-    import functools
     lo, hi = model.hull
     best = None
     for idx, comp in enumerate(model.components):
         if comp.size == 1:
             continue
         images = [f.image_interval(lo, hi) for f in comp.maps]
-        order = sorted(range(len(images)), key=functools.cmp_to_key(
-            lambda s, t: exact_sign(images[s][0] - images[t][0])))
+        order = sorted(range(len(images)), key=lambda s: images[s][0])
         for a, b in zip(order, order[1:]):
             gap = canonical_scalar(images[b][0] - images[a][1])
-            if exact_sign(gap) <= 0:
+            if gap <= 0:
                 raise ValueError(
                     f"SSC violated: component {idx} hull images overlap "
-                    f"(gap {exact_float(gap):.6g})")
-            if best is None or exact_sign(gap - best) < 0:
+                    f"(gap {float(gap):.6g})")
+            if best is None or gap < best:
                 best = gap
     return float("inf") if best is None else best

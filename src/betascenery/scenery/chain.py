@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..algebraics import exact_float, exact_sign
 from ..model import Model
 
 
@@ -87,11 +86,8 @@ def build_extended_chain(model: Model) -> ExtendedChain:
     """
     comps = model.components
     q = model.selection
-    signs = [exact_sign(c.ratio) for c in comps]
-    if any(s == 0 for s in signs):
-        raise ValueError("component with zero ratio")
-    roofs_by_comp = [-math.log(abs(exact_float(c.ratio))) for c in comps]
-    oriented = any(s < 0 for s in signs)
+    roofs_by_comp = [-math.log(abs(float(c.ratio))) for c in comps]
+    oriented = any(c.reflects for c in comps)
 
     states: List[tuple] = []
     if oriented:
@@ -107,7 +103,7 @@ def build_extended_chain(model: Model) -> ExtendedChain:
     n = len(states)
     matrix: List[Tuple[Fraction, ...]] = []
     for src in states:
-        flip = signs[src[0]] < 0
+        flip = comps[src[0]].reflects
         row = []
         for tgt in states:
             if oriented:

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..algebraics import exact_float, exact_sign
 from ..model import Model, Word, build_model, verify_ssc
 from ..rng import UniformStream
 from ..selfsimilar import SimilarityIFS, SimilarityMap
@@ -37,7 +36,7 @@ def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
     """
     g = verify_ssc(model)
     target = 2 + Fraction(margin)
-    if g == float("inf") or exact_sign(g - target) >= 0:
+    if g == float("inf") or g >= target:
         return model, Fraction(1)
     c = target / g
     base = SimilarityIFS(
@@ -62,13 +61,13 @@ class SceneryOrbit:
 
 
 def _component_roofs(model: Model) -> np.ndarray:
-    return np.array([-math.log(abs(exact_float(c.ratio)))
+    return np.array([-math.log(abs(float(c.ratio)))
                      for c in model.components])
 
 
 def _require_separated(model: Model) -> None:
     g = verify_ssc(model)
-    if g != float("inf") and exact_sign(g - 2) <= 0:
+    if g != float("inf") and g <= 2:
         raise ValueError(
             "model gap must exceed the window diameter 2; apply "
             "rescale_model_for_gap first")
@@ -95,7 +94,7 @@ def scenery_orbit(model: Model, omega: Optional[Word] = None,
     if inner is None:
         inner = model.inner_word(omega, seed, "orbit-inner")
     roofs = _component_roofs(model)
-    signs = [exact_sign(c.ratio) for c in model.components]
+    reflects = [c.reflects for c in model.components]
 
     times = np.arange(0.0, T + 1e-12, dt)
     windows: List[WindowMeasure] = []
@@ -106,7 +105,7 @@ def scenery_orbit(model: Model, omega: Optional[Word] = None,
         while t - tau >= roofs[omega.symbol(shift_count)] - 1e-12:
             c = omega.symbol(shift_count)
             tau += roofs[c]
-            if signs[c] < 0:
+            if reflects[c]:
                 a_cur ^= 1
             shift_count += 1
         windows.append(window_of_state(

@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algebraics import exact_float
 from ..model import Model, Word
 
 DEFAULT_BINS_HALF = 256
@@ -125,12 +124,12 @@ def _float_components(model: Model):
     """Per-component (ratio, shifts, weights) as floats, plus hull floats."""
     comps = []
     for c in model.components:
-        r = exact_float(c.ratio)
-        ts = np.array([exact_float(f.shift) for f in c.maps])
+        r = float(c.ratio)
+        ts = np.array([float(f.shift) for f in c.maps])
         ws = np.array([float(x) for x in c.weights])
         comps.append((r, ts, ws))
-    hlo = exact_float(model.hull[0])
-    hhi = exact_float(model.hull[1])
+    hlo = float(model.hull[0])
+    hhi = float(model.hull[1])
     return comps, hlo, hhi
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebraics import ExactScalar, FieldElement, exact_float, exact_sign
+from .algebraics import ExactScalar, FieldElement
 from .rng import UniformStream, cdf_thresholds
 
 
@@ -48,7 +48,7 @@ class SimilarityMap:
     def __init__(self, ratio, shift):
         ratio = _as_scalar(ratio)
         shift = _as_scalar(shift)
-        if exact_sign(ratio) == 0:
+        if ratio == 0:
             raise ValueError("similarity ratio must be nonzero")
         self.ratio = ratio
         self.shift = shift
@@ -63,18 +63,17 @@ class SimilarityMap:
 
     def image_interval(self, lo, hi) -> Tuple[ExactScalar, ExactScalar]:
         a, b = self(lo), self(hi)
-        return (a, b) if exact_sign(self.ratio) > 0 else (b, a)
+        return (a, b) if self.ratio > 0 else (b, a)
 
     def fixed_point(self) -> ExactScalar:
         return self.shift / (1 - self.ratio)
 
     def inverse(self) -> "SimilarityMap":
-        r = 1 / self.ratio if isinstance(self.ratio, FieldElement) \
-            else Fraction(1) / self.ratio
+        r = 1 / self.ratio
         return SimilarityMap(r, -r * self.shift)
 
     def float_pair(self) -> Tuple[float, float]:
-        return exact_float(self.ratio), exact_float(self.shift)
+        return float(self.ratio), float(self.shift)
 
     def __eq__(self, other):
         if not isinstance(other, SimilarityMap):
@@ -113,7 +112,7 @@ class SimilarityIFS:
         if not maps:
             raise ValueError("an IFS needs at least one map")
         for f in maps:
-            if exact_sign(abs(f.ratio) - 1) >= 0:
+            if abs(f.ratio) >= 1:
                 raise ValueError(f"{f} is not a strict contraction")
         _check_one_field([f.ratio for f in maps] + [f.shift for f in maps])
         if weights is None:
@@ -137,8 +136,7 @@ class SimilarityIFS:
         """True when two maps have distinct fixed points.  A one-map system
         (or several copies of the same map) contracts to a single point."""
         first = self.maps[0].fixed_point()
-        return any(exact_sign(f.fixed_point() - first) != 0
-                   for f in self.maps[1:])
+        return any(f.fixed_point() != first for f in self.maps[1:])
 
     def __repr__(self):
         inner = ", ".join(repr(f) for f in self.maps)
@@ -212,32 +210,32 @@ class SimilarityIFS:
         ri, ti = self.maps[i].ratio, self.maps[i].shift
         rj, tj = self.maps[j].ratio, self.maps[j].shift
         # row (a, b, c) encodes the equation  x = a*L + b*H + c
-        if exact_sign(ri) > 0:
+        if ri > 0:
             a1, b1 = ri, 0 * ri
         else:
             a1, b1 = 0 * ri, ri
-        if exact_sign(rj) > 0:
+        if rj > 0:
             a2, b2 = 0 * rj, rj
         else:
             a2, b2 = rj, 0 * rj
         det = (1 - a1) * (1 - b2) - b1 * a2
-        if exact_sign(det) == 0:
+        if det == 0:
             return None
         L = (ti * (1 - b2) + b1 * tj) / det
         H = ((1 - a1) * tj + a2 * ti) / det
         L, H = canonical_scalar(L), canonical_scalar(H)
-        if exact_sign(H - L) < 0:
+        if H < L:
             return None
         # verify the fixed-interval property against every map
         images = [f.image_interval(L, H) for f in self.maps]
         true_lo = images[0][0]
         true_hi = images[0][1]
         for a, b in images[1:]:
-            if exact_sign(a - true_lo) < 0:
+            if a < true_lo:
                 true_lo = a
-            if exact_sign(b - true_hi) > 0:
+            if b > true_hi:
                 true_hi = b
-        if exact_sign(true_lo - L) == 0 and exact_sign(true_hi - H) == 0:
+        if true_lo == L and true_hi == H:
             return (L, H)
         return None
 
@@ -245,7 +243,7 @@ class SimilarityIFS:
 def sampling_depth(ratios: Sequence[ExactScalar], bits: int = 60) -> int:
     """Word length making the truncation error below 2^-bits of the hull,
     for maps with these contraction ratios."""
-    worst = max(abs(exact_float(r)) for r in ratios)
+    worst = max(abs(float(r)) for r in ratios)
     return max(1, math.ceil(bits / -math.log2(worst)))
 
 
@@ -253,10 +251,10 @@ def fold_paths(maps: Sequence[SimilarityMap], hull, paths: np.ndarray
                ) -> np.ndarray:
     """Float points of the (count, depth) map-index words `paths`: each
     word map applied to the hull midpoint, innermost map first."""
-    r = np.array([exact_float(f.ratio) for f in maps])
-    t = np.array([exact_float(f.shift) for f in maps])
+    r = np.array([float(f.ratio) for f in maps])
+    t = np.array([float(f.shift) for f in maps])
     lo, hi = hull
-    x = np.full(paths.shape[0], (exact_float(lo) + exact_float(hi)) / 2)
+    x = np.full(paths.shape[0], (float(lo) + float(hi)) / 2)
     for k in range(paths.shape[1] - 1, -1, -1):
         col = paths[:, k]
         x = r[col] * x + t[col]
@@ -342,8 +340,7 @@ def find_separated_pair(ifs: SimilarityIFS, max_length: int = 8,
                 if ratio_i != ratio_j:
                     continue
                 # strict disjointness, either side
-                if exact_sign(hull_i[1] - hull_j[0]) < 0 or \
-                        exact_sign(hull_j[1] - hull_i[0]) < 0:
+                if hull_i[1] < hull_j[0] or hull_j[1] < hull_i[0]:
                     return SeparatedPair(m, word_i, word_j, ratio_i,
                                          hull_i, hull_j)
     raise ValueError(

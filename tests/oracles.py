@@ -130,3 +130,21 @@ def tribonacci_parry_pieces() -> Tuple[List[float], List[float]]:
     breaks = [0.0, z2, z1, 1.0]
     mass = sum(v * (breaks[j + 1] - breaks[j]) for j, v in enumerate(raw))
     return breaks, [v / mass for v in raw]
+
+
+# Irreducible Pisot polynomials, with integer coefficients highest degree
+# first, on which root isolation once stalled: plastic^2, tetranacci and two
+# more.  Their upper-half root boxes from sympy sit on the real axis.
+STALLING_PISOT = {
+    "x^3 - 2*x^2 + x - 1": [1, -2, 1, -1],
+    "x^4 - x^3 - x^2 - x - 1": [1, -1, -1, -1, -1],
+    "x^3 - 3*x^2 + 2*x - 1": [1, -3, 2, -1],
+    "x^4 - 2*x^3 + x - 1": [1, -2, 0, 1, -1],
+}
+
+
+def root_moduli(coeffs: Sequence[int]) -> List[float]:
+    """Moduli of the polynomial's roots by numpy.roots, one per conjugate
+    pair, largest first."""
+    return sorted((abs(z) for z in np.roots(coeffs) if z.imag > -1e-9),
+                  reverse=True)

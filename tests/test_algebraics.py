@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
+from oracles import STALLING_PISOT, root_moduli
 from betascenery import (
     AlgebraicNumber,
     BigReal,
@@ -16,9 +17,7 @@ from betascenery import (
     IndependentCertified,
     IndependentUpTo,
     IntPolynomial,
-    exact_enclosure,
-    exact_float,
-    exact_sign,
+    NumberField,
     is_pisot,
     isolate_real_roots,
     multiplicative_relation,
@@ -41,7 +40,7 @@ class TestRoots:
     @pytest.mark.parametrize("name,val", sorted(FROZEN_ROOTS.items()))
     def test_named_constants(self, name, val):
         a = named_constant(name)
-        assert abs(exact_float(a) - val) < 1e-14
+        assert abs(float(a) - val) < 1e-14
 
     def test_refine_tightens(self):
         a = named_constant("golden")
@@ -90,13 +89,13 @@ class TestPisot:
         # x^4 - x^3 - x^2 - x + 1 has conjugates on the unit circle
         poly = IntPolynomial((1, -1, -1, -1, 1))
         root = AlgebraicNumber.largest_root(poly)
-        assert exact_float(root) > 1
+        assert float(root) > 1
         assert not is_pisot(root)
 
     def test_quadratic_pisot(self):
         # x^2 - 3x + 1: root (3+sqrt5)/2, conjugate (3-sqrt5)/2 in (0,1)
         root = AlgebraicNumber.largest_root(IntPolynomial((1, -3, 1)))
-        assert abs(exact_float(root) - (3 + math.sqrt(5)) / 2) < 1e-12
+        assert abs(float(root) - (3 + math.sqrt(5)) / 2) < 1e-12
         assert is_pisot(root)
 
     def test_non_algebraic_integer(self):
@@ -211,12 +210,110 @@ class TestScalarParsing:
 
     def test_enclosure_width(self):
         g = parse_scalar("golden")
-        lo, hi = exact_enclosure(g, 100)
+        lo, hi = g.enclosure(100)
         assert Fraction(hi) - Fraction(lo) <= Fraction(1, 2 ** 100)
         assert lo <= Fraction(16180339888, 10 ** 10)
         assert hi >= Fraction(16180339887, 10 ** 10)
 
     def test_exact_sign(self):
         g = named_constant("golden")
-        assert exact_sign(g) == 1
-        assert exact_float(g) == pytest.approx(1.618033988749895, abs=1e-14)
+        assert g.sign() == 1
+        assert float(g) == pytest.approx(1.618033988749895, abs=1e-14)
+
+
+class TestStallingPisot:
+    @pytest.mark.parametrize("poly", sorted(STALLING_PISOT))
+    def test_pisot_against_numpy(self, poly):
+        want = root_moduli(STALLING_PISOT[poly])
+        root = AlgebraicNumber.largest_root(IntPolynomial.parse(poly))
+        assert abs(float(root) - want[0]) < 1e-9
+        assert want[0] > 1 and all(m < 1 for m in want[1:])
+        assert is_pisot(root)
+        got = sorted((float((lo + hi) / 2)
+                      for lo, hi in root.conjugates().all_modulus_bounds()),
+                     reverse=True)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-9
+
+
+class TestFieldEquality:
+    def test_roots_of_one_polynomial_differ(self):
+        up = NumberField(AlgebraicNumber("x^2 - x - 1", 1, 2))
+        down = NumberField(AlgebraicNumber("x^2 - x - 1", -1, 0))
+        again = NumberField(AlgebraicNumber("x^2 - x - 1", Fraction(3, 2), 2))
+        assert up.beta() != down.beta()
+        assert not (up.beta() == down.beta())
+        assert up.beta() == again.beta()
+        assert hash(up.beta()) == hash(again.beta())
+        assert up.from_rational(3) == down.from_rational(3)
+
+    def test_rational_value_hashes_as_fraction(self):
+        field = NumberField(named_constant("golden"))
+        h = field.from_rational(Fraction(1, 2))
+        assert h == Fraction(1, 2) and Fraction(1, 2) == h
+        assert hash(h) == hash(Fraction(1, 2))
+        assert len({h, Fraction(1, 2)}) == 1
+        assert hash(field.from_rational(2)) == hash(2)
+
+
+# Horner oracle: the generator as an mpmath root at 200 digits
+ORACLE_DPS = 200
+
+
+def _mp_generator(poly: str, approx: float):
+    coeffs = list(reversed(IntPolynomial.parse(poly).coeffs))
+    with mpmath.workdps(ORACLE_DPS):
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=4 * ORACLE_DPS)
+        return min((mpmath.re(z) for z in roots if abs(mpmath.im(z)) < 1e-100),
+                   key=lambda r: abs(r - approx))
+
+
+ORACLE_FIELDS = {
+    "golden": ("x^2 - x - 1", 1.618033988749895),
+    "tribonacci": ("x^3 - x^2 - x - 1", 1.8392867552141612),
+}
+_MP_BETA = {name: _mp_generator(*spec) for name, spec in ORACLE_FIELDS.items()}
+
+small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=16)
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+class TestHornerOracle:
+    @given(name=st.sampled_from(sorted(ORACLE_FIELDS)),
+           vec=st.lists(small_rationals, min_size=3, max_size=3),
+           q=small_rationals, bits=st.integers(1, 120))
+    @settings(max_examples=80, deadline=None)
+    def test_decisions_match_mpmath(self, name, vec, q, bits):
+        # a fresh generator on the coarse interval [1, 2], so that every
+        # decision below has to refine it
+        poly = ORACLE_FIELDS[name][0]
+        field = NumberField(AlgebraicNumber(poly, 1, 2))
+        x = field.element(vec[:field.degree])
+        with mpmath.workdps(ORACLE_DPS):
+            b = _MP_BETA[name]
+            v = sum(_mp(c) * b ** k for k, c in enumerate(x.vec))
+            slack = mpmath.mpf(10) ** (20 - ORACLE_DPS)
+            assert (x < 0) == (v < 0)
+            qm = _mp(q)
+            if x.to_rational() is None:
+                # irrational: |v - q| is far above the 200-digit error
+                assert (q < x) == (x > q) == (qm < v)
+                assert (q > x) == (x < q) == (qm > v)
+                assert (q <= x) == (x >= q) == (qm < v)
+                assert q != x and x != q
+            else:
+                r = x.to_rational()
+                assert (q < x) == (x > q) == (q < r)
+                assert (q == x) == (x == q) == (q == r)
+            # an irrational v is far from every integer; a rational one is
+            # evaluated exactly when it is an integer
+            assert math.floor(x) == int(mpmath.floor(v))
+            lo, hi = x.enclosure(bits)
+            assert hi - lo < Fraction(1, 2 ** bits)
+            assert _mp(lo) - slack <= v <= _mp(hi) + slack
+            assert float(x) == pytest.approx(float(v), rel=2 ** -50,
+                                             abs=2 ** -60)

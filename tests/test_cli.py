@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import betascenery as bs
+from oracles import STALLING_PISOT, root_moduli
 
 
 # The directory holding the betascenery package this process imported, so
@@ -24,6 +25,48 @@ def run_cli(args, cwd):
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "betascenery"] + list(args),
                           cwd=cwd, env=env, capture_output=True, text=True)
+
+
+MIDDLE_THIRDS = '{"maps": [{"s": "1/3", "t": "0"}, {"s": "1/3", "t": "2/3"}]}'
+GOLDEN_IFS = ('{"maps": [{"s": "1/golden", "t": "0"}, '
+              '{"s": "1/golden", "t": "-1/golden"}, '
+              '{"s": "-1/golden", "t": "1"}]}')
+MODEL_1_0 = json.dumps({
+    "format": "dss-model-v1", "field": None,
+    "maps": [{"ratio": {"frac": "1/0"}, "shift": {"frac": "0"}}],
+    "weights": ["1"], "pair": {"length": 1, "word_i": [0], "word_j": [0]}})
+
+# Inputs that once ended in a traceback: (files to write, arguments, exit
+# code).  Exit 1 must come with an "error:" line.
+NO_TRACEBACK = {
+    "ifs-t-golden/0": ({"bad.json": '{"maps": [{"s": "1/3", "t": "0"}, '
+                                    '{"s": "1/3", "t": "golden/0"}]}'},
+                       ["model", "bad.json"], 1),
+    "ifs-s-1/0": ({"bad.json": '{"maps": [{"s": "1/0", "t": "0"}]}'},
+                  ["model", "bad.json"], 1),
+    "beta-1/0": ({}, ["parry", "--beta", "1/0"], 1),
+    "expand-x-1/0": ({}, ["expand", "--beta", "2", "--x", "1/0"], 1),
+    "model-json-1/0": ({"m.json": MODEL_1_0},
+                       ["normality", "m.json", "--beta", "2"], 1),
+    "model-golden-ifs": ({"g.json": GOLDEN_IFS}, ["model", "g.json"], 0),
+}
+for _poly in STALLING_PISOT:
+    NO_TRACEBACK[f"parry-{_poly}"] = ({}, ["parry", "--beta", _poly], 0)
+    NO_TRACEBACK[f"normality-{_poly}"] = (
+        {"mt.json": MIDDLE_THIRDS},
+        ["normality", "mt.json", "--beta", _poly, "--n-points", "2",
+         "--n-digits", "50"], 0)
+ZERO_DIVISORS = ["ifs-t-golden/0", "ifs-s-1/0", "beta-1/0", "expand-x-1/0"]
+
+
+def run_table_case(tmp_path, case):
+    files, args, code = NO_TRACEBACK[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    r = run_cli(["--out-dir", "out"] + args, tmp_path)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    assert ("error:" in r.stderr) == (code == 1)
 
 
 @pytest.fixture()
@@ -43,6 +86,19 @@ class TestReports:
         assert rep["status"] == "pass"
         assert rep["results"]["pisot"] is True
         assert rep["results"]["kind"] == "algebraic"
+
+    @pytest.mark.parametrize("poly", sorted(STALLING_PISOT))
+    def test_pisot_stalling_bases_match_numpy(self, tmp_path, poly):
+        r = run_cli(["--out-dir", "out", "pisot", poly], tmp_path)
+        assert r.returncode == 0, r.stderr
+        rep = json.loads((tmp_path / "out" / "pisot_report.json").read_text())
+        assert rep["results"]["pisot"] is True
+        got = rep["results"]["conjugate_moduli"]
+        want = root_moduli(STALLING_PISOT[poly])
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) < 1e-9
+        assert abs(rep["results"]["value"] - want[0]) < 1e-9
 
     def test_pisot_negative_case_still_exits_zero(self, tmp_path):
         # reporting a non-Pisot number is a successful run, not a failure
@@ -222,21 +278,11 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "error:" in r.stderr and "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("case", ["ifs-t-golden/0", "ifs-s-1/0",
-                                      "beta-1/0", "expand-x-1/0"])
+    @pytest.mark.parametrize("case", ZERO_DIVISORS)
     def test_zero_divisor_is_exit_1(self, tmp_path, case):
-        bad = tmp_path / "bad.json"
-        if case == "ifs-t-golden/0":
-            bad.write_text('{"maps": [{"s": "1/3", "t": "0"}, '
-                           '{"s": "1/3", "t": "golden/0"}]}')
-            args = ["model", "bad.json"]
-        elif case == "ifs-s-1/0":
-            bad.write_text('{"maps": [{"s": "1/0", "t": "0"}]}')
-            args = ["model", "bad.json"]
-        elif case == "beta-1/0":
-            args = ["parry", "--beta", "1/0"]
-        else:
-            args = ["expand", "--beta", "2", "--x", "1/0"]
-        r = run_cli(["--out-dir", "out"] + args, tmp_path)
-        assert r.returncode == 1, r.stderr
-        assert "error:" in r.stderr and "Traceback" not in r.stderr
+        run_table_case(tmp_path, case)
+
+    @pytest.mark.parametrize(
+        "case", [c for c in NO_TRACEBACK if c not in ZERO_DIVISORS])
+    def test_no_traceback(self, tmp_path, case):
+        run_table_case(tmp_path, case)
