@@ -195,12 +195,14 @@ class NumberField:
         """True iff `other` designates the same generator root (cached)."""
         if other is self:
             return True
-        hit = self._same_field.get(id(other))
-        if hit is None:
-            hit = (self.poly == other.poly and
-                   self.generator.equals(other.generator))
-            self._same_field[id(other)] = hit
-            other._same_field[id(self)] = hit
+        # each entry keeps its field alive, so its id cannot be reused
+        entry = self._same_field.get(id(other))
+        if entry is not None and entry[0] is other:
+            return entry[1]
+        hit = (self.poly == other.poly and
+               self.generator.equals(other.generator))
+        self._same_field[id(other)] = (other, hit)
+        other._same_field[id(self)] = (self, hit)
         return hit
 
     def _reduction_rows(self):
@@ -441,9 +443,6 @@ class FieldElement:
         return float((lo + hi) / 2)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, (self.vec[0] - other,)
-                                + self.vec[1:]).sign()
         return (self - other).sign()
 
     def __lt__(self, other):

@@ -452,12 +452,9 @@ class MapSpec:
                 for k, c in enumerate(deriv)), x)
         if dpoly.is_zero:
             raise ValueError("derivative is identically zero")
-        if isinstance(hull_lo, FieldElement):
-            hull_lo = hull_lo.enclosure(32)[0]
-        if isinstance(hull_hi, FieldElement):
-            hull_hi = hull_hi.enclosure(32)[1]
-        lo_enc = hull_lo - Fraction(1, 2 ** 30)
-        hi_enc = hull_hi + Fraction(1, 2 ** 30)
+        # the hull's outer dyadic cover at 2^-32, widened by 2^-30
+        lo_enc = Fraction(math.floor(hull_lo * 2 ** 32) - 4, 2 ** 32)
+        hi_enc = Fraction(-math.floor(-hull_hi * 2 ** 32) + 4, 2 ** 32)
         count = dpoly.count_roots(
             sympy.Rational(lo_enc.numerator, lo_enc.denominator),
             sympy.Rational(hi_enc.numerator, hi_enc.denominator))

@@ -279,7 +279,7 @@ def cmd_expand(args) -> int:
         try:
             x = parse_scalar(text)
             rec = beta_orbit(base, x, args.digits)
-        except (ValueError, ArithmeticError) as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise CliError(f"point {text!r}: {e}") from e
         rows.append((k, text, args.beta, args.digits,
                      " ".join(str(d) for d in rec.digits),
@@ -589,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, TypeError, ArithmeticError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

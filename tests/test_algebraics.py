@@ -1,6 +1,7 @@
 """Exact scalar layer: certified roots, Pisot detection, multiplicative
 relations, and interval arithmetic soundness."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -247,6 +248,24 @@ class TestFieldEquality:
         assert up.beta() == again.beta()
         assert hash(up.beta()) == hash(again.beta())
         assert up.from_rational(3) == down.from_rational(3)
+
+    def test_dropped_fields_leave_no_verdict(self):
+        # a freed field's address is often reused by the next one; the
+        # same-field verdict must not pass from one to the other
+        up = NumberField(AlgebraicNumber("x^2 - x - 1", 1, 2))
+        for k in range(40):
+            if k % 2:
+                other = NumberField(
+                    AlgebraicNumber("x^2 - x - 1", Fraction(3, 2), 2))
+                assert up.beta() == other.beta()
+                assert up.beta() - other.beta() == 0
+            else:
+                other = NumberField(AlgebraicNumber("x^2 - x - 1", -1, 0))
+                assert up.beta() != other.beta()
+                with pytest.raises(TypeError):
+                    up.beta() - other.beta()
+            del other
+            gc.collect()
 
     def test_rational_value_hashes_as_fraction(self):
         field = NumberField(named_constant("golden"))
