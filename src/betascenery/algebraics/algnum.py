@@ -20,7 +20,7 @@ from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_add, interval_mul
 from .roots import (RealRootInterval, _root_separation_bound,
-                    isolate_real_roots, refine_real_root)
+                    isolate_real_roots, real_root_intervals, refine_real_root)
 
 
 def _count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -74,10 +74,10 @@ class AlgebraicNumber:
         poly = IntPolynomial.parse(poly).primitive()
         if not poly.is_irreducible():
             raise ValueError(f"{poly} is reducible; pass the minimal polynomial")
-        iso = isolate_real_roots(poly, precision=16)
-        if not iso.real_roots:
+        roots = real_root_intervals(poly, precision=16)
+        if not roots:
             raise ValueError(f"{poly} has no real roots")
-        iv = iso.real_roots[-1]
+        iv = roots[-1]
         return cls(poly, iv.lo, iv.hi, _validated=True)
 
     # -- refinement -----------------------------------------------------
@@ -402,9 +402,10 @@ class FieldElement:
 
     def _enclose(self, done) -> Tuple[Fraction, Fraction]:
         """The first enclosure that satisfies `done`, narrowing the shared
-        generator interval by steps of a sixteenth.  Callers pass only
-        irrational elements, which are neither zero nor an integer, so each
-        of their tests holds once the interval is narrow enough."""
+        generator interval by steps of a sixteenth.  Each caller's test
+        holds once the interval is narrow enough for an irrational element,
+        which is neither zero, an integer nor a float rounding boundary, or
+        at once for a rational one, whose enclosure is exact."""
         gen = self.field.generator
         while True:
             acc = self._horner()
@@ -438,9 +439,12 @@ class FieldElement:
         return self._enclose(lambda iv: iv[1] - iv[0] < width)
 
     def __float__(self) -> float:
+        """The float nearest this element: the generator is refined to
+        2^-80, and further until both ends of the enclosure round to one
+        float (large coordinates need more)."""
         self.field.generator.refine_bits(80)
-        lo, hi = self._horner()
-        return float((lo + hi) / 2)
+        lo, _ = self._enclose(lambda iv: float(iv[0]) == float(iv[1]))
+        return float(lo)
 
     def _cmp(self, other) -> int:
         return (self - other).sign()

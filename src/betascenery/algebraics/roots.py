@@ -206,6 +206,18 @@ def refine_complex_box(p: IntPolynomial, box: ComplexRootBox,
     return cur
 
 
+def real_root_intervals(p: IntPolynomial,
+                        precision: int) -> List[RealRootInterval]:
+    """The real roots of a square-free integer polynomial in ascending order,
+    each in a disjoint interval of width <= 2^-precision.  Non-real roots are
+    not boxed."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
+    width = Fraction(1, 2**precision)
+    return [refine_real_root(p, _to_fraction(a), _to_fraction(b), width)
+            for a, b in dup_isolate_real_roots_sqf(p.to_sympy_dup(), ZZ)]
+
+
 def isolate_real_roots(p, precision: int = 64) -> RootIsolation:
     """Isolate all roots of a square-free integer polynomial.
 
@@ -223,18 +235,11 @@ def isolate_real_roots(p, precision: int = 64) -> RootIsolation:
             "polynomial has repeated roots; pass its square-free part")
 
     from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import (
-        dup_isolate_complex_roots_sqf,
-        dup_isolate_real_roots_sqf,
-    )
+    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
 
     dup = p.to_sympy_dup()
     width = Fraction(1, 2**precision)
-    result = RootIsolation(poly=p)
-
-    for a, b in dup_isolate_real_roots_sqf(dup, ZZ):
-        result.real_roots.append(
-            refine_real_root(p, _to_fraction(a), _to_fraction(b), width))
+    result = RootIsolation(poly=p, real_roots=real_root_intervals(p, precision))
 
     n_real = len(result.real_roots)
     if n_real < p.degree:

@@ -6,11 +6,22 @@ The transformation is T(x) = beta*x - d with d = floor(beta*x), digits in
 m and the remainder 0 (the expansion then continues with zeros); this is the
 greedy, lexicographically largest convention.
 
-Three arithmetic paths, chosen by the type of the starting point:
-  * rational x with integer or rational beta: integer numerator arithmetic
-    over a controlled denominator;
-  * x in the field of an algebraic beta: exact field arithmetic, floors
-    decided by certified interval refinement (never ambiguous);
+Three arithmetic paths, chosen by the base and the type of the starting
+point:
+  * exact x with an algebraic-integer beta (an integer, or a root of a
+    monic polynomial of degree d): the integer lattice.  x is an integer
+    vector v in the basis 1, beta, ..., beta^(d-1) over one denominator q,
+    and multiplying by beta is the companion matrix, so q never changes
+    along the orbit.  A floor is w_0 // q when w_1 = ... = w_{d-1} = 0 (the
+    value is rational).  Otherwise it is read off fixed-point powers
+    B_i = floor(beta^i 2^P), taken from the certified isolating interval of
+    beta, with the error bound sum |w_i| E_i; when that enclosure straddles
+    an integer, P doubles and the floor is taken again.  No floor comes
+    from an uncertified value.  Floats are certified the same way, and the
+    exact remainders are built only when read;
+  * exact x with a rational non-integer or non-monic beta: plain exact
+    arithmetic on Fractions and field elements, floors decided by certified
+    interval refinement (never ambiguous);
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
@@ -20,9 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +47,7 @@ from .algebraics import (
     is_pisot,
     monic_scaled_field,
 )
+from .algebraics.intpoly import interval_mul
 from .rng import UniformStream
 
 
@@ -54,7 +68,9 @@ class BetaBase:
 
     beta may be an integer >= 2, a Fraction > 1, or an AlgebraicNumber > 1.
     The pisot flag is computed once; exact orbit arithmetic lives in the
-    field generated by a scaled (monic) copy of beta.
+    field generated by a scaled (monic) copy of beta.  An algebraic-integer
+    beta (an integer, or a monic minimal polynomial) also gets the integer
+    lattice that carries its exact orbits.
     """
 
     def __init__(self, beta):
@@ -67,6 +83,8 @@ class BetaBase:
             self.floor_beta = math.floor(beta)
             self._field = None
             self._beta_elem = None
+            self._lattice = _Lattice((-beta.numerator, 1), None) \
+                if beta.denominator == 1 else None
         elif isinstance(beta, AlgebraicNumber):
             if beta.cmp_rational(1) <= 0:
                 raise ValueError("base must exceed 1")
@@ -79,6 +97,8 @@ class BetaBase:
             self.floor_beta = math.floor(beta)
             self._field, self._scale = monic_scaled_field(beta)
             self._beta_elem = self._field.beta() / self._scale
+            self._lattice = _Lattice(beta.min_poly.coeffs, self._field) \
+                if self._scale == 1 else None
         else:
             raise TypeError("base must be an integer, Fraction, or "
                             "AlgebraicNumber")
@@ -134,30 +154,167 @@ def _reject_field():
                      "base; express it in the base's field")
 
 
+# Starting precision, in bits, of the lattice's fixed-point powers of beta;
+# a floor or float that it cannot certify doubles it for that base.
+LATTICE_BITS = 96
+
+
+class _Lattice:
+    """Exact orbit arithmetic on (1/q)·Z[beta] for an algebraic-integer base.
+
+    A point is an integer vector v in the power basis 1, beta, ...,
+    beta^(d-1) over one common denominator q > 0.  Multiplying by beta is
+    the integer companion matrix of the monic minimal polynomial, and
+    subtracting a digit changes v[0] only, so q is fixed along an orbit.
+    Floors and floats come from fixed-point powers B_i = floor(beta^i 2^P)
+    under a certified error bound (see `_fixed`).
+    """
+
+    def __init__(self, coeffs: Sequence[int], field):
+        self.coeffs = tuple(coeffs)   # monic, lowest degree first
+        self.field = field            # None for an integer base
+        self.degree = len(self.coeffs) - 1
+        self.bits = LATTICE_BITS
+        self._tables: dict = {}
+        if field is not None:
+            # a private copy, so refining it leaves the field's own interval
+            # (and with it FieldElement.__float__) as it was
+            gen = field.generator
+            self._gen = AlgebraicNumber(gen.min_poly, gen.lo, gen.hi,
+                                        _validated=True)
+
+    def lift(self, x) -> Tuple[Tuple[int, ...], int]:
+        """(v, q) for a Fraction or an element of this base's field."""
+        if isinstance(x, Fraction):
+            return (x.numerator,) + (0,) * (self.degree - 1), x.denominator
+        q = math.lcm(*(c.denominator for c in x.vec))
+        return tuple(c.numerator * (q // c.denominator) for c in x.vec), q
+
+    def exact(self, v, q) -> ExactScalar:
+        if self.field is None:
+            return Fraction(v[0], q)
+        return FieldElement(self.field, tuple(Fraction(c, q) for c in v))
+
+    def step(self, v, q) -> Tuple[int, Tuple[int, ...]]:
+        """One greedy step on v/q: the digit floor(beta v/q) and the
+        coordinates of the remainder."""
+        top = v[-1]
+        w = (0,) + v[:-1]
+        if top:
+            w = tuple(a - c * top for a, c in zip(w, self.coeffs))
+        d = self._decide(w, q, operator.floordiv)
+        return d, (w[0] - d * q,) + w[1:]
+
+    def _table(self):
+        """(B, E) at the current precision P for i = 1..d-1: beta^i 2^P
+        lies in [B_i, B_i + E_i]."""
+        bits = self.bits
+        if bits not in self._tables:
+            lo, hi = self._gen.refine_bits(bits + 32)
+            b, e, pw = [], [], (Fraction(1), Fraction(1))
+            for _ in range(self.degree - 1):
+                pw = interval_mul(pw, (lo, hi))
+                lo_i = math.floor(pw[0] * 2 ** bits)
+                b.append(lo_i)
+                e.append(-math.floor(-pw[1] * 2 ** bits) - lo_i)
+            self._tables[bits] = (b, e)
+        return self._tables[bits]
+
+    def _fixed(self, v) -> Tuple[int, int]:
+        """(A, R) with sum v_i beta^i 2^P in [A - R, A + R]: A sums v_i B_i,
+        R bounds the rounding of the powers by sum |v_i| E_i."""
+        b, e = self._table()
+        a, r = v[0] << self.bits, 0
+        for vi, bi, ei in zip(v[1:], b, e):
+            a += vi * bi
+            r += abs(vi) * ei
+        return a, r
+
+    def _decide(self, v, q, read):
+        """read(v/q) for floor division or true division: exact when v/q is
+        rational, else read at both ends of the fixed-point enclosure
+        [A - R, A + R] / (q 2^P), doubling P until the two agree.  v/q is
+        then irrational, so it is neither an integer nor a float rounding
+        boundary, and the doubling ends."""
+        if not any(v[1:]):
+            return read(v[0], q)
+        while True:
+            a, r = self._fixed(v)
+            den = q << self.bits
+            lo = read(a - r, den)
+            if read(a + r, den) == lo:
+                return lo
+            self.bits *= 2
+
+    def to_float(self, v, q) -> float:
+        """The float nearest v/q."""
+        return self._decide(v, q, operator.truediv)
+
+    def unwind(self, v, q, digits: Sequence[int]) -> ExactScalar:
+        """Run the expansion back from the remainder v/q: x = (x' + d)/beta,
+        with the integer matrix of c_0/beta (c_0 the constant coefficient),
+        so the denominator gains a factor |c_0| per digit.  One exact scalar
+        is built at the end."""
+        c0 = self.coeffs[0]
+        sign, scale = (-1, -c0) if c0 < 0 else (1, c0)
+        tail = self.coeffs[1:]
+        for d in reversed(digits):
+            u0 = v[0] + d * q
+            v = tuple(sign * (c0 * a - u0 * c)
+                      for a, c in zip(v[1:] + (0,), tail))
+            q *= scale
+        return self.exact(v, q)
+
+
+class _LatticeRemainders(Sequence):
+    """The remainders of a lattice orbit, stored as integer vectors over one
+    denominator; reading one builds its exact Fraction or FieldElement."""
+
+    def __init__(self, lattice: _Lattice, q: int, states: List[tuple]):
+        self.lattice = lattice
+        self.q = q
+        self.states = states
+
+    def __len__(self):
+        return len(self.states)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _LatticeRemainders(self.lattice, self.q, self.states[k])
+        return self.lattice.exact(self.states[k], self.q)
+
+
 @dataclass
 class OrbitRecord:
     """A computed expansion: digits, exact or enclosed remainders, and the
     precision that carried the floor decisions."""
     start: object
     digits: List[int]
-    remainders: List[object]      # exact scalars or BigReal, one per step
+    remainders: Sequence[object]  # exact scalars or BigReal, one per step
     precision_used: int
     base: BetaBase
 
     def orbit_floats(self) -> np.ndarray:
         """Float values of x_0, ..., x_{n-1} (the points whose
         equidistribution normality is about)."""
-        pts = [self.start] + self.remainders[:-1]
-        return np.array([float(r) for r in pts])
+        rems = self.remainders
+        if isinstance(rems, _LatticeRemainders):
+            lat = rems.lattice
+            return np.array([lat.to_float(*lat.lift(self.start))] +
+                            [lat.to_float(v, rems.q) for v in rems.states[:-1]])
+        return np.array([float(r) for r in [self.start, *rems[:-1]]])
 
     def reconstruct_exact(self):
         """Run the expansion backwards: ((x_n + d_n)/beta + ...)/beta.
         Exact paths reproduce the starting point identically."""
-        if any(isinstance(r, BigReal) for r in self.remainders):
+        rems = self.remainders
+        if isinstance(rems, _LatticeRemainders):
+            return rems.lattice.unwind(rems.states[-1], rems.q, self.digits)
+        if any(isinstance(r, BigReal) for r in rems):
             raise ValueError("exact reconstruction needs an exact orbit")
         # invert once: each FieldElement division is an extended-Euclid inverse
         b_inv = 1 / self.base.exact_value()
-        x = self.remainders[-1]
+        x = rems[-1]
         for d in reversed(self.digits):
             x = (x + d) * b_inv
         return x
@@ -179,29 +336,25 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         return _orbit_interval(base, x, steps)
     if x < 0 or x >= 1:
         raise ValueError("starting point must lie in [0, 1)")
-    digits, rems = _orbit_exact(base, x, steps)
-    return OrbitRecord(x, digits, rems, 0, base)
+    lat = base._lattice
+    if lat is None:
+        digits, rems = _greedy_orbit(base.exact_value(), x, steps)
+        return OrbitRecord(x, digits, rems, 0, base)
+    v, q = lat.lift(x)
+    digits, states = [], []
+    for _ in range(steps):
+        d, v = lat.step(v, q)
+        digits.append(d)
+        states.append(v)
+    return OrbitRecord(x, digits, _LatticeRemainders(lat, q, states), 0, base)
 
 
-def _orbit_exact(base: BetaBase, x, steps: int):
-    b = base.exact_value()
-    if isinstance(b, Fraction) and isinstance(x, Fraction) \
-            and b.denominator == 1:
-        # integer base: fixed denominator, integer numerator recursion
-        bn = b.numerator
-        q = x.denominator
-        p = x.numerator
-        digits: List[int] = []
-        rems: List[object] = []
-        for _ in range(steps):
-            p *= bn
-            d = p // q
-            p -= d * q
-            digits.append(int(d))
-            rems.append(Fraction(p, q))
-        return digits, rems
-    digits = []
-    rems = []
+def _greedy_orbit(b: ExactScalar, x: ExactScalar, steps: int):
+    """The orbit in plain exact-scalar arithmetic: the path of bases with no
+    lattice (rational non-integer or non-monic beta), and the reference
+    that the lattice is tested against."""
+    digits: List[int] = []
+    rems: List[ExactScalar] = []
     for _ in range(steps):
         y = b * x
         d = math.floor(y)
@@ -299,54 +452,90 @@ class ParryDensity:
 
 
 def orbit_of_one(base: BetaBase, max_terms: int):
-    """Exact forward orbit 1, T(1), T^2(1), ... until it hits 0 or the cap.
-    Returns (values including the leading 1, terminated_exactly)."""
-    b = base.exact_value()
-    z = b ** 0   # 1, in the arithmetic of beta
-    out = [z]
-    for _ in range(max_terms - 1):
-        y = b * z
-        z = y - math.floor(y)
-        if z == 0:
-            return out, True
-        out.append(z)
-    return out, False
+    """Exact forward orbit 1, T(1), T^2(1), ... of the greedy map, each point
+    once.  Returns (values including the leading 1, cycle): T of the last
+    value is values[cycle], or 0 when cycle == len(values); cycle is None
+    when the cap of max_terms values cut the orbit.  It is truthy exactly
+    when the values are the whole orbit.  With a lattice the points are
+    integer vectors over q = 1, so a repeat is a repeated vector: for a Pisot
+    base every orbit in Q(beta) is eventually periodic (K. Schmidt 1980)."""
+    lat = base._lattice
+    if lat is not None:
+        state, zero = (1,) + (0,) * (lat.degree - 1), (0,) * lat.degree
+
+        def step(v):
+            return lat.step(v, 1)[1]
+
+        def value(v):
+            return lat.exact(v, 1)
+    else:
+        b = base.exact_value()
+        state, zero = b ** 0, 0   # 1, in the arithmetic of beta
+
+        def step(z):
+            y = b * z
+            return y - math.floor(y)
+
+        def value(z):
+            return z
+    seen: dict = {}
+    values = []
+    while True:
+        seen[state] = len(values)
+        values.append(value(state))
+        if len(values) == max_terms:
+            return values, None
+        state = step(state)
+        if state == zero:
+            return values, len(values)
+        if state in seen:
+            return values, seen[state]
 
 
 def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     """h(x) proportional to the sum of beta^-n over n with x < T^n(1),
-    truncated at `truncation` terms (exactly when the orbit of 1 terminates),
-    then normalized to integrate to 1.  Exact bases only."""
+    normalized to integrate to 1.  Exact bases only.  The sum is exact when
+    the orbit of 1 ends at 0 or turns periodic within `truncation` terms
+    (every Pisot base): a period of k terms is summed once and scaled by
+    1/(1 - beta^-k).  Otherwise it stops after `truncation` terms and
+    tail_bound bounds what is left."""
     if not isinstance(base.beta, (Fraction, AlgebraicNumber)):
         raise TypeError("Parry construction needs an exact base")
     if truncation < 1:
         raise ValueError("truncation must be a positive term count")
-    orbit, exact_end = orbit_of_one(base, truncation)
+    orbit, cycle = orbit_of_one(base, truncation)
     n_terms = len(orbit)
+    head = n_terms if cycle is None else cycle
 
     beta_inv = 1 / base.exact_value()
 
-    # distinct orbit values in (0, 1) are the interior breakpoints
-    interior = []
-    for z in orbit[1:]:
-        if 0 < z < 1 and all(z != w for w in interior):
-            interior.append(z)
-    interior.sort()
-    breakpoints = [Fraction(0)] + interior + [Fraction(1)]
+    # after the leading 1 the orbit values are distinct points of (0, 1):
+    # they are the interior breakpoints, and T^n(1) > b_j iff its rank
+    # among the breakpoints exceeds j
+    breakpoints = [Fraction(0)] + sorted(orbit[1:]) + [Fraction(1)]
+    rank = {z: j for j, z in enumerate(breakpoints)}
+    ranks = [rank[z] for z in orbit]
 
-    # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j
+    # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j;
+    # the terms from `head` on repeat with period n_terms - head
     powers = []
     p = orbit[0]
     for _ in range(n_terms):
         powers.append(p)
         p = p * beta_inv
+
+    def above(j, terms):
+        total = powers[0] * 0
+        for n in terms:
+            if ranks[n] > j:
+                total = total + powers[n]
+        return total
     raw = []
     for j in range(len(breakpoints) - 1):
-        lo = breakpoints[j]
-        total = powers[0] * 0
-        for n, z in enumerate(orbit):
-            if z > lo:
-                total = total + powers[n]
+        total = above(j, range(head))
+        if head < n_terms:
+            total = total + above(j, range(head, n_terms)) / \
+                (1 - powers[n_terms - head])
         raw.append(total)
 
     normalizer = raw[0] * 0
@@ -354,7 +543,7 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
         normalizer = normalizer + v * (breakpoints[j + 1] - breakpoints[j])
     values = tuple(v / normalizer for v in raw)
 
-    if exact_end:
+    if cycle is not None:
         tail = 0.0
     else:
         bf = float(base.beta)

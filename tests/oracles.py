@@ -1,6 +1,6 @@
 """Independent numerical oracles used to freeze expected values.
 
-Everything here is written against plain floats and numpy only, with no
+Everything here is written against plain floats, numpy and mpmath, with no
 imports from the package under test, so agreement between the two is
 evidence rather than circularity.
 
@@ -9,13 +9,17 @@ evidence rather than circularity.
   * beta_invariant_density: power iteration of the transfer operator of the
     greedy base-beta map on a fine grid.
   * ks_between: two-sample Kolmogorov-Smirnov statistic.
+  * greedy_digits_ok: the greedy-expansion inequalities at high precision,
+    with beta from mpmath.polyroots.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 
@@ -148,3 +152,34 @@ def root_moduli(coeffs: Sequence[int]) -> List[float]:
     pair, largest first."""
     return sorted((abs(z) for z in np.roots(coeffs) if z.imag > -1e-9),
                   reverse=True)
+
+
+def greedy_digits_ok(coeffs: Sequence[int], x: Sequence[Fraction],
+                     digits: Sequence[int]) -> bool:
+    """True iff `digits` are the greedy beta-digits of x, for beta the
+    largest real root of the integer polynomial `coeffs` (highest degree
+    first) and x = sum_k x[k] beta^k with rational x[k].
+
+    Every prefix m must satisfy 0 <= x - sum_{k<=m} d_k beta^-k < beta^-m.
+    The sums run at n*log2(beta) + 128 bits, so the rounding error stays
+    below 2^-100 * beta^-n; each inequality is given that much slack.
+    """
+    n = len(digits)
+    beta_f = max(z.real for z in np.roots(coeffs) if abs(z.imag) < 1e-9)
+    with mpmath.workprec(math.ceil(n * math.log2(beta_f)) + 128):
+        beta = max(mpmath.re(z) for z in
+                   mpmath.polyroots(coeffs, maxsteps=200, extraprec=64)
+                   if abs(mpmath.im(z)) < mpmath.mpf(2) ** -64)
+        inv = 1 / beta
+        slack = inv ** n * mpmath.mpf(2) ** -100
+        r = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * beta ** k
+                        for k, c in enumerate(x))
+        scale = mpmath.mpf(1)          # beta^-m
+        for d in digits:
+            if not 0 <= d <= math.floor(beta):
+                return False
+            scale *= inv
+            r -= d * scale
+            if r < -slack or r >= scale + slack:
+                return False
+    return True

@@ -336,3 +336,16 @@ class TestHornerOracle:
             assert _mp(lo) - slack <= v <= _mp(hi) + slack
             assert float(x) == pytest.approx(float(v), rel=2 ** -50,
                                              abs=2 ** -60)
+
+    @pytest.mark.parametrize("n", [40, 100, 200])
+    def test_float_of_large_coordinates(self, n):
+        # F_n beta - F_(n+1) = +-beta^-n: coordinates near 2^(0.69 n) around
+        # a value near 2^(-0.69 n), so a fixed-width enclosure is not enough
+        fib = [0, 1]
+        while len(fib) < n + 2:
+            fib.append(fib[-1] + fib[-2])
+        field = NumberField(AlgebraicNumber("x^2 - x - 1", 1, 2))
+        x = field.element([-fib[n + 1], fib[n]])
+        with mpmath.workdps(ORACLE_DPS):
+            v = fib[n] * _MP_BETA["golden"] - fib[n + 1]
+            assert float(x) == float(v)

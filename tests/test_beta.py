@@ -2,6 +2,7 @@
 piecewise invariant density against a transfer-operator oracle, normality
 statistics, and smooth pushforwards."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
+import betascenery.beta_numeration as bn
 from betascenery import (
+    AlgebraicNumber,
     BetaBase,
     BigReal,
+    IntPolynomial,
     MapSpec,
     OrbitUndecidable,
     beta_orbit,
@@ -27,8 +31,36 @@ from betascenery import (
 from oracles import (
     beta_invariant_density,
     golden_parry_values,
+    greedy_digits_ok,
     tribonacci_parry_pieces,
 )
+
+# bases of the lattice sweep: integers, Pisot numbers and one non-Pisot
+LATTICE_BASES = ["2", "3", "10", "x^2 - x - 1", "x^3 - x^2 - x - 1",
+                 "x^3 - x - 1", "x^4 - x^3 - x^2 - x - 1", "x^2 - 3*x + 1",
+                 "x^2 - 2"]
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_base(text: str) -> BetaBase:
+    if text.isdigit():
+        return BetaBase(int(text))
+    return BetaBase(AlgebraicNumber.largest_root(IntPolynomial.parse(text)))
+
+
+def assert_matches_reference(base, x, steps):
+    """The lattice orbit against the plain exact-scalar loop: digits,
+    remainders, floats and the backward reconstruction."""
+    rec = beta_orbit(base, x, steps)
+    x = base.coerce_point(x)
+    digits, rems = bn._greedy_orbit(base.exact_value(), x, steps)
+    assert rec.digits == digits
+    assert list(rec.remainders) == rems
+    # both float paths are certified: fixed point here, interval Horner in
+    # FieldElement.__float__
+    assert rec.orbit_floats().tolist() == [float(r) for r in [x, *rems[:-1]]]
+    assert rec.reconstruct_exact() == x
+    assert bs.OrbitRecord(x, digits, rems, 0, base).reconstruct_exact() == x
 
 
 class TestDigits:
@@ -131,6 +163,90 @@ class TestOrbitIdentities:
         assert st_.discrepancy >= 1 / 3 - 1 / 1024
 
 
+class TestLatticeOrbit:
+    """The integer-lattice kernel of algebraic-integer bases against the
+    exact-scalar reference loop and an mpmath oracle."""
+
+    def test_kernel_is_chosen_for_algebraic_integers(self, golden_base):
+        assert golden_base._lattice is not None
+        assert BetaBase(10)._lattice is not None
+        assert BetaBase(Fraction(3, 2))._lattice is None
+        non_monic = AlgebraicNumber.largest_root(IntPolynomial.parse(
+            "2*x^2 - 2*x - 1"))
+        assert BetaBase(non_monic)._lattice is None
+
+    def test_acceptance_points(self, golden_base):
+        # the point kinds of acceptance checks 6 and 9: exact attractor
+        # points, rationals with 24-bit denominators and field points
+        rng = np.random.default_rng(6)
+        g = bs.parse_scalar("golden")
+        points = []
+        for _ in range(3):
+            word = rng.integers(0, 2, size=400)
+            points.append(sum(Fraction(2 * int(w), 3 ** (k + 1))
+                              for k, w in enumerate(word)))
+            den = int(rng.integers(1, 2 ** 24)) | 1
+            points.append(Fraction(int(rng.integers(0, den)), den))
+            u, v = (Fraction(int(rng.integers(0, 2 ** 20)), 2 ** 21)
+                    for _ in range(2))
+            points.append(u + v * (g - 1))
+        for x in points:
+            assert_matches_reference(golden_base, x, 400)
+
+    @given(st.sampled_from(LATTICE_BASES),
+           st.lists(st.fractions(min_value=-3, max_value=3,
+                                 max_denominator=10 ** 6),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep(self, text, coords):
+        # a rational point when coords has one entry, else a field point
+        # sum coords[k] beta^k reduced mod 1
+        base = lattice_base(text)
+        if len(coords) == 1 or base.degree == 1:
+            x = coords[0] - math.floor(coords[0])
+        else:
+            x = base._field.element(coords[:base.degree])
+            x = x - math.floor(x)
+        assert_matches_reference(base, x, 60)
+
+    def test_escalation_keeps_digits(self, monkeypatch):
+        # a 4-bit start cannot certify most floors or floats: the precision
+        # doubles, and nothing else changes
+        monkeypatch.setattr(bn, "LATTICE_BITS", 4)
+        for name in ("golden", "tribonacci"):
+            base = BetaBase(named_constant(name))
+            assert base._lattice.bits == 4
+            assert_matches_reference(base, Fraction(22, 113), 300)
+            assert base._lattice.bits > 4
+
+    @pytest.mark.parametrize("poly", ["x^2 - x - 1", "x^3 - x^2 - x - 1"])
+    def test_greedy_oracle(self, poly):
+        coeffs = list(reversed(IntPolynomial.parse(poly).coeffs))
+        base = lattice_base(poly)
+        g = base._field.beta()
+        for x in (Fraction(3, 7), Fraction(1, 5) + Fraction(1, 9) * (g - 1)):
+            rec = beta_orbit(base, x, 2000)
+            vec = [x] if isinstance(x, Fraction) else list(x.vec)
+            assert greedy_digits_ok(coeffs, vec, rec.digits)
+            wrong = list(rec.digits)
+            wrong[1000] ^= 1
+            assert not greedy_digits_ok(coeffs, vec, wrong)
+
+    def test_largest_root_boxes_no_complex_root(self, monkeypatch):
+        import betascenery.algebraics.roots as roots
+        calls = []
+        count = roots._count_in_box
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+        monkeypatch.setattr(roots, "_count_in_box", counting)
+        base = BetaBase(named_constant("tribonacci"))
+        beta_orbit(base, Fraction(1, 3), 100)
+        parry_density(base)
+        assert calls == []
+
+
 class TestParryDensity:
     def test_integer_base_uniform(self):
         pd = parry_density(BetaBase(2))
@@ -168,6 +284,33 @@ class TestParryDensity:
         ours = vals[np.clip(idx, 0, len(vals) - 1)]
         l1 = np.abs(ours - dens).mean()
         assert l1 < 1e-3
+
+    @pytest.mark.parametrize("poly,n_terms,cycle", [
+        ("x^2 - x - 1", 2, 2),
+        ("x^3 - x - 1", 5, 5),
+        ("x^2 - 3*x + 1", 2, 1),
+        ("x^3 - 3*x^2 + 2*x - 1", 3, 2),
+        ("x^3 - 4*x^2 - x + 1", 3, 1),
+    ])
+    def test_pisot_sum_is_exact(self, poly, n_terms, cycle):
+        # the orbit of 1 ends (cycle == n_terms) or turns periodic: the
+        # series is summed in closed form, with no tail
+        base = lattice_base(poly)
+        vals, end = orbit_of_one(base, 256)
+        assert (len(vals), end) == (n_terms, cycle)
+        pd = parry_density(base)
+        assert pd.tail_bound == 0.0
+        assert pd.truncated_at == n_terms
+        mids, dens = beta_invariant_density(float(base.beta), n_bins=10_000)
+        breaks, values = pd.piece_floats()
+        idx = np.searchsorted(breaks, mids, side="right") - 1
+        ours = values[np.clip(idx, 0, len(values) - 1)]
+        assert np.abs(ours - dens).mean() < 1e-3
+
+    def test_non_pisot_keeps_truncation(self):
+        pd = parry_density(lattice_base("x^2 - 2"), truncation=64)
+        assert pd.truncated_at == 64
+        assert pd.tail_bound > 0
 
     def test_nonterminating_rational_base_tail(self):
         base = BetaBase(Fraction(3, 2))
