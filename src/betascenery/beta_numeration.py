@@ -16,9 +16,9 @@ point:
     value is rational).  Otherwise it is read off fixed-point powers
     B_i = floor(beta^i 2^P), taken from the certified isolating interval of
     beta, with the error bound sum |w_i| E_i; when that enclosure straddles
-    an integer, P doubles and the floor is taken again.  No floor comes
-    from an uncertified value.  Floats are certified the same way, and the
-    exact remainders are built only when read;
+    an integer, P doubles for the rest of the orbit and the floor is taken
+    again.  No floor comes from an uncertified value.  Floats are certified
+    the same way, and the exact remainders are built only when read;
   * exact x with a rational non-integer or non-monic beta: plain exact
     arithmetic on Fractions and field elements, floors decided by certified
     interval refinement (never ambiguous);
@@ -155,7 +155,8 @@ def _reject_field():
 
 
 # Starting precision, in bits, of the lattice's fixed-point powers of beta;
-# a floor or float that it cannot certify doubles it for that base.
+# a floor or float that it cannot certify doubles it for the rest of that
+# orbit (or float array).  Every orbit starts here again.
 LATTICE_BITS = 96
 
 
@@ -174,7 +175,6 @@ class _Lattice:
         self.coeffs = tuple(coeffs)   # monic, lowest degree first
         self.field = field            # None for an integer base
         self.degree = len(self.coeffs) - 1
-        self.bits = LATTICE_BITS
         self._tables: dict = {}
         if field is not None:
             # a private copy, so refining it leaves the field's own interval
@@ -195,20 +195,34 @@ class _Lattice:
             return Fraction(v[0], q)
         return FieldElement(self.field, tuple(Fraction(c, q) for c in v))
 
-    def step(self, v, q) -> Tuple[int, Tuple[int, ...]]:
-        """One greedy step on v/q: the digit floor(beta v/q) and the
-        coordinates of the remainder."""
-        top = v[-1]
-        w = (0,) + v[:-1]
-        if top:
-            w = tuple(a - c * top for a, c in zip(w, self.coeffs))
-        d = self._decide(w, q, operator.floordiv)
-        return d, (w[0] - d * q,) + w[1:]
+    def orbit(self, v, q, steps: int) -> Tuple[List[int], List[tuple]]:
+        """The digits and remainder vectors of `steps` greedy steps from
+        v/q: multiply by beta, take the floor, subtract it from v[0]."""
+        bits = LATTICE_BITS
+        digits, states = [], []
+        for _ in range(steps):
+            top = v[-1]
+            w = (0,) + v[:-1]
+            if top:
+                w = tuple(a - c * top for a, c in zip(w, self.coeffs))
+            d, bits = self._decide(w, q, operator.floordiv, bits)
+            v = (w[0] - d * q,) + w[1:]
+            digits.append(d)
+            states.append(v)
+        return digits, states
 
-    def _table(self):
-        """(B, E) at the current precision P for i = 1..d-1: beta^i 2^P
-        lies in [B_i, B_i + E_i]."""
-        bits = self.bits
+    def floats(self, states: Sequence[tuple], q: int) -> List[float]:
+        """The float nearest each v/q."""
+        bits = LATTICE_BITS
+        out = []
+        for v in states:
+            f, bits = self._decide(v, q, operator.truediv, bits)
+            out.append(f)
+        return out
+
+    def _table(self, bits: int):
+        """(B, E) at precision P = bits for i = 1..d-1: beta^i 2^P lies in
+        [B_i, B_i + E_i]."""
         if bits not in self._tables:
             lo, hi = self._gen.refine_bits(bits + 32)
             b, e, pw = [], [], (Fraction(1), Fraction(1))
@@ -220,35 +234,31 @@ class _Lattice:
             self._tables[bits] = (b, e)
         return self._tables[bits]
 
-    def _fixed(self, v) -> Tuple[int, int]:
+    def _fixed(self, v, bits: int) -> Tuple[int, int]:
         """(A, R) with sum v_i beta^i 2^P in [A - R, A + R]: A sums v_i B_i,
         R bounds the rounding of the powers by sum |v_i| E_i."""
-        b, e = self._table()
-        a, r = v[0] << self.bits, 0
+        b, e = self._table(bits)
+        a, r = v[0] << bits, 0
         for vi, bi, ei in zip(v[1:], b, e):
             a += vi * bi
             r += abs(vi) * ei
         return a, r
 
-    def _decide(self, v, q, read):
-        """read(v/q) for floor division or true division: exact when v/q is
-        rational, else read at both ends of the fixed-point enclosure
-        [A - R, A + R] / (q 2^P), doubling P until the two agree.  v/q is
-        then irrational, so it is neither an integer nor a float rounding
-        boundary, and the doubling ends."""
+    def _decide(self, v, q, read, bits: int):
+        """(read(v/q), P) for floor division or true division: exact when
+        v/q is rational, else read at both ends of the fixed-point enclosure
+        [A - R, A + R] / (q 2^P), doubling P from `bits` until the two agree.
+        v/q is then irrational, so it is neither an integer nor a float
+        rounding boundary, and the doubling ends."""
         if not any(v[1:]):
-            return read(v[0], q)
+            return read(v[0], q), bits
         while True:
-            a, r = self._fixed(v)
-            den = q << self.bits
+            a, r = self._fixed(v, bits)
+            den = q << bits
             lo = read(a - r, den)
             if read(a + r, den) == lo:
-                return lo
-            self.bits *= 2
-
-    def to_float(self, v, q) -> float:
-        """The float nearest v/q."""
-        return self._decide(v, q, operator.truediv)
+                return lo, bits
+            bits *= 2
 
     def unwind(self, v, q, digits: Sequence[int]) -> ExactScalar:
         """Run the expansion back from the remainder v/q: x = (x' + d)/beta,
@@ -268,7 +278,10 @@ class _Lattice:
 
 class _LatticeRemainders(Sequence):
     """The remainders of a lattice orbit, stored as integer vectors over one
-    denominator; reading one builds its exact Fraction or FieldElement."""
+    denominator; reading one builds its exact Fraction or FieldElement.  It
+    is a read-only sequence, not a list: like a list it compares equal to a
+    list (or another such sequence) of the same values, but it has no `+`
+    and is not meant for pickling; `list(rems)` builds every value."""
 
     def __init__(self, lattice: _Lattice, q: int, states: List[tuple]):
         self.lattice = lattice
@@ -282,6 +295,11 @@ class _LatticeRemainders(Sequence):
         if isinstance(k, slice):
             return _LatticeRemainders(self.lattice, self.q, self.states[k])
         return self.lattice.exact(self.states[k], self.q)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _LatticeRemainders)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass
@@ -299,9 +317,9 @@ class OrbitRecord:
         equidistribution normality is about)."""
         rems = self.remainders
         if isinstance(rems, _LatticeRemainders):
-            lat = rems.lattice
-            return np.array([lat.to_float(*lat.lift(self.start))] +
-                            [lat.to_float(v, rems.q) for v in rems.states[:-1]])
+            start = rems.lattice.lift(self.start)[0]
+            return np.array(rems.lattice.floats([start, *rems.states[:-1]],
+                                                rems.q))
         return np.array([float(r) for r in [self.start, *rems[:-1]]])
 
     def reconstruct_exact(self):
@@ -341,11 +359,7 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         digits, rems = _greedy_orbit(base.exact_value(), x, steps)
         return OrbitRecord(x, digits, rems, 0, base)
     v, q = lat.lift(x)
-    digits, states = [], []
-    for _ in range(steps):
-        d, v = lat.step(v, q)
-        digits.append(d)
-        states.append(v)
+    digits, states = lat.orbit(v, q, steps)
     return OrbitRecord(x, digits, _LatticeRemainders(lat, q, states), 0, base)
 
 
@@ -453,43 +467,28 @@ class ParryDensity:
 
 def orbit_of_one(base: BetaBase, max_terms: int):
     """Exact forward orbit 1, T(1), T^2(1), ... of the greedy map, each point
-    once.  Returns (values including the leading 1, cycle): T of the last
-    value is values[cycle], or 0 when cycle == len(values); cycle is None
-    when the cap of max_terms values cut the orbit.  It is truthy exactly
-    when the values are the whole orbit.  With a lattice the points are
-    integer vectors over q = 1, so a repeat is a repeated vector: for a Pisot
-    base every orbit in Q(beta) is eventually periodic (K. Schmidt 1980)."""
-    lat = base._lattice
-    if lat is not None:
-        state, zero = (1,) + (0,) * (lat.degree - 1), (0,) * lat.degree
-
-        def step(v):
-            return lat.step(v, 1)[1]
-
-        def value(v):
-            return lat.exact(v, 1)
-    else:
-        b = base.exact_value()
-        state, zero = b ** 0, 0   # 1, in the arithmetic of beta
-
-        def step(z):
-            y = b * z
-            return y - math.floor(y)
-
-        def value(z):
-            return z
+    once.  Returns (values including the leading 1, cycle), where cycle is an
+    int or None: T of the last value is values[cycle], or 0 when
+    cycle == len(values); None means the cap of max_terms values cut the
+    orbit.  So cycle is truthy exactly when the values are the whole orbit,
+    whether it ends at 0 or turns periodic; it does not mean that the
+    expansion of 1 is finite.  For a Pisot base every orbit in Q(beta) is
+    eventually periodic (K. Schmidt 1980)."""
+    b = base.exact_value()
+    z = b ** 0   # 1, in the arithmetic of beta
     seen: dict = {}
     values = []
     while True:
-        seen[state] = len(values)
-        values.append(value(state))
+        seen[z] = len(values)
+        values.append(z)
         if len(values) == max_terms:
             return values, None
-        state = step(state)
-        if state == zero:
+        y = b * z
+        z = y - math.floor(y)
+        if z == 0:
             return values, len(values)
-        if state in seen:
-            return values, seen[state]
+        if z in seen:
+            return values, seen[z]
 
 
 def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:

@@ -215,9 +215,38 @@ class TestLatticeOrbit:
         monkeypatch.setattr(bn, "LATTICE_BITS", 4)
         for name in ("golden", "tribonacci"):
             base = BetaBase(named_constant(name))
-            assert base._lattice.bits == 4
             assert_matches_reference(base, Fraction(22, 113), 300)
-            assert base._lattice.bits > 4
+            assert max(base._lattice._tables) > 4
+
+    def test_escalation_is_per_orbit(self, monkeypatch):
+        # the coordinates of 1/3 + sqrt(2)/5 grow like sqrt(2)^n, so 2000
+        # digits need powers far wider than the start; a later short orbit
+        # on the same base starts again at LATTICE_BITS
+        base = BetaBase(AlgebraicNumber.largest_root(
+            IntPolynomial.parse("x^2 - 2")))
+        lat = base._lattice
+        used = []
+        fixed = lat._fixed
+
+        def recording(v, bits):
+            used.append(bits)
+            return fixed(v, bits)
+        monkeypatch.setattr(lat, "_fixed", recording)
+        x = base._field.element([Fraction(1, 3), Fraction(1, 5)])
+        long = beta_orbit(base, x, 2000)
+        assert max(used) > 8 * bn.LATTICE_BITS
+        used.clear()
+        short = beta_orbit(base, x, 20)
+        assert set(used) == {bn.LATTICE_BITS}
+        assert short.digits == long.digits[:20]
+
+    def test_remainders_compare_like_a_list(self, golden_base):
+        rec = beta_orbit(golden_base, Fraction(2, 7), 30)
+        rems = list(rec.remainders)
+        assert rec.remainders == rems and rems == rec.remainders
+        assert rec.remainders[5:] == rems[5:]
+        assert rec.remainders != rems[1:]
+        assert rec.remainders != tuple(rems)
 
     @pytest.mark.parametrize("poly", ["x^2 - x - 1", "x^3 - x^2 - x - 1"])
     def test_greedy_oracle(self, poly):
