@@ -4,11 +4,10 @@ multiplicative-relation detection."""
 
 from .intpoly import IntPolynomial
 from .roots import (
-    ComplexRootBox,
+    ComplexRootDisk,
     RealRootInterval,
     RootIsolation,
     isolate_real_roots,
-    refine_complex_box,
     refine_real_root,
 )
 from .algnum import (
@@ -34,11 +33,10 @@ from .multiplicative import (
 __all__ = [
     "IntPolynomial",
     "RealRootInterval",
-    "ComplexRootBox",
+    "ComplexRootDisk",
     "RootIsolation",
     "isolate_real_roots",
     "refine_real_root",
-    "refine_complex_box",
     "AlgebraicNumber",
     "NumberField",
     "FieldElement",

@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_add, interval_mul
-from .roots import (RealRootInterval, _root_separation_bound,
-                    isolate_real_roots, real_root_intervals, refine_real_root)
+from .roots import (_root_separation_bound, isolate_real_roots,
+                    real_root_intervals, refine_real_root)
 
 
 def _count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
@@ -162,7 +162,7 @@ class AlgebraicNumber:
     def conjugates(self):
         """Root isolation of the full minimal polynomial (cached)."""
         if self._isolation is None:
-            self._isolation = isolate_real_roots(self.min_poly, precision=32)
+            self._isolation = isolate_real_roots(self.min_poly)
         return self._isolation
 
     def __repr__(self) -> str:
@@ -527,10 +527,11 @@ def is_pisot(x) -> bool:
     """True iff x is a Pisot number: a real algebraic integer > 1 whose other
     conjugates all have modulus strictly below 1.
 
-    The decision is exact: moduli are compared to 1 through certified
-    rational interval and rectangle bounds, refined until strict; unit-circle
-    conjugates can occur only for self-reciprocal polynomials, which are
-    dispatched combinatorially, so refinement always terminates.
+    The decision is exact: moduli are compared to 1 through the exact
+    rational modulus bounds of the real intervals and the complex inclusion
+    disks, refined until strict; unit-circle conjugates can occur only for
+    self-reciprocal polynomials, which are dispatched combinatorially, so
+    refinement always terminates.
     """
     if isinstance(x, FieldElement):
         x = x.to_algebraic()
@@ -568,30 +569,16 @@ def is_pisot(x) -> bool:
         else:
             x.refine((x.hi - x.lo) / 4)
 
-    for idx, r in enumerate(iso.real_roots):
-        if idx == own:
-            continue
-        lo, hi = r.lo, r.hi
-        while True:
-            mlo, mhi = RealRootInterval(lo, hi).modulus_bounds()
-            if mhi < 1:
-                break
-            if mlo > 1:
-                return False
-            refined = refine_real_root(p, lo, hi, (hi - lo) / 4)
-            lo, hi = refined.lo, refined.hi
-
-    from .roots import refine_complex_box
-    for box in iso.complex_pairs:
-        cur = box
-        while True:
-            lo2, hi2 = cur.modulus_sq_bounds()
-            if hi2 < 1:
-                break
-            if lo2 > 1:
-                return False
-            cur = refine_complex_box(p, cur, cur.diameter / 4)
-    return True
+    # refinement keeps the real roots in order, so `own` stays valid
+    while True:
+        bounds = [r.modulus_bounds() for idx, r in enumerate(iso.real_roots)
+                  if idx != own]
+        bounds += [disk.modulus_bounds() for disk in iso.complex_pairs]
+        if any(lo > 1 for lo, _ in bounds):
+            return False
+        if all(hi < 1 for _, hi in bounds):
+            return True
+        iso = iso.refined()
 
 
 # ---------------------------------------------------------------------------

@@ -117,23 +117,16 @@ def _rational_power(a: AlgebraicNumber, bound: int):
 
 def _distinct_conjugate_moduli(a: AlgebraicNumber) -> bool:
     """True if two conjugates of `a` have certifiably different moduli."""
-    from .roots import refine_complex_box, refine_real_root
-
     iso = a.conjugates()
-    p = iso.poly
-    reals = list(iso.real_roots)
-    boxes = list(iso.complex_pairs)
-    for _ in range(6):  # escalating refinement schedule
-        bounds = [r.modulus_bounds() for r in reals]
-        bounds += [b.modulus_bounds() for b in boxes]
+    while True:
+        bounds = iso.all_modulus_bounds()
         for i in range(len(bounds)):
             for j in range(i + 1, len(bounds)):
                 if bounds[i][1] < bounds[j][0] or bounds[j][1] < bounds[i][0]:
                     return True
-        reals = [refine_real_root(p, r.lo, r.hi, r.width / 16)
-                 if r.width > 0 else r for r in reals]
-        boxes = [refine_complex_box(p, b, b.diameter / 16) for b in boxes]
-    return False
+        if iso.precision >= 512:   # equal moduli never separate
+            return False
+        iso = iso.refined()
 
 
 def _log_abs(x, prec: int = 192) -> BigReal:

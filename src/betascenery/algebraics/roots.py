@@ -1,32 +1,37 @@
 """Certified isolation of polynomial roots.
 
-Real roots come back as disjoint rational intervals, refined by exact-sign
-bisection.  Non-real roots come back as conjugate pairs boxed in rational
-rectangles; rectangles are refined by quadrisection, re-counting roots with
-an exact winding-number count at every split, so the boxes are certificates.
-Modulus bounds are derived from box geometry in exact rational arithmetic.
-
-sympy supplies the initial isolation and the exact rectangle root count; the
-refinement loops and all decisions made from them live here.
+Real roots come back as disjoint rational intervals: sympy isolates them
+exactly, and exact-sign bisection refines them.  Non-real roots come back as
+one inclusion disk per conjugate pair, certified by Newton's bound: since
+p'/p(c) = sum_i 1/(c - z_i), some root lies within d |p(c)| / |p'(c)| of
+any point c.  The centers are mpmath.polyroots approximations rounded to
+dyadic Gaussian rationals, where p and p' are evaluated exactly.  When the m
+disks in the upper half plane lie strictly above the real axis and are
+pairwise disjoint, they and their mirror images are 2m disjoint disks, each
+holding at least one non-real root.  The exact real isolation leaves exactly
+2m non-real roots, so each disk holds exactly one.  A failed check, or
+polyroots not converging, doubles the working precision; for a square-free
+polynomial that ends.  Every comparison is made in exact integers, and
+modulus bounds are exact rationals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .intpoly import IntPolynomial
+
+# conjugate_moduli stops refining here and rounds the midpoint: a modulus
+# exactly halfway between two floats keeps the ends of its enclosure on
+# either side at every precision
+_FLOAT_BITS_CAP = 1024
 
 
 def _to_fraction(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
-
-
-def _qq(x: Fraction):
-    from sympy.polys.domains import QQ
-    return QQ(x.numerator, x.denominator)
 
 
 @dataclass
@@ -39,13 +44,6 @@ class RealRootInterval:
     lo: Fraction
     hi: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def modulus_bounds(self) -> Tuple[Fraction, Fraction]:
         if self.lo >= 0:
             return (self.lo, self.hi)
@@ -54,67 +52,63 @@ class RealRootInterval:
         return (Fraction(0), max(-self.lo, self.hi))
 
 
-@dataclass
-class ComplexRootBox:
-    """Rectangle [re_lo, re_hi] x [im_lo, im_hi] holding one root of a
-    conjugate pair (the one with positive imaginary part)."""
+@dataclass(frozen=True)
+class ComplexRootDisk:
+    """The closed disk |z - (re + i im) / scale| <= radius / scale holding
+    exactly one root: the member of a conjugate pair with positive imaginary
+    part.  All four fields are integers, and radius >= 1."""
 
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction
-    im_hi: Fraction
-
-    def modulus_sq_bounds(self) -> Tuple[Fraction, Fraction]:
-        """Exact bounds on |z|^2 over the rectangle."""
-        if self.re_lo <= 0 <= self.re_hi:
-            dx2 = Fraction(0)
-        else:
-            dx2 = min(self.re_lo * self.re_lo, self.re_hi * self.re_hi)
-        if self.im_lo <= 0 <= self.im_hi:
-            dy2 = Fraction(0)
-        else:
-            dy2 = min(self.im_lo * self.im_lo, self.im_hi * self.im_hi)
-        lo = dx2 + dy2
-        hi = max(re * re for re in (self.re_lo, self.re_hi)) + \
-            max(im * im for im in (self.im_lo, self.im_hi))
-        return (lo, hi)
+    re: int
+    im: int
+    radius: int
+    scale: int
 
     def modulus_bounds(self) -> Tuple[Fraction, Fraction]:
-        lo2, hi2 = self.modulus_sq_bounds()
-        return (_sqrt_lower(lo2), _sqrt_upper(hi2))
-
-    @property
-    def diameter(self) -> Fraction:
-        return max(self.re_hi - self.re_lo, self.im_hi - self.im_lo)
+        """Exact rational bounds on the root's modulus."""
+        # q <= scale * |center| < q + 1
+        q = isqrt(self.re * self.re + self.im * self.im)
+        return (Fraction(max(q - self.radius, 0), self.scale),
+                Fraction(q + 1 + self.radius, self.scale))
 
 
 @dataclass
 class RootIsolation:
+    """Every root of a square-free polynomial: real intervals of width at
+    most 2^-precision, and one disk per conjugate pair."""
+
     poly: IntPolynomial
-    real_roots: List[RealRootInterval] = field(default_factory=list)
-    complex_pairs: List[ComplexRootBox] = field(default_factory=list)
+    precision: int
+    real_roots: List[RealRootInterval]
+    complex_pairs: List[ComplexRootDisk]
 
     def all_modulus_bounds(self) -> List[Tuple[Fraction, Fraction]]:
         """Modulus bounds for every root, conjugate pairs listed once."""
         return [r.modulus_bounds()
                 for r in self.real_roots + self.complex_pairs]
 
+    def refined(self) -> "RootIsolation":
+        """The same roots, isolated at twice the precision."""
+        bits = 2 * self.precision
+        width = Fraction(1, 1 << bits)
+        return RootIsolation(
+            self.poly, bits,
+            [refine_real_root(self.poly, r.lo, r.hi, width)
+             for r in self.real_roots],
+            complex_root_disks(self.poly, len(self.complex_pairs), bits))
 
-def _sqrt_lower(x: Fraction) -> Fraction:
-    """Rational lower bound on sqrt(x), tight to ~1e-12."""
-    if x <= 0:
-        return Fraction(0)
-    scale = 10**12
-    n = (x.numerator * scale * scale) // x.denominator
-    return Fraction(isqrt(n), scale)
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    if x <= 0:
-        return Fraction(0)
-    scale = 10**12
-    n = -((-x.numerator * scale * scale) // x.denominator)  # ceil
-    return Fraction(isqrt(n) + 1, scale)
+    def conjugate_moduli(self) -> List[float]:
+        """The modulus of every root, conjugate pairs once, largest first,
+        each as the float nearest to it: refinement goes on until both ends
+        of every enclosure round to the same float, or up to
+        _FLOAT_BITS_CAP bits."""
+        iso = self
+        while True:
+            bounds = iso.all_modulus_bounds()
+            if iso.precision >= _FLOAT_BITS_CAP or \
+                    all(float(lo) == float(hi) for lo, hi in bounds):
+                return sorted((float((lo + hi) / 2) for lo, hi in bounds),
+                              reverse=True)
+            iso = iso.refined()
 
 
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -152,65 +146,74 @@ def _root_separation_bound(p: IntPolynomial) -> Fraction:
     return Fraction(1, isqrt(denom) + 1)
 
 
-def _count_in_box(dup, re_lo, re_hi, im_lo, im_hi) -> int:
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import dup_count_complex_roots
-    return dup_count_complex_roots(
-        dup, ZZ, inf=(_qq(re_lo), _qq(im_lo)), sup=(_qq(re_hi), _qq(im_hi)))
+def _gauss_horner(coeffs: Sequence[int], re: int, im: int,
+                  scale: int) -> Tuple[int, int]:
+    """scale^deg * p((re + i im) / scale) as (real, imaginary) integers."""
+    vr, vi, power = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        power *= scale
+        vr, vi = vr * re - vi * im + c * power, vr * im + vi * re
+    return vr, vi
 
 
-def refine_complex_box(p: IntPolynomial, box: ComplexRootBox,
-                       diameter: Fraction) -> ComplexRootBox:
-    """Shrink a one-root rectangle below `diameter` by counted quadrisection.
+def _newton_disk(p: IntPolynomial, dp: IntPolynomial, re: int, im: int,
+                 scale: int) -> Optional[ComplexRootDisk]:
+    """The disk of radius d |p(c)| / |p'(c)|, rounded up to a whole 1/scale,
+    around c = (re + i im) / scale; None where p'(c) = 0."""
+    vr, vi = _gauss_horner(p.coeffs, re, im, scale)
+    wr, wi = _gauss_horner(dp.coeffs, re, im, scale)
+    w2 = wr * wr + wi * wi
+    if w2 == 0:
+        return None
+    # (scale * radius)^2 = d^2 |v|^2 / |w|^2; take the integer ceiling of
+    # its square root, at least 1
+    t = -(-p.degree ** 2 * (vr * vr + vi * vi) // w2)
+    return ComplexRootDisk(re, im, isqrt(max(t, 1) - 1) + 1, scale)
 
-    Each split is verified by the exact root count; if a split line happens to
-    pass through the root, a shifted split point is tried instead.  A box
-    whose bottom edge lies on the real axis also counts the real roots on
-    that edge, so when no split decides, the edge is lifted to half the root
-    separation bound: the pair's root has 2 Im z = |z - conj(z)| >= sep.
-    """
-    dup = p.to_sympy_dup()
-    cur = box
-    splits = (Fraction(1, 2), Fraction(13, 29), Fraction(17, 31))
-    while cur.diameter > diameter:
-        horizontal = (cur.re_hi - cur.re_lo) >= (cur.im_hi - cur.im_lo)
-        for frac in splits:
-            if horizontal:
-                mid = cur.re_lo + (cur.re_hi - cur.re_lo) * frac
-                left = ComplexRootBox(cur.re_lo, mid, cur.im_lo, cur.im_hi)
-                right = ComplexRootBox(mid, cur.re_hi, cur.im_lo, cur.im_hi)
-            else:
-                mid = cur.im_lo + (cur.im_hi - cur.im_lo) * frac
-                left = ComplexRootBox(cur.re_lo, cur.re_hi, cur.im_lo, mid)
-                right = ComplexRootBox(cur.re_lo, cur.re_hi, mid, cur.im_hi)
-            try:
-                n_left = _count_in_box(dup, left.re_lo, left.re_hi,
-                                       left.im_lo, left.im_hi)
-                n_right = _count_in_box(dup, right.re_lo, right.re_hi,
-                                        right.im_lo, right.im_hi)
-            except NotImplementedError:   # sympy: a root on a split line
-                continue
-            if n_left == 1 and n_right == 0:
-                cur = left
-                break
-            if n_right == 1 and n_left == 0:
-                cur = right
-                break
-        else:
-            if cur.im_lo != 0:
-                raise ArithmeticError(
-                    "complex box refinement stalled; root may lie on every "
-                    "candidate split line")
-            cur = ComplexRootBox(cur.re_lo, cur.re_hi,
-                                 _root_separation_bound(p) / 2, cur.im_hi)
-    return cur
+
+def _certified(disks: List[Optional[ComplexRootDisk]]) -> bool:
+    """Every disk strictly above the real axis, and pairwise disjoint."""
+    if any(d is None or d.im <= d.radius for d in disks):
+        return False
+    return all((a.re - b.re) ** 2 + (a.im - b.im) ** 2 >
+               (a.radius + b.radius) ** 2
+               for i, a in enumerate(disks) for b in disks[i + 1:])
+
+
+def complex_root_disks(p: IntPolynomial, pairs: int,
+                       bits: int) -> List[ComplexRootDisk]:
+    """One certified disk for each of the `pairs` conjugate pairs of
+    non-real roots of the square-free p, centered on a multiple of 2^-bits;
+    `pairs` must be (degree - number of real roots) / 2."""
+    if pairs == 0:
+        return []
+    import mpmath
+    dp = p.derivative()
+    coeffs = list(reversed(p.coeffs))
+    while True:
+        scale = 1 << bits
+        try:
+            with mpmath.workprec(bits):
+                approx = [mpmath.mpc(z) for z in
+                          mpmath.polyroots(coeffs, maxsteps=bits)]
+                centers = [(int(mpmath.nint(z.real * scale)),
+                            int(mpmath.nint(z.imag * scale))) for z in approx]
+        except mpmath.libmp.NoConvergence:
+            bits *= 2
+            continue
+        centers.sort(key=lambda c: c[1], reverse=True)
+        disks = [_newton_disk(p, dp, re, im, scale)
+                 for re, im in centers[:pairs]]
+        if _certified(disks):
+            return disks
+        bits *= 2
 
 
 def real_root_intervals(p: IntPolynomial,
                         precision: int) -> List[RealRootInterval]:
     """The real roots of a square-free integer polynomial in ascending order,
     each in a disjoint interval of width <= 2^-precision.  Non-real roots are
-    not boxed."""
+    not isolated."""
     from sympy.polys.domains import ZZ
     from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
     width = Fraction(1, 2**precision)
@@ -222,10 +225,10 @@ def isolate_real_roots(p, precision: int = 64) -> RootIsolation:
     """Isolate all roots of a square-free integer polynomial.
 
     Real roots: disjoint rational intervals of width <= 2^-precision, one root
-    each.  Non-real roots: one refined rectangle per conjugate pair, with
-    exact modulus bounds available.  Raises ValueError on non-square-free
-    input (the caller should isolate the square-free part instead) and on
-    constant polynomials.
+    each.  Non-real roots: one certified disk per conjugate pair, centered
+    on a multiple of 2^-precision or finer.  Raises ValueError on
+    non-square-free input (the caller should isolate the square-free part
+    instead) and on constant polynomials.
     """
     p = IntPolynomial.parse(p)
     if p.degree < 1:
@@ -233,28 +236,7 @@ def isolate_real_roots(p, precision: int = 64) -> RootIsolation:
     if not p.squarefree():
         raise ValueError(
             "polynomial has repeated roots; pass its square-free part")
-
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import dup_isolate_complex_roots_sqf
-
-    dup = p.to_sympy_dup()
-    width = Fraction(1, 2**precision)
-    result = RootIsolation(poly=p, real_roots=real_root_intervals(p, precision))
-
-    n_real = len(result.real_roots)
-    if n_real < p.degree:
-        boxes = dup_isolate_complex_roots_sqf(dup, ZZ)
-        upper = []
-        for (re_lo, im_lo), (re_hi, im_hi) in boxes:
-            box = ComplexRootBox(_to_fraction(re_lo), _to_fraction(re_hi),
-                                 _to_fraction(im_lo), _to_fraction(im_hi))
-            if box.im_lo >= 0:
-                upper.append(box)
-        expected_pairs = (p.degree - n_real) // 2
-        if len(upper) != expected_pairs:
-            raise ArithmeticError(
-                f"expected {expected_pairs} conjugate pairs, isolated "
-                f"{len(upper)} upper-half boxes")
-        for box in upper:
-            result.complex_pairs.append(refine_complex_box(p, box, width))
-    return result
+    real = real_root_intervals(p, precision)
+    pairs = (p.degree - len(real)) // 2
+    return RootIsolation(p, precision, real,
+                         complex_root_disks(p, pairs, precision))

@@ -195,11 +195,7 @@ def cmd_pisot(args) -> int:
         results["polynomial"] = str(num.min_poly)
         results["value"] = float(num)
         results["pisot"] = bool(is_pisot(num))
-        iso = num.conjugates()
-        moduli = []
-        for lo, hi in iso.all_modulus_bounds():
-            moduli.append(float((lo + hi) / 2))
-        results["conjugate_moduli"] = sorted(moduli, reverse=True)
+        results["conjugate_moduli"] = num.conjugates().conjugate_moduli()
     cfg = _config_echo(args, ["number"])
     return _finish(args, "pisot", cfg, results, [], [], t0)
 

@@ -45,6 +45,7 @@ from .selfsimilar import (
     SimilarityMap,
     canonical_scalar,
     find_separated_pair,
+    fold_in_chunks,
     fold_paths,
     sampling_depth,
 )
@@ -204,11 +205,17 @@ class Model:
         if depth is None:
             depth = sampling_depth([c.ratio for c in self.components])
         stream = UniformStream(seed, "model-measure", *labels)
-        u = stream.slice(0, 2 * count * depth)
-        omega = np.searchsorted(cdf_thresholds(self.selection),
-                                u[:count * depth].reshape(count, depth),
-                                side="right")
-        return self._fold(omega, u[count * depth:].reshape(count, depth))
+        thresholds = cdf_thresholds(self.selection)
+
+        def fold(start, rows):
+            # the component draws fill the stream's first count * depth
+            # places, the inner draws the next count * depth
+            u = stream.slice(start * depth, rows * depth)
+            omega = np.searchsorted(thresholds, u.reshape(rows, depth),
+                                    side="right")
+            u = stream.slice((count + start) * depth, rows * depth)
+            return self._fold(omega, u.reshape(rows, depth))
+        return fold_in_chunks(count, fold)
 
     def sample_eta(self, omega: Sequence[int], count: int, seed: int,
                    *labels) -> np.ndarray:

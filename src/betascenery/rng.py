@@ -48,7 +48,9 @@ class UniformStream:
 
     ``stream[i]`` is a float in [0, 1) depending only on (seed, labels, i).
     Blocks of 1024 draws are generated on demand from Philox with the block
-    index placed in the counter, and cached.
+    index placed in the counter.  Blocks read by index are cached; a slice
+    generates its blocks afresh and keeps none, so bulk draws read in chunks
+    hold no more than one chunk.
     """
 
     __slots__ = ("_key", "_blocks")
@@ -57,12 +59,13 @@ class UniformStream:
         self._key = derive_key(seed, *labels)
         self._blocks = {}
 
+    def _generate(self, b: int) -> np.ndarray:
+        return Generator(Philox(key=self._key, counter=b << 64)).random(_BLOCK)
+
     def _block(self, b: int) -> np.ndarray:
         blk = self._blocks.get(b)
         if blk is None:
-            gen = Generator(Philox(key=self._key, counter=b << 64))
-            blk = gen.random(_BLOCK)
-            self._blocks[b] = blk
+            blk = self._blocks[b] = self._generate(b)
         return blk
 
     def __getitem__(self, i: int) -> float:
@@ -77,7 +80,7 @@ class UniformStream:
         while filled < count:
             b, r = divmod(start + filled, _BLOCK)
             take = min(_BLOCK - r, count - filled)
-            out[filled:filled + take] = self._block(b)[r:r + take]
+            out[filled:filled + take] = self._generate(b)[r:r + take]
             filled += take
         return out
 

@@ -247,6 +247,22 @@ def sampling_depth(ratios: Sequence[ExactScalar], bits: int = 60) -> int:
     return max(1, math.ceil(bits / -math.log2(worst)))
 
 
+# rows the samplers draw and fold at a time, so that their memory does not
+# grow with the count; the uniforms are counter-based, so every chunk reads
+# the same draws a single pass would
+SAMPLE_CHUNK_ROWS = 8192
+
+
+def fold_in_chunks(count: int, fold) -> np.ndarray:
+    """The `count` points fold(start, rows) returns for consecutive chunks
+    of at most SAMPLE_CHUNK_ROWS rows, in one array."""
+    out = np.empty(count)
+    for start in range(0, count, SAMPLE_CHUNK_ROWS):
+        rows = min(SAMPLE_CHUNK_ROWS, count - start)
+        out[start:start + rows] = fold(start, rows)
+    return out
+
+
 def fold_paths(maps: Sequence[SimilarityMap], hull, paths: np.ndarray
                ) -> np.ndarray:
     """Float points of the (count, depth) map-index words `paths`: each
@@ -269,10 +285,15 @@ def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
     the counter based stream."""
     if depth is None:
         depth = sampling_depth([f.ratio for f in ifs.maps])
-    u = UniformStream(seed, "ifs-words", *labels).slice(0, count * depth)
-    words = np.searchsorted(cdf_thresholds(ifs.weights),
-                            u.reshape(count, depth), side="right")
-    return fold_paths(ifs.maps, ifs.attractor_hull(), words)
+    stream = UniformStream(seed, "ifs-words", *labels)
+    thresholds = cdf_thresholds(ifs.weights)
+    hull = ifs.attractor_hull()
+
+    def fold(start, rows):
+        u = stream.slice(start * depth, rows * depth).reshape(rows, depth)
+        return fold_paths(ifs.maps, hull,
+                          np.searchsorted(thresholds, u, side="right"))
+    return fold_in_chunks(count, fold)
 
 
 def iterate_ifs(ifs: SimilarityIFS, length: int,

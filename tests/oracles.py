@@ -11,13 +11,17 @@ evidence rather than circularity.
   * ks_between: two-sample Kolmogorov-Smirnov statistic.
   * greedy_digits_ok: the greedy-expansion inequalities at high precision,
     with beta from mpmath.polyroots.
+  * unit_disk_root_count: the exact Schur-Cohn count of roots inside the
+    unit circle, from sympy's characteristic polynomial.
+  * nearest_float_moduli: root moduli from mpmath.polyroots at 60 digits,
+    each rounded to the nearest float.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -152,6 +156,39 @@ def root_moduli(coeffs: Sequence[int]) -> List[float]:
     pair, largest first."""
     return sorted((abs(z) for z in np.roots(coeffs) if z.imag > -1e-9),
                   reverse=True)
+
+
+def unit_disk_root_count(coeffs: Sequence[int]) -> Optional[int]:
+    """Number of roots strictly inside the unit circle of the integer
+    polynomial `coeffs` (highest degree first), by Schur-Cohn: with A and B
+    the lower-triangular Toeplitz matrices whose first columns are
+    (a_0 .. a_{n-1}) and (a_n .. a_1), M = B^T B - A^T A is symmetric, and
+    when it is nonsingular its positive eigenvalues count the roots inside.
+    They are counted exactly, by Descartes' rule of signs on the
+    characteristic polynomial, which is exact when every root is real.
+    None when M is singular: a root on the circle, or two roots z, w with
+    z * conj(w) = 1."""
+    import sympy
+    a = list(reversed(coeffs))
+    n = len(a) - 1
+    A = sympy.Matrix(n, n, lambda i, j: a[i - j] if i >= j else 0)
+    B = sympy.Matrix(n, n, lambda i, j: a[n - i + j] if i >= j else 0)
+    char = (B.T * B - A.T * A).charpoly().all_coeffs()
+    if char[-1] == 0:
+        return None
+    signs = [c > 0 for c in char if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def nearest_float_moduli(coeffs: Sequence[int]) -> List[float]:
+    """Moduli of the polynomial's roots (highest degree first), one per
+    conjugate pair, largest first, from mpmath.polyroots at 60 digits and
+    each rounded to the nearest float."""
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=200)
+        tiny = mpmath.mpf(10) ** -40
+        return sorted((float(abs(z)) for z in roots
+                       if mpmath.im(z) > -tiny), reverse=True)
 
 
 def greedy_digits_ok(coeffs: Sequence[int], x: Sequence[Fraction],

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import betascenery as bs
-from oracles import STALLING_PISOT, root_moduli
+from oracles import (STALLING_PISOT, nearest_float_moduli, root_moduli,
+                     unit_disk_root_count)
 from betascenery import (
     AlgebraicNumber,
     BigReal,
@@ -69,6 +70,32 @@ class TestRoots:
         iso = isolate_real_roots(IntPolynomial((1, 0, 1)))
         assert iso.real_roots == []
         assert len(iso.complex_pairs) == 1
+
+    @pytest.mark.parametrize("poly", sorted(STALLING_PISOT))
+    def test_disks_hold_the_roots(self, poly):
+        coeffs = STALLING_PISOT[poly]
+        with mpmath.workdps(60):
+            upper = [z for z in mpmath.polyroots(coeffs, maxsteps=500,
+                                                 extraprec=200)
+                     if mpmath.im(z) > 1e-30]
+            disks = isolate_real_roots(IntPolynomial.parse(poly)).complex_pairs
+            assert len(disks) == len(upper)
+            for disk in disks:
+                center = mpmath.mpc(disk.re, disk.im) / disk.scale
+                inside = [z for z in upper
+                          if abs(z - center) <= mpmath.mpf(disk.radius) /
+                          disk.scale]
+                assert len(inside) == 1
+
+    def test_disk_check_refuses_bad_disks(self):
+        from betascenery.algebraics import roots
+        p = IntPolynomial.parse("x^3 - x - 1")
+        disk, = roots.complex_root_disks(p, 1, 64)
+        assert roots._certified([disk])
+        assert not roots._certified([disk, disk])           # overlapping
+        on_axis = roots._newton_disk(p, p.derivative(), disk.re, 0,
+                                     disk.scale)
+        assert not roots._certified([on_axis])
 
 
 class TestPisot:
@@ -236,6 +263,38 @@ class TestStallingPisot:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-9
+
+
+class TestDiskSweep:
+    """is_pisot against the Schur-Cohn count and the conjugate moduli
+    against mpmath, over random irreducible integer polynomials."""
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=6),
+           st.sampled_from([1, 1, 1, 2]))
+    @example([-1, -1, -1], 1)              # tribonacci
+    @example([-1, -1, -1, -1], 1)          # tetranacci
+    @example([-1, -1, -1, 1], 1)           # Salem: two roots on the circle
+    @example([-3, 1], 1)                   # x^2 - 3x + 1, self-reciprocal
+    @settings(max_examples=80, deadline=None)
+    def test_is_pisot_and_moduli(self, tail, lead):
+        coeffs = [lead] + tail                      # highest degree first
+        poly = IntPolynomial(tuple(reversed(coeffs)))
+        assume(tail[-1] != 0 and math.gcd(*coeffs) == 1 and
+               poly.is_irreducible())
+        try:
+            root = AlgebraicNumber.largest_root(poly)
+        except ValueError:                          # no real root
+            assume(False)
+        count = unit_disk_root_count(coeffs)
+        if count is not None:
+            # Pisot: an algebraic integer whose conjugates but one lie
+            # inside the circle, and that one exceeds 1, so that p(1) < 0
+            want = lead == 1 and count == poly.degree - 1 and sum(coeffs) < 0
+            assert is_pisot(root) == want
+        # the same floats whatever precision the isolation starts from
+        want = nearest_float_moduli(coeffs)
+        assert root.conjugates().conjugate_moduli() == want
+        assert isolate_real_roots(poly, precision=8).conjugate_moduli() == want
 
 
 class TestFieldEquality:

@@ -264,12 +264,12 @@ class TestLatticeOrbit:
     def test_largest_root_boxes_no_complex_root(self, monkeypatch):
         import betascenery.algebraics.roots as roots
         calls = []
-        count = roots._count_in_box
+        disks = roots.complex_root_disks
 
         def counting(*args):
             calls.append(args)
-            return count(*args)
-        monkeypatch.setattr(roots, "_count_in_box", counting)
+            return disks(*args)
+        monkeypatch.setattr(roots, "complex_root_disks", counting)
         base = BetaBase(named_constant("tribonacci"))
         beta_orbit(base, Fraction(1, 3), 100)
         parry_density(base)

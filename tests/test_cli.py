@@ -1,5 +1,7 @@
 """Command-line runner: reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import betascenery as bs
+from betascenery import cli
 from oracles import STALLING_PISOT, root_moduli
 
 
@@ -286,3 +290,93 @@ class TestExitCodes:
         "case", [c for c in NO_TRACEBACK if c not in ZERO_DIVISORS])
     def test_no_traceback(self, tmp_path, case):
         run_table_case(tmp_path, case)
+
+
+def run_in_process(args):
+    """Exit code and stderr of one CLI run in this process.  An exception
+    that escapes main, which the command line would print as a traceback,
+    propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(args)
+        except SystemExit as e:       # argparse usage errors
+            code = e.code
+    return code, err.getvalue()
+
+
+TETRANACCI = "x^4 - x^3 - x^2 - x - 1"
+
+
+def test_no_sympy_complex_root_counts(tmp_path, ifs_file, monkeypatch):
+    """Pisot bases are certified by inclusion disks: sympy's exact complex
+    root count is never called."""
+    from sympy.polys import rootisolation
+    calls = []
+    count = rootisolation.dup_count_complex_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+    monkeypatch.setattr(rootisolation, "dup_count_complex_roots", counting)
+    out = str(tmp_path / "out")
+    for base in ("tribonacci", "plastic", TETRANACCI):
+        for args in (["pisot", base], ["parry", "--beta", base],
+                     ["spectrum", str(ifs_file), "--beta", base]):
+            assert run_in_process(["--out-dir", out] + args) == (0, "")
+    assert calls == []
+
+
+def test_pisot_report_ends_on_a_float_tie(tmp_path):
+    """A conjugate modulus exactly halfway between two floats keeps the ends
+    of its enclosure on two floats at every precision; the report ends
+    anyway, with one of the two.  Here the complex pair of the irreducible
+    x^2 q(x + t^2/x), q(y) = y^2 - 2y - 1, lies on |z| = t = 1 + 2^-53."""
+    s, m = 2 ** 106, (2 ** 53 + 1) ** 2       # t^2 = m / s
+    poly = _poly_text([m * m, -2 * s * m, 2 * s * m - s * s, -2 * s * s,
+                       s * s])
+    out = tmp_path / "out"
+    assert run_in_process(["--out-dir", str(out), "pisot", poly]) == (0, "")
+    rep = json.loads((out / "pisot_report.json").read_text())
+    assert rep["results"]["conjugate_moduli"][1] in (1.0, 1.0 + 2.0 ** -52)
+
+
+def _poly_text(coeffs):
+    """sum_k coeffs[k] x^k as text, zero terms kept: '+ 1*x^0 - 2*x^1'."""
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x^{k}"
+                    for k, c in enumerate(coeffs))
+
+
+SCALAR_TEXT = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).map(str),
+    st.sampled_from(["golden", "sqrt2", "plastic", "1/0", "0/0", "x", "-x",
+                     "", "foo", "2.5", "1e3", "x^", "x^2 +", "nan", "inf"]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(_poly_text),
+    st.text(alphabet="x0123456789^+-*/ .", max_size=10))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "mt.json").write_text(MIDDLE_THIRDS)
+    return d
+
+
+@given(text=SCALAR_TEXT)
+@example(text="x^2 - 1")                       # reducible
+@example(text="0*x + 3")                       # constant
+@example(text="x^2 + 1")                       # no real root
+@example(text="x^4 + x^3 + x^2 + x + 1")       # self-reciprocal, no real root
+@example(text="x^4 - x^3 - x^2 - x + 1")       # self-reciprocal, Salem
+@example(text="x^2 - 3*x + 1")                 # self-reciprocal, Pisot
+@example(text="x^3 + x^2 + x + 1")             # self-reciprocal, reducible
+@settings(max_examples=60, deadline=None)
+def test_scalar_fuzz_exits_cleanly(fuzz_dir, text):
+    out = str(fuzz_dir / "out")
+    for args in (["pisot", text],
+                 ["normality", str(fuzz_dir / "mt.json"), "--beta", text,
+                  "--n-points", "1", "--n-digits", "20"]):
+        code, err = run_in_process(["--out-dir", out] + args)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in err
