@@ -8,7 +8,6 @@ from .algebraics import (
     ExactScalar,
     FieldElement,
     IndependentCertified,
-    IndependentUpTo,
     IntPolynomial,
     NumberField,
     is_pisot,

@@ -25,7 +25,6 @@ from .bigreal import BigReal
 from .multiplicative import (
     Dependent,
     IndependentCertified,
-    IndependentUpTo,
     Verdict,
     multiplicative_relation,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "BigReal",
     "Dependent",
     "IndependentCertified",
-    "IndependentUpTo",
     "Verdict",
     "multiplicative_relation",
 ]

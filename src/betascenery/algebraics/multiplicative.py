@@ -1,31 +1,34 @@
 """Exact detection of multiplicative relations |a|^q = |b|^p.
 
 Verdicts:
-  Dependent(p, q)        -- |a|^q equals |b|^p exactly, q > 0, gcd(|p|, q) = 1
-  IndependentCertified   -- no relation exists for any exponents (proved)
-  IndependentUpTo(bound) -- no relation with |p|, q <= bound (search exhausted)
+  Dependent(p, q)       -- |a|^q equals |b|^p exactly, q > 0, gcd(|p|, q) = 1
+  IndependentCertified  -- no relation exists for any exponents (proved); its
+                           reason names the rung that decided it
 
-The certification ladder:
-  * rational vs rational: prime exponent vectors; complete and exact.
-  * rational vs algebraic: if some power b^p0 is exactly rational (decided in
-    the number field), every relation factors through it and the rational
-    test is complete, so the verdict stays certified.  Otherwise, two
-    conjugates of b with certifiably distinct moduli prove b^p is irrational
-    for all p != 0 (b^p = r would put every conjugate on one circle), again
-    certified.  Only if both avenues fail does the verdict fall back to the
-    bounded search.
-  * algebraic vs algebraic: exponent pairs up to the bound are screened with
-    outward-rounded 192-bit log arithmetic (a nonzero screened difference is
-    a proof of inequality for that pair); surviving pairs get an exact
-    algebraic equality check.  Exhaustion yields IndependentUpTo.
+The certification ladder has two rungs, and both are complete:
+  * rational vs rational: prime exponent vectors.
+  * every pair with an irrational operand (a rational is the degree-1 case):
+    a height bound.  Suppose |a|^q = |b|^p with gcd(p, q) = 1 and take
+    s p + t q = 1.  Then z = |a|^s |b|^t gives |a| = z^p and |b| = z^q, so
+    q h(z) = h(b) for the absolute Weil height h.  z lies in Q(a, b), of
+    degree at most D = deg a * deg b >= 2, and is not a root of unity since
+    |b| != 1.  Voutier's Dobrowolski-type bound (P. Voutier, Acta Arith. 74,
+    1996), d h(z) >= 2 / (log 3d)^3 in degree d >= 2, falls with d, and a
+    rational z has h(z) >= log 2, which is larger; so h(z) >= h_min(D) =
+    2 / (D (log 3D)^3).  Landau's inequality M(P) <= ||P||_2 on the primitive
+    integer minimal polynomial P of b gives h(b) <= log ||P||_2 / deg b.
+    Hence q <= Q* = floor(h(b) / h_min(D)), with both bounds rounded outward
+    in interval arithmetic.  For each q <= Q* the only candidates for p are
+    the integers in a certified enclosure of q log|a| / log|b|, and each gets
+    an exact algebraic equality check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Union
+from typing import Tuple, Union
 
 from .algnum import AlgebraicNumber, FieldElement, monic_scaled_field
 from .bigreal import BigReal
@@ -48,15 +51,7 @@ class IndependentCertified:
         return f"IndependentCertified({self.reason})"
 
 
-@dataclass(frozen=True)
-class IndependentUpTo:
-    bound: int
-
-    def __str__(self):
-        return f"IndependentUpTo({self.bound})"
-
-
-Verdict = Union[Dependent, IndependentCertified, IndependentUpTo]
+Verdict = Union[Dependent, IndependentCertified]
 
 
 def _as_number(x):
@@ -84,7 +79,7 @@ def _prime_vector(q: Fraction) -> dict:
 
 
 def _normalize(p: int, q: int) -> Dependent:
-    g = gcd(abs(p), q)
+    g = math.gcd(abs(p), q)
     p, q = p // g, q // g
     if q < 0:
         p, q = -p, -q
@@ -94,57 +89,67 @@ def _normalize(p: int, q: int) -> Dependent:
 def _rat_rat(a: Fraction, b: Fraction) -> Verdict:
     va, vb = _prime_vector(a), _prime_vector(b)
     if set(va) != set(vb):
-        return IndependentCertified("prime supports differ")
+        return IndependentCertified("prime-exponent test: prime supports "
+                                    "differ")
     r0 = next(iter(vb))
     p, q = va[r0], vb[r0]
     if all(q * va[r] == p * vb[r] for r in vb):
         return _normalize(p, q)
-    return IndependentCertified("prime exponent vectors are not proportional")
+    return IndependentCertified("prime-exponent test: exponent vectors are "
+                                "not proportional")
 
 
-def _rational_power(a: AlgebraicNumber, bound: int):
-    """Least p in 1..bound with a^p rational, as (p, value), else None."""
-    field, c = monic_scaled_field(a)
-    beta = field.beta()
-    power = field.from_rational(1)
-    for p in range(1, bound + 1):
-        power = power * beta
-        r = power.to_rational()
-        if r is not None:
-            return p, r / Fraction(c) ** p
-    return None
+def _degree(x) -> int:
+    return 1 if isinstance(x, Fraction) else x.degree
 
 
-def _distinct_conjugate_moduli(a: AlgebraicNumber) -> bool:
-    """True if two conjugates of `a` have certifiably different moduli."""
-    iso = a.conjugates()
+def _exponent_bound(a, b) -> Tuple[int, int]:
+    """(D, Q*): the degree bound D = deg a * deg b and the exponent bound
+    Q* = floor(h(b) / h_min(D)) of the module docstring, with h(b) rounded
+    up and h_min(D) down.  D >= 2: one operand is irrational."""
+    D = _degree(a) * _degree(b)
+    coeffs = ((b.denominator, -b.numerator) if isinstance(b, Fraction)
+              else b.min_poly.coeffs)
+    h_b = BigReal.from_int(sum(c * c for c in coeffs)).log() / (2 * _degree(b))
+    log_3d = BigReal.from_int(3 * D).log()
+    h_min = 2 / (log_3d * log_3d * log_3d * D)
+    return D, math.floor((h_b / h_min).hi)
+
+
+def _log_abs(x) -> BigReal:
+    """log|x| enclosed away from 0 (|x| != 1), from 192 bits up."""
+    prec = 192
     while True:
-        bounds = iso.all_modulus_bounds()
-        for i in range(len(bounds)):
-            for j in range(i + 1, len(bounds)):
-                if bounds[i][1] < bounds[j][0] or bounds[j][1] < bounds[i][0]:
-                    return True
-        if iso.precision >= 512:   # equal moduli never separate
-            return False
-        iso = iso.refined()
+        if isinstance(x, Fraction):
+            log = BigReal.from_fraction(abs(x), prec).log()
+        else:
+            log = BigReal.from_algebraic(x.abs_value(), prec).log()
+        if not log.contains(0):
+            return log
+        prec *= 2
 
 
-def _log_abs(x, prec: int = 192) -> BigReal:
+def _abs_power(x, k: int) -> AlgebraicNumber:
+    """|x|^k as an algebraic number (k may be negative)."""
     if isinstance(x, Fraction):
-        return BigReal.from_fraction(abs(x), prec).log()
-    return BigReal.from_algebraic(x.abs_value(), prec).log()
+        return AlgebraicNumber.from_rational(abs(x) ** k)
+    field, c = monic_scaled_field(x.abs_value())
+    return ((field.beta() * Fraction(1, c)) ** k).to_algebraic()
 
 
-def _abs_power_algebraic(a: AlgebraicNumber, k: int) -> AlgebraicNumber:
-    """|a|^k as an algebraic number (k may be negative)."""
-    field, c = monic_scaled_field(a.abs_value())
-    elem = field.beta() ** abs(k) / Fraction(c) ** abs(k)
-    if k < 0:
-        elem = elem.inverse()
-    return elem.to_algebraic()
+def _height_rung(a, b) -> Verdict:
+    D, q_max = _exponent_bound(a, b)
+    ratio = _log_abs(a) / _log_abs(b)
+    for q in range(1, q_max + 1):
+        t = ratio * q
+        for p in range(math.ceil(t.lo), math.floor(t.hi) + 1):
+            if _abs_power(a, q).equals(_abs_power(b, p)):
+                return _normalize(p, q)
+    return IndependentCertified(
+        f"height bound: no relation with q <= {q_max} (D = {D})")
 
 
-def multiplicative_relation(a, b, search_bound: int = 64) -> Verdict:
+def multiplicative_relation(a, b) -> Verdict:
     """Decide whether |a| and |b| are multiplicatively dependent.
 
     Accepts ints, Fractions, AlgebraicNumbers, and FieldElements.  Raises
@@ -155,60 +160,6 @@ def multiplicative_relation(a, b, search_bound: int = 64) -> Verdict:
     for name, x in (("a", a), ("b", b)):
         if isinstance(x, Fraction) and abs(x) in (0, 1):
             raise ValueError(f"|{name}| is {abs(x)}; relation is degenerate")
-
-    a_rat = isinstance(a, Fraction)
-    b_rat = isinstance(b, Fraction)
-
-    if a_rat and b_rat:
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
         return _rat_rat(abs(a), abs(b))
-
-    if a_rat:
-        # |a|^q = |b|^p with a rational, b algebraic: direct orientation.
-        return _rat_alg(abs(a), b, search_bound)
-
-    if b_rat:
-        # _rat_alg decides |b|^q' = |a|^p'; transpose the exponents.
-        verdict = _rat_alg(abs(b), a, search_bound)
-        if isinstance(verdict, Dependent):
-            p, q = verdict.q, verdict.p
-            if q < 0:
-                p, q = -p, -q
-            return _normalize(p, q)
-        return verdict
-
-    return _alg_alg(a, b, search_bound)
-
-
-def _rat_alg(r: Fraction, alpha: AlgebraicNumber, bound: int) -> Verdict:
-    """Relation |r|^q = |alpha|^p for rational r, algebraic irrational alpha."""
-    hit = _rational_power(alpha.abs_value(), bound)
-    if hit is not None:
-        p0, value = hit
-        inner = _rat_rat(r, abs(value))
-        if isinstance(inner, Dependent):
-            # |r|^q = |alpha^p0|^k = |alpha|^(p0 k)
-            return _normalize(p0 * inner.p, inner.q)
-        return IndependentCertified(
-            f"alpha^{p0} is rational and prime-exponent test refutes "
-            "any relation through it")
-    if _distinct_conjugate_moduli(alpha):
-        return IndependentCertified(
-            "two conjugates have distinct moduli, so no power of alpha "
-            "is rational")
-    return IndependentUpTo(bound)
-
-
-def _alg_alg(a: AlgebraicNumber, b: AlgebraicNumber, bound: int) -> Verdict:
-    la = _log_abs(a)
-    lb = _log_abs(b)
-    for q in range(1, bound + 1):
-        for p_abs in range(1, bound + 1):
-            for p in (p_abs, -p_abs):
-                sign = (la * q - lb * p).sign_certain()
-                if sign is not None and sign != 0:
-                    continue
-                x = _abs_power_algebraic(a, q)
-                y = _abs_power_algebraic(b, p)
-                if x.min_poly == y.min_poly and x.equals(y):
-                    return _normalize(p, q)
-    return IndependentUpTo(bound)
+    return _height_rung(a, b)

@@ -35,6 +35,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -515,32 +516,27 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     rank = {z: j for j, z in enumerate(breakpoints)}
     ranks = [rank[z] for z in orbit]
 
-    # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j;
-    # the terms from `head` on repeat with period n_terms - head
+    # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j,
+    # a suffix sum over the ranks above j; the terms from `head` on repeat
+    # with period k = n_terms - head, so each carries 1/(1 - beta^-k)
     powers = []
     p = orbit[0]
     for _ in range(n_terms):
         powers.append(p)
         p = p * beta_inv
-
-    def above(j, terms):
-        total = powers[0] * 0
-        for n in terms:
-            if ranks[n] > j:
-                total = total + powers[n]
-        return total
-    raw = []
-    for j in range(len(breakpoints) - 1):
-        total = above(j, range(head))
-        if head < n_terms:
-            total = total + above(j, range(head, n_terms)) / \
-                (1 - powers[n_terms - head])
-        raw.append(total)
+    if head < n_terms:
+        scale = 1 / (1 - powers[n_terms - head])
+        powers[head:] = [w * scale for w in powers[head:]]
+    at_rank = [orbit[0] * 0] * len(breakpoints)
+    for r, w in zip(ranks, powers):
+        at_rank[r] = at_rank[r] + w
+    raw = list(accumulate(reversed(at_rank[1:])))[::-1]
 
     normalizer = raw[0] * 0
     for j, v in enumerate(raw):
         normalizer = normalizer + v * (breakpoints[j + 1] - breakpoints[j])
-    values = tuple(v / normalizer for v in raw)
+    inverse = 1 / normalizer
+    values = tuple(v * inverse for v in raw)
 
     if cycle is not None:
         tail = 0.0

@@ -25,8 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .algebraics import (AlgebraicNumber, Dependent, IndependentCertified,
-                         IntPolynomial, is_pisot,
+from .algebraics import (AlgebraicNumber, Dependent, IntPolynomial, is_pisot,
                          multiplicative_relation, named_constant,
                          parse_scalar, scalar_to_str)
 from .beta_numeration import (BetaBase, beta_orbit,
@@ -42,6 +41,16 @@ from .selfsimilar import SimilarityIFS, SimilarityMap, sample_measure
 
 class CliError(Exception):
     """User-facing error: bad input, missing file, rejected precondition."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so that it exits 1 like every
+    other bad input; argparse alone would exit 2, the code of a failed
+    tolerance check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
 
 
 # -- plumbing -------------------------------------------------------------------
@@ -87,22 +96,25 @@ def _parse_beta(text: str) -> BetaBase:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"{path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _load_ifs(doc: dict, path: str) -> SimilarityIFS:
-    if "maps" not in doc:
+    if not isinstance(doc.get("maps"), list):
         raise CliError(f"{path}: expected an object with a 'maps' list")
     maps = []
     for k, entry in enumerate(doc["maps"]):
         try:
             maps.append(SimilarityMap(parse_scalar(str(entry["s"])),
                                       parse_scalar(str(entry["t"]))))
-        except (KeyError, ValueError, ZeroDivisionError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise CliError(f"{path}: map {k}: {e}") from e
     try:
         weights = None
@@ -224,8 +236,7 @@ def cmd_model(args) -> int:
         base = _parse_beta(args.beta)
         table = []
         for j, comp in enumerate(model.components):
-            verdict = multiplicative_relation(abs(comp.ratio), base.beta,
-                                              search_bound=args.search_bound)
+            verdict = multiplicative_relation(abs(comp.ratio), base.beta)
             table.append({"component": j,
                           "ratio": scalar_to_str(comp.ratio),
                           **_verdict_doc(verdict)})
@@ -233,16 +244,14 @@ def cmd_model(args) -> int:
         results["relation_table"] = table
     model_path = os.path.join(args.out_dir, "model.json")
     _write(model_path, model.to_json() + "\n")
-    cfg = _config_echo(args, ["ifs", "max_length", "beta", "search_bound"])
+    cfg = _config_echo(args, ["ifs", "max_length", "beta"])
     return _finish(args, "model", cfg, results, [], [model_path], t0)
 
 
 def _verdict_doc(v) -> dict:
     if isinstance(v, Dependent):
         return {"verdict": "dependent", "p": v.p, "q": v.q}
-    if isinstance(v, IndependentCertified):
-        return {"verdict": "independent_certified", "reason": v.reason}
-    return {"verdict": "independent_up_to", "bound": v.bound}
+    return {"verdict": "independent_certified", "reason": v.reason}
 
 
 def cmd_sample(args) -> int:
@@ -456,12 +465,11 @@ def cmd_spectrum(args) -> int:
         if not base.pisot:
             raise CliError(f"base {btext!r} is not Pisot; the obstruction "
                            "argument does not apply")
-        verdict = spectrum_obstruction(model, base,
-                                       search_bound=args.search_bound)
+        verdict = spectrum_obstruction(model, base)
         if isinstance(verdict, NormalityImplied):
             table.append({"beta": btext, "verdict": "normality_implied",
                           "component": verdict.component,
-                          "evidence": verdict.evidence,
+                          "evidence": "certified",
                           "explanation": verdict.explanation})
         else:
             table.append({"beta": btext, "verdict": "inconclusive",
@@ -470,7 +478,7 @@ def cmd_spectrum(args) -> int:
                               {"component": j, **_verdict_doc(d)}
                               for j, d in verdict.relations]})
     results = {"table": table}
-    cfg = _config_echo(args, ["model", "beta", "search_bound"])
+    cfg = _config_echo(args, ["model", "beta"])
     return _finish(args, "spectrum", cfg, results, [], [], t0)
 
 
@@ -478,7 +486,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="betascenery",
         description="Deterministic experiments on self-similar measures, "
                     "greedy beta-expansions, and magnification dynamics.")
@@ -506,7 +514,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--max-length", type=int, default=8)
     s.add_argument("--beta", type=str, default=None,
                    help="also report ratio-vs-base relation verdicts")
-    s.add_argument("--search-bound", type=int, default=64)
     s.set_defaults(func=cmd_model)
 
     s = add_parser("sample", help="draw from the self-similar measure")
@@ -556,13 +563,11 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     s = add_parser("spectrum", help="arithmetic obstruction verdicts")
     s.add_argument("model")
     s.add_argument("--beta", action="append", default=None)
-    s.add_argument("--search-bound", type=int, default=64)
     s.set_defaults(func=cmd_spectrum)
     return p, registry
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parse(argv: List[str]) -> argparse.Namespace:
     parser, registry = _build_parser()
     # a --config file supplies defaults; explicit flags still win
     probe, _ = parser.parse_known_args(argv)
@@ -578,14 +583,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sp.set_defaults(**{k: v for k, v in cfg.items()
                                if k not in drop and
                                any(a.dest == k for a in sp._actions)})
-    args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
+    return parser.parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        args = _parse(argv)
+        os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (CliError, OSError, ValueError, TypeError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

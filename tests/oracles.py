@@ -15,6 +15,8 @@ evidence rather than circularity.
     unit circle, from sympy's characteristic polynomial.
   * nearest_float_moduli: root moduli from mpmath.polyroots at 60 digits,
     each rounded to the nearest float.
+  * pslq_relation: an integer relation between log|a| and log|b| from
+    mpmath.pslq at 100 digits.
 """
 
 from __future__ import annotations
@@ -220,3 +222,27 @@ def greedy_digits_ok(coeffs: Sequence[int], x: Sequence[Fraction],
             if r < -slack or r >= scale + slack:
                 return False
     return True
+
+
+def pslq_relation(a, b, maxcoeff: int) -> Optional[Tuple[int, int]]:
+    """(p, q) with |a|^q = |b|^p, q > 0, from mpmath.pslq on
+    [log|a|, log|b|] at 100 digits; None when it finds no relation with
+    |p|, |q| <= maxcoeff.  An operand is a Fraction, or a list of integer
+    coefficients (highest degree first) standing for the largest real root
+    of that polynomial.  mpmath's maxcoeff bounds the 2-norm of the
+    relation, which is at most sqrt(2) maxcoeff."""
+    with mpmath.workdps(100):
+        logs = []
+        for x in (a, b):
+            if isinstance(x, Fraction):
+                value = mpmath.mpf(x.numerator) / x.denominator
+            else:
+                value = max(mpmath.re(z) for z in
+                            mpmath.polyroots(x, maxsteps=500, extraprec=300)
+                            if abs(mpmath.im(z)) < mpmath.mpf(10) ** -80)
+            logs.append(mpmath.log(abs(value)))
+        rel = mpmath.pslq(logs, maxcoeff=2 * maxcoeff, maxsteps=10 ** 5)
+    if rel is None:
+        return None
+    q, p = rel[0], -rel[1]
+    return (p, q) if q > 0 else (-p, -q)

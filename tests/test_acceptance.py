@@ -225,7 +225,8 @@ def test_08_obstruction_verdicts(middle_thirds_model, golden_base):
             v = bs.spectrum_obstruction(model, base)
             if isinstance(v, bs.NormalityImplied):
                 got[(mname, bname)] = "implied"
-                certified_rows += (v.evidence == "certified")
+                certified_rows += isinstance(v.witness,
+                                             bs.IndependentCertified)
             else:
                 got[(mname, bname)] = "inconclusive"
                 inconclusive_rows += 1

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import betascenery as bs
-from oracles import (STALLING_PISOT, nearest_float_moduli, root_moduli,
-                     unit_disk_root_count)
+from oracles import (STALLING_PISOT, nearest_float_moduli, pslq_relation,
+                     root_moduli, unit_disk_root_count)
 from betascenery import (
     AlgebraicNumber,
     BigReal,
     Dependent,
     IndependentCertified,
-    IndependentUpTo,
     IntPolynomial,
     NumberField,
     is_pisot,
@@ -27,6 +26,8 @@ from betascenery import (
     parse_scalar,
     scalar_to_str,
 )
+from betascenery.algebraics import monic_scaled_field
+from betascenery.algebraics.multiplicative import _exponent_bound
 
 
 # certified float values of the named constants (independent references)
@@ -130,6 +131,39 @@ class TestPisot:
         assert not is_pisot(Fraction(3, 2))
 
 
+# Pairs (a, b) checked against mpmath.pslq: a rational, or a polynomial
+# standing for its largest real root.
+RELATION_TABLE = [
+    ("1/2", "x^2 - 2"),                           # (1/2)^1 = sqrt2^-2
+    ("1/3", "x^2 - x - 1"),
+    ("1/3", "x^3 - x - 1"),
+    ("1/4", "x^4 - 2"),                           # (1/4)^1 = (2^1/4)^-8
+    ("x^2 - x - 1", "2"),
+    ("x^2 + x - 1", "x^2 - x - 1"),               # 1/golden, golden
+    ("x^2 - 3*x + 1", "x^2 - 4*x - 1"),           # golden^2, golden^3
+    ("x^2 + x - 1", "x^3 - x^2 - x - 1"),
+    ("x^3 - x - 1", "x^3 - x^2 - x - 1"),
+    ("x^3 - x - 1", "x^3 - 3*x^2 + 2*x - 1"),     # plastic, plastic^3
+    ("x^3 - 2", "x^2 - 2"),                       # 2^1/3, 2^1/2
+    ("x^3 - x^2 - x - 1", "x^4 - x^3 - x^2 - x - 1"),
+    ("x^4 - 2", "x^2 - 2"),                       # 2^1/4, 2^1/2
+    ("x^4 - 4*x^2 + 2", "x^2 - 2"),
+    ("x^4 - x^3 - x^2 - x - 1", "x^2 - 3*x + 1"),
+]
+
+
+def _relation_operand(text):
+    if "x" in text:
+        return AlgebraicNumber.largest_root(IntPolynomial.parse(text))
+    return Fraction(text)
+
+
+def _oracle_operand(text):
+    if "x" in text:
+        return list(reversed(IntPolynomial.parse(text).coeffs))
+    return Fraction(text)
+
+
 class TestMultiplicativeRelation:
     def test_power_relations(self):
         v = multiplicative_relation(Fraction(1, 3), 3)
@@ -148,7 +182,11 @@ class TestMultiplicativeRelation:
         v = multiplicative_relation(Fraction(2, 3), 2)
         assert isinstance(v, IndependentCertified)
         v = multiplicative_relation(Fraction(1, 2), 3)
-        assert isinstance(v, IndependentCertified)
+        assert v == IndependentCertified(
+            "prime-exponent test: prime supports differ")
+        v = multiplicative_relation(Fraction(4, 9), Fraction(2, 27))
+        assert v == IndependentCertified(
+            "prime-exponent test: exponent vectors are not proportional")
 
     def test_same_algebraic(self):
         g = named_constant("golden")
@@ -157,11 +195,11 @@ class TestMultiplicativeRelation:
         assert (v.p, v.q) == (1, 1)
 
     def test_rational_vs_golden(self):
-        # 1/2 and the golden number share no power relation; at minimum the
-        # search must not fabricate one
+        # h(golden) <= log(sqrt 3) / 2 and h_min(2) = 1 / (log 6)^3 leave
+        # q = 1 alone, and (1/2)^1 is no power of the golden number
         v = multiplicative_relation(Fraction(1, 2), named_constant("golden"))
-        assert isinstance(v, (IndependentCertified, IndependentUpTo))
-        assert not isinstance(v, Dependent)
+        assert v == IndependentCertified(
+            "height bound: no relation with q <= 1 (D = 2)")
 
     def test_golden_powers(self):
         g = named_constant("golden")
@@ -169,6 +207,55 @@ class TestMultiplicativeRelation:
         v = multiplicative_relation(sq, g)
         assert isinstance(v, Dependent)
         assert v.q * 2 == v.p  # sq^q = g^(2q)
+
+    @pytest.mark.parametrize("a,b", RELATION_TABLE)
+    def test_agrees_with_pslq(self, a, b):
+        x, y = _relation_operand(a), _relation_operand(b)
+        # every relation has |p|, |q| <= the larger of the two bounds
+        bound = max(_exponent_bound(x, y)[1], _exponent_bound(y, x)[1])
+        want = pslq_relation(_oracle_operand(a), _oracle_operand(b), bound)
+        v = multiplicative_relation(x, y)
+        if want is None:
+            assert isinstance(v, IndependentCertified)
+            assert v.reason.startswith("height bound: ")
+        else:
+            assert v == Dependent(*want)
+
+    @pytest.mark.parametrize("a,b", RELATION_TABLE)
+    def test_exponent_bound_formula(self, a, b):
+        # Q* = floor(h(b) / h_min(D)) in floats, with h(b) from the 2-norm of
+        # b's minimal polynomial; outward rounding may add at most one
+        x, y = _relation_operand(a), _relation_operand(b)
+        coeffs = _oracle_operand(b)
+        if isinstance(coeffs, Fraction):
+            coeffs = [coeffs.denominator, -coeffs.numerator]
+        deg = len(coeffs) - 1
+        D = deg * (len(_oracle_operand(a)) - 1
+                   if isinstance(x, AlgebraicNumber) else 1)
+        h_b = math.log(math.sqrt(sum(c * c for c in coeffs))) / deg
+        q_max = math.floor(h_b / (2 / (D * math.log(3 * D) ** 3)))
+        got_D, got_q = _exponent_bound(x, y)
+        assert got_D == D and got_q in (q_max, q_max + 1)
+
+    @given(coeffs=st.lists(st.integers(-4, 4), min_size=3, max_size=4),
+           m=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+           n=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    @example(coeffs=[-1, -1, 1], m=2, n=3)        # golden^2, golden^3
+    @example(coeffs=[-1, -1, 0, 1], m=-3, n=2)    # plastic^-3, plastic^2
+    @settings(max_examples=20, deadline=None)
+    def test_powers_of_one_number_are_dependent(self, coeffs, m, n):
+        # (|alpha|^m, |alpha|^n) has the relation p/q = m/n, whatever the
+        # height bound: a bound that undercuts q would miss it
+        assume(coeffs[-1] != 0 and coeffs[0] != 0)
+        try:
+            alpha = AlgebraicNumber.largest_root(IntPolynomial(tuple(coeffs)))
+        except ValueError:                 # reducible, or no real root
+            assume(False)
+        field, c = monic_scaled_field(alpha)
+        x = abs(field.beta() / c)
+        v = multiplicative_relation(x ** m, x ** n)
+        assert isinstance(v, Dependent)
+        assert Fraction(v.p, v.q) == Fraction(m, n)
 
     @given(st.integers(2, 60), st.integers(2, 60))
     @settings(max_examples=40, deadline=None)

@@ -350,6 +350,25 @@ class TestParryDensity:
         assert pd.tail_bound > 0
         assert pd.truncated_at == 64
 
+    def test_piece_sums_grow_linearly(self, monkeypatch):
+        # each piece value is a suffix sum over the ranks of the orbit
+        # points, so the exact additions grow linearly with the orbit length
+        # (one sum over the orbit per piece would grow quadratically)
+        adds = []
+        add = Fraction.__add__
+
+        def counting(x, y):
+            adds.append(1)
+            return add(x, y)
+        monkeypatch.setattr(Fraction, "__add__", counting)
+        counts = {}
+        for n in (128, 256):
+            adds.clear()
+            parry_density(BetaBase(Fraction(3, 2)), truncation=n)
+            counts[n] = len(adds)
+        assert counts[256] <= 2 * counts[128] + 2
+        assert counts[256] < 4 * 256
+
     def test_cdf_properties(self, golden_base):
         pd = parry_density(golden_base)
         xs = np.linspace(0, 1, 501)

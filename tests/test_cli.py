@@ -60,6 +60,14 @@ for _poly in STALLING_PISOT:
         {"mt.json": MIDDLE_THIRDS},
         ["normality", "mt.json", "--beta", _poly, "--n-points", "2",
          "--n-digits", "50"], 0)
+NO_TRACEBACK["config-missing"] = ({}, ["--config", "nosuch.json", "pisot",
+                                      "golden"], 1)
+NO_TRACEBACK["config-not-object"] = ({"c.json": "[1]"},
+                                     ["--config", "c.json", "pisot", "golden"],
+                                     1)
+NO_TRACEBACK["out-dir-is-a-file"] = ({"afile": "x"},
+                                     ["--out-dir", "afile", "pisot", "golden"],
+                                     1)
 ZERO_DIVISORS = ["ifs-t-golden/0", "ifs-s-1/0", "beta-1/0", "expand-x-1/0"]
 
 
@@ -224,6 +232,21 @@ class TestDeterminism:
         assert (tmp_path / "a" / "scenery_report.json").read_bytes() == \
                (tmp_path / "b" / "scenery_report.json").read_bytes()
 
+    def test_report_with_search_bound_replays(self, tmp_path, ifs_file):
+        # reports written before the height bound echo "search_bound": 64;
+        # the key names no option any more and is ignored on replay
+        r = run_cli(["--out-dir", "a", "spectrum", ifs_file.name,
+                     "--beta", "2", "--beta", "golden"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        rep = json.loads((tmp_path / "a" / "spectrum_report.json").read_text())
+        rep["config"]["search_bound"] = 64
+        (tmp_path / "old.json").write_text(json.dumps(rep))
+        r2 = run_cli(["--config", "old.json", "--out-dir", "b", "spectrum",
+                      ifs_file.name], tmp_path)
+        assert r2.returncode == 0, r2.stderr
+        assert (tmp_path / "a" / "spectrum_report.json").read_bytes() == \
+               (tmp_path / "b" / "spectrum_report.json").read_bytes()
+
     def test_explicit_flag_beats_config(self, tmp_path, ifs_file):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"count": 100, "seed": 3}))
@@ -282,6 +305,25 @@ class TestExitCodes:
         assert r.returncode == 1
         assert "error:" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["pisot", "golden", "--bogus"],
+        ["parry", "--beta", "golden", "--truncation", "abc"],
+        ["model", "mt.json", "--beta", "2", "--search-bound", "64"],
+        ["spectrum", "mt.json", "--beta", "2", "--search-bound", "64"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_is_exit_1(self, tmp_path, ifs_file, args):
+        # exit 2 means a failed tolerance check, never a bad command line
+        code, err = run_in_process(
+            ["--out-dir", str(tmp_path / "out")] +
+            [str(ifs_file) if a == "mt.json" else a for a in args])
+        assert code == 1
+        assert "usage:" in err and "error:" in err
+
+    def test_help_is_exit_0(self):
+        assert run_in_process(["--help"]) == (0, "")
+        assert run_in_process(["spectrum", "--help"]) == (0, "")
+
     @pytest.mark.parametrize("case", ZERO_DIVISORS)
     def test_zero_divisor_is_exit_1(self, tmp_path, case):
         run_table_case(tmp_path, case)
@@ -301,7 +343,7 @@ def run_in_process(args):
             contextlib.redirect_stdout(io.StringIO()):
         try:
             code = cli.main(args)
-        except SystemExit as e:       # argparse usage errors
+        except SystemExit as e:       # --help
             code = e.code
     return code, err.getvalue()
 
@@ -377,6 +419,55 @@ def test_scalar_fuzz_exits_cleanly(fuzz_dir, text):
     for args in (["pisot", text],
                  ["normality", str(fuzz_dir / "mt.json"), "--beta", text,
                   "--n-points", "1", "--n-digits", "20"]):
+        code, err = run_in_process(["--out-dir", out] + args)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in err
+
+
+# Contracting ratios, shifts and malformed values for IFS documents.  Most
+# documents are well formed, so that most runs build a model.
+IFS_RATIO = st.sampled_from(["1/2", "1/3", "-1/3", "2/5", "1/golden",
+                             "-1/golden", "1/plastic", "1/tribonacci",
+                             "1/sqrt2"])
+IFS_SHIFT = st.fractions(min_value=0, max_value=1, max_denominator=6).map(str)
+IFS_BAD = st.one_of(
+    st.sampled_from(["0", "1", "-1", "golden", "3/2", "golden/0", "1/0", "x",
+                     ""]),
+    st.integers(-2, 2), st.none(), st.lists(st.integers(0, 1), max_size=2))
+IFS_MAPS = st.lists(st.fixed_dictionaries({"s": IFS_RATIO, "t": IFS_SHIFT}),
+                    min_size=2, max_size=3)
+IFS_BAD_MAP = st.one_of(
+    st.fixed_dictionaries({"s": st.one_of(IFS_RATIO, IFS_BAD),
+                           "t": st.one_of(IFS_SHIFT, IFS_RATIO, IFS_BAD)}),
+    st.fixed_dictionaries({"s": IFS_RATIO}), IFS_BAD)
+IFS_DOC = st.one_of(
+    st.fixed_dictionaries({"maps": IFS_MAPS}),
+    st.fixed_dictionaries({"maps": IFS_MAPS},
+                          optional={"weights": st.lists(IFS_SHIFT,
+                                                        max_size=3)}),
+    st.fixed_dictionaries({"maps": st.lists(IFS_BAD_MAP, max_size=3),
+                           "weights": st.lists(st.one_of(IFS_SHIFT, IFS_BAD),
+                                               max_size=3)}),
+    st.fixed_dictionaries({"maps": IFS_BAD}), IFS_BAD)
+IFS_BASE = st.sampled_from(["2", "3/2", "golden", "plastic", "tribonacci",
+                            "x^2 - 2", "x^2 - x - 3", "1", "1/2", "x^2 + 1"])
+
+
+@given(doc=IFS_DOC, base=IFS_BASE)
+@example(doc={"maps": [{"s": "1/golden", "t": "0"},
+                       {"s": "1/golden", "t": "1/3"}]}, base="plastic")
+@example(doc={"maps": [{"s": "0", "t": "0"}]}, base="2")
+@example(doc={"maps": [{"s": "1", "t": "0"}]}, base="2")
+@example(doc={"maps": [{"s": "1/golden", "t": "0"},
+                       {"s": "1/plastic", "t": "1"}]}, base="golden")
+@settings(max_examples=40, deadline=None)
+def test_ifs_fuzz_exits_cleanly(fuzz_dir, doc, base):
+    """Generated IFS documents through model --beta and spectrum --beta."""
+    path = fuzz_dir / "ifs.json"
+    path.write_text(json.dumps(doc))
+    out = str(fuzz_dir / "out")
+    for args in (["model", str(path), "--beta", base],
+                 ["spectrum", str(path), "--beta", base]):
         code, err = run_in_process(["--out-dir", out] + args)
         assert code in (0, 1, 2), (args, code, err)
         assert "Traceback" not in err

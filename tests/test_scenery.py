@@ -351,7 +351,8 @@ class TestSpectrum:
     def test_middle_thirds_base_two_certified(self, middle_thirds_model):
         v = spectrum_obstruction(middle_thirds_model, BetaBase(2))
         assert isinstance(v, NormalityImplied)
-        assert v.evidence in ("certified", "bounded")
+        assert v.witness == bs.IndependentCertified(
+            "prime-exponent test: prime supports differ")
 
     def test_middle_thirds_base_three_obstructed(self, middle_thirds_model):
         v = spectrum_obstruction(middle_thirds_model, BetaBase(3))
@@ -362,6 +363,20 @@ class TestSpectrum:
         v = spectrum_obstruction(middle_thirds_model,
                                  BetaBase(named_constant("golden")))
         assert isinstance(v, NormalityImplied)
+
+    @pytest.mark.parametrize("name,q_max", [("tribonacci", 16),
+                                            ("plastic", 13)])
+    def test_golden_ratio_maps_certified_against_cubics(self, name, q_max):
+        # |1/golden| against a cubic Pisot base: the height bound with
+        # D = 2 * 3 proves independence
+        ifs = bs.SimilarityIFS(
+            [bs.SimilarityMap(bs.parse_scalar("1/golden"), Fraction(0)),
+             bs.SimilarityMap(bs.parse_scalar("1/golden"), Fraction(1, 3))])
+        v = spectrum_obstruction(build_model(ifs),
+                                 BetaBase(named_constant(name)))
+        assert isinstance(v, NormalityImplied)
+        assert v.witness == bs.IndependentCertified(
+            f"height bound: no relation with q <= {q_max} (D = 6)")
 
     def test_dyadic_pair_base_two_obstructed(self):
         ifs = bs.SimilarityIFS(
