@@ -68,6 +68,7 @@ from .scenery import (
     scenery_orbit,
     spectrum_obstruction,
     window_of_state,
+    windows_of_states,
 )
 from .rng import UniformStream, derive_key, generator
 

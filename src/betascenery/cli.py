@@ -571,19 +571,27 @@ def _parse(argv: List[str]) -> argparse.Namespace:
     parser, registry = _build_parser()
     # a --config file supplies defaults; explicit flags still win
     probe, _ = parser.parse_known_args(argv)
-    if probe.config:
-        cfg = _load_json(probe.config)
-        if isinstance(cfg.get("config"), dict):
-            cfg = cfg["config"]   # a full report echoes its config here
-        drop = ("command", "config", "func")
-        top = {a.dest for a in parser._actions}
-        parser.set_defaults(**{k: v for k, v in cfg.items()
-                               if k in top and k not in drop})
-        for sp in registry.values():
-            sp.set_defaults(**{k: v for k, v in cfg.items()
-                               if k not in drop and
-                               any(a.dest == k for a in sp._actions)})
-    return parser.parse_args(argv)
+    if not probe.config:
+        return parser.parse_args(argv)
+    cfg = _load_json(probe.config)
+    if isinstance(cfg.get("config"), dict):
+        cfg = cfg["config"]   # a full report echoes its config here
+    cfg = {k: v for k, v in cfg.items()
+           if k not in ("command", "config", "func")}
+    for p in [parser, *registry.values()]:
+        p.set_defaults(**{a.dest: cfg[a.dest] for a in p._actions
+                          if a.dest in cfg and not _repeatable(a)})
+    args = parser.parse_args(argv)
+    # argparse appends explicit values of a repeatable flag to its default,
+    # so the config's list fills such a flag only when it is not given
+    for a in registry[args.command]._actions:
+        if _repeatable(a) and a.dest in cfg and getattr(args, a.dest) is None:
+            setattr(args, a.dest, cfg[a.dest])
+    return args
+
+
+def _repeatable(action: argparse.Action) -> bool:
+    return isinstance(action, argparse._AppendAction)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

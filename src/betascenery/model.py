@@ -362,7 +362,10 @@ class Word:
     __slots__ = ("_root", "_offset", "_buf", "_source")
 
     def __init__(self, head: Sequence[int] = (), source=None):
-        self._root = self
+        # a shifted view's root word; None on the root itself, which as its
+        # own root would be a reference cycle that only the cycle collector
+        # frees, long after a batch of windows has dropped its words
+        self._root = None
         self._offset = 0
         self._buf = np.array(head, dtype=np.int64)
         self._source = source
@@ -390,9 +393,10 @@ class Word:
 
     def symbol(self, k: int) -> int:
         j = self._offset + k
-        buf = self._root._buf
+        root = self._root or self
+        buf = root._buf
         if j >= buf.size:
-            buf = self._root._grow(j + 1)
+            buf = root._grow(j + 1)
             if j >= buf.size:
                 raise IndexError(
                     f"symbol sequence exhausted at position {j}; supply a "
@@ -403,11 +407,11 @@ class Word:
         """The n symbols from position start on, fewer where the word
         ends."""
         j = self._offset + start
-        return self._root._grow(j + n)[j:j + n].copy()
+        return (self._root or self)._grow(j + n)[j:j + n].copy()
 
     def shift(self, m: int) -> "Word":
         out = object.__new__(Word)
-        out._root = self._root
+        out._root = self._root or self
         out._offset = self._offset + m
         return out
 

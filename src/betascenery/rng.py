@@ -49,8 +49,8 @@ class UniformStream:
     ``stream[i]`` is a float in [0, 1) depending only on (seed, labels, i).
     Blocks of 1024 draws are generated on demand from Philox with the block
     index placed in the counter.  Blocks read by index are cached; a slice
-    generates its blocks afresh and keeps none, so bulk draws read in chunks
-    hold no more than one chunk.
+    generates its blocks afresh, from one generator, and keeps none, so bulk
+    draws read in chunks hold no more than one chunk.
     """
 
     __slots__ = ("_key", "_blocks")
@@ -76,12 +76,18 @@ class UniformStream:
     def slice(self, start: int, count: int) -> np.ndarray:
         """Uniforms at indices start .. start+count-1 as an array."""
         out = np.empty(count)
+        b, r = divmod(start, _BLOCK)
+        bitgen = Philox(key=self._key, counter=b << 64)
+        gen = Generator(bitgen)
         filled = 0
         while filled < count:
-            b, r = divmod(start + filled, _BLOCK)
+            if filled:
+                # a block is 256 Philox counter steps; skip to the next one
+                bitgen.advance(2 ** 64 - _BLOCK // 4)
             take = min(_BLOCK - r, count - filled)
-            out[filled:filled + take] = self._generate(b)[r:r + take]
+            out[filled:filled + take] = gen.random(_BLOCK)[r:r + take]
             filled += take
+            r = 0
         return out
 
 

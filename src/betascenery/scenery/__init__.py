@@ -10,7 +10,7 @@ from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
 from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
                       center_and_window, evaluate_panel, focus_point,
                       panel_average, panel_names, point_mass_window,
-                      window_of_state)
+                      window_of_state, windows_of_states)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
@@ -20,4 +20,5 @@ __all__ = [
     "DEFAULT_BINS_HALF", "PANEL_VERSION", "WindowMeasure",
     "center_and_window", "evaluate_panel", "focus_point", "panel_average",
     "panel_names", "point_mass_window", "window_of_state",
+    "windows_of_states",
 ]

@@ -24,7 +24,7 @@ from ..rng import UniformStream
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
 from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
-                      panel_average, panel_names, window_of_state)
+                      panel_average, panel_names, windows_of_states)
 
 
 def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
@@ -97,21 +97,24 @@ def scenery_orbit(model: Model, omega: Optional[Word] = None,
     reflects = [c.reflects for c in model.components]
 
     times = np.arange(0.0, T + 1e-12, dt)
-    windows: List[WindowMeasure] = []
-    shift_count = 0
-    tau = 0.0
-    a_cur = int(a) & 1
-    for t in times:
-        while t - tau >= roofs[omega.symbol(shift_count)] - 1e-12:
-            c = omega.symbol(shift_count)
-            tau += roofs[c]
-            if reflects[c]:
-                a_cur ^= 1
-            shift_count += 1
-        windows.append(window_of_state(
-            model, omega.shift(shift_count), inner.shift(shift_count),
-            a_cur, t - tau, bins_half=bins_half, node_budget=n_samples,
-            window_radius=window_radius))
+
+    def states():
+        shift_count = 0
+        tau = 0.0
+        a_cur = int(a) & 1
+        for t in times:
+            while t - tau >= roofs[omega.symbol(shift_count)] - 1e-12:
+                c = omega.symbol(shift_count)
+                tau += roofs[c]
+                if reflects[c]:
+                    a_cur ^= 1
+                shift_count += 1
+            yield (omega.shift(shift_count), inner.shift(shift_count),
+                   a_cur, t - tau)
+
+    windows = windows_of_states(model, states(), bins_half=bins_half,
+                                node_budget=n_samples,
+                                window_radius=window_radius)
     start = (tuple(omega.symbol(k) for k in range(16)),
              tuple(inner.symbol(k) for k in range(16)), int(a) & 1)
     return SceneryOrbit(start, times, windows, float(gap_rescale), bins_half)
@@ -155,8 +158,7 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
     roofs = np.array(chain.roofs)
     ts = u_time * roofs[idx]
 
-    windows: List[WindowMeasure] = []
-    if with_windows:
+    def states():
         for j in range(n):
             state = chain.states[idx[j]]
             i0, u0 = state[0], state[1]
@@ -165,10 +167,13 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
             omega = Word.prefixed((i0,), tail_omega)
             inner = Word.prefixed((u0,), model.inner_word(
                 tail_omega, seed, "Q-inner", j))
-            windows.append(window_of_state(
-                model, omega, inner, a0, float(ts[j]),
-                bins_half=bins_half, node_budget=n_samples,
-                window_radius=window_radius))
+            yield omega, inner, a0, float(ts[j])
+
+    windows: List[WindowMeasure] = []
+    if with_windows:
+        windows = windows_of_states(model, states(), bins_half=bins_half,
+                                    node_budget=n_samples,
+                                    window_radius=window_radius)
     return QSamples(windows, idx, ts, chain)
 
 

@@ -17,6 +17,8 @@ evidence rather than circularity.
     each rounded to the nearest float.
   * pslq_relation: an integer relation between log|a| and log|b| from
     mpmath.pslq at 100 digits.
+  * cylinder_window: the bins of one scenery window, rendered one cylinder
+    at a time in Python floats.
 """
 
 from __future__ import annotations
@@ -246,3 +248,102 @@ def pslq_relation(a, b, maxcoeff: int) -> Optional[Tuple[int, int]]:
         return None
     q, p = rel[0], -rel[1]
     return (p, q) if q > 0 else (-p, -q)
+
+
+def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
+                    zoom_t: float, bins_half: int = 256,
+                    eps_cut: float = 1e-10, node_budget: int = 500_000,
+                    window_radius: float = 1.0) -> np.ndarray:
+    """Bins of one deterministic scenery window, one cylinder at a time in
+    Python floats.  comps[c] is (ratio, shifts, weights) of component c;
+    omega and inner map a position to a symbol.  Each cylinder gets the
+    float operations of the package's descent in the same order (the
+    focus cylinder split by word order once it fits a bin; then, at each
+    level, the settled, tiny and over-budget cylinders, each in node
+    order), so the bins must agree bit for bit."""
+    hlo, hhi = hull
+    n = 2 * bins_half
+
+    def index(w):
+        return min(max(int((w + 1.0) * bins_half), 0), n - 1)
+
+    scale = max(abs(hlo), abs(hhi), hhi - hlo, 1.0)
+    x, p, k = 0.0, 1.0, 0
+    while abs(p) * scale > 1e-15 and k < 5000:
+        r, ts, _ = comps[omega(k)]
+        x += p * ts[inner(k)]
+        p *= r
+        k += 1
+    x += p * 0.5 * (hlo + hhi)
+    ezoom = math.exp(zoom_t) / window_radius
+    sgn = -1.0 if a % 2 else 1.0
+
+    bins = [0.0] * n
+    A = 1.0
+    nodes = [(0.0, 1.0)]       # (offset, mass) of each live cylinder
+    focus = 0                  # the focus cylinder's place; None once split
+    level = expanded = 0
+    while nodes:
+        split = None
+        if focus is not None and \
+                abs(A) * (hhi - hlo) * ezoom < 1.0 / bins_half:
+            side = sgn * (1.0 if A > 0 else -1.0)
+            left = right = 0.0
+            m, j = 1.0, level
+            while m > eps_cut and j < level + 100_000:
+                r, ts, ws = comps[omega(j)]
+                u = inner(j)
+                for v in range(len(ts)):
+                    if v != u:
+                        if (ts[v] - ts[u]) * side < 0:
+                            left += m * ws[v]
+                        else:
+                            right += m * ws[v]
+                m *= ws[u]
+                if r < 0:
+                    side = -side
+                j += 1
+            left += 0.5 * m
+            right += 0.5 * m
+            bins[bins_half - 1] += nodes[focus][1] * left
+            bins[bins_half] += nodes[focus][1] * right
+            split, focus = focus, None
+        adds, tiny, descend, ends = [], [], [], []
+        for i, (off, m) in enumerate(nodes):
+            if A > 0:
+                lo, hi = off + A * hlo, off + A * hhi
+            else:
+                lo, hi = off + A * hhi, off + A * hlo
+            w1 = (lo - x) * ezoom * sgn
+            w2 = (hi - x) * ezoom * sgn
+            wlo, whi = min(w1, w2), max(w1, w2)
+            ends.append((wlo, whi))
+            if i == focus:
+                descend.append(i)
+            elif i == split or whi <= -1.0 or wlo >= 1.0:
+                continue
+            elif wlo >= -1.0 and whi <= 1.0 and index(wlo) == index(whi):
+                adds.append((index(wlo), m))
+            elif m < eps_cut:
+                tiny.append(i)
+            else:
+                descend.append(i)
+        over = expanded + len(descend) > node_budget
+        for i in tiny + (descend if over else []):
+            wm = 0.5 * (ends[i][0] + ends[i][1])
+            if abs(wm) <= 1.0:
+                adds.append((index(wm), nodes[i][1]))
+        for j, m in adds:
+            bins[j] += m
+        if over or not descend:
+            break
+        expanded += len(descend)
+        r, ts, ws = comps[omega(level)]
+        if focus is not None:
+            focus = descend.index(focus) * len(ts) + inner(level)
+        nodes = [(nodes[i][0] + A * t, nodes[i][1] * w)
+                 for i in descend for t, w in zip(ts, ws)]
+        A *= r
+        level += 1
+    bins = np.array(bins)
+    return bins / bins.sum()

@@ -257,6 +257,26 @@ class TestDeterminism:
             (tmp_path / "out" / "sample_report.json").read_text())
         assert rep["config"]["count"] == 25     # flag wins
         assert rep["config"]["seed"] == 3       # config fills the rest
+        # an explicit repeatable flag replaces the config's list; argparse
+        # alone would append its values to that list
+        for command, first, then in (
+                (["expand", "--beta", "2"], "--x 1/3", "--x 1/5"),
+                (["spectrum", str(ifs_file)], "--beta 2", "--beta 3")):
+            name, key = command[0], first.split()[0][2:]
+            code, err = run_in_process(["--out-dir", str(tmp_path / name)] +
+                                       command + first.split())
+            assert code == 0, err
+            report = str(tmp_path / name / f"{name}_report.json")
+            code, err = run_in_process(
+                ["--config", report, "--out-dir", str(tmp_path / "again")] +
+                command + then.split())
+            assert code == 0, err
+            rep = json.loads(
+                (tmp_path / "again" / f"{name}_report.json").read_text())
+            assert rep["config"][key] == [then.split()[1]]
+            results = rep["results"]
+            assert (len(results["table"]) if name == "spectrum"
+                    else results["n_points"]) == 1
 
 
 class TestExitCodes:

@@ -28,9 +28,11 @@ from betascenery import (
     scenery_orbit,
     spectrum_obstruction,
     window_of_state,
+    windows_of_states,
 )
+from betascenery.scenery import windows
 
-from oracles import ks_between
+from oracles import cylinder_window, ks_between
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,90 @@ class TestWindows:
         b = point_mass_window(128)
         with pytest.raises(ValueError):
             a.l1_distance(b)
+
+
+@pytest.fixture(scope="module")
+def weighted_scaled(middle_thirds):
+    # weights 1/3 and 2/3: cylinder masses are not dyadic, so the order of
+    # the float additions into a bin shows in its last bits
+    m, c = rescale_model_for_gap(build_model(bs.SimilarityIFS(
+        middle_thirds.maps, [Fraction(1, 3), Fraction(2, 3)])))
+    return m
+
+
+DESCENT_MODELS = ["mt_scaled", "two_ratio_scaled", "refl_scaled",
+                  "weighted_scaled"]
+
+# node_budget 4 trips the valve on every model; at eps_cut 0.05 the
+# cylinders that still straddle a bin edge a few levels down are tiny
+DESCENT_SETTINGS = {
+    "default": {},
+    "valve": {"node_budget": 4},
+    "cutoff": {"eps_cut": 0.05},
+    "both": {"node_budget": 9, "eps_cut": 1e-3, "bins_half": 32,
+             "window_radius": 0.5},
+    "coarse": {"node_budget": 12, "eps_cut": 0.02, "bins_half": 2},
+}
+
+
+def descent_states(m, n):
+    states = []
+    for s in range(n):
+        om = m.omega_word(1, "descent", s)
+        inner = m.inner_word(om, 1, "descent", s)
+        states.append((om.shift(s % 3), inner.shift(s % 3), s % 2,
+                       0.37 * s % 3.0))
+    return states
+
+
+class TestBatchedDescent:
+    """Every window's bins are the same floats whether it is rendered
+    alone, in one block with the others, or in a block cut short."""
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    @pytest.mark.parametrize("setting", sorted(DESCENT_SETTINGS))
+    def test_alone_together_and_across_blocks_agree(
+            self, request, monkeypatch, model, setting):
+        m = request.getfixturevalue(model)
+        kw = DESCENT_SETTINGS[setting]
+        states = descent_states(m, 7)
+        alone = [window_of_state(m, *st, **kw) for st in states]
+        together = windows_of_states(m, states, **kw)
+        monkeypatch.setattr(windows, "WINDOW_BLOCK", 3)
+        blocks = windows_of_states(m, iter(states), **kw)
+        assert len(together) == len(blocks) == len(states)
+        for a, b, c in zip(alone, together, blocks):
+            assert np.array_equal(a.bins, b.bins)
+            assert np.array_equal(a.bins, c.bins)
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_bins_match_cylinder_oracle(self, request, model):
+        m = request.getfixturevalue(model)
+        comps = [(float(c.ratio), [float(f.shift) for f in c.maps],
+                  [float(w) for w in c.weights]) for c in m.components]
+        hull = (float(m.hull[0]), float(m.hull[1]))
+        states = descent_states(m, 12)
+        for setting, kw in DESCENT_SETTINGS.items():
+            got = windows_of_states(m, states, **kw)
+            for (om, inner, a, t), w in zip(states, got):
+                want = cylinder_window(comps, hull, om.symbol, inner.symbol,
+                                       a, t, **kw)
+                assert np.array_equal(w.bins, want), setting
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_valve_and_cutoff_change_the_bins(self, request, model):
+        m = request.getfixturevalue(model)
+        states = descent_states(m, 7)
+        full = windows_of_states(m, states)
+        for setting in ("valve", "cutoff"):
+            coarse = windows_of_states(m, states, **DESCENT_SETTINGS[setting])
+            assert any(not np.array_equal(a.bins, b.bins)
+                       for a, b in zip(full, coarse)), setting
+            for w in coarse:
+                assert w.bins.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_states_no_windows(self, mt_scaled):
+        assert windows_of_states(mt_scaled, []) == []
 
 
 class TestShiftIdentity:
