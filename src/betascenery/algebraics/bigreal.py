@@ -14,6 +14,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import (from_int, mpi_add, mpi_div, mpi_mul, mpi_sub,
+                          round_ceiling, round_floor)
 
 
 @contextmanager
@@ -26,15 +28,26 @@ def _iv_prec(bits: int):
         iv.prec = old
 
 
-def _endpoint_fraction(t) -> Fraction:
-    """Exact rational value of a raw mpf tuple (sign, mantissa, exp, bc)."""
+def _endpoint_parts(t):
+    """(signed mantissa, exponent) of a raw mpf tuple (sign, man, exp, bc):
+    the endpoint's value is man * 2^exp."""
     sign, man, exp, _ = t
     if man == 0 and exp != 0:
         raise ValueError("non-finite interval endpoint")
-    v = Fraction(int(man))
-    if sign:
-        v = -v
-    return v * Fraction(2) ** exp if exp else v
+    return (-man if sign else man), exp
+
+
+def _endpoint_fraction(t) -> Fraction:
+    """Exact rational value of a raw mpf tuple."""
+    man, exp = _endpoint_parts(t)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _endpoint_floor(t) -> int:
+    """Exact floor of a raw mpf tuple: an arithmetic shift of the signed
+    mantissa, which rounds towards minus infinity."""
+    man, exp = _endpoint_parts(t)
+    return man << exp if exp >= 0 else man >> -exp
 
 
 class BigReal:
@@ -108,40 +121,54 @@ class BigReal:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _lift(self, other) -> "BigReal":
+        """other as a BigReal at this precision: an int enters as an exact
+        point (outward-rounded if it needs more bits), any other rational
+        through its outward-rounded quotient."""
+        if isinstance(other, BigReal):
+            return other
+        if isinstance(other, int):
+            prec = self.prec
+            return BigReal(iv.make_mpf((from_int(other, prec, round_floor),
+                                        from_int(other, prec, round_ceiling))),
+                           prec)
+        return BigReal.from_fraction(Fraction(other), self.prec)
+
     def _binop(self, other, op) -> "BigReal":
-        if not isinstance(other, BigReal):
-            other = BigReal.from_fraction(Fraction(other), self.prec)
+        """op on the raw endpoint tuples at the wider precision: the
+        outward-rounded interval functions that mpmath's `iv` operators
+        call, without switching the context's precision."""
+        other = self._lift(other)
         prec = max(self.prec, other.prec)
-        with _iv_prec(prec):
-            return BigReal(op(self._iv, other._iv), prec)
+        return BigReal(iv.make_mpf(op(self._iv._mpi_, other._iv._mpi_, prec)),
+                       prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, mpi_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, mpi_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, lambda a, b, prec: mpi_sub(b, a, prec))
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, mpi_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, BigReal):
-            other = BigReal.from_fraction(Fraction(other), self.prec)
+        other = self._lift(other)
         if other.contains(0):
             raise ZeroDivisionError("divisor interval contains zero")
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, mpi_div)
 
     def __rtruediv__(self, other):
         if self.contains(0):
             raise ZeroDivisionError("divisor interval contains zero")
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(other, lambda a, b, prec: mpi_div(b, a, prec))
 
     def __neg__(self):
         with _iv_prec(self.prec):
@@ -171,10 +198,9 @@ class BigReal:
 
     def floor_certain(self):
         """The integer floor if the enclosure decides it, else None."""
-        import math
-        flo = math.floor(self.lo)
-        fhi = math.floor(self.hi)
-        return flo if flo == fhi else None
+        lo, hi = self._iv._mpi_
+        flo = _endpoint_floor(lo)
+        return flo if flo == _endpoint_floor(hi) else None
 
     def sign_certain(self):
         """-1, 0 (exact zero), or +1 if decided by the enclosure, else None."""

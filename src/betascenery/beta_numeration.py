@@ -6,22 +6,22 @@ The transformation is T(x) = beta*x - d with d = floor(beta*x), digits in
 m and the remainder 0 (the expansion then continues with zeros); this is the
 greedy, lexicographically largest convention.
 
-Three arithmetic paths, chosen by the base and the type of the starting
-point:
-  * exact x with an algebraic-integer beta (an integer, or a root of a
-    monic polynomial of degree d): the integer lattice.  x is an integer
-    vector v in the basis 1, beta, ..., beta^(d-1) over one denominator q,
-    and multiplying by beta is the companion matrix, so q never changes
-    along the orbit.  A floor is w_0 // q when w_1 = ... = w_{d-1} = 0 (the
-    value is rational).  Otherwise it is read off fixed-point powers
-    B_i = floor(beta^i 2^P), taken from the certified isolating interval of
-    beta, with the error bound sum |w_i| E_i; when that enclosure straddles
-    an integer, P doubles for the rest of the orbit and the floor is taken
-    again.  No floor comes from an uncertified value.  Floats are certified
-    the same way, and the exact remainders are built only when read;
-  * exact x with a rational non-integer or non-monic beta: plain exact
-    arithmetic on Fractions and field elements, floors decided by certified
-    interval refinement (never ambiguous);
+Two arithmetic paths, chosen by the type of the starting point:
+  * exact x (a rational, or an element of the base's field): the integer
+    lattice.  With c = 1 for an algebraic-integer beta (an integer, or a
+    root of a monic polynomial), c = b for beta = a/b, and c the leading
+    coefficient of a non-monic minimal polynomial, gamma = c*beta is an
+    algebraic integer of degree d.  x is an integer vector v in the basis
+    1, gamma, ..., gamma^(d-1) over a denominator q; multiplying by beta is
+    the companion matrix of gamma with the denominator multiplied by c, so
+    the k-th remainder sits over q*c^k.  A floor is w_0 // q when
+    w_1 = ... = w_{d-1} = 0 (the value is rational).  Otherwise it is read
+    off fixed-point powers B_i = floor(gamma^i 2^P), taken from the
+    certified isolating interval of gamma, with the error bound
+    sum |w_i| E_i; when that enclosure straddles an integer, P doubles for
+    the rest of the orbit and the floor is taken again.  No floor comes from
+    an uncertified value.  Floats are certified the same way, and the exact
+    remainders are built only when read;
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
@@ -35,7 +35,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -69,9 +69,8 @@ class BetaBase:
 
     beta may be an integer >= 2, a Fraction > 1, or an AlgebraicNumber > 1.
     The pisot flag is computed once; exact orbit arithmetic lives in the
-    field generated by a scaled (monic) copy of beta.  An algebraic-integer
-    beta (an integer, or a monic minimal polynomial) also gets the integer
-    lattice that carries its exact orbits.
+    field generated by a scaled (monic) copy of beta, and the integer
+    lattice of that copy carries every exact orbit.
     """
 
     def __init__(self, beta):
@@ -84,8 +83,8 @@ class BetaBase:
             self.floor_beta = math.floor(beta)
             self._field = None
             self._beta_elem = None
-            self._lattice = _Lattice((-beta.numerator, 1), None) \
-                if beta.denominator == 1 else None
+            self._lattice = _Lattice((-beta.numerator, 1), None,
+                                     beta.denominator)
         elif isinstance(beta, AlgebraicNumber):
             if beta.cmp_rational(1) <= 0:
                 raise ValueError("base must exceed 1")
@@ -96,10 +95,10 @@ class BetaBase:
             self.beta = beta
             self.degree = beta.degree
             self.floor_beta = math.floor(beta)
-            self._field, self._scale = monic_scaled_field(beta)
-            self._beta_elem = self._field.beta() / self._scale
-            self._lattice = _Lattice(beta.min_poly.coeffs, self._field) \
-                if self._scale == 1 else None
+            self._field, scale = monic_scaled_field(beta)
+            self._beta_elem = self._field.beta() / scale
+            self._lattice = _Lattice(self._field.poly.coeffs, self._field,
+                                     scale)
         else:
             raise TypeError("base must be an integer, Fraction, or "
                             "AlgebraicNumber")
@@ -162,19 +161,22 @@ LATTICE_BITS = 96
 
 
 class _Lattice:
-    """Exact orbit arithmetic on (1/q)·Z[beta] for an algebraic-integer base.
+    """Exact orbit arithmetic for beta = gamma/c, gamma an algebraic integer
+    and c >= 1 an integer.
 
-    A point is an integer vector v in the power basis 1, beta, ...,
-    beta^(d-1) over one common denominator q > 0.  Multiplying by beta is
-    the integer companion matrix of the monic minimal polynomial, and
-    subtracting a digit changes v[0] only, so q is fixed along an orbit.
-    Floors and floats come from fixed-point powers B_i = floor(beta^i 2^P)
-    under a certified error bound (see `_fixed`).
+    A point is an integer vector v in the power basis 1, gamma, ...,
+    gamma^(d-1) over a denominator Q > 0.  Multiplying by beta is the
+    integer companion matrix of gamma's monic minimal polynomial with Q
+    multiplied by c, and subtracting a digit changes v[0] only, so the k-th
+    point of an orbit from v/q sits over q*c^k.  Floors and floats come
+    from fixed-point powers B_i = floor(gamma^i 2^P) under a certified error
+    bound (see `_fixed`).
     """
 
-    def __init__(self, coeffs: Sequence[int], field):
-        self.coeffs = tuple(coeffs)   # monic, lowest degree first
-        self.field = field            # None for an integer base
+    def __init__(self, coeffs: Sequence[int], field, scale: int):
+        self.coeffs = tuple(coeffs)   # gamma's monic polynomial, lowest first
+        self.field = field            # None for a rational base
+        self.scale = scale            # c
         self.degree = len(self.coeffs) - 1
         self._tables: dict = {}
         if field is not None:
@@ -198,10 +200,22 @@ class _Lattice:
 
     def orbit(self, v, q, steps: int) -> Tuple[List[int], List[tuple]]:
         """The digits and remainder vectors of `steps` greedy steps from
-        v/q: multiply by beta, take the floor, subtract it from v[0]."""
-        bits = LATTICE_BITS
+        v/q: multiply by gamma and the denominator by c, take the floor,
+        subtract it from v[0]."""
         digits, states = [], []
+        if self.degree == 1:
+            # beta = a/c: the step is x -> a*x over q*c, and its floor and
+            # remainder are one integer divmod
+            a, x = -self.coeffs[0], v[0]
+            for _ in range(steps):
+                q *= self.scale
+                d, x = divmod(a * x, q)
+                digits.append(d)
+                states.append((x,))
+            return digits, states
+        bits = LATTICE_BITS
         for _ in range(steps):
+            q *= self.scale
             top = v[-1]
             w = (0,) + v[:-1]
             if top:
@@ -213,16 +227,23 @@ class _Lattice:
         return digits, states
 
     def floats(self, states: Sequence[tuple], q: int) -> List[float]:
-        """The float nearest each v/q."""
-        bits = LATTICE_BITS
+        """The float nearest each v/Q, where the k-th state sits over
+        Q = q*c^k."""
         out = []
+        if self.degree == 1:
+            for (x,) in states:
+                out.append(x / q)   # int / int rounds correctly
+                q *= self.scale
+            return out
+        bits = LATTICE_BITS
         for v in states:
             f, bits = self._decide(v, q, operator.truediv, bits)
             out.append(f)
+            q *= self.scale
         return out
 
     def _table(self, bits: int):
-        """(B, E) at precision P = bits for i = 1..d-1: beta^i 2^P lies in
+        """(B, E) at precision P = bits for i = 1..d-1: gamma^i 2^P lies in
         [B_i, B_i + E_i]."""
         if bits not in self._tables:
             lo, hi = self._gen.refine_bits(bits + 32)
@@ -236,8 +257,8 @@ class _Lattice:
         return self._tables[bits]
 
     def _fixed(self, v, bits: int) -> Tuple[int, int]:
-        """(A, R) with sum v_i beta^i 2^P in [A - R, A + R]: A sums v_i B_i,
-        R bounds the rounding of the powers by sum |v_i| E_i."""
+        """(A, R) with sum v_i gamma^i 2^P in [A - R, A + R]: A sums
+        v_i B_i, R bounds the rounding of the powers by sum |v_i| E_i."""
         b, e = self._table(bits)
         a, r = v[0] << bits, 0
         for vi, bi, ei in zip(v[1:], b, e):
@@ -262,10 +283,11 @@ class _Lattice:
             bits *= 2
 
     def unwind(self, v, q, digits: Sequence[int]) -> ExactScalar:
-        """Run the expansion back from the remainder v/q: x = (x' + d)/beta,
-        with the integer matrix of c_0/beta (c_0 the constant coefficient),
-        so the denominator gains a factor |c_0| per digit.  One exact scalar
-        is built at the end."""
+        """Run the expansion back from the remainder v/q: x = c(x' + d)/gamma,
+        with the integer matrix of c_0/gamma (c_0 the constant coefficient),
+        so per digit the denominator gains a factor |c_0| and loses the
+        factor c that the forward step put in.  One exact scalar is built at
+        the end."""
         c0 = self.coeffs[0]
         sign, scale = (-1, -c0) if c0 < 0 else (1, c0)
         tail = self.coeffs[1:]
@@ -273,29 +295,36 @@ class _Lattice:
             u0 = v[0] + d * q
             v = tuple(sign * (c0 * a - u0 * c)
                       for a, c in zip(v[1:] + (0,), tail))
-            q *= scale
+            q = q * scale // self.scale
         return self.exact(v, q)
 
 
 class _LatticeRemainders(Sequence):
-    """The remainders of a lattice orbit, stored as integer vectors over one
-    denominator; reading one builds its exact Fraction or FieldElement.  It
-    is a read-only sequence, not a list: like a list it compares equal to a
-    list (or another such sequence) of the same values, but it has no `+`
-    and is not meant for pickling; `list(rems)` builds every value."""
+    """The remainders of a lattice orbit from v/q, stored as integer vectors;
+    the one at position k of the orbit sits over q*c^(k+1), and reading it
+    builds its exact Fraction or FieldElement.  It is a read-only sequence,
+    not a list: like a list it compares equal to a list (or another such
+    sequence) of the same values, but it has no `+` and is not meant for
+    pickling; `list(rems)` builds every value."""
 
-    def __init__(self, lattice: _Lattice, q: int, states: List[tuple]):
+    def __init__(self, lattice: _Lattice, q: int, states: List[tuple],
+                 positions: range):
         self.lattice = lattice
         self.q = q
         self.states = states
+        self.positions = positions   # orbit step of each state
+
+    def denominator(self, k: int) -> int:
+        return self.q * self.lattice.scale ** (self.positions[k] + 1)
 
     def __len__(self):
         return len(self.states)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return _LatticeRemainders(self.lattice, self.q, self.states[k])
-        return self.lattice.exact(self.states[k], self.q)
+            return _LatticeRemainders(self.lattice, self.q, self.states[k],
+                                      self.positions[k])
+        return self.lattice.exact(self.states[k], self.denominator(k))
 
     def __eq__(self, other):
         if not isinstance(other, (list, _LatticeRemainders)):
@@ -325,18 +354,12 @@ class OrbitRecord:
 
     def reconstruct_exact(self):
         """Run the expansion backwards: ((x_n + d_n)/beta + ...)/beta.
-        Exact paths reproduce the starting point identically."""
+        Exact orbits reproduce the starting point identically."""
         rems = self.remainders
-        if isinstance(rems, _LatticeRemainders):
-            return rems.lattice.unwind(rems.states[-1], rems.q, self.digits)
-        if any(isinstance(r, BigReal) for r in rems):
+        if not isinstance(rems, _LatticeRemainders):
             raise ValueError("exact reconstruction needs an exact orbit")
-        # invert once: each FieldElement division is an extended-Euclid inverse
-        b_inv = 1 / self.base.exact_value()
-        x = rems[-1]
-        for d in reversed(self.digits):
-            x = (x + d) * b_inv
-        return x
+        return rems.lattice.unwind(rems.states[-1], rems.denominator(-1),
+                                   self.digits)
 
 
 def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
@@ -356,27 +379,11 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
     if x < 0 or x >= 1:
         raise ValueError("starting point must lie in [0, 1)")
     lat = base._lattice
-    if lat is None:
-        digits, rems = _greedy_orbit(base.exact_value(), x, steps)
-        return OrbitRecord(x, digits, rems, 0, base)
     v, q = lat.lift(x)
     digits, states = lat.orbit(v, q, steps)
-    return OrbitRecord(x, digits, _LatticeRemainders(lat, q, states), 0, base)
-
-
-def _greedy_orbit(b: ExactScalar, x: ExactScalar, steps: int):
-    """The orbit in plain exact-scalar arithmetic: the path of bases with no
-    lattice (rational non-integer or non-monic beta), and the reference
-    that the lattice is tested against."""
-    digits: List[int] = []
-    rems: List[ExactScalar] = []
-    for _ in range(steps):
-        y = b * x
-        d = math.floor(y)
-        x = y - d
-        digits.append(int(d))
-        rems.append(x)
-    return digits, rems
+    return OrbitRecord(x, digits,
+                       _LatticeRemainders(lat, q, states, range(steps)),
+                       0, base)
 
 
 def _orbit_interval(base: BetaBase, x: BigReal, steps: int) -> OrbitRecord:
@@ -414,16 +421,18 @@ class ParryDensity:
     """The invariant density of T_beta, piecewise constant between the
     distinct orbit values of 1.  breakpoints[0] = 0, breakpoints[-1] = 1;
     values[j] is the (normalized) exact density on
-    [breakpoints[j], breakpoints[j+1])."""
+    [breakpoints[j], breakpoints[j+1]); breakpoint_floats[j] is the float
+    nearest breakpoints[j]."""
     base: BetaBase
     breakpoints: Tuple[ExactScalar, ...]
     values: Tuple[ExactScalar, ...]
     normalizer: ExactScalar
     truncated_at: int
     tail_bound: float
+    breakpoint_floats: Tuple[float, ...]
 
     def piece_floats(self) -> Tuple[np.ndarray, np.ndarray]:
-        br = np.array([float(t) for t in self.breakpoints])
+        br = np.array(self.breakpoint_floats)
         vals = np.array([float(v) for v in self.values])
         return br, vals
 
@@ -512,7 +521,8 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     # after the leading 1 the orbit values are distinct points of (0, 1):
     # they are the interior breakpoints, and T^n(1) > b_j iff its rank
     # among the breakpoints exceeds j
-    breakpoints = [Fraction(0)] + sorted(orbit[1:]) + [Fraction(1)]
+    floats, interior = _sorted_with_floats(orbit[1:])
+    breakpoints = [Fraction(0)] + interior + [Fraction(1)]
     rank = {z: j for j, z in enumerate(breakpoints)}
     ranks = [rank[z] for z in orbit]
 
@@ -544,7 +554,20 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
         bf = float(base.beta)
         tail = bf ** (-(n_terms - 1)) / (1 - 1 / bf)
     return ParryDensity(base, tuple(breakpoints), values, normalizer,
-                        n_terms, tail)
+                        n_terms, tail, (0.0, *floats, 1.0))
+
+
+def _sorted_with_floats(values: Sequence[ExactScalar]):
+    """(floats, values), both in the exact order of the values.  The sort
+    key is each value's nearest float, which is certified and monotone, so
+    exact comparisons are needed only among values with equal floats."""
+    keyed = sorted(zip(map(float, values), values), key=operator.itemgetter(0))
+    floats, ordered = [], []
+    for f, run in groupby(keyed, key=operator.itemgetter(0)):
+        run = [z for _, z in run]
+        floats += [f] * len(run)
+        ordered += sorted(run) if len(run) > 1 else run
+    return floats, ordered
 
 
 # -- normality statistics --------------------------------------------------------

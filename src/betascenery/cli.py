@@ -325,28 +325,25 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
                         n_digits: int, seed: int):
     """Exact attractor points from independent disintegration paths, deep
     enough that coding ambiguity sits far below the digit horizon."""
-    log_beta = math.log(float(base.beta))
-    ratios = [abs(float(c.ratio)) for c in model.components]
+    # need contraction product below beta^-n * 2^-64
+    target = n_digits * math.log(float(base.beta)) + 64 * math.log(2)
+    costs = np.array([-math.log(abs(float(c.ratio)))
+                      for c in model.components])
     th_sel = cdf_thresholds(model.selection)
-    th_inner = [cdf_thresholds(c.weights) for c in model.components]
+    # no path needs more levels than one made of the cheapest component
+    depth = math.ceil(target / costs.min()) + 1
     pts = []
     for j in range(n_points):
-        stream = UniformStream(seed, "normality-point", j)
-        omega: List[int] = []
-        inner: List[int] = []
-        acc = 0.0
-        k = 0
-        # need contraction product below beta^-n * 2^-64
-        target = n_digits * log_beta + 64 * math.log(2)
-        while acc < target:
-            i = int(np.searchsorted(th_sel, stream[2 * k], side="right"))
-            u = int(np.searchsorted(th_inner[i], stream[2 * k + 1],
-                                    side="right"))
-            omega.append(i)
-            inner.append(u)
-            acc += -math.log(ratios[i])
-            k += 1
-        x = model.point_of_path(omega, inner)
+        # level k draws its component from uniform 2k, its inner map from
+        # uniform 2k + 1; the path ends at the first level whose summed
+        # costs reach the target (cumsum adds in level order)
+        u = UniformStream(seed, "normality-point", j).slice(0, 2 * depth)
+        omega = np.searchsorted(th_sel, u[0::2], side="right")
+        n = int(np.searchsorted(np.cumsum(costs[omega]), target)) + 1
+        omega = omega[:n]
+        inner = model._add_inner_draws(np.zeros(n, dtype=np.int64), omega,
+                                       u[1:2 * n:2])
+        x = model.point_of_path(omega.tolist(), inner.tolist())
         pts.append(x - math.floor(x))   # reduce into [0, 1) exactly
     return pts
 

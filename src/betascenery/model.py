@@ -25,6 +25,7 @@ omega alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -105,6 +106,7 @@ class Model:
         self.hull = base.attractor_hull()
         # the maps of all components, numbered component by component
         self._path_maps = tuple(f for c in self.components for f in c.maps)
+        self._path_triples = tuple(map(_affine_triple, self._path_maps))
         self._first_map = np.cumsum(
             [0] + [c.size for c in self.components[:-1]])
         self._inner_thresholds = [cdf_thresholds(c.weights)
@@ -190,13 +192,21 @@ class Model:
 
     def point_of_path(self, omega: Sequence[int],
                       inner: Sequence[int]) -> ExactScalar:
-        """Exact composition of the chosen maps applied to the hull midpoint."""
+        """Exact composition of the chosen maps applied to the hull midpoint.
+
+        Each map is a triple (A, C, Q), meaning x -> (A x + C)/Q: integers
+        for a rational map, (ratio, shift, 1) for a field-element one.  The
+        triples are composed in one balanced product tree, so the integers
+        multiplied at each level have about equal size."""
+        paths = (self._first_map[np.asarray(omega, dtype=np.int64)]
+                 + np.asarray(inner, dtype=np.int64))
+        maps = [self._path_triples[k] for k in paths.tolist()]
+        while len(maps) > 1:
+            pairs = [_compose(f, g) for f, g in zip(maps[::2], maps[1::2])]
+            maps = pairs + maps[len(pairs) * 2:]
         lo, hi = self.hull
-        x = (lo + hi) / 2
-        for i, u in zip(reversed(list(omega)), reversed(list(inner))):
-            f = self.components[i].maps[u]
-            x = f.ratio * x + f.shift
-        return canonical_scalar(x)
+        a, c, q = maps[0] if maps else (1, 0, 1)
+        return canonical_scalar((a * ((lo + hi) / 2) + c) * Fraction(1, q))
 
     def sample_measure(self, count: int, seed: int, *labels,
                        depth: Optional[int] = None) -> np.ndarray:
@@ -275,6 +285,23 @@ class Model:
         return build_model(base,
                            pair_words=(tuple(doc["pair"]["word_i"]),
                                        tuple(doc["pair"]["word_j"])))
+
+
+def _affine_triple(f: SimilarityMap):
+    """(A, C, Q) with f(x) = (A x + C)/Q: integers when f is rational."""
+    r, s = f.ratio, f.shift
+    if isinstance(r, Fraction) and isinstance(s, Fraction):
+        q = math.lcm(r.denominator, s.denominator)
+        return (r.numerator * (q // r.denominator),
+                s.numerator * (q // s.denominator), q)
+    return r, s, 1
+
+
+def _compose(f, g):
+    """The triple of f after g."""
+    a1, c1, q1 = f
+    a2, c2, q2 = g
+    return a1 * a2, a1 * c2 + c1 * q2, q1 * q2
 
 
 def _model_scalars(model: Model):

@@ -292,6 +292,43 @@ class TestBigReal:
         straddle = BigReal.from_interval(Fraction(-1), Fraction(1), 64)
         assert straddle.sign_certain() is None
 
+    @given(st.lists(st.tuples(st.integers(-2 ** 70, 2 ** 70),
+                              st.integers(-90, 20)), min_size=2, max_size=2),
+           st.integers(-3, 3))
+    @example([(0, 0), (0, 0)], 0)
+    @example([(0, 0), (5, 0)], 0)
+    @example([(-7, 0), (-7, 0)], 0)
+    @example([(3, -1), (5, -1)], 0)
+    @example([(-1, -200), (1, -200)], 2)
+    @settings(max_examples=300, deadline=None)
+    def test_mantissa_floors_match_fractions(self, ends, shift):
+        # endpoints man * 2^exp of both signs, exponents below and above
+        # zero, zero and integers; the interval may straddle an integer,
+        # which moves by `shift` so that it is not always 0
+        ends = sorted((Fraction(m) * Fraction(2) ** e + shift for m, e in ends))
+        raw = []
+        for v in ends:
+            if v.denominator == 1:
+                raw.append(mpmath.libmp.from_int(int(v)))
+            else:
+                exp = v.denominator.bit_length() - 1
+                raw.append(mpmath.libmp.from_man_exp(v.numerator, -exp))
+        x = BigReal(mpmath.iv.make_mpf(tuple(raw)), 64)
+        assert (x.lo, x.hi) == tuple(ends)
+        lo, hi = math.floor(ends[0]), math.floor(ends[1])
+        assert x.floor_certain() == (lo if lo == hi else None)
+        signs = [(v > 0) - (v < 0) for v in ends]
+        want = (1 if signs[0] > 0 else -1 if signs[1] < 0
+                else 0 if signs == [0, 0] else None)
+        assert x.sign_certain() == want
+
+    def test_floor_of_an_interval_around_an_integer(self):
+        for n in (-3, 0, 1, 2 ** 80):
+            for eps in (Fraction(1, 2 ** 100), Fraction(1, 3)):
+                x = BigReal.from_interval(n - eps, n + eps, 256)
+                assert x.floor_certain() is None
+            assert BigReal.from_int(n, 64).floor_certain() == n
+
     @given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(100)),
            st.sampled_from(["log", "exp", "sqrt"]))
     @settings(max_examples=60, deadline=None)

@@ -35,17 +35,41 @@ from oracles import (
     tribonacci_parry_pieces,
 )
 
-# bases of the lattice sweep: integers, Pisot numbers and one non-Pisot
-LATTICE_BASES = ["2", "3", "10", "x^2 - x - 1", "x^3 - x^2 - x - 1",
-                 "x^3 - x - 1", "x^4 - x^3 - x^2 - x - 1", "x^2 - 3*x + 1",
-                 "x^2 - 2"]
+# bases of the lattice sweep: integers, rationals, Pisot numbers, one
+# non-Pisot and one non-monic base (c = 2)
+LATTICE_BASES = ["2", "3", "10", "3/2", "5/3", "7/2", "10/3", "x^2 - x - 1",
+                 "x^3 - x^2 - x - 1", "x^3 - x - 1", "x^4 - x^3 - x^2 - x - 1",
+                 "x^2 - 3*x + 1", "x^2 - 2", "2*x^2 - 3*x - 1"]
 
 
 @functools.lru_cache(maxsize=None)
 def lattice_base(text: str) -> BetaBase:
-    if text.isdigit():
-        return BetaBase(int(text))
-    return BetaBase(AlgebraicNumber.largest_root(IntPolynomial.parse(text)))
+    try:
+        return BetaBase(Fraction(text))
+    except ValueError:
+        return BetaBase(AlgebraicNumber.largest_root(IntPolynomial.parse(text)))
+
+
+def greedy_orbit(base, x, steps):
+    """The orbit in plain exact-scalar arithmetic (Fractions and field
+    elements): the reference for the lattice."""
+    b = base.exact_value()
+    digits, rems = [], []
+    for _ in range(steps):
+        y = b * x
+        d = math.floor(y)
+        x = y - d
+        digits.append(int(d))
+        rems.append(x)
+    return digits, rems
+
+
+def unwind_reference(base, x, digits):
+    """x_0 from the last remainder x: x <- (x + d)/beta, in exact scalars."""
+    b_inv = 1 / base.exact_value()
+    for d in reversed(digits):
+        x = (x + d) * b_inv
+    return x
 
 
 def assert_matches_reference(base, x, steps):
@@ -53,14 +77,14 @@ def assert_matches_reference(base, x, steps):
     remainders, floats and the backward reconstruction."""
     rec = beta_orbit(base, x, steps)
     x = base.coerce_point(x)
-    digits, rems = bn._greedy_orbit(base.exact_value(), x, steps)
+    digits, rems = greedy_orbit(base, x, steps)
     assert rec.digits == digits
     assert list(rec.remainders) == rems
-    # both float paths are certified: fixed point here, interval Horner in
-    # FieldElement.__float__
+    # both float paths are certified: integer division or fixed point
+    # here, Fraction division or interval Horner in the reference
     assert rec.orbit_floats().tolist() == [float(r) for r in [x, *rems[:-1]]]
     assert rec.reconstruct_exact() == x
-    assert bs.OrbitRecord(x, digits, rems, 0, base).reconstruct_exact() == x
+    assert unwind_reference(base, rems[-1], digits) == x
 
 
 class TestDigits:
@@ -164,16 +188,44 @@ class TestOrbitIdentities:
 
 
 class TestLatticeOrbit:
-    """The integer-lattice kernel of algebraic-integer bases against the
+    """The integer-lattice kernel of every exact base against the
     exact-scalar reference loop and an mpmath oracle."""
 
-    def test_kernel_is_chosen_for_algebraic_integers(self, golden_base):
-        assert golden_base._lattice is not None
-        assert BetaBase(10)._lattice is not None
-        assert BetaBase(Fraction(3, 2))._lattice is None
-        non_monic = AlgebraicNumber.largest_root(IntPolynomial.parse(
-            "2*x^2 - 2*x - 1"))
-        assert BetaBase(non_monic)._lattice is None
+    def test_every_exact_base_has_a_lattice(self, golden_base):
+        # (gamma's polynomial, c): beta = gamma/c with gamma an algebraic
+        # integer
+        assert (golden_base._lattice.coeffs,
+                golden_base._lattice.scale) == ((-1, -1, 1), 1)
+        assert (BetaBase(10)._lattice.coeffs,
+                BetaBase(10)._lattice.scale) == ((-10, 1), 1)
+        assert (BetaBase(Fraction(3, 2))._lattice.coeffs,
+                BetaBase(Fraction(3, 2))._lattice.scale) == ((-3, 1), 2)
+        # 2x^2 - 2x - 1 scales to gamma^2 - 2 gamma - 2 with gamma = 2 beta
+        non_monic = BetaBase(AlgebraicNumber.largest_root(IntPolynomial.parse(
+            "2*x^2 - 2*x - 1")))
+        assert (non_monic._lattice.coeffs,
+                non_monic._lattice.scale) == ((-2, -2, 1), 2)
+
+    def test_rational_base_remainders_sit_over_growing_denominators(self):
+        # 1/7 in base 3/2: 3/14, 9/28, 27/56, 81/112, then 243/224 - 1
+        rec = beta_orbit(BetaBase(Fraction(3, 2)), Fraction(1, 7), 5)
+        assert rec.digits == [0, 0, 0, 0, 1]
+        assert rec.remainders.states == [(3,), (9,), (27,), (81,), (19,)]
+        assert [rec.remainders.denominator(k) for k in range(5)] == \
+            [7 * 2 ** (k + 1) for k in range(5)]
+        assert rec.remainders[1:3] == [Fraction(9, 28), Fraction(27, 56)]
+
+    @pytest.mark.parametrize("text", ["2", "3/2", "10/3", "x^2 - x - 1",
+                                      "2*x^2 - 3*x - 1"])
+    def test_subnormal_floats(self, text):
+        # x ~ 2^-1060: the first remainders' floats are subnormal, and each
+        # must still be the float nearest the exact value
+        base = lattice_base(text)
+        x = Fraction(1, 7 * 2 ** 1057)
+        rec = beta_orbit(base, x, 40)
+        floats = rec.orbit_floats()
+        assert 0 < floats[0] < 2.0 ** -1022
+        assert_matches_reference(base, x, 40)
 
     def test_acceptance_points(self, golden_base):
         # the point kinds of acceptance checks 6 and 9: exact attractor
@@ -368,6 +420,32 @@ class TestParryDensity:
             counts[n] = len(adds)
         assert counts[256] <= 2 * counts[128] + 2
         assert counts[256] < 4 * 256
+
+    @pytest.mark.parametrize("text", [
+        "3/2", "x^2 - x - 1", "x^3 - x^2 - x - 1",
+        "x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4"])
+    def test_breakpoints_in_exact_order(self, text):
+        # the breakpoints are sorted by their floats first; they must be
+        # the orbit values of 1 in exact order (a list is sorted iff each
+        # adjacent pair is), each with its own nearest float
+        base = lattice_base(text)
+        pd = parry_density(base)
+        orbit, _ = orbit_of_one(base, 256)
+        interior = list(pd.breakpoints[1:-1])
+        assert set(interior) == set(orbit[1:])
+        assert len(interior) == len(orbit) - 1
+        assert all(a < b for a, b in zip(pd.breakpoints, pd.breakpoints[1:]))
+        assert pd.breakpoint_floats == tuple(map(float, pd.breakpoints))
+
+    def test_equal_floats_are_ordered_exactly(self, golden_base):
+        third, tiny = Fraction(1, 3), Fraction(1, 2 ** 80)
+        g = golden_base._field.beta()
+        values = [third + tiny, g - 1, third, third - tiny, Fraction(1, 5),
+                  (g - 1) + tiny]
+        floats, ordered = bn._sorted_with_floats(values)
+        assert ordered == [Fraction(1, 5), third - tiny, third, third + tiny,
+                           g - 1, (g - 1) + tiny]
+        assert floats == [float(z) for z in ordered]
 
     def test_cdf_properties(self, golden_base):
         pd = parry_density(golden_base)

@@ -1,19 +1,24 @@
 """Command-line runner: reports, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import betascenery as bs
 from betascenery import cli
+from betascenery.rng import UniformStream, cdf_thresholds
 from oracles import STALLING_PISOT, root_moduli
 
 
@@ -491,3 +496,127 @@ def test_ifs_fuzz_exits_cleanly(fuzz_dir, doc, base):
         code, err = run_in_process(["--out-dir", out] + args)
         assert code in (0, 1, 2), (args, code, err)
         assert "Traceback" not in err
+
+
+# -- frozen outputs ----------------------------------------------------------
+
+TWO_RATIO = '{"maps": [{"s": "1/2", "t": "0"}, {"s": "1/3", "t": "2/3"}]}'
+SEXTIC = "x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4"
+
+
+def coded_point(maps, levels, seed):
+    """An exact point of the IFS with these (ratio, shift) maps: a seeded
+    random word of `levels` maps applied to 1/2."""
+    rng = random.Random(seed)
+    x = Fraction(1, 2)
+    for _ in range(levels):
+        r, t = maps[rng.randrange(len(maps))]
+        x = r * x + t
+    return x
+
+
+def frozen_runs():
+    """Name -> (argv, output files) of the runs whose bytes are frozen."""
+    x_mt = coded_point([(Fraction(1, 3), 0), (Fraction(1, 3), Fraction(2, 3))],
+                       700, 1)
+    x_two = coded_point([(Fraction(1, 2), 0),
+                         (Fraction(1, 3), Fraction(2, 3))], 900, 2)
+    runs = {}
+    for base in ("3", "3/2", "golden"):
+        for model in ("mt", "two"):
+            runs[f"normality {model} {base}"] = (
+                ["--seed", "5", "normality", f"{model}.json", "--beta", base,
+                 "--n-points", "3", "--n-digits", "500"],
+                ["normality.csv", "normality_report.json"])
+        runs[f"expand {base}"] = (
+            ["expand", "--beta", base, "--x", str(x_mt), "--x", str(x_two),
+             "--digits", "500"], ["expand.csv", "expand_report.json"])
+    for base in ("3/2", "golden", "tribonacci", SEXTIC):
+        runs[f"parry {base}"] = (["parry", "--beta", base],
+                                 ["parry.csv", "parry_report.json"])
+    return runs
+
+
+def output_digest(argv, files) -> str:
+    """SHA-256 of the output files of one in-process run from the working
+    directory, which holds mt.json and two.json."""
+    code, err = run_in_process(["--out-dir", "out"] + argv)
+    assert code == 0, err
+    h = hashlib.sha256()
+    for name in files:
+        h.update(Path("out", name).read_bytes())
+    return h.hexdigest()
+
+
+# recorded before the rational-digits pipeline moved to integer kernels
+# (the growing-denominator lattice, mantissa floors and the product-tree
+# point coder); reports carry no wall-clock, so the bytes are the results
+FROZEN_DIGESTS = {
+    "expand 3":
+        "0d9a92d1733dc1e08b2ee356468d408218380c3496c029696b2eec6aa51a6351",
+    "expand 3/2":
+        "f8cde296b8f4611644f835ccb4c9e36ab42a1718ab57d84c57e1b41f40499e5c",
+    "expand golden":
+        "5662edc2c9a68d410c28e67b4bb9cb2394a2e4c5d4aef77b9537293a32dca447",
+    "normality mt 3":
+        "28208d01cdd0d2949002d7f0220401a51e9b7ee6809800201c1b400a135739fe",
+    "normality mt 3/2":
+        "8ec3db07e5b6f6e91df0e5f208139caa84ab17258be2b9a3ec8c6c1870b483f4",
+    "normality mt golden":
+        "86a19013de8fbcd420a13814c1baad20e83ef0f1bbaa0abd1cd00c90d7eabc12",
+    "normality two 3":
+        "a1a8948da7807be68c3031218e129c6a79a7c6e9ade6ebe12f5629c50e92b17f",
+    "normality two 3/2":
+        "9fff5f091dcc35a79ca52b32dd76fd89e7364a5a5517ca9a675c325e91ecfaf7",
+    "normality two golden":
+        "2c4e7b1759065df63af88386ad0c0978a572dc72e43c0da2b39dcd234d96adaf",
+    "parry 3/2":
+        "a9eed48c393f2fbf1bc288189dd450bd2359cc4cb6be83c76d4b799f464237ad",
+    "parry golden":
+        "70b19876d282165729d6e134220c4a0cd946dc8d9b3fe720d3975ed81b30a44f",
+    "parry tribonacci":
+        "ea4cef48f22fd3bb60cc0dcea43cc4574b043ebcdc1c1d4a07b016c41cf11e36",
+    "parry x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4":
+        "14b461f3c17c83812cc50e3a96fbe50588046dadd3b001d723975a11afba56c2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+def test_outputs_are_frozen(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    Path("mt.json").write_text(MIDDLE_THIRDS)
+    Path("two.json").write_text(TWO_RATIO)
+    assert output_digest(*frozen_runs()[name]) == FROZEN_DIGESTS[name]
+
+
+def scalar_model_points(model, base, n_points, n_digits, seed):
+    """The draws of `cli._exact_model_points` one uniform at a time: level
+    k reads uniforms 2k and 2k + 1 and adds its cost to a running sum until
+    the sum reaches the target."""
+    log_beta = math.log(float(base.beta))
+    ratios = [abs(float(c.ratio)) for c in model.components]
+    th_sel = cdf_thresholds(model.selection)
+    th_inner = [cdf_thresholds(c.weights) for c in model.components]
+    target = n_digits * log_beta + 64 * math.log(2)
+    pts = []
+    for j in range(n_points):
+        stream = UniformStream(seed, "normality-point", j)
+        omega, inner, acc, k = [], [], 0.0, 0
+        while acc < target:
+            i = int(np.searchsorted(th_sel, stream[2 * k], side="right"))
+            omega.append(i)
+            inner.append(int(np.searchsorted(th_inner[i], stream[2 * k + 1],
+                                             side="right")))
+            acc += -math.log(ratios[i])
+            k += 1
+        x = model.point_of_path(omega, inner)
+        pts.append(x - math.floor(x))
+    return pts
+
+
+@pytest.mark.parametrize("base", ["2", "3/2", "golden"])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_model_point_draws_match_scalar_loop(base, seed, two_ratio_model):
+    b = cli._parse_beta(base)
+    got = cli._exact_model_points(two_ratio_model, b, 3, 300, seed)
+    assert got == scalar_model_points(two_ratio_model, b, 3, 300, seed)

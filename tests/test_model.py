@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
 from betascenery.rng import UniformStream, cdf_thresholds
+from betascenery.selfsimilar import canonical_scalar
 from betascenery import (
     Model,
     Word,
@@ -271,6 +272,45 @@ class TestSampling:
             lo, hi = cylinder(m, om, inner)
             x = m.point_of_path(om, inner)
             assert h0 <= lo <= x <= hi <= h1
+
+
+def horner_point(model, omega, inner):
+    """The path's maps applied one by one, innermost first, to the hull
+    midpoint: the sequential reference for the product-tree coder."""
+    lo, hi = model.hull
+    x = (lo + hi) / 2
+    for i, u in zip(reversed(omega), reversed(inner)):
+        f = model.components[i].maps[u]
+        x = f.ratio * x + f.shift
+    return canonical_scalar(x)
+
+
+@pytest.fixture(scope="module")
+def golden_square_model():
+    # ratio 1/golden^2 with shifts 0 and 1 - ratio: maps over Q(golden)
+    g = bs.parse_scalar("golden")
+    r = 1 / (g * g)
+    return build_model(bs.SimilarityIFS(
+        [bs.SimilarityMap(r, Fraction(0)), bs.SimilarityMap(r, 1 - r)]))
+
+
+class TestPointOfPath:
+    @given(st.sampled_from(["middle_thirds_model", "two_ratio_model",
+                            "reflected_model", "golden_square_model"]),
+           st.one_of(st.sampled_from([0, 1, 2, 3, 7]),
+                     st.integers(0, 200)),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_tree_matches_horner(self, request, name, length, data):
+        m = request.getfixturevalue(name)
+        omega = data.draw(st.lists(st.integers(0, m.n_components - 1),
+                                   min_size=length, max_size=length))
+        inner = [data.draw(st.integers(0, m.components[i].size - 1))
+                 for i in omega]
+        got = m.point_of_path(omega, inner)
+        want = horner_point(m, omega, inner)
+        assert got == want
+        assert type(got) is type(want)
 
 
 class TestAtomBound:
