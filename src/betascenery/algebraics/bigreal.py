@@ -87,10 +87,6 @@ class BigReal:
         lo, hi = a.refine_bits(prec + 2)
         return cls.from_interval(lo, hi, prec)
 
-    @classmethod
-    def from_float(cls, x: float, prec: int = 128) -> "BigReal":
-        return cls.from_fraction(Fraction(x), prec)
-
     # -- views ---------------------------------------------------------------
 
     @property

@@ -431,14 +431,19 @@ class ParryDensity:
     tail_bound: float
     breakpoint_floats: Tuple[float, ...]
 
+    @functools.cached_property
     def piece_floats(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(breakpoints, values) as read-only float arrays, converted on
+        first use."""
         br = np.array(self.breakpoint_floats)
         vals = np.array([float(v) for v in self.values])
+        br.setflags(write=False)
+        vals.setflags(write=False)
         return br, vals
 
     def cdf(self, t: np.ndarray) -> np.ndarray:
         """Float CDF at the points t (vectorized)."""
-        br, vals = self.piece_floats()
+        br, vals = self.piece_floats
         widths = np.diff(br)
         cum = np.concatenate([[0.0], np.cumsum(vals * widths)])
         t = np.asarray(t, dtype=float)
@@ -446,24 +451,9 @@ class ParryDensity:
                       0, len(vals) - 1)
         return np.clip(cum[idx] + vals[idx] * (t - br[idx]), 0.0, 1.0)
 
-    def cdf_exact(self, t: ExactScalar) -> ExactScalar:
-        if t <= 0:
-            return Fraction(0)
-        if t >= 1:
-            return Fraction(1)
-        acc = Fraction(0)
-        for j, v in enumerate(self.values):
-            lo, hi = self.breakpoints[j], self.breakpoints[j + 1]
-            if t >= hi:
-                acc = acc + v * (hi - lo)
-            else:
-                acc = acc + v * (t - lo)
-                break
-        return acc
-
     def sample(self, count: int, seed: int, *labels) -> np.ndarray:
         """Inverse-CDF draws (float) from the density."""
-        br, vals = self.piece_floats()
+        br, vals = self.piece_floats
         widths = np.diff(br)
         masses = vals * widths
         cum = np.concatenate([[0.0], np.cumsum(masses)])
@@ -579,9 +569,6 @@ class NormalityStatistic:
     discrepancy: float
     steps: int
     precision_used: int
-
-    def as_row(self) -> List[float]:
-        return [*map(float, self.digit_freqs), float(self.discrepancy)]
 
 
 def normality_statistic(base: BetaBase, x, steps: int,

@@ -31,7 +31,7 @@ from .algebraics import (AlgebraicNumber, Dependent, IntPolynomial, is_pisot,
 from .beta_numeration import (BetaBase, beta_orbit,
                               normality_from_orbit, parry_density)
 from .model import Model, build_model, verify_ssc
-from .rng import UniformStream, cdf_thresholds
+from .rng import UniformStream
 from .scenery import (PANEL_VERSION, build_extended_chain,
                       compare_scenery_to_Q, evaluate_panel, point_mass_window,
                       rescale_model_for_gap, sample_Q, scenery_orbit,
@@ -305,7 +305,7 @@ def cmd_parry(args) -> int:
         pd = parry_density(base, truncation=args.truncation)
     except (TypeError, ValueError) as e:
         raise CliError(str(e)) from e
-    br, vals = pd.piece_floats()
+    br, vals = pd.piece_floats
     rows = [(repr(float(br[j])), repr(float(br[j + 1])),
              repr(float(vals[j]))) for j in range(len(vals))]
     csv_path = os.path.join(args.out_dir, "parry.csv")
@@ -329,7 +329,6 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
     target = n_digits * math.log(float(base.beta)) + 64 * math.log(2)
     costs = np.array([-math.log(abs(float(c.ratio)))
                       for c in model.components])
-    th_sel = cdf_thresholds(model.selection)
     # no path needs more levels than one made of the cheapest component
     depth = math.ceil(target / costs.min()) + 1
     pts = []
@@ -338,7 +337,8 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
         # uniform 2k + 1; the path ends at the first level whose summed
         # costs reach the target (cumsum adds in level order)
         u = UniformStream(seed, "normality-point", j).slice(0, 2 * depth)
-        omega = np.searchsorted(th_sel, u[0::2], side="right")
+        omega = np.searchsorted(model._selection_thresholds, u[0::2],
+                                side="right")
         n = int(np.searchsorted(np.cumsum(costs[omega]), target)) + 1
         omega = omega[:n]
         inner = model._add_inner_draws(np.zeros(n, dtype=np.int64), omega,

@@ -111,6 +111,8 @@ class Model:
             [0] + [c.size for c in self.components[:-1]])
         self._inner_thresholds = [cdf_thresholds(c.weights)
                                   for c in self.components]
+        self._selection_thresholds = cdf_thresholds(self.selection)
+        self._selection_thresholds.setflags(write=False)
 
     # -- structure ------------------------------------------------------------
 
@@ -157,10 +159,10 @@ class Model:
 
     def omega_word(self, seed: int, *labels) -> "Word":
         """I.i.d. component symbols drawn from the selection weights."""
-        thresholds = cdf_thresholds(self.selection)
         stream = UniformStream(seed, "omega", *labels)
         return Word(source=lambda start: np.searchsorted(
-            thresholds, stream.slice(start, _BLOCK), side="right"))
+            self._selection_thresholds, stream.slice(start, _BLOCK),
+            side="right"))
 
     def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
         """Inner map choices over the component word omega: position k
@@ -215,14 +217,13 @@ class Model:
         if depth is None:
             depth = sampling_depth([c.ratio for c in self.components])
         stream = UniformStream(seed, "model-measure", *labels)
-        thresholds = cdf_thresholds(self.selection)
 
         def fold(start, rows):
             # the component draws fill the stream's first count * depth
             # places, the inner draws the next count * depth
             u = stream.slice(start * depth, rows * depth)
-            omega = np.searchsorted(thresholds, u.reshape(rows, depth),
-                                    side="right")
+            omega = np.searchsorted(self._selection_thresholds,
+                                    u.reshape(rows, depth), side="right")
             u = stream.slice((count + start) * depth, rows * depth)
             return self._fold(omega, u.reshape(rows, depth))
         return fold_in_chunks(count, fold)

@@ -12,13 +12,19 @@ by default).  Two constructions produce them:
     is set by the mass cutoff.  The windows of a run go down the tree
     together, WINDOW_BLOCK at a time: a level is one set of numpy calls
     over the nodes of every window in the block, each node tagged with its
-    window, and all mass lands in one (windows, 2B) bin array.  Each window
-    gets the float operations it would get alone, in the same order, so its
-    bins do not depend on the block.  window_of_state is that descent for
-    one state.
+    window, and all mass lands in one (windows, 2B) bin array.  A block
+    reads its words once, into a (windows, L) table of component symbols
+    and one of inner symbols, -1 where a finite word has ended; the focus
+    points, the symbolic splits of the focus cylinders and the descent read
+    those tables.  Each window gets the float operations it would get
+    alone, in the same order (running products and sums are sequential
+    numpy accumulations), so its bins do not depend on the block.
+    window_of_state is that descent for one state.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
-also lives here so every consumer shares one definition.
+also lives here so every consumer shares one definition.  It stays one
+window at a time: summed over a block at once, its masses and moments
+differ from the per-window sums in the last bits.
 """
 
 from __future__ import annotations
@@ -37,9 +43,16 @@ DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
 PANEL_VERSION = "fp-v1"
 # windows rendered together by one descent: enough to amortise the numpy
-# calls of each level over hundreds of nodes, few enough that the words of
-# a block (about 37 KB for a stationary sample's four lazy words) stay small
+# calls of each level over hundreds of nodes, few enough that a block's
+# words stay small (a stationary sample's four lazy words hold 1,024
+# symbols each, about 37 KB with their buffers and streams)
 WINDOW_BLOCK = 64
+# first length of a block's symbol tables: past the focus walks and focus
+# splits of the scenery benchmark's windows (at most 72 levels on middle
+# thirds, 133 on the reflected model), so that few blocks read past them
+SYMBOL_TABLE = 256
+# levels of a focus split walked per round of array operations
+SPLIT_CHUNK = 64
 
 
 @dataclass
@@ -137,34 +150,78 @@ def center_and_window(points: np.ndarray, focus: float, t: float,
 
 
 class _Floats:
-    """The model as floats: per-component (ratio, shifts, weights) for the
-    scalar walks, the same maps flattened into tables indexed by
-    ``start[c] + v`` for the batched descent, and the hull."""
+    """The model as floats: its maps flattened into tables indexed by
+    ``start[c] + v`` (map v of component c), each component's ratio and
+    map count, and the hull."""
 
     def __init__(self, model: Model):
-        self.comps = []
-        for c in model.components:
-            ts = np.array([float(f.shift) for f in c.maps])
-            ws = np.array([float(x) for x in c.weights])
-            self.comps.append((float(c.ratio), ts, ws))
-        self.ratio = np.array([r for r, _, _ in self.comps])
-        self.size = np.array([ts.size for _, ts, _ in self.comps])
+        comps = model.components
+        self.ratio = np.array([float(c.ratio) for c in comps])
+        self.size = np.array([c.size for c in comps])
         self.start = np.cumsum(self.size) - self.size
-        self.shifts = np.concatenate([ts for _, ts, _ in self.comps])
-        self.weights = np.concatenate([ws for _, _, ws in self.comps])
+        self.shifts = np.array([float(f.shift) for c in comps for f in c.maps])
+        self.weights = np.array([float(x) for c in comps for x in c.weights])
         self.hlo = float(model.hull[0])
         self.hhi = float(model.hull[1])
 
 
-def _focus(fl: _Floats, omega: Word, inner: Word, tol: float) -> float:
+def _rows(words: Sequence[Word], start: int, n: int) -> np.ndarray:
+    """The n symbols of each word from position start on, one row per word,
+    with -1 where a finite word has ended."""
+    out = np.full((len(words), n), -1, dtype=np.int64)
+    for row, word in zip(out, words):
+        got = word.take(start, n)
+        row[:got.size] = got
+    return out
+
+
+class _Symbols:
+    """The omega and inner symbols of a block's windows as two
+    (windows, L) tables, filled with one Word.take per word and refilled
+    at twice the length when a read goes past L."""
+
+    def __init__(self, omegas: Sequence[Word], inners: Sequence[Word]):
+        self.words = (omegas, inners)
+        self._fill(SYMBOL_TABLE)
+
+    def _fill(self, n: int) -> None:
+        self.tables = tuple(_rows(words, 0, n) for words in self.words)
+        self.length = n
+
+    def at(self, which: int, k: int, rows: np.ndarray) -> np.ndarray:
+        """Symbol k of the given windows' omega (which=0) or inner (1)
+        word; IndexError, as Word.symbol raises it, where one has ended."""
+        while k >= self.length:
+            self._fill(2 * self.length)
+        got = self.tables[which][rows, k]
+        if got.size and got.min() < 0:
+            self.words[which][rows[np.argmax(got < 0)]].symbol(k)
+        return got
+
+    def span(self, rows: np.ndarray, start: int, n: int):
+        """(omega, inner) symbols start..start+n of the given windows, -1
+        past a word's end; read past the tables without growing them."""
+        if start + n <= self.length:
+            return tuple(t[rows, start:start + n] for t in self.tables)
+        return tuple(_rows([words[w] for w in rows], start, n)
+                     for words in self.words)
+
+
+def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
+    """The focus point of every window of the block: the nested map
+    compositions along its (omega, inner) path, until the image of the hull
+    is shorter than tol."""
     scale = max(abs(fl.hlo), abs(fl.hhi), fl.hhi - fl.hlo, 1.0)
-    a, b = 1.0, 0.0
-    k = 0
-    while abs(a) * scale > tol and k < 5000:
-        r, ts, _ = fl.comps[omega.symbol(k)]
-        b += a * ts[inner.symbol(k)]
-        a *= r
-        k += 1
+    nw = len(sy.words[0])
+    a, b = np.ones(nw), np.zeros(nw)
+    live = np.arange(nw)
+    for k in range(5000):
+        live = live[np.abs(a[live]) * scale > tol]
+        if not live.size:
+            break
+        om = sy.at(0, k, live)
+        b[live] += a[live] * fl.shifts[fl.start[om] + sy.at(1, k, live)]
+        a[live] *= fl.ratio[om]
     return b + a * 0.5 * (fl.hlo + fl.hhi)
 
 
@@ -172,39 +229,62 @@ def focus_point(model: Model, omega: Word, inner: Word,
                 tol: float = 1e-15) -> float:
     """The point coded by the inner path through the component sequence:
     the limit of the nested map compositions, to float accuracy."""
-    return _focus(_Floats(model), omega, inner, tol)
+    return float(_focus(_Floats(model), _Symbols([omega], [inner]), tol)[0])
 
 
-def _split_focus_mass(bins: np.ndarray, node_mass: float, comps,
-                      omega: Word, inner: Word, level: int, a_sign: float,
-                      sgn: float, bins_half: int, eps_cut: float) -> None:
-    """Distribute the focus cylinder's mass between the two central bins by
-    word order instead of float positions: descend the inner path, crediting
-    each sibling word's weight to whichever side of the chosen word it lies
-    on (flipping with the running orientation)."""
-    side_sign = a_sign * sgn
-    left = 0.0
-    right = 0.0
-    m = 1.0
-    j = level
-    while m > eps_cut and j < level + 100_000:
-        r, ts, ws = comps[omega.symbol(j)]
-        u = inner.symbol(j)
-        for v in range(len(ts)):
-            if v == u:
-                continue
-            if (ts[v] - ts[u]) * side_sign < 0:
-                left += m * ws[v]
-            else:
-                right += m * ws[v]
-        m *= ws[u]
-        if r < 0:
-            side_sign = -side_sign
-        j += 1
-    left += 0.5 * m
-    right += 0.5 * m
-    bins[bins_half - 1] += node_mass * left
-    bins[bins_half] += node_mass * right
+def _split_focus_mass(fl: _Floats, sy: _Symbols, rows: np.ndarray,
+                      level: int, side: np.ndarray, eps_cut: float):
+    """The (left, right) shares of the focus cylinder's mass in the two
+    central bins, for each window in rows, by word order instead of float
+    positions: walk the inner path's tail from `level` while its mass m
+    exceeds eps_cut, credit m times each sibling map's weight to the side of
+    the chosen map it lies on (flipping with the running orientation
+    `side`), then half the remaining m to each side.
+
+    The tail is walked SPLIT_CHUNK levels at a time.  Within a chunk, m and
+    the orientation are running products and each side's credit a running
+    sum over the (level, sibling) terms, with 0.0 where a term does not
+    apply: each window gets the float operations of the scalar walk, in
+    its order."""
+    n = rows.size
+    m, left, right = np.ones(n), np.zeros(n), np.zeros(n)
+    side = side.copy()
+    kids = np.arange(fl.size.max())
+    todo = np.arange(n)
+    j, cap = level, level + 100_000
+    while todo.size and j < cap:
+        c = min(SPLIT_CHUNK, cap - j)
+        t = np.arange(todo.size)
+        om, inn = sy.span(rows[todo], j, c)
+        ended = (om < 0) | (inn < 0)
+        om, inn = np.maximum(om, 0), np.maximum(inn, 0)
+        chosen = fl.start[om] + inn
+        ms = np.cumprod(np.column_stack([m[todo], fl.weights[chosen]]),
+                        axis=1)
+        walk = np.logical_and.accumulate(ms[:, :c] > eps_cut, axis=1)
+        if (walk & ended).any():
+            # a walked level past a word's end: that word raises
+            r, i = np.argwhere(walk & ended)[0]
+            for words in sy.words:
+                words[rows[todo[r]]].symbol(int(j + i))
+        flips = np.where(fl.ratio[om] < 0, -1.0, 1.0)
+        sides = np.cumprod(np.column_stack([side[todo], flips]), axis=1)
+        sib = (walk[..., None] & (kids < fl.size[om][..., None])
+               & (kids != inn[..., None]))
+        v = np.where(sib, fl.start[om][..., None] + kids, 0)
+        credit = ms[:, :c, None] * fl.weights[v]
+        on_left = (fl.shifts[v] - fl.shifts[chosen][..., None]) \
+            * sides[:, :c, None] < 0
+        steps = walk.sum(axis=1)
+        for acc, sel in ((left, sib & on_left), (right, sib & ~on_left)):
+            terms = np.where(sel, credit, 0.0).reshape(todo.size, -1)
+            acc[todo] = np.cumsum(np.column_stack([acc[todo], terms]),
+                                  axis=1)[:, -1]
+        m[todo] = ms[t, steps]
+        side[todo] = sides[t, steps]
+        todo = todo[steps == c]
+        j += c
+    return left + 0.5 * m, right + 0.5 * m
 
 
 def _bin_index(w: np.ndarray, bins_half: int) -> np.ndarray:
@@ -277,7 +357,8 @@ def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
     the block, all windows in lockstep, one level at a time."""
     nw, nb = len(block), 2 * bins_half
     hlo, hhi = fl.hlo, fl.hhi
-    x = np.array([_focus(fl, om, inn, 1e-15) for om, inn, _, _ in block])
+    sy = _Symbols([st[0] for st in block], [st[1] for st in block])
+    x = _focus(fl, sy, 1e-15)
     ezoom = np.array([math.exp(t) / window_radius for *_, t in block])
     sgn = np.array([-1.0 if a % 2 else 1.0 for _, _, a, _ in block])
 
@@ -303,15 +384,17 @@ def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
         whi = np.maximum(w1, w2)
         keep = (whi > -1.0) & (wlo < 1.0)
 
-        split = (focus >= 0) & (np.abs(A) * (hhi - hlo) * ezoom
-                                < 1.0 / bins_half)
-        for w in np.flatnonzero(split):
-            om, inn, _, _ = block[w]
-            _split_focus_mass(bins[w], float(mass[focus[w]]), fl.comps, om,
-                              inn, level, 1.0 if A[w] > 0 else -1.0, sgn[w],
-                              bins_half, eps_cut)
-            keep[focus[w]] = False
-        focus[split] = -1
+        fits = np.abs(A) * (hhi - hlo) * ezoom < 1.0 / bins_half
+        split = np.flatnonzero((focus >= 0) & fits)
+        if split.size:
+            left, right = _split_focus_mass(
+                fl, sy, split, level, np.where(A[split] > 0, 1.0, -1.0)
+                * sgn[split], eps_cut)
+            node_mass = mass[focus[split]]
+            bins[split, bins_half - 1] += node_mass * left
+            bins[split, bins_half] += node_mass * right
+            keep[focus[split]] = False
+            focus[split] = -1
         live = focus[focus >= 0]
 
         idx_lo = _bin_index(wlo, bins_half)
@@ -348,7 +431,7 @@ def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
         go = np.flatnonzero(np.bincount(pw, minlength=nw))
         expanded += count
         sym = np.zeros(nw, dtype=np.int64)
-        sym[go] = [block[w][0].symbol(level) for w in go]
+        sym[go] = sy.at(0, level, go)
         # a parent's children are the maps of its window's component at
         # this level, in map order
         k = fl.size[sym[pw]]
@@ -361,8 +444,7 @@ def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
         moved = np.flatnonzero(focus >= 0)
         if moved.size:
             at_par = np.searchsorted(par, focus[moved])
-            focus[moved] = first[at_par] + np.array(
-                [block[w][1].symbol(level) for w in moved])
+            focus[moved] = first[at_par] + sy.at(1, level, moved)
         A[go] *= fl.ratio[sym[go]]
         level += 1
 
@@ -392,36 +474,42 @@ def panel_names() -> List[str]:
     return names
 
 
+def _run(mask: np.ndarray) -> slice:
+    """The slice of the one run of True in mask."""
+    at = np.flatnonzero(mask)
+    return slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
+
+
 @lru_cache(maxsize=None)
 def _panel_grid(n: int):
-    """Midpoint powers and the central and right-side masks of the panel on
-    n bins, built once per bin count and frozen."""
+    """Midpoint powers, frozen, and the central and right-side bin ranges
+    of the panel on n bins, built once per bin count."""
     mids = _midpoints(n)
     moments = [mids, mids ** 2, mids ** 3, mids ** 4, np.abs(mids)]
-    central = [np.abs(mids) <= r for r in _DYADIC]
-    right = [(mids >= 0) & (mids <= r) for r in _DYADIC]
-    for arr in moments + central + right:
+    for arr in moments:
         arr.setflags(write=False)
+    central = [_run(np.abs(mids) <= r) for r in _DYADIC]
+    right = [_run((mids >= 0) & (mids <= r)) for r in _DYADIC]
     return moments, central, right
 
 
 def evaluate_panel(w: WindowMeasure) -> np.ndarray:
-    """The 32 bounded functionals of panel fp-v1, in panel_names order."""
+    """The 32 bounded functionals of panel fp-v1, in panel_names order.
+    Each mass and defect is one sum over a contiguous range of bins."""
     b = w.bins
     moments, central, right = _panel_grid(b.size)
+    defect = np.abs(b - b[::-1])
     vals = np.empty(32)
-    for k, sel in enumerate(central):
-        vals[k] = b[sel].sum()
-    for k, sel in enumerate(right):
-        vals[8 + k] = b[sel].sum()
+    for k, s in enumerate(central):
+        vals[k] = b[s].sum()
+        vals[24 + k] = 0.5 * float(defect[s].sum())
+    for k, s in enumerate(right):
+        vals[8 + k] = b[s].sum()
     for k, m in enumerate(moments):
         vals[16 + k] = float(b @ m)
     vals[21] = float(b.max())
     vals[22] = float((b > 1e-12).mean())
     vals[23] = float((b ** 2).sum())
-    rev = b[::-1]
-    for k, sel in enumerate(central):
-        vals[24 + k] = 0.5 * float(np.abs(b[sel] - rev[sel]).sum())
     return vals
 
 

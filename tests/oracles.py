@@ -17,8 +17,10 @@ evidence rather than circularity.
     each rounded to the nearest float.
   * pslq_relation: an integer relation between log|a| and log|b| from
     mpmath.pslq at 100 digits.
-  * cylinder_window: the bins of one scenery window, rendered one cylinder
-    at a time in Python floats.
+  * cylinder_focus, cylinder_window: the focus point and the bins of one
+    scenery window, rendered one cylinder at a time in Python floats.
+  * panel_by_masks: the 32 functionals of scenery panel fp-v1, each mass
+    summed over a boolean mask of the bins.
 """
 
 from __future__ import annotations
@@ -250,6 +252,22 @@ def pslq_relation(a, b, maxcoeff: int) -> Optional[Tuple[int, int]]:
     return (p, q) if q > 0 else (-p, -q)
 
 
+def cylinder_focus(comps, hull: Tuple[float, float], omega, inner,
+                   tol: float = 1e-15) -> float:
+    """The focus point of a scenery window in Python floats: the nested map
+    compositions along the (omega, inner) path, until the image of the
+    hull is shorter than tol, applied to the hull midpoint."""
+    hlo, hhi = hull
+    scale = max(abs(hlo), abs(hhi), hhi - hlo, 1.0)
+    x, p, k = 0.0, 1.0, 0
+    while abs(p) * scale > tol and k < 5000:
+        r, ts, _ = comps[omega(k)]
+        x += p * ts[inner(k)]
+        p *= r
+        k += 1
+    return x + p * 0.5 * (hlo + hhi)
+
+
 def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
                     zoom_t: float, bins_half: int = 256,
                     eps_cut: float = 1e-10, node_budget: int = 500_000,
@@ -267,14 +285,7 @@ def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
     def index(w):
         return min(max(int((w + 1.0) * bins_half), 0), n - 1)
 
-    scale = max(abs(hlo), abs(hhi), hhi - hlo, 1.0)
-    x, p, k = 0.0, 1.0, 0
-    while abs(p) * scale > 1e-15 and k < 5000:
-        r, ts, _ = comps[omega(k)]
-        x += p * ts[inner(k)]
-        p *= r
-        k += 1
-    x += p * 0.5 * (hlo + hhi)
+    x = cylinder_focus(comps, hull, omega, inner)
     ezoom = math.exp(zoom_t) / window_radius
     sgn = -1.0 if a % 2 else 1.0
 
@@ -347,3 +358,31 @@ def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
         level += 1
     bins = np.array(bins)
     return bins / bins.sum()
+
+
+def panel_by_masks(bins: np.ndarray) -> np.ndarray:
+    """The 32 functionals of panel fp-v1 on one window's bins, with every
+    central and right-side mass and every symmetry defect summed over a
+    boolean mask of the bins: a frozen copy of the panel as it was first
+    written, which the package must match bit for bit."""
+    b = np.asarray(bins, dtype=float)
+    n = b.size
+    mids = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+    dyadic = [2.0 ** (-k) for k in range(8)]
+    moments = [mids, mids ** 2, mids ** 3, mids ** 4, np.abs(mids)]
+    central = [np.abs(mids) <= r for r in dyadic]
+    right = [(mids >= 0) & (mids <= r) for r in dyadic]
+    vals = np.empty(32)
+    for k, sel in enumerate(central):
+        vals[k] = b[sel].sum()
+    for k, sel in enumerate(right):
+        vals[8 + k] = b[sel].sum()
+    for k, m in enumerate(moments):
+        vals[16 + k] = float(b @ m)
+    vals[21] = float(b.max())
+    vals[22] = float((b > 1e-12).mean())
+    vals[23] = float((b ** 2).sum())
+    rev = b[::-1]
+    for k, sel in enumerate(central):
+        vals[24 + k] = 0.5 * float(np.abs(b[sel] - rev[sel]).sum())
+    return vals

@@ -67,7 +67,7 @@ def cantor_points(middle_thirds_model):
 def test_01_golden_parry_closed_form(golden_base):
     t0 = time.monotonic()
     pd = bs.parry_density(golden_base)
-    br, vals = pd.piece_floats()
+    br, vals = pd.piece_floats
     s5 = math.sqrt(5.0)
     err = max(abs(vals[0] - (5 + 3 * s5) / 10),
               abs(vals[1] - (5 + s5) / 10),

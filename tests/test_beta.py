@@ -337,7 +337,7 @@ class TestParryDensity:
     def test_golden_frozen_values(self, golden_base):
         hi, lo, brk = golden_parry_values()
         pd = parry_density(golden_base)
-        breaks, vals = pd.piece_floats()
+        breaks, vals = pd.piece_floats
         assert vals.shape == (2,)
         assert abs(vals[0] - hi) < 1e-12
         assert abs(vals[1] - lo) < 1e-12
@@ -347,7 +347,7 @@ class TestParryDensity:
     def test_tribonacci_frozen_values(self, tribonacci_base):
         breaks, vals = tribonacci_parry_pieces()
         pd = parry_density(tribonacci_base)
-        got_breaks, got_vals = pd.piece_floats()
+        got_breaks, got_vals = pd.piece_floats
         assert got_vals.shape == (3,)
         for g, w in zip(got_breaks, breaks):
             assert abs(g - w) < 1e-12
@@ -360,7 +360,7 @@ class TestParryDensity:
         pd = parry_density(base)
         mids, dens = beta_invariant_density(float(base.beta),
                                             n_bins=10_000)
-        breaks, vals = pd.piece_floats()
+        breaks, vals = pd.piece_floats
         idx = np.searchsorted(breaks, mids, side="right") - 1
         ours = vals[np.clip(idx, 0, len(vals) - 1)]
         l1 = np.abs(ours - dens).mean()
@@ -383,7 +383,7 @@ class TestParryDensity:
         assert pd.tail_bound == 0.0
         assert pd.truncated_at == n_terms
         mids, dens = beta_invariant_density(float(base.beta), n_bins=10_000)
-        breaks, values = pd.piece_floats()
+        breaks, values = pd.piece_floats
         idx = np.searchsorted(breaks, mids, side="right") - 1
         ours = values[np.clip(idx, 0, len(values) - 1)]
         assert np.abs(ours - dens).mean() < 1e-3

@@ -37,6 +37,23 @@ FROZEN = {
                                 "c144a08c8489dec3cf3e817b72a61cca",
          "windows.csv": "e9f8cbc91a93a923e730073fe07efdcd"
                         "7cff6d6d0ad5922313216889ccd1e691"}),
+    # at the scenery-zoom benchmark's scale: 881 orbit windows and 1,000
+    # stationary ones, recorded before the blocks' symbols were read into
+    # tables and the focus, split and panel worked in arrays
+    "scenery-mt-workload": (
+        ["--seed", "7", "scenery", "mt.json", "--T", "3520", "--dt", "4",
+         "--n-q", "1000", "--dump-windows", "40"], 0,
+        {"scenery_report.json": "d2b669e2b0a48d167d598f979eddf2ae"
+                                "85dd8b8350635b6e7e386942479aa496",
+         "windows.csv": "63a84422edb33adac9fcd91d083df8cf"
+                        "26c1a084d5a8dd943ad61e12fa2467b0"}),
+    "scenery-refl-workload": (
+        ["--seed", "8", "scenery", "refl.json", "--T", "3520", "--dt", "4",
+         "--n-q", "1000", "--dump-windows", "40"], 0,
+        {"scenery_report.json": "d848485a994b63fb5f0275e9eeca5f70"
+                                "7b7b79b60ab7ecae57da9dabe4579b0b",
+         "windows.csv": "c3975523a65887243eace212334b1fca"
+                        "aab7a044fd011f8935cbd28acac787dd"}),
     "sample-model": (
         ["--seed", "5", "sample", "mt.json", "--mode", "model",
          "--count", "700"], 0,

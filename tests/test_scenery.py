@@ -4,9 +4,11 @@ obstruction check."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import betascenery as bs
 from betascenery import (
@@ -30,9 +32,11 @@ from betascenery import (
     window_of_state,
     windows_of_states,
 )
-from betascenery.scenery import windows
+from betascenery.model import Word
+from betascenery.scenery import focus_point, windows
 
-from oracles import cylinder_window, ks_between
+from oracles import (cylinder_focus, cylinder_window, ks_between,
+                     panel_by_masks)
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +196,18 @@ def weighted_scaled(middle_thirds):
     return m
 
 
+@pytest.fixture(scope="module")
+def flipped_scaled():
+    # both maps reverse orientation, so the pair component does too: the
+    # focus split flips sides between the levels that credit siblings
+    m, c = rescale_model_for_gap(build_model(bs.SimilarityIFS(
+        [bs.SimilarityMap(Fraction(-1, 3), Fraction(1, 3)),
+         bs.SimilarityMap(Fraction(-1, 3), Fraction(1))])))
+    return m
+
+
 DESCENT_MODELS = ["mt_scaled", "two_ratio_scaled", "refl_scaled",
-                  "weighted_scaled"]
+                  "weighted_scaled", "flipped_scaled"]
 
 # node_budget 4 trips the valve on every model; at eps_cut 0.05 the
 # cylinders that still straddle a bin edge a few levels down are tiny
@@ -205,6 +219,13 @@ DESCENT_SETTINGS = {
              "window_radius": 0.5},
     "coarse": {"node_budget": 12, "eps_cut": 0.02, "bins_half": 2},
 }
+
+
+def oracle_model(m):
+    """The model as the cylinder oracle reads it: (comps, hull) in floats."""
+    comps = [(float(c.ratio), [float(f.shift) for f in c.maps],
+              [float(w) for w in c.weights]) for c in m.components]
+    return comps, (float(m.hull[0]), float(m.hull[1]))
 
 
 def descent_states(m, n):
@@ -240,9 +261,7 @@ class TestBatchedDescent:
     @pytest.mark.parametrize("model", DESCENT_MODELS)
     def test_bins_match_cylinder_oracle(self, request, model):
         m = request.getfixturevalue(model)
-        comps = [(float(c.ratio), [float(f.shift) for f in c.maps],
-                  [float(w) for w in c.weights]) for c in m.components]
-        hull = (float(m.hull[0]), float(m.hull[1]))
+        comps, hull = oracle_model(m)
         states = descent_states(m, 12)
         for setting, kw in DESCENT_SETTINGS.items():
             got = windows_of_states(m, states, **kw)
@@ -265,6 +284,108 @@ class TestBatchedDescent:
 
     def test_no_states_no_windows(self, mt_scaled):
         assert windows_of_states(mt_scaled, []) == []
+
+    # small symbol tables and split chunks make the tables refill and the
+    # split walks cross many chunks, also past the end of the tables
+    @given(model=st.sampled_from(DESCENT_MODELS),
+           setting=st.sampled_from(sorted(DESCENT_SETTINGS)),
+           states=st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                     st.integers(0, 5), st.integers(0, 1),
+                                     st.floats(0.0, 5.0)),
+                           min_size=1, max_size=5),
+           table=st.sampled_from([1, 5, 128]),
+           chunk=st.sampled_from([1, 3, 64]))
+    @example(model="refl_scaled", setting="default",
+             states=[(7, 0, 1, 0.3), (8, 2, 0, 2.5)], table=128, chunk=64)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sweep_matches_cylinder_oracle(self, request, model, setting,
+                                           states, table, chunk):
+        m = request.getfixturevalue(model)
+        comps, hull = oracle_model(m)
+        kw = DESCENT_SETTINGS[setting]
+        block, wants = [], []
+        for seed, shift, a, t in states:
+            om = m.omega_word(seed, "sweep")
+            inner = m.inner_word(om, seed, "sweep")
+            om, inner = om.shift(shift), inner.shift(shift)
+            with np.errstate(invalid="ignore"):
+                want = cylinder_window(comps, hull, om.symbol, inner.symbol,
+                                       a, t, **kw)
+            if np.isnan(want).any():
+                # the valve left no mass inside the window
+                with pytest.raises(ValueError, match="empty window"):
+                    window_of_state(m, om, inner, a, t, **kw)
+            else:
+                block.append((om, inner, a, t))
+                wants.append(want)
+        with mock.patch.object(windows, "SYMBOL_TABLE", table), \
+                mock.patch.object(windows, "SPLIT_CHUNK", chunk):
+            got = windows_of_states(m, block, **kw)
+        assert len(got) == len(wants)
+        for w, want in zip(got, wants):
+            assert np.array_equal(w.bins, want)
+
+    @given(model=st.sampled_from(DESCENT_MODELS),
+           states=st.lists(st.tuples(st.integers(0, 2 ** 16),
+                                     st.integers(0, 5)),
+                           min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_focus_points_match_oracle(self, request, model, states):
+        m = request.getfixturevalue(model)
+        comps, hull = oracle_model(m)
+        words = []
+        for seed, shift in states:
+            om = m.omega_word(seed, "focus")
+            inner = m.inner_word(om, seed, "focus")
+            words.append((om.shift(shift), inner.shift(shift)))
+        want = [cylinder_focus(comps, hull, om.symbol, inner.symbol)
+                for om, inner in words]
+        block = windows._focus(windows._Floats(m), windows._Symbols(
+            [om for om, _ in words], [inner for _, inner in words]), 1e-15)
+        assert block.tolist() == want
+        assert [focus_point(m, om, inner) for om, inner in words] == want
+
+    def test_omega_too_short_for_the_focus_walk(self, mt_scaled):
+        # the focus walk of middle thirds needs about 32 levels
+        with pytest.raises(IndexError, match="symbol sequence exhausted"):
+            window_of_state(mt_scaled, Word([0] * 5), Word([0] * 40), 0, 1.0)
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_finite_words_end_where_the_oracle_needs_them(self, request,
+                                                          model):
+        # a finite word raises IndexError exactly when the scalar walks
+        # read past its end: in the focus walk, the descent or the split
+        m = request.getfixturevalue(model)
+        comps, hull = oracle_model(m)
+        om = m.omega_word(3, "finite")
+        inner = m.inner_word(om, 3, "finite")
+        raised = 0
+        for n in range(0, 120, 4):
+            for n_om, n_in in ((n, n), (n + 60, n), (n, n + 60)):
+                fo, fi = Word(om.take(0, n_om)), Word(inner.take(0, n_in))
+                try:
+                    want = cylinder_window(comps, hull, fo.symbol, fi.symbol,
+                                           1, 1.0)
+                except IndexError:
+                    raised += 1
+                    with pytest.raises(IndexError,
+                                       match="symbol sequence exhausted"):
+                        window_of_state(m, fo, fi, 1, 1.0)
+                    continue
+                got = window_of_state(m, fo, fi, 1, 1.0)
+                assert np.array_equal(got.bins, want), (n_om, n_in)
+        assert 0 < raised < 90
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_panel_matches_mask_oracle(self, request, model):
+        m = request.getfixturevalue(model)
+        states = descent_states(m, 12)
+        for kw in DESCENT_SETTINGS.values():
+            for w in windows_of_states(m, states, **kw):
+                assert np.array_equal(evaluate_panel(w),
+                                      panel_by_masks(w.bins))
 
 
 class TestShiftIdentity:
