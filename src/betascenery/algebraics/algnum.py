@@ -19,17 +19,8 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_add, interval_mul
-from .roots import (_root_separation_bound, isolate_real_roots,
-                    real_root_intervals, refine_real_root)
-
-
-def _count_real_roots(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    from sympy.polys.domains import QQ, ZZ
-    from sympy.polys.rootisolation import dup_count_real_roots
-    return dup_count_real_roots(
-        p.to_sympy_dup(), ZZ,
-        inf=QQ(lo.numerator, lo.denominator),
-        sup=QQ(hi.numerator, hi.denominator))
+from .roots import (_FLOAT_BITS_CAP, _root_separation_bound,
+                    isolate_real_roots, real_root_intervals, refine_real_root)
 
 
 class AlgebraicNumber:
@@ -52,7 +43,7 @@ class AlgebraicNumber:
                 raise ValueError(
                     f"{poly} is reducible; minimal polynomials must be "
                     "irreducible over Q")
-            if _count_real_roots(poly, lo, hi) != 1:
+            if lo > hi or poly.count_roots(lo, hi) != 1:
                 raise ValueError(
                     f"[{lo}, {hi}] does not isolate exactly one root of {poly}")
         self.min_poly = poly
@@ -104,7 +95,14 @@ class AlgebraicNumber:
         return self.refine(Fraction(1, 2**bits))
 
     def __float__(self) -> float:
-        lo, hi = self.refine_bits(64)
+        """The float nearest this number: the interval is refined from 2^-64
+        until both ends round to one float, or up to _FLOAT_BITS_CAP bits
+        (a tie between two floats), and its midpoint is rounded."""
+        bits = 64
+        lo, hi = self.refine_bits(bits)
+        while float(lo) != float(hi) and bits < _FLOAT_BITS_CAP:
+            bits *= 2
+            lo, hi = self.refine_bits(bits)
         return float((lo + hi) / 2)
 
     # -- exact comparisons ------------------------------------------------
@@ -488,34 +486,51 @@ class FieldElement:
         r = self.to_rational()
         if r is not None:
             return AlgebraicNumber.from_rational(r)
-        import sympy
-        x, t = sympy.symbols("x t")
-        gen_poly = self.field.poly.to_sympy_expr(t)
-        elem = sum(sympy.Rational(c.numerator, c.denominator) * t**k
-                   for k, c in enumerate(self.vec))
-        res = sympy.resultant(gen_poly, x - elem, t)
-        poly = sympy.Poly(res, x)
-        candidates = []
-        for fac, _ in poly.factor_list()[1]:
-            coeffs = [int(c) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-            candidates.append(IntPolynomial(tuple(coeffs)).primitive())
-        # the minimal polynomial is the irreducible factor that vanishes at
-        # this element, checked by exact Horner evaluation inside the field
-        target = None
-        for fac in candidates:
-            acc = self.field.from_rational(fac.coeffs[-1])
-            for c in reversed(fac.coeffs[:-1]):
-                acc = acc * self + c
-            if acc.is_zero():
-                target = fac
-                break
-        if target is None:
-            raise ArithmeticError("no resultant factor vanishes at element")
+        # the characteristic polynomial of multiplication by this element is
+        # a power of its minimal polynomial, so its square-free part is it
+        target = _charpoly(self).squarefree_part()
+        # exact Horner evaluation inside the field confirms that it vanishes
+        acc = self.field.from_rational(target.coeffs[-1])
+        for c in reversed(target.coeffs[:-1]):
+            acc = acc * self + c
+        if not acc.is_zero():
+            raise ArithmeticError("minimal polynomial does not vanish at "
+                                  "element")
         # isolating interval: refine the generator until the Horner interval
         # of this element isolates exactly one root of the target
         lo, hi = self._enclose(
-            lambda iv: _count_real_roots(target, *iv) == 1)
+            lambda iv: target.count_roots(*iv) == 1)
         return AlgebraicNumber(target, lo, hi, _validated=True)
+
+
+def _charpoly(x: FieldElement) -> IntPolynomial:
+    """The characteristic polynomial of multiplication by x on the power
+    basis, as a primitive integer polynomial.  With x = v / D for an integer
+    vector v, the matrix M of v is integral, and Faddeev-LeVerrier gives its
+    characteristic polynomial sum c_i t^i in integers: with M_1 = I,
+    c_(n-k) = -tr(M M_k) / k and M_(k+1) = M M_k + c_(n-k) I, every division
+    exact.  That of x is then proportional to sum c_i D^i t^i."""
+    field, n = x.field, x.field.degree
+    den = math.lcm(*(c.denominator for c in x.vec))
+    col = [c * den for c in x.vec]
+    cols = []                                   # v beta^j, column by column
+    for _ in range(n):
+        cols.append([int(c) for c in col])
+        col = list(field.element([0] + col).vec)
+    m = [[cols[j][i] for j in range(n)] for i in range(n)]
+    c = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(m[i][l] * mk[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)]
+        tr = sum(prod[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier division is not exact")
+        c[n - k] = -tr // k
+        mk = [[prod[i][j] + (c[n - k] if i == j else 0) for j in range(n)]
+              for i in range(n)]
+    return IntPolynomial(tuple(ci * den ** i for i, ci in enumerate(c))
+                         ).primitive()
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +649,9 @@ def parse_scalar(text: str) -> ExactScalar:
     return value
 
 
-def scalar_to_str(x: ExactScalar) -> str:
+def scalar_to_str(x: ExactScalar, nearest: Optional[float] = None) -> str:
+    """x as text, with its nearest float: `nearest` when the caller already
+    holds it, else float(x)."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, AlgebraicNumber):
@@ -655,5 +672,6 @@ def scalar_to_str(x: ExactScalar) -> str:
                 term = f"{c}*{mag}"
             parts.append(term)
     body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-    return f"{body} ~ {float(x):.12g} (b root of {x.field.poly})"
+    approx = float(x) if nearest is None else nearest
+    return f"{body} ~ {approx:.12g} (b root of {x.field.poly})"
 

@@ -1,40 +1,49 @@
 """Integer-coefficient polynomials with exact evaluation.
 
-Coefficients are stored lowest-degree first.  Arithmetic stays in exact
-integers / Fractions; the one place outward rounding matters (evaluating over
-an interval with rational endpoints) uses exact rational interval arithmetic,
-so evaluation bounds are certificates, not estimates.
+Coefficients are stored lowest-degree first.  Everything stays in exact
+integers: signs at a rational a/b come from the homogeneous Horner value
+b^d p(a/b), gcds from a primitive pseudo-remainder sequence, and real-root
+counts from a Sturm sequence of integer pseudo-remainders.  Evaluation over
+an interval with rational endpoints uses exact rational interval
+arithmetic, so its bounds are certificates, not estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence, Tuple
+from math import gcd, lcm
+from typing import Iterable, List, Sequence, Tuple
 
 RatInterval = Tuple[Fraction, Fraction]
 
 _TERM_RE = re.compile(
     r"""\s*(?P<sign>[+-]?)\s*
         (?:
-            (?P<coeff>\d+)\s*(?:\*\s*)?(?P<var1>x)(?:\s*(?:\^|\*\*)\s*(?P<exp1>\d+))?
+            (?P<coeff>\d+)(?:\s*/\s*(?P<cden>\d+))?\s*(?:\*\s*)?
+                (?P<var1>x)(?:\s*(?:\^|\*\*)\s*(?P<exp1>\d+))?
           | (?P<var2>x)(?:\s*(?:\^|\*\*)\s*(?P<exp2>\d+))?
           | (?P<const>\d+)
-        )\s*""",
+        )(?:\s*/\s*(?P<den>\d+))?\s*""",
     re.VERBOSE,
 )
 
 
-def _parse_poly_string(text: str) -> list[int]:
-    """Parse forms like ``x^2 - x - 1`` or ``2*x**3 + 5`` into coefficients."""
+def _parse_poly_string(text: str, rational: bool = False) -> list:
+    """Parse forms like ``x^2 - x - 1`` or ``2*x**3 + 5`` into coefficients,
+    lowest degree first.  With `rational`, terms may also carry
+    denominators, as in ``x + x^2/2`` or ``1/3*x``, and the coefficients are
+    Fractions.  Zero leading terms are dropped.  Only this grammar is
+    read; nothing is evaluated."""
     pos = 0
-    coeffs: dict[int, int] = {}
+    coeffs: dict = {}
     seen_any = False
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
+        if m is None or m.end() == pos or (
+                not rational and (m.group("cden") or m.group("den"))):
             raise ValueError(f"cannot parse polynomial near {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if seen_any and m.group("sign") == "":
@@ -47,13 +56,18 @@ def _parse_poly_string(text: str) -> list[int]:
         else:
             c = int(m.group("coeff"))
             e = int(m.group("exp1")) if m.group("exp1") else 1
-        coeffs[e] = coeffs.get(e, 0) + sign * c
+        den = int(m.group("cden") or 1) * int(m.group("den") or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        coeffs[e] = coeffs.get(e, 0) + Fraction(sign * c, den)
         pos = m.end()
         seen_any = True
     if not seen_any:
         raise ValueError("empty polynomial string")
-    deg = max(coeffs)
-    return [coeffs.get(k, 0) for k in range(deg + 1)]
+    out = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out if rational else [int(c) for c in out]
 
 
 def interval_add(a: RatInterval, b: RatInterval) -> RatInterval:
@@ -63,6 +77,89 @@ def interval_add(a: RatInterval, b: RatInterval) -> RatInterval:
 def interval_mul(a: RatInterval, b: RatInterval) -> RatInterval:
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(p), max(p))
+
+
+# -- dense integer coefficient lists, lowest degree first ----------------------
+
+
+def scaled_value(coeffs: Sequence[int], a: int, b: int) -> int:
+    """b^d p(a/b) for p = coeffs of degree d, by homogeneous Horner:
+    the sum of c_i a^i b^(d-i).  Its sign is the sign of p(a/b) for b > 0."""
+    acc, power = coeffs[-1], 1
+    for c in coeffs[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return acc
+
+
+def _trim(cs: List[int]) -> List[int]:
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs: List[int]) -> List[int]:
+    """cs divided by its content, with a positive leading coefficient."""
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    if g == 0:
+        return [0]
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The pseudo-remainder of a by b with a positive multiplier:
+    |lc(b)|^(deg a - deg b + 1) a mod b, exactly, in integers."""
+    r = list(a)
+    lc, nb = b[-1], len(b)
+    delta = max(len(a) - nb + 1, 0)
+    steps = delta
+    while len(r) >= nb and r != [0]:
+        c, k = r[-1], len(r) - nb
+        r = [lc * x for x in r]
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+        r = _trim(r[:-1] or [0])
+        steps -= 1
+    # r is lc^(delta - steps) a mod b; finish with lc^steps, and flip the
+    # sign where lc^delta is negative
+    scale = lc ** steps * (-1 if lc < 0 and delta % 2 else 1)
+    return [scale * x for x in r]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The primitive gcd of two nonzero integer polynomials, by the primitive
+    pseudo-remainder sequence."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b != [0]:
+        r = _prem(a, b)
+        a, b = b, _primitive(r) if r != [0] else [0]
+    return a
+
+
+def _divexact(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b for a primitive b that divides the integer polynomial a; by
+    Gauss's lemma the quotient has integer coefficients.  Raises
+    ArithmeticError when b does not divide a."""
+    r, nb = list(a), len(b)
+    q = [0] * max(len(a) - nb + 1, 1)
+    while len(r) >= nb and r != [0]:
+        c, rest = divmod(r[-1], b[-1])
+        if rest:
+            raise ArithmeticError("inexact polynomial division")
+        k = len(r) - nb
+        q[k] = c
+        for i, bc in enumerate(b):
+            r[i + k] -= c * bc
+        r = _trim(r[:-1] or [0])
+    if r != [0]:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 @dataclass(frozen=True)
@@ -89,6 +186,12 @@ class IntPolynomial:
             return cls(tuple(_parse_poly_string(source)))
         return cls(tuple(int(c) for c in source))
 
+    @classmethod
+    def from_rational(cls, coeffs: Sequence[Fraction]) -> "IntPolynomial":
+        """The rational polynomial times the lcm of its denominators."""
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
+        return cls(tuple(int(c * den) for c in coeffs))
+
     # -- structure ---------------------------------------------------------
 
     @property
@@ -107,17 +210,9 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return self.leading == 1
 
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        return g or 1
-
     def primitive(self) -> "IntPolynomial":
         """Divide out the content; sign chosen so the leading coefficient > 0."""
-        g = self.content()
-        sgn = 1 if self.leading > 0 else -1
-        return IntPolynomial(tuple(c * sgn // g for c in self.coeffs))
+        return IntPolynomial(tuple(_primitive(list(self.coeffs))))
 
     def derivative(self) -> "IntPolynomial":
         if self.degree == 0:
@@ -148,39 +243,65 @@ class IntPolynomial:
         return acc
 
     def sign_at(self, x: Fraction) -> int:
-        v = self(Fraction(x))
+        x = Fraction(x)
+        v = scaled_value(self.coeffs, x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
-    # -- interop -----------------------------------------------------------
+    # -- gcds and factors ----------------------------------------------------
 
-    def to_sympy_dup(self):
-        """Coefficient list in sympy's dense convention (highest first, ZZ)."""
-        from sympy.polys.domains import ZZ
-        return [ZZ(int(c)) for c in reversed(self.coeffs)]
-
-    def to_sympy_expr(self, symbol):
-        import sympy
-        return sum(sympy.Integer(c) * symbol**k for k, c in enumerate(self.coeffs))
-
-    def is_irreducible(self) -> bool:
-        """Irreducibility over Q (content and unit factors ignored)."""
-        if self.degree < 1:
-            return False
-        import sympy
-        x = sympy.Symbol("x")
-        _, factors = sympy.factor_list(self.to_sympy_expr(x), x)
-        nontrivial = [(f, m) for f, m in factors if sympy.degree(f, x) > 0]
-        return len(nontrivial) == 1 and nontrivial[0][1] == 1 and \
-            sympy.degree(nontrivial[0][0], x) == self.degree
+    def _derivative_gcd(self) -> List[int]:
+        return _gcd(self.coeffs, self.derivative().coeffs)
 
     def squarefree(self) -> bool:
-        import sympy
-        from sympy.polys.domains import ZZ
-        from sympy.polys.densetools import dup_diff
-        from sympy.polys.euclidtools import dup_gcd
-        dup = self.to_sympy_dup()
-        g = dup_gcd(dup, dup_diff(dup, 1, ZZ), ZZ)
-        return len(g) <= 1
+        """True iff no root is repeated: gcd(p, p') is a constant."""
+        return self.degree < 1 or len(self._derivative_gcd()) == 1
+
+    def squarefree_part(self) -> "IntPolynomial":
+        """The primitive p / gcd(p, p'): each root of p once."""
+        if self.degree < 1:
+            return self.primitive()
+        return IntPolynomial(tuple(_primitive(_divexact(
+            self.coeffs, self._derivative_gcd()))))
+
+    def divides(self, other: "IntPolynomial") -> bool:
+        """True iff this nonzero polynomial divides `other` over Q."""
+        return _prem(other.coeffs, self.coeffs) == [0]
+
+    def is_irreducible(self) -> bool:
+        """Irreducibility over Q (content and unit factors ignored),
+        certified: see irreducible.py."""
+        from .irreducible import is_irreducible
+        return is_irreducible(self)
+
+    @functools.cached_property
+    def _sturm(self) -> Tuple[Tuple[int, ...], ...]:
+        """The Sturm sequence p, p', -prem(p, p'), ... with every member
+        divided by its positive content.  p must be square-free."""
+        seq = [list(self.coeffs), list(self.derivative().coeffs)]
+        while len(seq[-1]) > 1:
+            r = _prem(seq[-2], seq[-1])
+            if r == [0]:
+                break
+            g = 0
+            for c in r:
+                g = gcd(g, c)
+            seq.append([-c // g for c in r])
+        return tuple(tuple(s) for s in seq)
+
+    def count_roots(self, lo: Fraction, hi: Fraction) -> int:
+        """The number of real roots in the closed [lo, hi] of this
+        square-free polynomial, exactly: Sturm's V(lo) - V(hi) counts those
+        in (lo, hi], and lo itself is checked."""
+        lo, hi = Fraction(lo), Fraction(hi)
+
+        def variations(x: Fraction) -> int:
+            signs = [v for v in (scaled_value(s, x.numerator, x.denominator)
+                                 for s in self._sturm) if v]
+            return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
+        at_lo = self.sign_at(lo) == 0
+        if lo == hi:
+            return int(at_lo)
+        return variations(lo) - variations(hi) + at_lo
 
     def __str__(self) -> str:
         parts = []

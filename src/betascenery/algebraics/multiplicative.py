@@ -6,7 +6,8 @@ Verdicts:
                            reason names the rung that decided it
 
 The certification ladder has two rungs, and both are complete:
-  * rational vs rational: prime exponent vectors.
+  * rational vs rational: prime exponent vectors, read over a coprime base
+    of the numerators and denominators instead of the primes.
   * every pair with an irrational operand (a rational is the degree-1 case):
     a height bound.  Suppose |a|^q = |b|^p with gcd(p, q) = 1 and take
     s p + t q = 1.  Then z = |a|^s |b|^t gives |a| = z^p and |b| = z^q, so
@@ -68,14 +69,54 @@ def _as_number(x):
     raise TypeError(f"unsupported operand type {type(x).__name__}")
 
 
-def _prime_vector(q: Fraction) -> dict:
-    from sympy import factorint
-    vec: dict = {}
-    for prime, e in factorint(q.numerator).items():
-        vec[int(prime)] = vec.get(int(prime), 0) + e
-    for prime, e in factorint(q.denominator).items():
-        vec[int(prime)] = vec.get(int(prime), 0) - e
-    return {r: e for r, e in vec.items() if e}
+def _coprime_base(numbers) -> list:
+    """Pairwise coprime integers > 1 of which every one of `numbers` (> 0)
+    is a product of powers, by factor refinement (E. Bach, J. Driscoll and
+    J. Shallit, J. Algorithms 1993): while a pending m shares a factor g
+    with a base element b, b leaves the base and b / g, g and m / g are
+    refined in turn.  The product of the pending and base numbers falls by
+    g each time, so this ends."""
+    base: list = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        m = pending.pop()
+        if m == 1:
+            continue
+        for i, b in enumerate(base):
+            g = math.gcd(m, b)
+            if g > 1:
+                del base[i]
+                pending += [b // g, g, m // g]
+                break
+        else:
+            base.append(m)
+    return sorted(base)
+
+
+def _exponent_vectors(a: Fraction, b: Fraction) -> Tuple[dict, dict]:
+    """The exponent vectors of a and b over a coprime base of their
+    numerators and denominators, zero entries dropped.  Distinct base
+    elements have disjoint prime supports, and a prime p dividing the base
+    element e has v_p(x) = v_e(x) v_p(e), so two vectors have equal supports
+    and are proportional, with one ratio, exactly when the prime exponent
+    vectors are."""
+    base = _coprime_base([a.numerator, a.denominator,
+                          b.numerator, b.denominator])
+
+    def vector(q: Fraction) -> dict:
+        vec = {}
+        for e in base:
+            k, n, d = 0, q.numerator, q.denominator
+            while n % e == 0:
+                n //= e
+                k += 1
+            while d % e == 0:
+                d //= e
+                k -= 1
+            if k:
+                vec[e] = k
+        return vec
+    return vector(a), vector(b)
 
 
 def _normalize(p: int, q: int) -> Dependent:
@@ -87,7 +128,7 @@ def _normalize(p: int, q: int) -> Dependent:
 
 
 def _rat_rat(a: Fraction, b: Fraction) -> Verdict:
-    va, vb = _prime_vector(a), _prime_vector(b)
+    va, vb = _exponent_vectors(a, b)
     if set(va) != set(vb):
         return IndependentCertified("prime-exponent test: prime supports "
                                     "differ")

@@ -1,37 +1,38 @@
 """Certified isolation of polynomial roots.
 
-Real roots come back as disjoint rational intervals: sympy isolates them
-exactly, and exact-sign bisection refines them.  Non-real roots come back as
-one inclusion disk per conjugate pair, certified by Newton's bound: since
-p'/p(c) = sum_i 1/(c - z_i), some root lies within d |p(c)| / |p'(c)| of
-any point c.  The centers are mpmath.polyroots approximations rounded to
-dyadic Gaussian rationals, where p and p' are evaluated exactly.  When the m
-disks in the upper half plane lie strictly above the real axis and are
-pairwise disjoint, they and their mirror images are 2m disjoint disks, each
-holding at least one non-real root.  The exact real isolation leaves exactly
-2m non-real roots, so each disk holds exactly one.  A failed check, or
-polyroots not converging, doubles the working precision; for a square-free
-polynomial that ends.  Every comparison is made in exact integers, and
-modulus bounds are exact rationals.
+Real roots come back as rational intervals with dyadic ends, one root in
+each.  Descartes' rule of signs isolates them (G. E. Collins and A. G.
+Akritas, SYMSAC 1976): inside a power-of-two bound on the roots, an interval
+whose transformed polynomial shows no sign variation holds no root, one
+that shows one variation holds exactly one, and any other is halved.  Every
+transformation is an integer Taylor shift or scaling.  Exact-sign bisection
+on integer numerators over a shared denominator refines them.  Non-real
+roots come back as one inclusion disk per conjugate pair, certified by
+Newton's bound: since p'/p(c) = sum_i 1/(c - z_i), some root lies within
+d |p(c)| / |p'(c)| of any point c.  The centers are mpmath.polyroots
+approximations rounded to dyadic Gaussian rationals, where p and p' are
+evaluated exactly.  When the m disks in the upper half plane lie strictly
+above the real axis and are pairwise disjoint, they and their mirror images
+are 2m disjoint disks, each holding at least one non-real root.  The exact
+real isolation leaves exactly 2m non-real roots, so each disk holds exactly
+one.  A failed check, or polyroots not converging, doubles the working
+precision; for a square-free polynomial that ends.  Every comparison is
+made in exact integers, and modulus bounds are exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, scaled_value
 
-# conjugate_moduli stops refining here and rounds the midpoint: a modulus
-# exactly halfway between two floats keeps the ends of its enclosure on
-# either side at every precision
+# conjugate_moduli and AlgebraicNumber.__float__ stop refining here and
+# round the midpoint: a modulus exactly halfway between two floats keeps the
+# ends of its enclosure on either side at every precision
 _FLOAT_BITS_CAP = 1024
-
-
-def _to_fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 @dataclass
@@ -113,25 +114,35 @@ class RootIsolation:
 
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
                      width: Fraction) -> RealRootInterval:
-    """Shrink an isolating interval below `width` by exact-sign bisection."""
+    """Shrink an isolating interval below `width` by exact-sign bisection.
+    The ends are integer numerators a < b over one denominator, which
+    doubles at each step, so no Fraction is built inside the loop."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo == hi:
         return RealRootInterval(lo, hi)
-    slo = p.sign_at(lo)
+    cs = p.coeffs
+    den = lo.denominator * hi.denominator // gcd(lo.denominator,
+                                                 hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    slo = scaled_value(cs, a, den)
     if slo == 0:
         return RealRootInterval(lo, lo)
-    if p.sign_at(hi) == 0:
+    if scaled_value(cs, b, den) == 0:
         return RealRootInterval(hi, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
+    slo = slo > 0
+    wn, wd = width.numerator, width.denominator
+    while (b - a) * wd > wn * den:
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        sm = scaled_value(cs, mid, den)
         if sm == 0:
-            return RealRootInterval(mid, mid)
-        if sm == slo:
-            lo = mid
+            x = Fraction(mid, den)
+            return RealRootInterval(x, x)
+        if (sm > 0) == slo:
+            a = mid
         else:
-            hi = mid
-    return RealRootInterval(lo, hi)
+            b = mid
+    return RealRootInterval(Fraction(a, den), Fraction(b, den))
 
 
 def _root_separation_bound(p: IntPolynomial) -> Fraction:
@@ -209,16 +220,72 @@ def complex_root_disks(p: IntPolynomial, pairs: int,
         bits *= 2
 
 
+def _taylor_shift1(cs: List[int]) -> List[int]:
+    """The coefficients of p(x + 1), lowest degree first."""
+    cs = list(cs)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return cs
+
+
+def _sign_variations(cs: Sequence[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _unit_roots(q: List[int]) -> List[Tuple[int, int, bool]]:
+    """The roots of q in the open (0, 1) as (c, j, exact): the root is
+    c / 2^j when exact, else the only root in the open (c / 2^j,
+    (c + 1) / 2^j), and then neither end is a root of q.
+
+    The node (c, j) carries q_cj(t) = 2^(j d) q((t + c) / 2^j), whose
+    roots in (0, 1) are those of q in its interval; Descartes' rule on
+    (t + 1)^d q_cj(1 / (t + 1)) bounds their number, exactly when it
+    reads 0 or 1.  Halving takes 2^d q_cj(t / 2) to the left half and its
+    Taylor shift by 1 to the right half."""
+    out = []
+    stack = [(q, 0, 0)]
+    while stack:
+        q, c, j = stack.pop()
+        v = _sign_variations(_taylor_shift1(q[::-1]))
+        if v == 0:
+            continue
+        if v == 1 and q[0] != 0 and sum(q) != 0:     # neither end a root
+            out.append((c, j, False))
+            continue
+        d = len(q) - 1
+        left = [x << (d - i) for i, x in enumerate(q)]
+        right = _taylor_shift1(left)
+        if right[0] == 0:                       # a root on the midpoint
+            out.append((2 * c + 1, j + 1, True))
+        stack.append((right, 2 * c + 1, j + 1))
+        stack.append((left, 2 * c, j + 1))
+    return out
+
+
 def real_root_intervals(p: IntPolynomial,
                         precision: int) -> List[RealRootInterval]:
     """The real roots of a square-free integer polynomial in ascending order,
-    each in a disjoint interval of width <= 2^-precision.  Non-real roots are
-    not isolated."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rootisolation import dup_isolate_real_roots_sqf
-    width = Fraction(1, 2**precision)
-    return [refine_real_root(p, _to_fraction(a), _to_fraction(b), width)
-            for a, b in dup_isolate_real_roots_sqf(p.to_sympy_dup(), ZZ)]
+    each alone in a closed interval of width <= 2^-precision (neighbours
+    meet at most in an end that is no root); a dyadic root comes back
+    exactly, as lo == hi.  Non-real roots are not isolated."""
+    cs = list(p.coeffs)
+    # every root has modulus below 1 + max |c_i| / |c_d| <= 2^k
+    k = (-(-max(abs(c) for c in cs[:-1]) // abs(cs[-1])) + 1).bit_length()
+    found = [RealRootInterval(Fraction(0), Fraction(0))] if cs[0] == 0 \
+        else []
+    # p(2^k t) and p(-2^k t) carry the positive and negative roots to (0, 1)
+    for sign in (1, -1):
+        q = [x * sign ** i << (k * i) for i, x in enumerate(cs)]
+        for c, j, exact in _unit_roots(q):
+            lo, hi = Fraction(sign * c << k, 1 << j), \
+                Fraction(sign * (c + (not exact)) << k, 1 << j)
+            found.append(RealRootInterval(min(lo, hi), max(lo, hi)))
+    found.sort(key=lambda r: (r.lo, r.hi))
+    width = Fraction(1, 1 << precision)
+    return [refine_real_root(p, r.lo, r.hi, width) for r in found]
 
 
 def isolate_real_roots(p, precision: int = 64) -> RootIsolation:

@@ -45,10 +45,11 @@ from .algebraics import (
     BigReal,
     ExactScalar,
     FieldElement,
+    IntPolynomial,
     is_pisot,
     monic_scaled_field,
 )
-from .algebraics.intpoly import interval_mul
+from .algebraics.intpoly import _parse_poly_string, interval_mul
 from .rng import UniformStream
 
 
@@ -619,15 +620,7 @@ class MapSpec:
         text = text.strip()
         if text in ("exp", "exp(x)"):
             return cls("exp")
-        import sympy
-        x = sympy.Symbol("x")
-        expr = sympy.sympify(text.replace("^", "**"), locals={"x": x})
-        poly = sympy.Poly(expr, x)
-        coeffs = []
-        for c in reversed(poly.all_coeffs()):
-            r = sympy.Rational(c)
-            coeffs.append(Fraction(int(r.p), int(r.q)))
-        return cls("poly", tuple(coeffs))
+        return cls("poly", tuple(_parse_poly_string(text, rational=True)))
 
     def check_diffeo(self, hull_lo, hull_hi) -> None:
         """Reject maps whose derivative can vanish on [hull_lo, hull_hi]."""
@@ -639,19 +632,13 @@ class MapSpec:
                 raise ValueError("affine map has zero slope")
             return
         # count real roots of the derivative on a rational cover of the hull
-        import sympy
-        x = sympy.Symbol("x")
-        dpoly = sympy.Poly(
-            sum(sympy.Rational(c.numerator, c.denominator) * x ** k
-                for k, c in enumerate(deriv)), x)
+        dpoly = IntPolynomial.from_rational(deriv)
         if dpoly.is_zero:
             raise ValueError("derivative is identically zero")
         # the hull's outer dyadic cover at 2^-32, widened by 2^-30
         lo_enc = Fraction(math.floor(hull_lo * 2 ** 32) - 4, 2 ** 32)
         hi_enc = Fraction(-math.floor(-hull_hi * 2 ** 32) + 4, 2 ** 32)
-        count = dpoly.count_roots(
-            sympy.Rational(lo_enc.numerator, lo_enc.denominator),
-            sympy.Rational(hi_enc.numerator, hi_enc.denominator))
+        count = dpoly.squarefree_part().count_roots(lo_enc, hi_enc)
         if count:
             raise ValueError(
                 "derivative vanishes on the hull; not a diffeomorphism there")

@@ -312,8 +312,10 @@ def cmd_parry(args) -> int:
     _write(csv_path, _csv_text(["piece_lo", "piece_hi", "density"], rows))
     results = {
         "pieces": len(vals),
-        "breakpoints": [scalar_to_str(b) for b in pd.breakpoints],
-        "densities": [scalar_to_str(v) for v in pd.values],
+        "breakpoints": [scalar_to_str(b, f) for b, f in
+                        zip(pd.breakpoints, pd.breakpoint_floats)],
+        "densities": [scalar_to_str(v, float(f))
+                      for v, f in zip(pd.values, vals)],
         "truncated_at": pd.truncated_at,
         "tail_bound": pd.tail_bound,
     }

@@ -225,13 +225,6 @@ def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
     return b + a * 0.5 * (fl.hlo + fl.hhi)
 
 
-def focus_point(model: Model, omega: Word, inner: Word,
-                tol: float = 1e-15) -> float:
-    """The point coded by the inner path through the component sequence:
-    the limit of the nested map compositions, to float accuracy."""
-    return float(_focus(_Floats(model), _Symbols([omega], [inner]), tol)[0])
-
-
 def _split_focus_mass(fl: _Floats, sy: _Symbols, rows: np.ndarray,
                       level: int, side: np.ndarray, eps_cut: float):
     """The (left, right) shares of the focus cylinder's mass in the two

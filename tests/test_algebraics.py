@@ -45,6 +45,20 @@ class TestRoots:
         a = named_constant(name)
         assert abs(float(a) - val) < 1e-14
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("lo,hi", [("1/2", "2"), ("2/3", "5/3"),
+                                       ("3/4", "9/7"), ("4/5", "7/5"),
+                                       ("9/10", "13/5"), ("1/2", "5/3")])
+    def test_float_is_the_nearest_float(self, sign, lo, hi):
+        # a root 2^-127 above or below 1 + 2^-53, the midpoint of the floats
+        # 1 and 1 + 2^-52: the midpoint of a 2^-64-wide enclosure rounds to
+        # either, depending on where the enclosure starts
+        d = 2 ** 53
+        poly = IntPolynomial((2 ** 72 * 5 * (d + 1) + sign,
+                              -(2 ** 72) * (6 * d + 1), 2 ** 72 * d))
+        root = AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
+        assert float(root) == (1 + 2.0 ** -52 if sign > 0 else 1.0)
+
     def test_refine_tightens(self):
         a = named_constant("golden")
         lo, hi = a.refine_bits(200)

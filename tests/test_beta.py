@@ -572,3 +572,46 @@ class TestPushforward:
         Fth = golden_cdf(ginv(ts)) - golden_cdf(ginv(np.ones_like(ts))) \
             + golden_cdf(ginv(1 + ts))
         assert np.abs(Femp - Fth).max() < 0.02
+
+
+class TestMapParser:
+    @pytest.mark.parametrize("text,coeffs", [
+        ("x + x^2/2", (0, 1, Fraction(1, 2))),
+        ("x**2 + x", (0, 1, 1)),
+        ("2*x + 5", (5, 2)),
+        ("1/3*x - 2/7", (Fraction(-2, 7), Fraction(1, 3))),
+        ("3*x/4 + x^3", (0, Fraction(3, 4), 0, 1)),
+    ])
+    def test_rational_polynomials(self, text, coeffs):
+        g = MapSpec.parse(text)
+        assert g.kind == "poly" and g.coeffs == coeffs
+
+    @pytest.mark.parametrize("text", ["exp", "exp(x)", " exp(x) "])
+    def test_exponential(self, text):
+        assert MapSpec.parse(text).kind == "exp"
+
+    @pytest.mark.parametrize("text", [
+        "__import__('os').system('touch evaluated')", "sin(x)", "x*x",
+        "x^2/0", "(x + 1)^2", "2**x", "x + y", "", "5", "x^2 - x^2"])
+    def test_anything_else_is_refused_unevaluated(self, text, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError):
+            MapSpec.parse(text)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,hull,ok", [
+        ("x + x^2/2", (0, 1), True),        # g' = 1 + x, root at -1
+        ("x + x^2/2", (-1, 0), False),      # the root sits on the hull's end
+        ("x^3/3 - x/4", (Fraction(1, 2), 1), False),   # hull widened by 2^-30
+        ("x^3/3 - x/4", (Fraction(3, 4), 1), True),
+        ("x^3 + x", (-5, 5), True),         # g' = 3x^2 + 1 has no real root
+        ("x^3 - 3*x^2 + 3*x", (0, 1), False),   # g' = 3(x - 1)^2
+    ])
+    def test_derivative_roots_on_the_hull(self, text, hull, ok):
+        g = MapSpec.parse(text)
+        if ok:
+            g.check_diffeo(*hull)
+        else:
+            with pytest.raises(ValueError, match="derivative vanishes"):
+                g.check_diffeo(*hull)

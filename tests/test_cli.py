@@ -28,12 +28,17 @@ from oracles import STALLING_PISOT, root_moduli
 PACKAGE_ROOT = str(Path(bs.__file__).resolve().parents[1])
 
 
-def run_cli(args, cwd):
+def package_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "betascenery"] + list(args),
-                          cwd=cwd, env=env, capture_output=True, text=True)
+                          cwd=cwd, env=package_env(), capture_output=True,
+                          text=True)
 
 
 MIDDLE_THIRDS = '{"maps": [{"s": "1/3", "t": "0"}, {"s": "1/3", "t": "2/3"}]}'
@@ -393,6 +398,42 @@ def test_no_sympy_complex_root_counts(tmp_path, ifs_file, monkeypatch):
                      ["spectrum", str(ifs_file), "--beta", base]):
             assert run_in_process(["--out-dir", out] + args) == (0, "")
     assert calls == []
+
+
+SYMPY_FREE = [
+    ["pisot", "golden"],
+    ["parry", "--beta", "tribonacci"],
+    ["spectrum", "mt.json", "--beta", "plastic"],
+    ["model", "two.json", "--beta", "3"],
+    ["model", "two.json", "--beta", "x^2 - 2"],
+    ["normality", "mt.json", "--beta", "golden", "--n-points", "2",
+     "--n-digits", "200"],
+    ["expand", "--beta", "tribonacci", "--x", "1/3"],
+]
+
+
+def test_commands_never_import_sympy(tmp_path):
+    """sympy is a test oracle only: in a fresh interpreter, no command
+    loads any sympy module."""
+    (tmp_path / "mt.json").write_text(MIDDLE_THIRDS)
+    (tmp_path / "two.json").write_text(
+        '{"maps": [{"s": "1/2", "t": "0"}, {"s": "1/3", "t": "2/3"}]}')
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from betascenery import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(['--out-dir', 'out'] + argv)\n"
+        "    loaded = [m for m in sys.modules if m.split('.')[0] == 'sympy']\n"
+        "    print(json.dumps([argv, code, loaded]))\n")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(SYMPY_FREE)], cwd=tmp_path,
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [argv for argv, _, _ in runs] == SYMPY_FREE
+    for argv, code, loaded in runs:
+        assert code in (0, 2) and loaded == [], argv
 
 
 def test_pisot_report_ends_on_a_float_tie(tmp_path):

@@ -33,7 +33,7 @@ from betascenery import (
     windows_of_states,
 )
 from betascenery.model import Word
-from betascenery.scenery import focus_point, windows
+from betascenery.scenery import windows
 
 from oracles import (cylinder_focus, cylinder_window, ks_between,
                      panel_by_masks)
@@ -342,10 +342,14 @@ class TestBatchedDescent:
             words.append((om.shift(shift), inner.shift(shift)))
         want = [cylinder_focus(comps, hull, om.symbol, inner.symbol)
                 for om, inner in words]
-        block = windows._focus(windows._Floats(m), windows._Symbols(
+        fl = windows._Floats(m)
+        block = windows._focus(fl, windows._Symbols(
             [om for om, _ in words], [inner for _, inner in words]), 1e-15)
         assert block.tolist() == want
-        assert [focus_point(m, om, inner) for om, inner in words] == want
+        # blocks of one window give the same points
+        assert [float(windows._focus(fl, windows._Symbols([om], [inner]),
+                                     1e-15)[0])
+                for om, inner in words] == want
 
     def test_omega_too_short_for_the_focus_walk(self, mt_scaled):
         # the focus walk of middle thirds needs about 32 levels
