@@ -22,7 +22,6 @@ from .selfsimilar import (
     SimilarityIFS,
     SimilarityMap,
     find_separated_pair,
-    iterate_ifs,
     sample_measure,
     sampling_depth,
 )
@@ -42,7 +41,6 @@ from .beta_numeration import (
     ParryDensity,
     beta_orbit,
     normality_from_orbit,
-    normality_statistic,
     orbit_of_one,
     parry_density,
     pushforward_samples,
@@ -57,7 +55,6 @@ from .scenery import (
     SceneryOrbit,
     WindowMeasure,
     build_extended_chain,
-    center_and_window,
     compare_scenery_to_Q,
     evaluate_panel,
     panel_average,
@@ -70,6 +67,6 @@ from .scenery import (
     window_of_state,
     windows_of_states,
 )
-from .rng import UniformStream, derive_key, generator
+from .rng import UniformStream, derive_key
 
 __version__ = "0.1.0"

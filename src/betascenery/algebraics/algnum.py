@@ -175,7 +175,7 @@ class AlgebraicNumber:
 class NumberField:
     """Q(beta) for beta a root of a monic irreducible integer polynomial."""
 
-    __slots__ = ("poly", "generator", "degree", "_red_rows", "_same_field")
+    __slots__ = ("poly", "generator", "degree", "_same_field")
 
     def __init__(self, generator: AlgebraicNumber):
         poly = generator.min_poly
@@ -186,7 +186,6 @@ class NumberField:
         self.poly = poly
         self.generator = generator
         self.degree = poly.degree
-        self._red_rows = None
         self._same_field: dict = {}
 
     def same_field(self, other: "NumberField") -> bool:
@@ -203,36 +202,20 @@ class NumberField:
         other._same_field[id(self)] = (self, hit)
         return hit
 
-    def _reduction_rows(self):
-        """Rows r_k (k >= d): beta^k as a vector in the power basis."""
-        if self._red_rows is None:
-            d = self.degree
-            base = [Fraction(-c) for c in self.poly.coeffs[:d]]
-            rows = [base]
-            for _ in range(d - 1):
-                prev = rows[-1]
-                shifted = [Fraction(0)] + prev[:-1]
-                hi = prev[-1]
-                rows.append([shifted[i] + hi * base[i] for i in range(d)])
-            self._red_rows = rows
-        return self._red_rows
-
     def element(self, vec) -> "FieldElement":
+        """The element sum_k vec[k] * beta^k, for a vector of any length:
+        the top coordinate c is folded down by beta^d = -(a_0 + ... +
+        a_{d-1} beta^{d-1}) until d coordinates remain."""
         d = self.degree
         v = [Fraction(x) for x in vec]
-        if len(v) > d:
-            rows = self._reduction_rows()
-            out = v[:d]
-            for k in range(d, len(v)):
-                c = v[k]
-                if c:
-                    row = rows[k - d]
-                    for i in range(d):
-                        out[i] += c * row[i]
-            v = out
-        else:
-            v = v + [Fraction(0)] * (d - len(v))
-        return FieldElement(self, tuple(v))
+        low = self.poly.coeffs[:d]
+        while len(v) > d:
+            c = v.pop()
+            if c:
+                k = len(v) - d
+                for i, a in enumerate(low):
+                    v[k + i] -= c * a
+        return FieldElement(self, tuple(v + [Fraction(0)] * (d - len(v))))
 
     def from_rational(self, q) -> "FieldElement":
         return self.element([Fraction(q)])

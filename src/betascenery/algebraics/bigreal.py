@@ -1,9 +1,9 @@
 """Arbitrary-precision reals with certified error bounds.
 
 A BigReal wraps an outward-rounded interval (mpmath's `iv` context does the
-directed rounding).  Arithmetic propagates the enclosure, so `value` is
-always within `error_bound` of the exact result: the bound is a certificate,
-not an estimate.  Precision is a per-value hint: operations run at the widest
+directed rounding).  Arithmetic propagates the enclosure, so the exact
+result always lies in [lo, hi]: the interval is a certificate, not an
+estimate.  Precision is a per-value hint: operations run at the widest
 precision among their operands, and exact sources (fractions, algebraic
 numbers) can be re-materialized at any requested precision.
 """
@@ -51,7 +51,7 @@ def _endpoint_floor(t) -> int:
 
 
 class BigReal:
-    """Interval-backed real number: midpoint `value`, radius `error_bound`."""
+    """Interval-backed real number: the exact value lies in [lo, hi]."""
 
     __slots__ = ("_iv", "prec")
 
@@ -90,14 +90,6 @@ class BigReal:
     # -- views ---------------------------------------------------------------
 
     @property
-    def value(self):
-        return self._iv.mid
-
-    @property
-    def error_bound(self):
-        return self._iv.delta / 2
-
-    @property
     def lo(self) -> Fraction:
         return _endpoint_fraction(self._iv._mpi_[0])
 
@@ -113,7 +105,7 @@ class BigReal:
         return self.lo <= q <= self.hi
 
     def __repr__(self) -> str:
-        return f"BigReal({float(self):.12g} ± {float(self.error_bound):.3g})"
+        return f"BigReal([{float(self.lo):.12g}, {float(self.hi):.12g}])"
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -166,14 +158,6 @@ class BigReal:
             raise ZeroDivisionError("divisor interval contains zero")
         return self._binop(other, lambda a, b, prec: mpi_div(b, a, prec))
 
-    def __neg__(self):
-        with _iv_prec(self.prec):
-            return BigReal(-self._iv, self.prec)
-
-    def __abs__(self):
-        with _iv_prec(self.prec):
-            return BigReal(abs(self._iv), self.prec)
-
     def exp(self) -> "BigReal":
         with _iv_prec(self.prec):
             return BigReal(iv.exp(self._iv), self.prec)
@@ -184,12 +168,6 @@ class BigReal:
         with _iv_prec(self.prec):
             return BigReal(iv.log(self._iv), self.prec)
 
-    def sqrt(self) -> "BigReal":
-        if self.lo < 0:
-            raise ValueError("sqrt of an interval extending below zero")
-        with _iv_prec(self.prec):
-            return BigReal(iv.sqrt(self._iv), self.prec)
-
     # -- certified decisions ---------------------------------------------------
 
     def floor_certain(self):
@@ -197,14 +175,3 @@ class BigReal:
         lo, hi = self._iv._mpi_
         flo = _endpoint_floor(lo)
         return flo if flo == _endpoint_floor(hi) else None
-
-    def sign_certain(self):
-        """-1, 0 (exact zero), or +1 if decided by the enclosure, else None."""
-        lo, hi = self.lo, self.hi
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if lo == hi == 0:
-            return 0
-        return None

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 RatInterval = Tuple[Fraction, Fraction]
 
@@ -219,10 +219,6 @@ class IntPolynomial:
             return IntPolynomial((0,))
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def reciprocal(self) -> "IntPolynomial":
-        """x^deg * p(1/x): the coefficient sequence reversed."""
-        return IntPolynomial(tuple(reversed(self.coeffs)))
-
     def compose_negate(self) -> "IntPolynomial":
         """p(-x)."""
         return IntPolynomial(tuple(c if k % 2 == 0 else -c
@@ -317,7 +313,7 @@ class IntPolynomial:
             else:
                 term = f"x^{k}" if mag == 1 else f"{mag}*x^{k}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if c >= 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
         return " ".join(parts)

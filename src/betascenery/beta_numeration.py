@@ -563,6 +563,8 @@ def _sorted_with_floats(values: Sequence[ExactScalar]):
 
 # -- normality statistics --------------------------------------------------------
 
+DISCREPANCY_GRID = 1024
+
 
 @dataclass
 class NormalityStatistic:
@@ -572,25 +574,19 @@ class NormalityStatistic:
     precision_used: int
 
 
-def normality_statistic(base: BetaBase, x, steps: int,
-                        density: Optional[ParryDensity] = None,
-                        grid: int = 1024) -> NormalityStatistic:
-    """Digit frequencies plus the sup over a uniform grid of
-    |empirical orbit CDF - Parry CDF| (a star-discrepancy proxy)."""
-    rec = beta_orbit(base, x, steps)
-    return normality_from_orbit(rec, density=density, grid=grid)
-
-
 def normality_from_orbit(rec: OrbitRecord,
-                         density: Optional[ParryDensity] = None,
-                         grid: int = 1024) -> NormalityStatistic:
+                         density: Optional[ParryDensity] = None
+                         ) -> NormalityStatistic:
+    """Digit frequencies plus the sup over a uniform grid of DISCREPANCY_GRID
+    points of |empirical orbit CDF - Parry CDF| (a star-discrepancy
+    proxy)."""
     base = rec.base
     if density is None:
         density = parry_density(base)
     freqs = np.bincount(np.asarray(rec.digits),
                         minlength=base.alphabet_size) / len(rec.digits)
     pts = np.sort(rec.orbit_floats())
-    t = np.arange(1, grid + 1) / grid
+    t = np.arange(1, DISCREPANCY_GRID + 1) / DISCREPANCY_GRID
     emp = np.searchsorted(pts, t, side="right") / len(pts)
     disc = float(np.abs(emp - density.cdf(t)).max())
     return NormalityStatistic(freqs, disc, len(rec.digits),

@@ -35,7 +35,7 @@ from .rng import UniformStream
 from .scenery import (PANEL_VERSION, build_extended_chain,
                       compare_scenery_to_Q, evaluate_panel, point_mass_window,
                       rescale_model_for_gap, sample_Q, scenery_orbit,
-                      spectrum_obstruction, Inconclusive, NormalityImplied)
+                      spectrum_obstruction, NormalityImplied)
 from .selfsimilar import SimilarityIFS, SimilarityMap, sample_measure
 
 
@@ -74,23 +74,31 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _parse_beta(text: str) -> BetaBase:
-    """'2', '3/2', 'golden', or a monic-ish polynomial like 'x^2 - x - 1'
-    (largest real root)."""
+def _parse_number(text: str):
+    """A rational ('2', '3/2'), a named constant ('golden'), or the largest
+    real root of a polynomial ('x^2 - x - 1')."""
     text = text.strip()
     try:
-        return BetaBase(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return BetaBase(named_constant(text))
+        return Fraction(text)
+    except ZeroDivisionError as e:
+        raise CliError(f"{text!r} divides by zero") from e
     except ValueError:
         pass
     try:
-        poly = IntPolynomial.parse(text)
-        return BetaBase(AlgebraicNumber.largest_root(poly))
+        return named_constant(text)
+    except ValueError:
+        pass
+    try:
+        return AlgebraicNumber.largest_root(IntPolynomial.parse(text))
     except ValueError as e:
-        raise CliError(f"cannot interpret base {text!r}: {e}") from e
+        raise CliError(f"cannot parse {text!r}: {e}") from e
+
+
+def _parse_beta(text: str) -> BetaBase:
+    try:
+        return BetaBase(_parse_number(text))
+    except ValueError as e:
+        raise CliError(f"base {text.strip()!r}: {e}") from e
 
 
 def _load_json(path: str) -> dict:
@@ -125,13 +133,13 @@ def _load_ifs(doc: dict, path: str) -> SimilarityIFS:
         raise CliError(f"{path}: {e}") from e
 
 
-def _load_model(path: str, max_length: int = 8) -> Model:
+def _load_model(path: str) -> Model:
     doc = _load_json(path)
     if doc.get("format") == "dss-model-v1":
         return Model.from_json(json.dumps(doc))
     ifs = _load_ifs(doc, path)
     try:
-        return build_model(ifs, max_length=max_length)
+        return build_model(ifs)
     except ValueError as e:
         raise CliError(f"{path}: {e}") from e
 
@@ -188,21 +196,14 @@ def _require(args, *names: str) -> None:
 def cmd_pisot(args) -> int:
     t0 = time.monotonic()
     text = args.number.strip()
+    num = _parse_number(text)
     results: dict = {"input": text}
-    try:
-        q = Fraction(text)
+    if isinstance(num, Fraction):
         results["kind"] = "rational"
-        results["pisot"] = bool(is_pisot(q))
+        results["pisot"] = bool(is_pisot(num))
         results["conjugate_moduli"] = []
-        results["value"] = float(q)
-    except ValueError:
-        try:
-            num = named_constant(text)
-        except ValueError:
-            try:
-                num = AlgebraicNumber.largest_root(IntPolynomial.parse(text))
-            except ValueError as e:
-                raise CliError(f"cannot parse {text!r}: {e}") from e
+        results["value"] = float(num)
+    else:
         results["kind"] = "algebraic"
         results["polynomial"] = str(num.min_poly)
         results["value"] = float(num)
@@ -329,19 +330,17 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
     enough that coding ambiguity sits far below the digit horizon."""
     # need contraction product below beta^-n * 2^-64
     target = n_digits * math.log(float(base.beta)) + 64 * math.log(2)
-    costs = np.array([-math.log(abs(float(c.ratio)))
-                      for c in model.components])
     # no path needs more levels than one made of the cheapest component
-    depth = math.ceil(target / costs.min()) + 1
+    depth = math.ceil(target / model.roofs.min()) + 1
     pts = []
     for j in range(n_points):
         # level k draws its component from uniform 2k, its inner map from
         # uniform 2k + 1; the path ends at the first level whose summed
-        # costs reach the target (cumsum adds in level order)
+        # roofs reach the target (cumsum adds in level order)
         u = UniformStream(seed, "normality-point", j).slice(0, 2 * depth)
         omega = np.searchsorted(model._selection_thresholds, u[0::2],
                                 side="right")
-        n = int(np.searchsorted(np.cumsum(costs[omega]), target)) + 1
+        n = int(np.searchsorted(np.cumsum(model.roofs[omega]), target)) + 1
         omega = omega[:n]
         inner = model._add_inner_draws(np.zeros(n, dtype=np.int64), omega,
                                        u[1:2 * n:2])
@@ -398,8 +397,7 @@ def cmd_scenery(args) -> int:
     scaled, factor = rescale_model_for_gap(model)
     chain = build_extended_chain(scaled)
     T = args.T if args.T is not None else 200.0 * chain.expected_roof()
-    orbit = scenery_orbit(scaled, a=0, T=T, dt=args.dt, seed=args.seed,
-                          gap_rescale=float(factor))
+    orbit = scenery_orbit(scaled, a=0, T=T, dt=args.dt, seed=args.seed)
     q = sample_Q(scaled, chain, args.n_q, args.seed + 1)
     rep = compare_scenery_to_Q(orbit, q)
     contrast = float(np.abs(

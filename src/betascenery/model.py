@@ -113,6 +113,10 @@ class Model:
                                   for c in self.components]
         self._selection_thresholds = cdf_thresholds(self.selection)
         self._selection_thresholds.setflags(write=False)
+        # the zoom time one level of each component takes: -log|ratio|
+        self.roofs = np.array([-math.log(abs(float(c.ratio)))
+                               for c in self.components])
+        self.roofs.setflags(write=False)
 
     # -- structure ------------------------------------------------------------
 

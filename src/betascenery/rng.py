@@ -38,11 +38,6 @@ def derive_key(seed: int, *labels: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def generator(seed: int, *labels: object) -> Generator:
-    """A fresh numpy Generator on the stream named by (seed, labels)."""
-    return Generator(Philox(key=derive_key(seed, *labels)))
-
-
 class UniformStream:
     """Lazily materialized sequence of i.i.d. uniforms with random access.
 

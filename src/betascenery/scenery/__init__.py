@@ -8,9 +8,8 @@ from .flow import (ComparisonReport, QSamples, SceneryOrbit,
                    scenery_orbit)
 from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
 from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
-                      center_and_window, evaluate_panel, panel_average,
-                      panel_names, point_mass_window, window_of_state,
-                      windows_of_states)
+                      evaluate_panel, panel_average, panel_names,
+                      point_mass_window, window_of_state, windows_of_states)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
@@ -18,6 +17,6 @@ __all__ = [
     "rescale_model_for_gap", "sample_Q", "scenery_orbit",
     "Inconclusive", "NormalityImplied", "spectrum_obstruction",
     "DEFAULT_BINS_HALF", "PANEL_VERSION", "WindowMeasure",
-    "center_and_window", "evaluate_panel", "panel_average", "panel_names",
+    "evaluate_panel", "panel_average", "panel_names",
     "point_mass_window", "window_of_state", "windows_of_states",
 ]

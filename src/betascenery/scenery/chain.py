@@ -8,7 +8,6 @@ rationals, verified by exact linear algebra at construction time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -36,9 +35,6 @@ class ExtendedChain:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def index(self, state: tuple) -> int:
-        return self.states.index(tuple(state))
 
     def verify_stationary(self) -> bool:
         """Exact check that pi P = pi and pi sums to 1."""
@@ -86,7 +82,6 @@ def build_extended_chain(model: Model) -> ExtendedChain:
     """
     comps = model.components
     q = model.selection
-    roofs_by_comp = [-math.log(abs(float(c.ratio))) for c in comps]
     oriented = any(c.reflects for c in comps)
 
     states: List[tuple] = []
@@ -121,7 +116,7 @@ def build_extended_chain(model: Model) -> ExtendedChain:
         stationary = tuple(q[s[0]] * comps[s[0]].weights[s[1]]
                            for s in states)
 
-    roofs = tuple(roofs_by_comp[s[0]] for s in states)
+    roofs = tuple(float(model.roofs[s[0]]) for s in states)
 
     # reachability: BFS from every state through positive entries
     adj = [[c for c in range(n) if matrix[r][c] > 0] for r in range(n)]

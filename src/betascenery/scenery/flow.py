@@ -11,8 +11,6 @@ negative.  Each emitted window therefore zooms by at most one roof's worth.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
@@ -23,8 +21,8 @@ from ..model import Model, Word, build_model, verify_ssc
 from ..rng import UniformStream
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
-from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
-                      panel_average, panel_names, windows_of_states)
+from .windows import (PANEL_VERSION, WindowMeasure, panel_average,
+                      panel_names, windows_of_states)
 
 
 def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
@@ -50,19 +48,11 @@ def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
 @dataclass
 class SceneryOrbit:
     """Windows of one zoom trajectory, sampled on a uniform time grid."""
-    start: tuple                      # (omega prefix, inner prefix, a)
     times: np.ndarray
     windows: List[WindowMeasure]
-    gap_rescale: float
-    bins_half: int
 
     def __len__(self):
         return len(self.windows)
-
-
-def _component_roofs(model: Model) -> np.ndarray:
-    return np.array([-math.log(abs(float(c.ratio)))
-                     for c in model.components])
 
 
 def _require_separated(model: Model) -> None:
@@ -76,24 +66,20 @@ def _require_separated(model: Model) -> None:
 def scenery_orbit(model: Model, omega: Optional[Word] = None,
                   inner: Optional[Word] = None, a: int = 0,
                   T: float = 50.0, dt: float = 0.25,
-                  n_samples: int = 500_000, seed: int = 0,
-                  bins_half: int = DEFAULT_BINS_HALF,
-                  gap_rescale: float = 1.0,
-                  window_radius: float = 1.0) -> SceneryOrbit:
+                  seed: int = 0) -> SceneryOrbit:
     """Replay the zoom flow from (omega, inner, a) for time T, emitting the
-    window at each multiple of dt.
+    window at each multiple of dt, rendered as windows_of_states renders
+    it at its default resolution.
 
     omega and inner default to fresh seeded lazy words; explicit finite
-    words must be long enough to cover T.  n_samples caps the
-    cylinder-descent work per window (a resolution budget, not a sampling
-    count).
+    words must be long enough to cover T.
     """
     _require_separated(model)
     if omega is None:
         omega = model.omega_word(seed, "orbit-omega")
     if inner is None:
         inner = model.inner_word(omega, seed, "orbit-inner")
-    roofs = _component_roofs(model)
+    roofs = model.roofs
     reflects = [c.reflects for c in model.components]
 
     times = np.arange(0.0, T + 1e-12, dt)
@@ -112,12 +98,7 @@ def scenery_orbit(model: Model, omega: Optional[Word] = None,
             yield (omega.shift(shift_count), inner.shift(shift_count),
                    a_cur, t - tau)
 
-    windows = windows_of_states(model, states(), bins_half=bins_half,
-                                node_budget=n_samples,
-                                window_radius=window_radius)
-    start = (tuple(omega.symbol(k) for k in range(16)),
-             tuple(inner.symbol(k) for k in range(16)), int(a) & 1)
-    return SceneryOrbit(start, times, windows, float(gap_rescale), bins_half)
+    return SceneryOrbit(times, windows_of_states(model, states()))
 
 
 @dataclass
@@ -137,10 +118,7 @@ class QSamples:
 
 
 def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
-             bins_half: int = DEFAULT_BINS_HALF,
-             with_windows: bool = True,
-             n_samples: int = 500_000,
-             window_radius: float = 1.0) -> QSamples:
+             with_windows: bool = True) -> QSamples:
     """n independent draws from the stationary law of the zoom flow.
 
     The chain state is drawn from the roof-length-biased stationary vector
@@ -171,9 +149,7 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
 
     windows: List[WindowMeasure] = []
     if with_windows:
-        windows = windows_of_states(model, states(), bins_half=bins_half,
-                                    node_budget=n_samples,
-                                    window_radius=window_radius)
+        windows = windows_of_states(model, states())
     return QSamples(windows, idx, ts, chain)
 
 
@@ -203,9 +179,6 @@ class ComparisonReport:
                                        self.q_average, self.distances)],
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), indent=2, **kw)
-
 
 def compare_scenery_to_Q(orbit: SceneryOrbit,
                          q_samples: Union[QSamples, Sequence[WindowMeasure]]
@@ -217,7 +190,7 @@ def compare_scenery_to_Q(orbit: SceneryOrbit,
         raise ValueError("no stationary-sample windows to compare against")
     if q_windows[0].bins.size != orbit.windows[0].bins.size:
         raise ValueError("orbit and stationary samples use different "
-                         "binnings; rebuild with matching bins_half")
+                         "binnings")
     o_avg = panel_average(orbit.windows)
     q_avg = panel_average(q_windows)
     dist = np.abs(o_avg - q_avg)

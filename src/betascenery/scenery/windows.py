@@ -1,25 +1,20 @@
 """Window measures: what a magnified measure looks like through [-1, 1].
 
 A WindowMeasure is a histogram over 2B equal bins on [-1, 1] (B = 256 halves
-by default).  Two constructions produce them:
-
-  * center_and_window: the empirical route; translate a weighted sample
-    cloud to put the focus at 0, scale by e^t, condition on the window, bin.
-  * windows_of_states: the deterministic route used by orbit replay and
-    by the stationary sampler; descends the cylinder tree of a model
-    measure with exact masses, splitting cylinders until each either fits
-    inside one bin or holds negligible mass.  No sampling noise; resolution
-    is set by the mass cutoff.  The windows of a run go down the tree
-    together, WINDOW_BLOCK at a time: a level is one set of numpy calls
-    over the nodes of every window in the block, each node tagged with its
-    window, and all mass lands in one (windows, 2B) bin array.  A block
-    reads its words once, into a (windows, L) table of component symbols
-    and one of inner symbols, -1 where a finite word has ended; the focus
-    points, the symbolic splits of the focus cylinders and the descent read
-    those tables.  Each window gets the float operations it would get
-    alone, in the same order (running products and sums are sequential
-    numpy accumulations), so its bins do not depend on the block.
-    window_of_state is that descent for one state.
+by default).  windows_of_states renders them, for orbit replay and for the
+stationary sampler alike: it descends the cylinder tree of a model measure
+with exact masses, splitting cylinders until each either fits inside one
+bin or holds negligible mass.  No sampling noise; resolution is set by the
+mass cutoff.  The windows of a run go down the tree together, WINDOW_BLOCK
+at a time: a level is one set of numpy calls over the nodes of every window
+in the block, each node tagged with its window, and all mass lands in one
+(windows, 2B) bin array.  A block reads its words once, into a (windows, L)
+table of component symbols and one of inner symbols, -1 where a finite word
+has ended; the focus points, the symbolic splits of the focus cylinders and
+the descent read those tables.  Each window gets the float operations it
+would get alone, in the same order (running products and sums are
+sequential numpy accumulations), so its bins do not depend on the block.
+window_of_state is that descent for one state.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
 also lives here so every consumer shares one definition.  It stays one
@@ -33,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,13 +66,6 @@ class WindowMeasure:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"window mass {total} is not 1")
 
-    @property
-    def bins_half(self) -> int:
-        return self.bins.size // 2
-
-    def midpoints(self) -> np.ndarray:
-        return _midpoints(self.bins.size)
-
     def reflect(self) -> "WindowMeasure":
         """The pushforward under x -> -x; an exact involution on bins."""
         return WindowMeasure(self.bins[::-1].copy(), self.zero_in_support)
@@ -86,18 +74,6 @@ class WindowMeasure:
         if self.bins.size != other.bins.size:
             raise ValueError("windows use different binnings")
         return float(np.abs(self.bins - other.bins).sum())
-
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.bins)
-
-    def ks_distance(self, other: "WindowMeasure") -> float:
-        if self.bins.size != other.bins.size:
-            raise ValueError("windows use different binnings")
-        return float(np.abs(self.cdf() - other.cdf()).max())
-
-    def central_mass(self, radius: float) -> float:
-        mids = self.midpoints()
-        return float(self.bins[np.abs(mids) <= radius].sum())
 
     def csv_rows(self) -> List[Tuple[float, float, float]]:
         n = self.bins.size
@@ -117,36 +93,6 @@ def point_mass_window(bins_half: int = DEFAULT_BINS_HALF) -> WindowMeasure:
     bins[bins_half - 1] = 0.5
     bins[bins_half] = 0.5
     return WindowMeasure(bins, True)
-
-
-def center_and_window(points: np.ndarray, focus: float, t: float,
-                      weights: Optional[np.ndarray] = None,
-                      bins_half: int = DEFAULT_BINS_HALF,
-                      window_radius: float = 1.0) -> WindowMeasure:
-    """Empirical window: translate the cloud so `focus` sits at 0, scale by
-    e^t, keep what lands in [-radius, radius], renormalize, and bin.
-
-    With window_radius != 1 the conditioning interval is [-r, r] and the
-    bins span it (the alternative conditioning convention); coordinates are
-    divided by r so the result still lives on [-1, 1].
-    """
-    points = np.asarray(points, dtype=float)
-    w = (points - focus) * math.exp(t) / window_radius
-    if weights is None:
-        weights = np.ones(points.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-    inside = np.abs(w) <= 1.0
-    kept = weights[inside]
-    if kept.sum() <= 0:
-        raise ValueError("empty window: no sample mass near the focus; "
-                         "check that the focus lies in the support")
-    hist, _ = np.histogram(w[inside], bins=2 * bins_half,
-                           range=(-1.0, 1.0), weights=kept)
-    hist = hist / hist.sum()
-    bin_w = 1.0 / bins_half
-    zero_near = bool(np.any(np.abs(w[inside]) <= bin_w))
-    return WindowMeasure(hist, zero_near)
 
 
 class _Floats:
@@ -292,11 +238,10 @@ def window_of_state(model: Model, omega: Word, inner: Word, a: int,
                     zoom_t: float,
                     bins_half: int = DEFAULT_BINS_HALF,
                     eps_cut: float = MASS_CUTOFF,
-                    node_budget: int = 500_000,
-                    window_radius: float = 1.0) -> WindowMeasure:
+                    node_budget: int = 500_000) -> WindowMeasure:
     """Deterministic window of the model measure for component word omega,
     focused at the point coded by (omega, inner), orientation a, magnified
-    by e^zoom_t and conditioned on [-radius, radius].
+    by e^zoom_t and conditioned on [-1, 1].
 
     Cylinder intervals descend breadth-first with exact mass bookkeeping;
     a cylinder stops when it fits inside one bin (mass assigned exactly) or
@@ -318,15 +263,14 @@ def window_of_state(model: Model, omega: Word, inner: Word, a: int,
     the bins equal those of the same state rendered in any block.
     """
     return windows_of_states(model, [(omega, inner, a, zoom_t)], bins_half,
-                             eps_cut, node_budget, window_radius)[0]
+                             eps_cut, node_budget)[0]
 
 
 def windows_of_states(model: Model,
                       states: Iterable[Tuple[Word, Word, int, float]],
                       bins_half: int = DEFAULT_BINS_HALF,
                       eps_cut: float = MASS_CUTOFF,
-                      node_budget: int = 500_000,
-                      window_radius: float = 1.0) -> List[WindowMeasure]:
+                      node_budget: int = 500_000) -> List[WindowMeasure]:
     """The window of each state (omega, inner, a, zoom_t), in order, as
     window_of_state defines it.
 
@@ -340,19 +284,18 @@ def windows_of_states(model: Model,
         block = list(islice(it, WINDOW_BLOCK))
         if not block:
             return out
-        out += _descend(fl, block, bins_half, eps_cut, node_budget,
-                        window_radius)
+        out += _descend(fl, block, bins_half, eps_cut, node_budget)
 
 
 def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
-             node_budget: int, window_radius: float) -> List[WindowMeasure]:
+             node_budget: int) -> List[WindowMeasure]:
     """One breadth-first descent of the cylinder tree for every state of
     the block, all windows in lockstep, one level at a time."""
     nw, nb = len(block), 2 * bins_half
     hlo, hhi = fl.hlo, fl.hhi
     sy = _Symbols([st[0] for st in block], [st[1] for st in block])
     x = _focus(fl, sy, 1e-15)
-    ezoom = np.array([math.exp(t) / window_radius for *_, t in block])
+    ezoom = np.array([math.exp(t) for *_, t in block])
     sgn = np.array([-1.0 if a % 2 else 1.0 for _, _, a, _ in block])
 
     # a level-k node is the affine image offs + A*[hull]; A is one scalar

@@ -68,10 +68,6 @@ class SimilarityMap:
     def fixed_point(self) -> ExactScalar:
         return self.shift / (1 - self.ratio)
 
-    def inverse(self) -> "SimilarityMap":
-        r = 1 / self.ratio
-        return SimilarityMap(r, -r * self.shift)
-
     def float_pair(self) -> Tuple[float, float]:
         return float(self.ratio), float(self.shift)
 
@@ -240,11 +236,15 @@ class SimilarityIFS:
         return None
 
 
-def sampling_depth(ratios: Sequence[ExactScalar], bits: int = 60) -> int:
-    """Word length making the truncation error below 2^-bits of the hull,
-    for maps with these contraction ratios."""
+# a sample point's truncation error stays below 2^-SAMPLING_BITS of the hull
+SAMPLING_BITS = 60
+
+
+def sampling_depth(ratios: Sequence[ExactScalar]) -> int:
+    """Word length making the truncation error below 2^-SAMPLING_BITS of the
+    hull, for maps with these contraction ratios."""
     worst = max(abs(float(r)) for r in ratios)
-    return max(1, math.ceil(bits / -math.log2(worst)))
+    return max(1, math.ceil(SAMPLING_BITS / -math.log2(worst)))
 
 
 # rows the samplers draw and fold at a time, so that their memory does not
@@ -296,25 +296,6 @@ def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
     return fold_in_chunks(count, fold)
 
 
-def iterate_ifs(ifs: SimilarityIFS, length: int,
-                size_cap: int = 20000) -> SimilarityIFS:
-    """The length-fold composition system: one map per word, in lexicographic
-    word order, with product weights.  Its invariant measure is the same."""
-    if length < 1:
-        raise ValueError("composition length must be >= 1")
-    total = ifs.n ** length
-    if total > size_cap:
-        raise ValueError(
-            f"composing to length {length} needs {total} maps; raise "
-            f"size_cap (currently {size_cap}) to allow it")
-    maps = []
-    weights = []
-    for word in ifs.words(length):
-        maps.append(ifs.word_map(word))
-        weights.append(ifs.word_weight(word))
-    return SimilarityIFS(maps, weights)
-
-
 @dataclass(frozen=True)
 class SeparatedPair:
     """Two equal-length words with the same exact derivative whose images of
@@ -328,8 +309,12 @@ class SeparatedPair:
     hull_j: Tuple[ExactScalar, ExactScalar]
 
 
-def find_separated_pair(ifs: SimilarityIFS, max_length: int = 8,
-                        max_words_per_level: int = 20000) -> SeparatedPair:
+# words of one length that the separated-pair search compares, at most
+PAIR_SEARCH_WORDS = 20000
+
+
+def find_separated_pair(ifs: SimilarityIFS,
+                        max_length: int = 8) -> SeparatedPair:
     """Shortest (then lexicographically least) separated pair of words.
 
     Scans word lengths 1, 2, ... and within each length examines pairs
@@ -343,10 +328,10 @@ def find_separated_pair(ifs: SimilarityIFS, max_length: int = 8,
                          "point); no separated pair can exist")
     hull = ifs.attractor_hull()
     for m in range(1, max_length + 1):
-        if ifs.n ** m > max_words_per_level:
+        if ifs.n ** m > PAIR_SEARCH_WORDS:
             raise ValueError(
                 f"no separated pair found within the word budget "
-                f"({max_words_per_level} words per level, level {m} needs "
+                f"({PAIR_SEARCH_WORDS} words per level, level {m} needs "
                 f"{ifs.n ** m})")
         entries: List[Tuple[Tuple[int, ...], ExactScalar,
                             Tuple[ExactScalar, ExactScalar]]] = []

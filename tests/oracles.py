@@ -270,8 +270,8 @@ def cylinder_focus(comps, hull: Tuple[float, float], omega, inner,
 
 def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
                     zoom_t: float, bins_half: int = 256,
-                    eps_cut: float = 1e-10, node_budget: int = 500_000,
-                    window_radius: float = 1.0) -> np.ndarray:
+                    eps_cut: float = 1e-10, node_budget: int = 500_000
+                    ) -> np.ndarray:
     """Bins of one deterministic scenery window, one cylinder at a time in
     Python floats.  comps[c] is (ratio, shifts, weights) of component c;
     omega and inner map a position to a symbol.  Each cylinder gets the
@@ -286,7 +286,7 @@ def cylinder_window(comps, hull: Tuple[float, float], omega, inner, a: int,
         return min(max(int((w + 1.0) * bins_half), 0), n - 1)
 
     x = cylinder_focus(comps, hull, omega, inner)
-    ezoom = math.exp(zoom_t) / window_radius
+    ezoom = math.exp(zoom_t)
     sgn = -1.0 if a % 2 else 1.0
 
     bins = [0.0] * n

@@ -22,7 +22,6 @@ from betascenery import (
     beta_orbit,
     named_constant,
     normality_from_orbit,
-    normality_statistic,
     orbit_of_one,
     parry_density,
     pushforward_samples,
@@ -183,8 +182,8 @@ class TestOrbitIdentities:
     def test_base_two_third_never_normal(self):
         # orbit of 1/3 in base 2 alternates between 1/3 and 2/3; the sup is
         # taken over a grid, so allow one grid cell of slack
-        st_ = normality_statistic(BetaBase(2), Fraction(1, 3), 400, grid=1024)
-        assert st_.discrepancy >= 1 / 3 - 1 / 1024
+        st_ = normality_from_orbit(beta_orbit(BetaBase(2), Fraction(1, 3), 400))
+        assert st_.discrepancy >= 1 / 3 - 1 / bn.DISCREPANCY_GRID
 
 
 class TestLatticeOrbit:
@@ -473,7 +472,7 @@ class TestParryDensity:
 
 class TestNormalityStatistic:
     def test_digit_freqs_sum(self, golden_base):
-        st_ = normality_statistic(golden_base, Fraction(2, 7), 500)
+        st_ = normality_from_orbit(beta_orbit(golden_base, Fraction(2, 7), 500))
         assert st_.digit_freqs.sum() == pytest.approx(1.0)
         assert st_.steps == 500
 

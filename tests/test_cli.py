@@ -350,6 +350,16 @@ class TestExitCodes:
         assert code == 1
         assert "usage:" in err and "error:" in err
 
+    @pytest.mark.parametrize("args,reason", [
+        (["parry", "--beta", "1/2"], "base '1/2': base must exceed 1"),
+        (["parry", "--beta", "1"], "base '1': base must exceed 1"),
+        (["pisot", "1/0"], "'1/0' divides by zero"),
+    ])
+    def test_bad_number_names_the_reason(self, tmp_path, args, reason):
+        code, err = run_in_process(["--out-dir", str(tmp_path)] + args)
+        assert code == 1
+        assert f"error: {reason}" in err
+
     def test_help_is_exit_0(self):
         assert run_in_process(["--help"]) == (0, "")
         assert run_in_process(["spectrum", "--help"]) == (0, "")

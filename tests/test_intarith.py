@@ -126,6 +126,9 @@ class TestFixedExamples:
         check_counts(p, roots + [Fraction(-7, 2), Fraction(0),
                                  Fraction(1, 3), Fraction(1, 2), 5])
 
+    def test_constants_print_with_their_sign(self):
+        assert [str(IntPolynomial((c,))) for c in (0, 3, -3)] == ["0", "3", "-3"]
+
     def test_reducible_modulo_every_prime(self):
         p = FIXED["x^4 - 10*x^2 + 1"]
         for q in irreducible._PRIMES:

@@ -390,7 +390,7 @@ class TestSerialization:
 class TestSamplingDepth:
     def test_depth_reaches_requested_bits(self, two_ratio_model):
         m = two_ratio_model
-        d = sampling_depth([c.ratio for c in m.components], 60)
+        d = sampling_depth([c.ratio for c in m.components])
         # worst contraction per level is max ratio 1/4
         assert Fraction(1, 4) ** d <= Fraction(1, 2 ** 60)
 

@@ -17,7 +17,6 @@ from betascenery import (
     NormalityImplied,
     build_extended_chain,
     build_model,
-    center_and_window,
     compare_scenery_to_Q,
     evaluate_panel,
     named_constant,
@@ -26,7 +25,6 @@ from betascenery import (
     point_mass_window,
     rescale_model_for_gap,
     sample_Q,
-    sample_measure,
     scenery_orbit,
     spectrum_obstruction,
     window_of_state,
@@ -150,17 +148,9 @@ class TestWindows:
         w1 = window_of_state(mt_scaled, om, inner, 1, 2.5)
         assert w0.l1_distance(w1.reflect()) < 1e-8
 
-    def test_cdf_and_distances(self):
+    def test_l1_distance(self):
         a = point_mass_window(64)
         assert a.l1_distance(a) == 0.0
-        assert a.ks_distance(a) == 0.0
-        cdf = a.cdf()
-        assert cdf[-1] == pytest.approx(1.0)
-        assert (np.diff(cdf) >= 0).all()
-
-    def test_central_mass(self):
-        a = point_mass_window(64)
-        assert a.central_mass(0.5) == pytest.approx(1.0)
 
     def test_panel_shape_and_names(self):
         names = panel_names()
@@ -215,8 +205,7 @@ DESCENT_SETTINGS = {
     "default": {},
     "valve": {"node_budget": 4},
     "cutoff": {"eps_cut": 0.05},
-    "both": {"node_budget": 9, "eps_cut": 1e-3, "bins_half": 32,
-             "window_radius": 0.5},
+    "both": {"node_budget": 9, "eps_cut": 1e-3, "bins_half": 32},
     "coarse": {"node_budget": 12, "eps_cut": 0.02, "bins_half": 2},
 }
 
@@ -487,45 +476,13 @@ class TestSampleQ:
             assert w.bins.sum() <= 1 + 1e-9
 
 
-class TestCenterAndWindow:
-    def test_point_cloud_at_point_mass(self):
-        # a degenerate cloud at the focus lands entirely in the two
-        # innermost bins, like the atom window
-        pts = np.zeros(1000)
-        w = center_and_window(pts, 0.0, 5.0)
-        assert w.central_mass(1.0 / w.bins_half) == pytest.approx(1.0)
-        assert w.zero_in_support
-        assert w.l1_distance(point_mass_window(w.bins_half)) <= 1.0
-
-    def test_cantor_self_similarity(self, middle_thirds):
-        # zooming by log 3 at the fixed point 0 reproduces the measure
-        xs = sample_measure(middle_thirds, 200_000, seed=9)
-        w1 = center_and_window(xs, 0.0, 1.0)
-        w2 = center_and_window(xs, 0.0, 1.0 + math.log(3))
-        assert w1.ks_distance(w2) < 0.02
-
-    def test_empty_window_rejected(self):
-        pts = np.full(100, 10.0)
-        with pytest.raises(ValueError):
-            center_and_window(pts, 0.0, 8.0)
-
-    def test_weights_respected(self):
-        pts = np.array([-0.5, 0.5])
-        w = center_and_window(pts, 0.0, 0.0,
-                              weights=np.array([0.25, 0.75]))
-        half = w.bins_half
-        left = w.bins[:half].sum()
-        assert left == pytest.approx(0.25, abs=1e-12)
-
-
 class TestComparison:
     def test_identical_distributions_have_zero_distance(self, mt_scaled):
         m = mt_scaled
         ch = build_extended_chain(m)
         qs = sample_Q(m, ch, 40, seed=7)
-        orb = bs.SceneryOrbit(
-            start=None, times=np.zeros(len(qs.windows)),
-            windows=list(qs.windows), gap_rescale=1.0, bins_half=256)
+        orb = bs.SceneryOrbit(times=np.zeros(len(qs.windows)),
+                              windows=list(qs.windows))
         rep = compare_scenery_to_Q(orb, qs)
         assert rep.max_distance < 1e-12
         assert rep.names == panel_names()
@@ -555,7 +512,6 @@ class TestComparison:
         assert len(d["functionals"]) == len(rep.names)
         assert all({"name", "orbit", "q", "distance"} <= set(f)
                    for f in d["functionals"])
-        assert isinstance(rep.to_json(), str)
 
 
 class TestSpectrum:

@@ -1,5 +1,5 @@
-"""Similarity IFS layer: hulls, word iteration, separated-pair search, and
-measure sampling against an independent transfer-operator oracle."""
+"""Similarity IFS layer: hulls, separated-pair search, and measure sampling
+against an independent transfer-operator oracle."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from betascenery import (
     SimilarityIFS,
     SimilarityMap,
     find_separated_pair,
-    iterate_ifs,
     sample_measure,
 )
 
@@ -59,21 +58,6 @@ class TestMapsAndHulls:
             fifs([("1", 0), ("1/2", "1/2")])
         with pytest.raises(ValueError):
             fifs([("0", 0), ("1/2", "1/2")])
-
-
-class TestIterate:
-    def test_square_of_middle_thirds(self, middle_thirds):
-        it = iterate_ifs(middle_thirds, 2)
-        assert len(it.maps) == 4
-        assert all(f.ratio == Fraction(1, 9) for f in it.maps)
-        assert all(w == Fraction(1, 4) for w in it.weights)
-        shifts = sorted(f.shift for f in it.maps)
-        assert shifts == [Fraction(0), Fraction(2, 9),
-                          Fraction(2, 3), Fraction(8, 9)]
-
-    def test_size_cap(self, middle_thirds):
-        with pytest.raises(ValueError):
-            iterate_ifs(middle_thirds, 20, size_cap=1000)
 
 
 class TestSeparatedPair:
