@@ -4,21 +4,25 @@ An AlgebraicNumber is (irreducible minimal polynomial, rational isolating
 interval); the interval is refined monotonically in place, so repeated
 comparisons get cheaper and a refinement can never jump to a different root.
 
-A NumberField wraps a monic irreducible polynomial and does exact field
-arithmetic on coordinate vectors; signs of nonzero elements are decided by
-interval Horner evaluation over the generator's isolating interval, refined
-until the value interval excludes zero.  A nonzero coordinate vector has a
-nonzero value (the minimal polynomial is minimal), so the loop terminates:
-every comparison is exact, with no floating point on the decision path.
+A NumberField wraps a monic irreducible polynomial.  Its elements are
+integer vectors over one positive denominator in the power basis, in lowest
+terms; products fold by the monic polynomial in integers, and inverses come
+from the characteristic polynomial (Cayley-Hamilton).  Every sign, floor
+and float is read by the field's one fixed-point evaluator: integer powers
+of the generator at 2^P under a certified error bound, with P doubled until
+both ends of the enclosure give the same answer.  An element with a nonzero
+irrational part is irrational (the minimal polynomial is minimal), so the
+doubling ends: every decision is exact, with no floating point on its path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .intpoly import IntPolynomial, interval_add, interval_mul
+from .intpoly import IntPolynomial, interval_mul
 from .roots import (_FLOAT_BITS_CAP, _root_separation_bound,
                     isolate_real_roots, real_root_intervals, refine_real_root)
 
@@ -172,10 +176,29 @@ class AlgebraicNumber:
 # ---------------------------------------------------------------------------
 
 
-class NumberField:
-    """Q(beta) for beta a root of a monic irreducible integer polynomial."""
+# Starting precision, in bits, of the fixed-point powers of a field's
+# generator; a read that it cannot certify doubles it.
+FIXED_BITS = 96
 
-    __slots__ = ("poly", "generator", "degree", "_same_field")
+
+def _sign(a: int, q: int) -> int:
+    return (a > 0) - (a < 0)
+
+
+class NumberField:
+    """Q(beta) for beta a root of a monic irreducible integer polynomial.
+
+    Every sign, floor and float of an element sum v_i beta^i / q comes from
+    one evaluator: fixed-point powers B_i = floor(beta^i 2^P), taken from a
+    certified isolating interval of beta, bound the value's 2^P multiple by
+    [A - R, A + R] with A = v_0 2^P + sum v_i B_i and R = sum |v_i| E_i.
+    The read is taken at both ends, and P doubles until they agree (see
+    `_decide`).  The interval refined for the powers is a private copy of
+    the generator, so evaluation never changes the public one.
+    """
+
+    __slots__ = ("poly", "generator", "degree", "_same_field", "_gen",
+                 "_tables")
 
     def __init__(self, generator: AlgebraicNumber):
         poly = generator.min_poly
@@ -187,6 +210,9 @@ class NumberField:
         self.generator = generator
         self.degree = poly.degree
         self._same_field: dict = {}
+        self._gen = AlgebraicNumber(poly, generator.lo, generator.hi,
+                                    _validated=True)
+        self._tables: dict = {}
 
     def same_field(self, other: "NumberField") -> bool:
         """True iff `other` designates the same generator root (cached)."""
@@ -196,18 +222,24 @@ class NumberField:
         entry = self._same_field.get(id(other))
         if entry is not None and entry[0] is other:
             return entry[1]
-        hit = (self.poly == other.poly and
-               self.generator.equals(other.generator))
+        hit = self.poly == other.poly and self._gen.equals(other._gen)
         self._same_field[id(other)] = (other, hit)
         other._same_field[id(self)] = (self, hit)
         return hit
 
     def element(self, vec) -> "FieldElement":
-        """The element sum_k vec[k] * beta^k, for a vector of any length:
-        the top coordinate c is folded down by beta^d = -(a_0 + ... +
-        a_{d-1} beta^{d-1}) until d coordinates remain."""
-        d = self.degree
+        """The element sum_k vec[k] * beta^k, for rational coordinates and
+        a vector of any length."""
         v = [Fraction(x) for x in vec]
+        q = math.lcm(*(c.denominator for c in v))
+        return FieldElement(self, self._reduce(
+            [c.numerator * (q // c.denominator) for c in v]), q)
+
+    def _reduce(self, v: list) -> Tuple[int, ...]:
+        """The d integer coordinates of sum_k v[k] beta^k: the top
+        coordinate c is folded down by beta^d = -(a_0 + ... + a_{d-1}
+        beta^{d-1}) until d coordinates remain."""
+        d = self.degree
         low = self.poly.coeffs[:d]
         while len(v) > d:
             c = v.pop()
@@ -215,13 +247,58 @@ class NumberField:
                 k = len(v) - d
                 for i, a in enumerate(low):
                     v[k + i] -= c * a
-        return FieldElement(self, tuple(v + [Fraction(0)] * (d - len(v))))
+        return tuple(v) + (0,) * (d - len(v))
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)])
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
 
     def beta(self) -> "FieldElement":
         return self.element([0, 1])
+
+    # -- the fixed-point evaluator -------------------------------------------
+
+    def _table(self, bits: int):
+        """(B, E) at precision P = bits for i = 1..d-1: beta^i 2^P lies in
+        [B_i, B_i + E_i]."""
+        if bits not in self._tables:
+            lo, hi = self._gen.refine_bits(bits + 32)
+            b, e, pw = [], [], (Fraction(1), Fraction(1))
+            for _ in range(self.degree - 1):
+                pw = interval_mul(pw, (lo, hi))
+                lo_i = math.floor(pw[0] * 2 ** bits)
+                b.append(lo_i)
+                e.append(-math.floor(-pw[1] * 2 ** bits) - lo_i)
+            self._tables[bits] = (b, e)
+        return self._tables[bits]
+
+    def _fixed(self, v, bits: int) -> Tuple[int, int]:
+        """(A, R) with sum v_i beta^i 2^P in [A - R, A + R]: A sums
+        v_i B_i, R bounds the rounding of the powers by sum |v_i| E_i."""
+        b, e = self._table(bits)
+        a, r = v[0] << bits, 0
+        for vi, bi, ei in zip(v[1:], b, e):
+            a += vi * bi
+            r += abs(vi) * ei
+        return a, r
+
+    def _decide(self, v, q: int, read, bits: int = FIXED_BITS):
+        """(read(v/q), P) for a read of an integer over a positive one
+        (floor division, true division, sign): exact when v/q is rational,
+        else read at both ends of the fixed-point enclosure
+        [A - R, A + R] / (q 2^P), doubling P from `bits` until the two
+        agree.  v/q is then irrational, so it is neither zero, an integer
+        nor a float rounding boundary, and the doubling ends."""
+        if not any(v[1:]):
+            return read(v[0], q), bits
+        while True:
+            a, r = self._fixed(v, bits)
+            den = q << bits
+            lo = read(a - r, den)
+            if read(a + r, den) == lo:
+                return lo, bits
+            bits *= 2
 
     def __repr__(self) -> str:
         return f"NumberField({self.poly})"
@@ -243,13 +320,26 @@ def monic_scaled_field(a: AlgebraicNumber) -> Tuple[NumberField, int]:
 
 
 class FieldElement:
-    """Element of a NumberField in power-basis coordinates (Fractions)."""
+    """The element sum_k num[k] beta^k / den of a NumberField: an integer
+    vector over a positive denominator, in lowest terms, so that equal
+    elements have equal representations."""
 
-    __slots__ = ("field", "vec")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, vec: Tuple[Fraction, ...]):
+    def __init__(self, field: NumberField, num: Tuple[int, ...],
+                 den: int = 1):
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = tuple(c // g for c in num)
+            den //= g
         self.field = field
-        self.vec = vec
+        self.num = num
+        self.den = den
+
+    @property
+    def vec(self) -> Tuple[Fraction, ...]:
+        """The power-basis coordinates, as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- ring ops ---------------------------------------------------------
 
@@ -257,22 +347,23 @@ class FieldElement:
         if isinstance(other, FieldElement):
             if other.field is not self.field:
                 if self.field.same_field(other.field):
-                    return FieldElement(self.field, other.vec)
+                    return FieldElement(self.field, other.num, other.den)
                 raise TypeError(
                     "mixing elements of distinct algebraic fields is not "
                     "supported; express both in one field")
             return other
-        return self.field.from_rational(Fraction(other))
+        return self.field.from_rational(other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(self.field,
-                            tuple(a + b for a, b in zip(self.vec, o.vec)))
+        p, q = self.den, o.den
+        return FieldElement(self.field, tuple(
+            a * q + b * p for a, b in zip(self.num, o.num)), p * q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.vec))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -282,65 +373,29 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.vec):
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(o.vec):
+                for j, b in enumerate(o.num):
                     if b:
                         prod[i + j] += a * b
-        return self.field.element(prod)
+        return FieldElement(self.field, self.field._reduce(prod),
+                            self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm in
-        Q[x] against the (irreducible) minimal polynomial."""
+        """Multiplicative inverse by Cayley-Hamilton: the characteristic
+        polynomial p_0 + p_1 t + ... + p_n t^n of multiplication by x
+        vanishes at x, and p_0 is, up to a factor, the norm of x, nonzero,
+        so 1/x = -(p_1 + p_2 x + ... + p_n x^(n-1)) / p_0."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        a = [Fraction(c) for c in self.field.poly.coeffs]
-        b = list(self.vec)
-        while len(b) > 1 and b[-1] == 0:
-            b.pop()
-        s_prev, s_cur = [Fraction(0)], [Fraction(1)]
-
-        def poly_divmod(num, den):
-            num = num[:]
-            q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-            while len(num) >= len(den) and any(num):
-                while num and num[-1] == 0:
-                    num.pop()
-                if len(num) < len(den):
-                    break
-                c = num[-1] / den[-1]
-                k = len(num) - len(den)
-                q[k] = c
-                for i, dc in enumerate(den):
-                    num[i + k] -= c * dc
-                num.pop()
-            return q, (num or [Fraction(0)])
-
-        r_prev, r_cur = a, b
-        while True:
-            while len(r_cur) > 1 and r_cur[-1] == 0:
-                r_cur.pop()
-            if len(r_cur) == 1:
-                break
-            q, r_next = poly_divmod(r_prev, r_cur)
-            # s_next = s_prev - q * s_cur
-            s_next = [Fraction(0)] * max(len(s_prev), len(q) + len(s_cur) - 1)
-            for i, c in enumerate(s_prev):
-                s_next[i] += c
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s_cur):
-                        s_next[i + j] -= qc * sc
-            r_prev, r_cur = r_cur, r_next
-            s_prev, s_cur = s_cur, s_next
-        c = r_cur[0]
-        if c == 0:
-            raise ArithmeticError("gcd degenerated; polynomial not irreducible?")
-        return self.field.element([s / c for s in s_cur])
+        p = _charpoly(self).coeffs
+        acc = self.field.from_rational(p[-1])
+        for c in reversed(p[1:-1]):
+            acc = acc * self + c
+        return acc * Fraction(-1, p[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -364,68 +419,33 @@ class FieldElement:
     # -- exact decisions ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.vec)
+        return not any(self.num)
 
     def to_rational(self) -> Optional[Fraction]:
-        if all(c == 0 for c in self.vec[1:]):
-            return self.vec[0]
-        return None
-
-    def _horner(self) -> Tuple[Fraction, Fraction]:
-        """Interval Horner: a rational enclosure of this element over the
-        generator's current isolating interval."""
-        gen = self.field.generator
-        x = (gen.lo, gen.hi)
-        acc = (self.vec[-1], self.vec[-1])
-        for c in reversed(self.vec[:-1]):
-            acc = interval_add(interval_mul(acc, x), (c, c))
-        return acc
-
-    def _enclose(self, done) -> Tuple[Fraction, Fraction]:
-        """The first enclosure that satisfies `done`, narrowing the shared
-        generator interval by steps of a sixteenth.  Each caller's test
-        holds once the interval is narrow enough for an irrational element,
-        which is neither zero, an integer nor a float rounding boundary, or
-        at once for a rational one, whose enclosure is exact."""
-        gen = self.field.generator
-        while True:
-            acc = self._horner()
-            if done(acc):
-                return acc
-            gen.refine((gen.hi - gen.lo) / 16)
+        if any(self.num[1:]):
+            return None
+        return Fraction(self.num[0], self.den)
 
     def sign(self) -> int:
-        r = self.to_rational()
-        if r is not None:
-            return (r > 0) - (r < 0)
-        lo, _ = self._enclose(lambda iv: iv[0] > 0 or iv[1] < 0)
-        return 1 if lo > 0 else -1
+        return self.field._decide(self.num, self.den, _sign)[0]
 
     def floor(self) -> int:
-        r = self.to_rational()
-        if r is not None:
-            return math.floor(r)
-        lo, _ = self._enclose(
-            lambda iv: math.floor(iv[0]) == math.floor(iv[1]))
-        return math.floor(lo)
+        return self.field._decide(self.num, self.den, operator.floordiv)[0]
 
     __floor__ = floor
 
     def enclosure(self, bits: int = 64) -> Tuple[Fraction, Fraction]:
-        """Certified rational interval of width below 2^-bits."""
-        r = self.to_rational()
-        if r is not None:
-            return (r, r)
-        width = Fraction(1, 2 ** bits)
-        return self._enclose(lambda iv: iv[1] - iv[0] < width)
+        """Certified rational interval of width below 2^-bits: the cell
+        [k, k + 1] / 2^(bits+1) with k the floor of 2^(bits+1) times this
+        element."""
+        n = bits + 1
+        k = self.field._decide(self.num, self.den,
+                               lambda a, q: (a << n) // q)[0]
+        return Fraction(k, 2 ** n), Fraction(k + 1, 2 ** n)
 
     def __float__(self) -> float:
-        """The float nearest this element: the generator is refined to
-        2^-80, and further until both ends of the enclosure round to one
-        float (large coordinates need more)."""
-        self.field.generator.refine_bits(80)
-        lo, _ = self._enclose(lambda iv: float(iv[0]) == float(iv[1]))
-        return float(lo)
+        """The float nearest this element."""
+        return self.field._decide(self.num, self.den, operator.truediv)[0]
 
     def _cmp(self, other) -> int:
         return (self - other).sign()
@@ -447,11 +467,11 @@ class FieldElement:
 
     def __eq__(self, other):
         """Exact equality.  Elements of one field (same polynomial, same
-        root) are equal iff their coordinates are; across fields, only two
-        rational values are compared."""
+        root) are equal iff their representations are; across fields, only
+        two rational values are compared."""
         if isinstance(other, FieldElement):
             if self.field.same_field(other.field):
-                return self.vec == other.vec
+                return self.num == other.num and self.den == other.den
             r = self.to_rational()
             return r is not None and r == other.to_rational()
         if isinstance(other, (int, Fraction)):
@@ -462,7 +482,7 @@ class FieldElement:
         r = self.to_rational()
         if r is not None:
             return hash(r)
-        return hash((self.field.poly.coeffs, self.vec))
+        return hash((self.field.poly.coeffs, self.num, self.den))
 
     def to_algebraic(self) -> AlgebraicNumber:
         """Minimal polynomial + isolating interval for this element."""
@@ -479,27 +499,28 @@ class FieldElement:
         if not acc.is_zero():
             raise ArithmeticError("minimal polynomial does not vanish at "
                                   "element")
-        # isolating interval: refine the generator until the Horner interval
-        # of this element isolates exactly one root of the target
-        lo, hi = self._enclose(
-            lambda iv: target.count_roots(*iv) == 1)
-        return AlgebraicNumber(target, lo, hi, _validated=True)
+        # isolating interval: narrow the enclosure until it holds exactly
+        # one root of the target
+        bits = 16
+        while True:
+            lo, hi = self.enclosure(bits)
+            if target.count_roots(lo, hi) == 1:
+                return AlgebraicNumber(target, lo, hi, _validated=True)
+            bits *= 2
 
 
 def _charpoly(x: FieldElement) -> IntPolynomial:
     """The characteristic polynomial of multiplication by x on the power
-    basis, as a primitive integer polynomial.  With x = v / D for an integer
-    vector v, the matrix M of v is integral, and Faddeev-LeVerrier gives its
-    characteristic polynomial sum c_i t^i in integers: with M_1 = I,
+    basis, as a primitive integer polynomial.  With x = v / D, the matrix M
+    of v is integral, and Faddeev-LeVerrier gives its characteristic
+    polynomial sum c_i t^i in integers: with M_1 = I,
     c_(n-k) = -tr(M M_k) / k and M_(k+1) = M M_k + c_(n-k) I, every division
     exact.  That of x is then proportional to sum c_i D^i t^i."""
     field, n = x.field, x.field.degree
-    den = math.lcm(*(c.denominator for c in x.vec))
-    col = [c * den for c in x.vec]
-    cols = []                                   # v beta^j, column by column
+    col, cols = x.num, []                       # v beta^j, column by column
     for _ in range(n):
-        cols.append([int(c) for c in col])
-        col = list(field.element([0] + col).vec)
+        cols.append(col)
+        col = field._reduce([0, *col])
     m = [[cols[j][i] for j in range(n)] for i in range(n)]
     c = [0] * n + [1]
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -512,7 +533,7 @@ def _charpoly(x: FieldElement) -> IntPolynomial:
         c[n - k] = -tr // k
         mk = [[prod[i][j] + (c[n - k] if i == j else 0) for j in range(n)]
               for i in range(n)]
-    return IntPolynomial(tuple(ci * den ** i for i, ci in enumerate(c))
+    return IntPolynomial(tuple(ci * x.den ** i for i, ci in enumerate(c))
                          ).primitive()
 
 
@@ -605,12 +626,21 @@ def named_constant(name: str) -> AlgebraicNumber:
 ExactScalar = Union[Fraction, FieldElement]
 
 
+def parse_fraction(text: str) -> Fraction:
+    """A rational like '-2/3'; a zero denominator raises a
+    ZeroDivisionError that names the text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"{text!r} divides by zero") from None
+
+
 def parse_scalar(text: str) -> ExactScalar:
     """Parse an exact scalar: a rational like '-2/3', a named constant like
     'golden', or simple quotient forms '1/golden', 'golden/2', '-1/golden'."""
     text = text.strip()
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except ValueError:
         pass
     neg = text.startswith("-")

@@ -70,10 +70,6 @@ def _parse_poly_string(text: str, rational: bool = False) -> list:
     return out if rational else [int(c) for c in out]
 
 
-def interval_add(a: RatInterval, b: RatInterval) -> RatInterval:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def interval_mul(a: RatInterval, b: RatInterval) -> RatInterval:
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(p), max(p))

@@ -14,14 +14,14 @@ Two arithmetic paths, chosen by the type of the starting point:
     algebraic integer of degree d.  x is an integer vector v in the basis
     1, gamma, ..., gamma^(d-1) over a denominator q; multiplying by beta is
     the companion matrix of gamma with the denominator multiplied by c, so
-    the k-th remainder sits over q*c^k.  A floor is w_0 // q when
-    w_1 = ... = w_{d-1} = 0 (the value is rational).  Otherwise it is read
-    off fixed-point powers B_i = floor(gamma^i 2^P), taken from the
-    certified isolating interval of gamma, with the error bound
-    sum |w_i| E_i; when that enclosure straddles an integer, P doubles for
-    the rest of the orbit and the floor is taken again.  No floor comes from
-    an uncertified value.  Floats are certified the same way, and the exact
-    remainders are built only when read;
+    the k-th remainder sits over q*c^k.  This is the representation of a
+    FieldElement, so a remainder becomes one without conversion.  A floor
+    is w_0 // q when w_1 = ... = w_{d-1} = 0 (the value is rational).
+    Otherwise the field's fixed-point evaluator reads it (see
+    NumberField._decide); when its enclosure straddles an integer, P
+    doubles for the rest of the orbit and the floor is taken again.  No
+    floor comes from an uncertified value.  Floats are certified the same
+    way, and the exact remainders are built only when read;
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
@@ -49,7 +49,8 @@ from .algebraics import (
     is_pisot,
     monic_scaled_field,
 )
-from .algebraics.intpoly import _parse_poly_string, interval_mul
+from .algebraics.algnum import FIXED_BITS
+from .algebraics.intpoly import _parse_poly_string
 from .rng import UniformStream
 
 
@@ -138,7 +139,7 @@ class BetaBase:
                         "algebraic point with a rational base: the point "
                         "must be rational")
                 return r
-            return self._field.element(list(x.vec)) \
+            return FieldElement(self._field, x.num, x.den) \
                 if self._field.same_field(x.field) else _reject_field()
         if isinstance(x, BigReal):
             return x
@@ -155,23 +156,18 @@ def _reject_field():
                      "base; express it in the base's field")
 
 
-# Starting precision, in bits, of the lattice's fixed-point powers of beta;
-# a floor or float that it cannot certify doubles it for the rest of that
-# orbit (or float array).  Every orbit starts here again.
-LATTICE_BITS = 96
-
-
 class _Lattice:
     """Exact orbit arithmetic for beta = gamma/c, gamma an algebraic integer
     and c >= 1 an integer.
 
     A point is an integer vector v in the power basis 1, gamma, ...,
-    gamma^(d-1) over a denominator Q > 0.  Multiplying by beta is the
-    integer companion matrix of gamma's monic minimal polynomial with Q
-    multiplied by c, and subtracting a digit changes v[0] only, so the k-th
-    point of an orbit from v/q sits over q*c^k.  Floors and floats come
-    from fixed-point powers B_i = floor(gamma^i 2^P) under a certified error
-    bound (see `_fixed`).
+    gamma^(d-1) over a denominator Q > 0, as a FieldElement stores it.
+    Multiplying by beta is the integer companion matrix of gamma's monic
+    minimal polynomial with Q multiplied by c, and subtracting a digit
+    changes v[0] only, so the k-th point of an orbit from v/q sits over
+    q*c^k.  Floors and floats are read by the field's fixed-point evaluator
+    (`NumberField._decide`), at a precision that each orbit (or float
+    array) carries.
     """
 
     def __init__(self, coeffs: Sequence[int], field, scale: int):
@@ -179,25 +175,6 @@ class _Lattice:
         self.field = field            # None for a rational base
         self.scale = scale            # c
         self.degree = len(self.coeffs) - 1
-        self._tables: dict = {}
-        if field is not None:
-            # a private copy, so refining it leaves the field's own interval
-            # (and with it FieldElement.__float__) as it was
-            gen = field.generator
-            self._gen = AlgebraicNumber(gen.min_poly, gen.lo, gen.hi,
-                                        _validated=True)
-
-    def lift(self, x) -> Tuple[Tuple[int, ...], int]:
-        """(v, q) for a Fraction or an element of this base's field."""
-        if isinstance(x, Fraction):
-            return (x.numerator,) + (0,) * (self.degree - 1), x.denominator
-        q = math.lcm(*(c.denominator for c in x.vec))
-        return tuple(c.numerator * (q // c.denominator) for c in x.vec), q
-
-    def exact(self, v, q) -> ExactScalar:
-        if self.field is None:
-            return Fraction(v[0], q)
-        return FieldElement(self.field, tuple(Fraction(c, q) for c in v))
 
     def orbit(self, v, q, steps: int) -> Tuple[List[int], List[tuple]]:
         """The digits and remainder vectors of `steps` greedy steps from
@@ -214,14 +191,16 @@ class _Lattice:
                 digits.append(d)
                 states.append((x,))
             return digits, states
-        bits = LATTICE_BITS
+        # each orbit starts at FIXED_BITS; a floor that it cannot certify
+        # doubles the precision for the rest of the orbit
+        decide, bits = self.field._decide, FIXED_BITS
         for _ in range(steps):
             q *= self.scale
             top = v[-1]
             w = (0,) + v[:-1]
             if top:
                 w = tuple(a - c * top for a, c in zip(w, self.coeffs))
-            d, bits = self._decide(w, q, operator.floordiv, bits)
+            d, bits = decide(w, q, operator.floordiv, bits)
             v = (w[0] - d * q,) + w[1:]
             digits.append(d)
             states.append(v)
@@ -236,59 +215,19 @@ class _Lattice:
                 out.append(x / q)   # int / int rounds correctly
                 q *= self.scale
             return out
-        bits = LATTICE_BITS
+        decide, bits = self.field._decide, FIXED_BITS
         for v in states:
-            f, bits = self._decide(v, q, operator.truediv, bits)
+            f, bits = decide(v, q, operator.truediv, bits)
             out.append(f)
             q *= self.scale
         return out
 
-    def _table(self, bits: int):
-        """(B, E) at precision P = bits for i = 1..d-1: gamma^i 2^P lies in
-        [B_i, B_i + E_i]."""
-        if bits not in self._tables:
-            lo, hi = self._gen.refine_bits(bits + 32)
-            b, e, pw = [], [], (Fraction(1), Fraction(1))
-            for _ in range(self.degree - 1):
-                pw = interval_mul(pw, (lo, hi))
-                lo_i = math.floor(pw[0] * 2 ** bits)
-                b.append(lo_i)
-                e.append(-math.floor(-pw[1] * 2 ** bits) - lo_i)
-            self._tables[bits] = (b, e)
-        return self._tables[bits]
-
-    def _fixed(self, v, bits: int) -> Tuple[int, int]:
-        """(A, R) with sum v_i gamma^i 2^P in [A - R, A + R]: A sums
-        v_i B_i, R bounds the rounding of the powers by sum |v_i| E_i."""
-        b, e = self._table(bits)
-        a, r = v[0] << bits, 0
-        for vi, bi, ei in zip(v[1:], b, e):
-            a += vi * bi
-            r += abs(vi) * ei
-        return a, r
-
-    def _decide(self, v, q, read, bits: int):
-        """(read(v/q), P) for floor division or true division: exact when
-        v/q is rational, else read at both ends of the fixed-point enclosure
-        [A - R, A + R] / (q 2^P), doubling P from `bits` until the two agree.
-        v/q is then irrational, so it is neither an integer nor a float
-        rounding boundary, and the doubling ends."""
-        if not any(v[1:]):
-            return read(v[0], q), bits
-        while True:
-            a, r = self._fixed(v, bits)
-            den = q << bits
-            lo = read(a - r, den)
-            if read(a + r, den) == lo:
-                return lo, bits
-            bits *= 2
-
-    def unwind(self, v, q, digits: Sequence[int]) -> ExactScalar:
-        """Run the expansion back from the remainder v/q: x = c(x' + d)/gamma,
-        with the integer matrix of c_0/gamma (c_0 the constant coefficient),
-        so per digit the denominator gains a factor |c_0| and loses the
-        factor c that the forward step put in.  One exact scalar is built at
-        the end."""
+    def unwind(self, v, q, digits: Sequence[int]) -> Tuple[tuple, int]:
+        """Run the expansion back from the remainder v/q to (v, q) of the
+        start: x = c(x' + d)/gamma, with the integer matrix of c_0/gamma
+        (c_0 the constant coefficient), so per digit the denominator gains
+        a factor |c_0| and loses the factor c that the forward step put
+        in."""
         c0 = self.coeffs[0]
         sign, scale = (-1, -c0) if c0 < 0 else (1, c0)
         tail = self.coeffs[1:]
@@ -297,7 +236,7 @@ class _Lattice:
             v = tuple(sign * (c0 * a - u0 * c)
                       for a, c in zip(v[1:] + (0,), tail))
             q = q * scale // self.scale
-        return self.exact(v, q)
+        return v, q
 
 
 class _LatticeRemainders(Sequence):
@@ -325,7 +264,14 @@ class _LatticeRemainders(Sequence):
         if isinstance(k, slice):
             return _LatticeRemainders(self.lattice, self.q, self.states[k],
                                       self.positions[k])
-        return self.lattice.exact(self.states[k], self.denominator(k))
+        return self.value(self.states[k], self.denominator(k))
+
+    def value(self, v, q: int) -> ExactScalar:
+        """v/q as a Fraction (a rational base) or a field element."""
+        field = self.lattice.field
+        if field is None:
+            return Fraction(v[0], q)
+        return FieldElement(field, v, q)
 
     def __eq__(self, other):
         if not isinstance(other, (list, _LatticeRemainders)):
@@ -348,9 +294,8 @@ class OrbitRecord:
         equidistribution normality is about)."""
         rems = self.remainders
         if isinstance(rems, _LatticeRemainders):
-            start = rems.lattice.lift(self.start)[0]
-            return np.array(rems.lattice.floats([start, *rems.states[:-1]],
-                                                rems.q))
+            return np.array([float(self.start), *rems.lattice.floats(
+                rems.states[:-1], rems.denominator(0))])
         return np.array([float(r) for r in [self.start, *rems[:-1]]])
 
     def reconstruct_exact(self):
@@ -359,8 +304,8 @@ class OrbitRecord:
         rems = self.remainders
         if not isinstance(rems, _LatticeRemainders):
             raise ValueError("exact reconstruction needs an exact orbit")
-        return rems.lattice.unwind(rems.states[-1], rems.denominator(-1),
-                                   self.digits)
+        return rems.value(*rems.lattice.unwind(
+            rems.states[-1], rems.denominator(-1), self.digits))
 
 
 def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
@@ -380,7 +325,10 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
     if x < 0 or x >= 1:
         raise ValueError("starting point must lie in [0, 1)")
     lat = base._lattice
-    v, q = lat.lift(x)
+    if isinstance(x, Fraction):
+        v, q = (x.numerator,) + (0,) * (lat.degree - 1), x.denominator
+    else:
+        v, q = x.num, x.den
     digits, states = lat.orbit(v, q, steps)
     return OrbitRecord(x, digits,
                        _LatticeRemainders(lat, q, states, range(steps)),

@@ -28,6 +28,7 @@ from . import __version__
 from .algebraics import (AlgebraicNumber, Dependent, IntPolynomial, is_pisot,
                          multiplicative_relation, named_constant,
                          parse_scalar, scalar_to_str)
+from .algebraics.algnum import parse_fraction
 from .beta_numeration import (BetaBase, beta_orbit,
                               normality_from_orbit, parry_density)
 from .model import Model, build_model, verify_ssc
@@ -79,9 +80,7 @@ def _parse_number(text: str):
     real root of a polynomial ('x^2 - x - 1')."""
     text = text.strip()
     try:
-        return Fraction(text)
-    except ZeroDivisionError as e:
-        raise CliError(f"{text!r} divides by zero") from e
+        return parse_fraction(text)
     except ValueError:
         pass
     try:
@@ -127,7 +126,7 @@ def _load_ifs(doc: dict, path: str) -> SimilarityIFS:
     try:
         weights = None
         if doc.get("weights"):
-            weights = [Fraction(str(w)) for w in doc["weights"]]
+            weights = [parse_fraction(str(w)) for w in doc["weights"]]
         return SimilarityIFS(maps, weights)
     except (ValueError, ZeroDivisionError) as e:
         raise CliError(f"{path}: {e}") from e

@@ -7,16 +7,16 @@ from .flow import (ComparisonReport, QSamples, SceneryOrbit,
                    compare_scenery_to_Q, rescale_model_for_gap, sample_Q,
                    scenery_orbit)
 from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
-from .windows import (DEFAULT_BINS_HALF, PANEL_VERSION, WindowMeasure,
-                      evaluate_panel, panel_average, panel_names,
-                      point_mass_window, window_of_state, windows_of_states)
+from .windows import (PANEL_VERSION, WindowMeasure, evaluate_panel,
+                      panel_average, panel_names, point_mass_window,
+                      window_of_state, windows_of_states)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
     "ComparisonReport", "QSamples", "SceneryOrbit", "compare_scenery_to_Q",
     "rescale_model_for_gap", "sample_Q", "scenery_orbit",
     "Inconclusive", "NormalityImplied", "spectrum_obstruction",
-    "DEFAULT_BINS_HALF", "PANEL_VERSION", "WindowMeasure",
+    "PANEL_VERSION", "WindowMeasure",
     "evaluate_panel", "panel_average", "panel_names",
     "point_mass_window", "window_of_state", "windows_of_states",
 ]

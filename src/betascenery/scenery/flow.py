@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,15 +25,16 @@ from .windows import (PANEL_VERSION, WindowMeasure, panel_average,
                       panel_names, windows_of_states)
 
 
-def rescale_model_for_gap(model: Model, margin: Fraction = Fraction(1, 2)):
+def rescale_model_for_gap(model: Model):
     """Scale every translation by a common exact factor c so the separation
-    gap inside each component exceeds 2 (window diameter).  Returns the new
-    model and c; c = 1 when the gap is already wide enough.
+    gap inside each component is at least 5/2: above the window diameter 2
+    by a margin of 1/2.  Returns the new model and c; c = 1 when the gap is
+    already wide enough.
 
     The factor maps coordinates of results back: x_new = c * x_old.
     """
     g = verify_ssc(model)
-    target = 2 + Fraction(margin)
+    target = Fraction(5, 2)
     if g == float("inf") or g >= target:
         return model, Fraction(1)
     c = target / g
@@ -104,37 +105,39 @@ def scenery_orbit(model: Model, omega: Optional[Word] = None,
 @dataclass
 class QSamples:
     """Draws from the stationary suspension law: per draw the chain state,
-    the elapsed time within its roof, and (optionally) the window."""
+    the elapsed time within its roof, and the window."""
     windows: List[WindowMeasure]
     state_indices: np.ndarray
     times: np.ndarray
     chain: ExtendedChain
 
     def __len__(self):
-        return len(self.windows) if self.windows else self.state_indices.size
+        return len(self.windows)
 
     def __iter__(self):
         return iter(self.windows)
 
 
-def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
-             with_windows: bool = True) -> QSamples:
-    """n independent draws from the stationary law of the zoom flow.
-
-    The chain state is drawn from the roof-length-biased stationary vector
-    (time spent in a state is proportional to its roof), the in-state time
-    uniformly over [0, roof); the sequence continues i.i.d. beyond the
-    state.  Set with_windows=False to get only the (state, time) marginals.
-    """
-    if with_windows:
-        _require_separated(model)
-    biased = chain.length_biased_weights()
-    thresholds = np.cumsum(biased)[:-1]
+def stationary_draws(chain: ExtendedChain, n: int, seed: int
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """(state indices, times) of n draws from the stationary law: the chain
+    state from the roof-length-biased stationary vector (time spent in a
+    state is proportional to its roof), the in-state time uniformly over
+    [0, roof)."""
+    thresholds = np.cumsum(chain.length_biased_weights())[:-1]
     u_state = UniformStream(seed, "Q-state").slice(0, n)
     u_time = UniformStream(seed, "Q-time").slice(0, n)
     idx = np.searchsorted(thresholds, u_state, side="right")
-    roofs = np.array(chain.roofs)
-    ts = u_time * roofs[idx]
+    return idx, u_time * np.array(chain.roofs)[idx]
+
+
+def sample_Q(model: Model, chain: ExtendedChain, n: int,
+             seed: int) -> QSamples:
+    """n independent draws from the stationary law of the zoom flow, with
+    (state, time) from `stationary_draws`; the sequence continues i.i.d.
+    beyond the state."""
+    _require_separated(model)
+    idx, ts = stationary_draws(chain, n, seed)
 
     def states():
         for j in range(n):
@@ -147,10 +150,7 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int, seed: int,
                 tail_omega, seed, "Q-inner", j))
             yield omega, inner, a0, float(ts[j])
 
-    windows: List[WindowMeasure] = []
-    if with_windows:
-        windows = windows_of_states(model, states())
-    return QSamples(windows, idx, ts, chain)
+    return QSamples(windows_of_states(model, states()), idx, ts, chain)
 
 
 @dataclass

@@ -86,12 +86,12 @@ def _midpoints(n: int) -> np.ndarray:
     return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
 
 
-def point_mass_window(bins_half: int = DEFAULT_BINS_HALF) -> WindowMeasure:
+def point_mass_window() -> WindowMeasure:
     """The window of a unit atom at the focus: all mass in the two bins
     meeting at 0."""
-    bins = np.zeros(2 * bins_half)
-    bins[bins_half - 1] = 0.5
-    bins[bins_half] = 0.5
+    bins = np.zeros(2 * DEFAULT_BINS_HALF)
+    bins[DEFAULT_BINS_HALF - 1] = 0.5
+    bins[DEFAULT_BINS_HALF] = 0.5
     return WindowMeasure(bins, True)
 
 

@@ -15,6 +15,11 @@ evidence rather than circularity.
     unit circle, from sympy's characteristic polynomial.
   * nearest_float_moduli: root moduli from mpmath.polyroots at 60 digits,
     each rounded to the nearest float.
+  * field_product, field_inverse: power-basis coordinates of a product
+    and of an inverse in Q[x]/(p), by sympy's polynomial remainder and
+    modular inverse over QQ.
+  * field_value: sum c_k beta^k at 60 digits, with beta the real root of
+    p nearest a float, from mpmath.polyroots.
   * pslq_relation: an integer relation between log|a| and log|b| from
     mpmath.pslq at 100 digits.
   * cylinder_focus, cylinder_window: the focus point and the bins of one
@@ -25,6 +30,7 @@ evidence rather than circularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -226,6 +232,54 @@ def greedy_digits_ok(coeffs: Sequence[int], x: Sequence[Fraction],
             if r < -slack or r >= scale + slack:
                 return False
     return True
+
+
+def _qq_poly(coeffs: Sequence[Fraction]):
+    """The sympy polynomial sum coeffs[k] x^k over QQ."""
+    import sympy
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)] or [0],
+                      sympy.Symbol("x"), domain="QQ")
+
+
+def _coordinates(f, degree: int) -> List[Fraction]:
+    out = [Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())]
+    return out + [Fraction(0)] * (degree - len(out))
+
+
+def field_product(poly: Sequence[int], a: Sequence[Fraction],
+                  b: Sequence[Fraction]) -> List[Fraction]:
+    """The coordinates of a*b in Q[x]/(p), lowest degree first, for p, a
+    and b given lowest degree first."""
+    p = _qq_poly([Fraction(c) for c in poly])
+    return _coordinates((_qq_poly(a) * _qq_poly(b)).rem(p), p.degree())
+
+
+def field_inverse(poly: Sequence[int],
+                  a: Sequence[Fraction]) -> List[Fraction]:
+    """The coordinates of 1/a in Q[x]/(p), lowest degree first."""
+    p = _qq_poly([Fraction(c) for c in poly])
+    return _coordinates(_qq_poly(a).invert(p), p.degree())
+
+
+@functools.lru_cache(maxsize=None)
+def _real_root(poly: Tuple[int, ...], approx: float):
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(list(reversed(poly)), maxsteps=500,
+                                 extraprec=400)
+        return min((mpmath.re(z) for z in roots
+                    if abs(mpmath.im(z)) < mpmath.mpf(10) ** -40),
+                   key=lambda r: abs(r - approx))
+
+
+def field_value(poly: Sequence[int], approx: float,
+                coords: Sequence[Fraction]):
+    """sum coords[k] beta^k as an mpmath number at 60 digits, with beta the
+    real root of p (lowest degree first) nearest `approx`."""
+    beta = _real_root(tuple(poly), approx)
+    with mpmath.workdps(60):
+        return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * beta ** k
+                           for k, c in enumerate(coords))
 
 
 def pslq_relation(a, b, maxcoeff: int) -> Optional[Tuple[int, int]]:

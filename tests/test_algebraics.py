@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import betascenery as bs
-from oracles import (STALLING_PISOT, nearest_float_moduli, pslq_relation,
+from oracles import (STALLING_PISOT, field_inverse, field_product,
+                     field_value, nearest_float_moduli, pslq_relation,
                      root_moduli, unit_disk_root_count)
 from betascenery import (
     AlgebraicNumber,
@@ -513,6 +514,66 @@ class TestElementReduction:
             want = want + power * c
             power = power * beta
         assert field.element(vec).vec == want.vec
+
+
+DIFFERENTIAL_FIELDS = {
+    "golden": "x^2 - x - 1",
+    "tribonacci": "x^3 - x^2 - x - 1",
+    "plastic": "x^3 - x - 1",
+    "sextic": "x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4",
+}
+_DIFF_ROOTS = {name: AlgebraicNumber.largest_root(IntPolynomial.parse(poly))
+               for name, poly in DIFFERENTIAL_FIELDS.items()}
+
+
+@st.composite
+def field_and_vectors(draw, count):
+    name = draw(st.sampled_from(sorted(DIFFERENTIAL_FIELDS)))
+    d = _DIFF_ROOTS[name].degree
+    return name, [draw(st.lists(small_rationals, min_size=d, max_size=d))
+                  for _ in range(count)]
+
+
+class TestFieldElementDifferential:
+    """FieldElement against sympy's Q[x]/(p) and mpmath at 60 digits, over
+    a fresh field per example, so that no evaluation state carries over."""
+
+    @given(field_and_vectors(2))
+    @settings(max_examples=80, deadline=None)
+    def test_products_and_inverses_match_sympy(self, drawn):
+        name, (a, b) = drawn
+        root = _DIFF_ROOTS[name]
+        field = NumberField(root)
+        x, y = field.element(a), field.element(b)
+        poly = root.min_poly.coeffs
+        assert list((x * y).vec) == field_product(poly, a, b)
+        if any(a):
+            inv = x.inverse()
+            assert list(inv.vec) == field_inverse(poly, a)
+            assert x * inv == 1 and inv * x == field.from_rational(1)
+
+    @given(field_and_vectors(1))
+    @settings(max_examples=80, deadline=None)
+    def test_sign_floor_float_match_mpmath(self, drawn):
+        name, (a,) = drawn
+        root = _DIFF_ROOTS[name]
+        x = NumberField(root).element(a)
+        v = field_value(root.min_poly.coeffs, float(root), a)
+        with mpmath.workdps(60):
+            assert x.sign() == int(mpmath.sign(v))
+            assert math.floor(x) == int(mpmath.floor(v))
+        assert float(x) == float(v)
+
+    @given(st.sampled_from(sorted(DIFFERENTIAL_FIELDS)), small_rationals)
+    @settings(max_examples=40, deadline=None)
+    def test_rational_element_is_its_fraction(self, name, q):
+        field = NumberField(_DIFF_ROOTS[name])
+        beta = field.beta()
+        for e in (field.from_rational(q), (beta + q) - beta,
+                  (beta * q) / beta):
+            assert e == q and q == e
+            assert hash(e) == hash(q)
+            assert len({e, q}) == 1
 
 
 class TestHornerOracle:

@@ -1,13 +1,18 @@
 """Every definition under src/ serves the package: each def, class and
 method is referenced in src/ outside its own definition, or it sits on
-ALLOWED with the reason it is kept.
+ALLOWED with the reason it is kept.  Every defaulted parameter is passed by
+some call in src/, by keyword or by position, or it sits on
+ALLOWED_PARAMETERS with the reason it is kept.
 
 A reference is an identifier match: a bare name or an attribute for a
 module-level def or class, an attribute for a method.  Imports, the
 package re-exports among them, are not references.  Dunder methods are
-called by the language and are exempt.  Names are matched without types,
+called by the language and are exempt, except that a call of a class
+passes the parameters of its __init__.  Names are matched without types,
 so a method can pass on another class's use of the same name; the guard
-catches what no code names at all.
+catches what no code names at all.  A function that src/ also names
+outside a call (bound to a local, passed as a value) may be called under
+another name, so its parameters are not checked.
 """
 
 import ast
@@ -23,8 +28,6 @@ ALLOWED = {
     "beta_numeration.ParryDensity.sample":
         "draws the Parry-law points the pushforward test moves by g",
     "algebraics.bigreal.BigReal.exp": "encloses the analytic g = exp",
-    "algebraics.algnum.FieldElement.enclosure":
-        "tests the Horner interval against an mpmath oracle",
     "cli._Parser.error": "argparse calls it on a usage error",
     "scenery.windows.window_of_state":
         "the one-state window the acceptance tests and perfbench spans name",
@@ -43,37 +46,62 @@ ALLOWED = {
         "the scalar draw the exact point coder is tested against",
 }
 
+# "module.Qualified.function.parameter" -> why its default stays although
+# no call in src/ passes it
+ALLOWED_PARAMETERS = {
+    "scenery.windows.window_of_state.bins_half":
+        "oracle-sweep knob: the sweep tests render coarse binnings",
+    "scenery.windows.window_of_state.eps_cut":
+        "oracle-sweep knob: the sweep tests reach the mass cutoff",
+    "scenery.windows.window_of_state.node_budget":
+        "oracle-sweep knob: the sweep tests reach the budget valve",
+    "scenery.flow.scenery_orbit.omega":
+        "the replay-identity test starts the orbit from given words",
+    "scenery.flow.scenery_orbit.inner":
+        "the replay-identity test starts the orbit from given words",
+    "beta_numeration.pushforward_samples.hull":
+        "checks that g is a diffeomorphism on the hull it is applied to",
+    "beta_numeration.MapSpec.__init__.coeffs":
+        "MapSpec.parse passes it through cls(...)",
+    "cli.main.argv":
+        "tests and perfbench run the command line in process with argv",
+}
+
 
 def _definitions():
-    """(key, name, is_method, file, first line, last line) of every def
-    and class, nested ones included."""
+    """(key, node, class name or None, file) of every def and class,
+    nested ones included."""
     out = []
 
-    def walk(node, prefix, module, path, in_class):
+    def walk(node, prefix, module, path, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 qual = f"{prefix}.{child.name}" if prefix else child.name
-                out.append((f"{module}.{qual}", child.name, in_class, path,
-                            child.lineno, child.end_lineno))
+                out.append((f"{module}.{qual}", child, cls, path))
                 walk(child, qual, module, path,
-                     isinstance(child, ast.ClassDef))
+                     child.name if isinstance(child, ast.ClassDef) else None)
             else:
-                walk(child, prefix, module, path, in_class)
+                walk(child, prefix, module, path, cls)
 
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).with_suffix("")
         module = ".".join(p for p in rel.parts if p != "__init__")
         walk(ast.parse(path.read_text(encoding="utf-8")), "", module, path,
-             False)
+             None)
     return out
+
+
+def _trees():
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(SRC.rglob("*.py"))]
 
 
 def _references():
     """identifier -> [(file, line, is_attribute)] over all of src/."""
     refs = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append((path, node.lineno, False))
             elif isinstance(node, ast.Attribute):
@@ -82,14 +110,48 @@ def _references():
     return refs
 
 
+def _calls():
+    """(name -> [(call, called through an attribute)], the names that also
+    appear outside a call's function position) over all of src/."""
+    calls, values = {}, set()
+    for _, tree in _trees():
+        called = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, (ast.Name, ast.Attribute)):
+                    name = f.id if isinstance(f, ast.Name) else f.attr
+                    calls.setdefault(name, []).append(
+                        (node, isinstance(f, ast.Attribute)))
+                    called.add(id(f))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and id(node) not in called:
+                values.add(node.id)
+            elif isinstance(node, ast.Attribute) and id(node) not in called:
+                values.add(node.attr)
+    return calls, values
+
+
+def _passes(call, position, name) -> bool:
+    """True if `call` passes the parameter `name` at `position` (None for
+    a keyword-only one); unpacked arguments pass everything."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or
+        any(isinstance(a, ast.Starred) for a in call.args))
+
+
 def test_every_definition_is_used_or_allowed():
     refs = _references()
     unused = []
-    for key, name, is_method, path, first, last in _definitions():
+    for key, node, cls, path in _definitions():
+        name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        used = any((attr or not is_method)
-                   and not (p == path and first <= line <= last)
+        used = any((attr or cls is None)
+                   and not (p == path and node.lineno <= line
+                            <= node.end_lineno)
                    for p, line, attr in refs.get(name, ()))
         if not used and key not in ALLOWED:
             unused.append(key)
@@ -98,7 +160,56 @@ def test_every_definition_is_used_or_allowed():
                         + ", ".join(unused))
 
 
+def _defaulted_parameters():
+    """(key, names the function is called by, [(position, parameter)]) of
+    every def with defaulted parameters; positions count the arguments of
+    a call, so a method's self is not one."""
+    out = []
+    for key, node, cls, _ in _definitions():
+        if isinstance(node, ast.ClassDef):
+            continue
+        if node.name == "__init__":
+            names = (cls, "__init__")
+        elif node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        else:
+            names = (node.name,)
+        a = node.args
+        pos = a.posonlyargs + a.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        params = [(i - skip, p.arg) for i, p in enumerate(pos)
+                  if i >= len(pos) - len(a.defaults)]
+        params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None]
+        if params:
+            out.append((key, names, params))
+    return out
+
+
+def test_every_default_is_passed_or_allowed():
+    calls, values = _calls()
+    unpassed = []
+    for key, names, params in _defaulted_parameters():
+        if any(n in values for n in names):
+            continue
+        for position, param in params:
+            if not any(_passes(call, position, param)
+                       for n in names for call, _ in calls.get(n, ())):
+                unpassed.append(f"{key}.{param}")
+    unpassed = [k for k in unpassed if k not in ALLOWED_PARAMETERS]
+    assert not unpassed, ("defaulted parameters that no call in src/ "
+                          "passes; delete them or add them to "
+                          "ALLOWED_PARAMETERS with a reason: "
+                          + ", ".join(unpassed))
+
+
 def test_allowed_names_exist():
     keys = {d[0] for d in _definitions()}
     missing = sorted(set(ALLOWED) - keys)
     assert not missing, f"ALLOWED names no definition: {missing}"
+    params = {f"{key}.{p}" for key, _, ps in _defaulted_parameters()
+              for _, p in ps}
+    missing = sorted(set(ALLOWED_PARAMETERS) - params)
+    assert not missing, f"ALLOWED_PARAMETERS names no parameter: {missing}"

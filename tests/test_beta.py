@@ -262,33 +262,35 @@ class TestLatticeOrbit:
 
     def test_escalation_keeps_digits(self, monkeypatch):
         # a 4-bit start cannot certify most floors or floats: the precision
-        # doubles, and nothing else changes
-        monkeypatch.setattr(bn, "LATTICE_BITS", 4)
+        # doubles, and nothing else changes (field elements start their own
+        # reads at FIXED_BITS, so only the orbit builds an 8-bit table)
+        monkeypatch.setattr(bn, "FIXED_BITS", 4)
         for name in ("golden", "tribonacci"):
             base = BetaBase(named_constant(name))
             assert_matches_reference(base, Fraction(22, 113), 300)
-            assert max(base._lattice._tables) > 4
+            assert 8 in base._field._tables
 
     def test_escalation_is_per_orbit(self, monkeypatch):
         # the coordinates of 1/3 + sqrt(2)/5 grow like sqrt(2)^n, so 2000
         # digits need powers far wider than the start; a later short orbit
-        # on the same base starts again at LATTICE_BITS
+        # on the same base starts again at FIXED_BITS
         base = BetaBase(AlgebraicNumber.largest_root(
             IntPolynomial.parse("x^2 - 2")))
-        lat = base._lattice
+        field = base._field
         used = []
-        fixed = lat._fixed
+        fixed = type(field)._fixed
 
-        def recording(v, bits):
-            used.append(bits)
-            return fixed(v, bits)
-        monkeypatch.setattr(lat, "_fixed", recording)
+        def recording(self, v, bits):
+            if self is field:
+                used.append(bits)
+            return fixed(self, v, bits)
+        monkeypatch.setattr(type(field), "_fixed", recording)
         x = base._field.element([Fraction(1, 3), Fraction(1, 5)])
         long = beta_orbit(base, x, 2000)
-        assert max(used) > 8 * bn.LATTICE_BITS
+        assert max(used) > 8 * bn.FIXED_BITS
         used.clear()
         short = beta_orbit(base, x, 20)
-        assert set(used) == {bn.LATTICE_BITS}
+        assert set(used) == {bn.FIXED_BITS}
         assert short.digits == long.digits[:20]
 
     def test_remainders_compare_like_a_list(self, golden_base):

@@ -149,6 +149,19 @@ class TestReports:
                             Fraction(1, 2), 40)
         assert [int(d) for d in got] == list(rec.digits)
 
+    def test_model_document_ignores_the_base(self, tmp_path):
+        # relating the ratios to a base evaluates them; model.json must not
+        # change with it
+        (tmp_path / "g.json").write_text(GOLDEN_IFS)
+        docs = []
+        for extra in ([], ["--beta", "golden"]):
+            out = tmp_path / f"out{len(docs)}"
+            code, err = run_in_process(["--out-dir", str(out), "model",
+                                        str(tmp_path / "g.json")] + extra)
+            assert code == 0, err
+            docs.append((out / "model.json").read_bytes())
+        assert docs[0] == docs[1]
+
     def test_parry_report_has_golden_pieces(self, tmp_path):
         r = run_cli(["--out-dir", "out", "parry", "--beta", "golden"],
                     tmp_path)
@@ -354,8 +367,20 @@ class TestExitCodes:
         (["parry", "--beta", "1/2"], "base '1/2': base must exceed 1"),
         (["parry", "--beta", "1"], "base '1': base must exceed 1"),
         (["pisot", "1/0"], "'1/0' divides by zero"),
+        (["expand", "--beta", "2", "--x", "1/0"],
+         "point '1/0': '1/0' divides by zero"),
+        (["model", "b.json"], "b.json: map 0: '1/0' divides by zero"),
+        (["model", "c.json"], "c.json: '1/0' divides by zero"),
     ])
-    def test_bad_number_names_the_reason(self, tmp_path, args, reason):
+    def test_bad_number_names_the_reason(self, tmp_path, monkeypatch, args,
+                                         reason):
+        # b.json has a zero divisor in a map, c.json in a weight
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b.json").write_text(json.dumps(
+            {"maps": [{"s": "1/0", "t": "0"}, {"s": "1/3", "t": "2/3"}]}))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"maps": [{"s": "1/3", "t": "0"}, {"s": "1/3", "t": "2/3"}],
+             "weights": ["1/0", "1/2"]}))
         code, err = run_in_process(["--out-dir", str(tmp_path)] + args)
         assert code == 1
         assert f"error: {reason}" in err

@@ -386,6 +386,20 @@ class TestSerialization:
         assert m2.to_json() == m.to_json()
         assert m2.n_components == m.n_components
 
+    def test_document_does_not_depend_on_evaluation(self):
+        # the document prints the field's interval; signs, floors, floats
+        # and enclosures of the model's elements must leave it as it was
+        g = bs.parse_scalar("golden")
+        r = 1 / (g * g)
+        m = build_model(bs.SimilarityIFS(
+            [bs.SimilarityMap(r, bs.parse_scalar("0")),
+             bs.SimilarityMap(r, 1 - r)]))
+        before = m.to_json()
+        r.enclosure(300)
+        assert float(r * 10 ** 40) == pytest.approx(3.819660112501051e39)
+        assert 0 < r < 1 - r and abs(r) == r and math.floor(g ** 9) == 76
+        assert m.to_json() == before
+
 
 class TestSamplingDepth:
     def test_depth_reaches_requested_bits(self, two_ratio_model):

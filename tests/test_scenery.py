@@ -32,6 +32,7 @@ from betascenery import (
 )
 from betascenery.model import Word
 from betascenery.scenery import windows
+from betascenery.scenery.flow import stationary_draws
 
 from oracles import (cylinder_focus, cylinder_window, ks_between,
                      panel_by_masks)
@@ -120,8 +121,8 @@ class TestChain:
 
 class TestWindows:
     def test_point_mass_shape(self):
-        w = point_mass_window(bins_half=64)
-        assert w.bins.shape == (128,)
+        w = point_mass_window()
+        assert w.bins.shape == (512,)
         assert w.bins.sum() == pytest.approx(1.0)
         assert w.zero_in_support
 
@@ -149,14 +150,14 @@ class TestWindows:
         assert w0.l1_distance(w1.reflect()) < 1e-8
 
     def test_l1_distance(self):
-        a = point_mass_window(64)
+        a = point_mass_window()
         assert a.l1_distance(a) == 0.0
 
     def test_panel_shape_and_names(self):
         names = panel_names()
         assert len(names) == 32
         assert len(set(names)) == 32
-        w = point_mass_window(256)
+        w = point_mass_window()
         vec = evaluate_panel(w)
         assert vec.shape == (32,)
         assert vec[0] == pytest.approx(1.0)  # constant functional
@@ -171,8 +172,8 @@ class TestWindows:
         assert avg == pytest.approx(stack)
 
     def test_mismatched_bins_rejected(self):
-        a = point_mass_window(64)
-        b = point_mass_window(128)
+        a = point_mass_window()
+        b = windows.WindowMeasure(np.full(256, 1 / 256), True)
         with pytest.raises(ValueError):
             a.l1_distance(b)
 
@@ -440,10 +441,10 @@ class TestSceneryOrbit:
 class TestSampleQ:
     def test_time_marginal_uniform_on_roof(self, mt_scaled):
         ch = build_extended_chain(mt_scaled)
-        qs = sample_Q(mt_scaled, ch, 100_000, seed=4, with_windows=False)
+        _, times = stationary_draws(ch, 100_000, seed=4)
         roof = math.log(3)
         # all states share one roof here, so t/roof should be uniform
-        u = qs.times / roof
+        u = times / roof
         assert u.min() >= 0 and u.max() <= 1
         grid = np.linspace(0.02, 0.98, 40)
         emp = np.searchsorted(np.sort(u), grid) / u.size
@@ -452,8 +453,8 @@ class TestSampleQ:
     def test_state_marginal_length_biased(self, two_ratio_scaled):
         m = two_ratio_scaled
         ch = build_extended_chain(m)
-        qs = sample_Q(m, ch, 100_000, seed=5, with_windows=False)
-        counts = np.bincount(qs.state_indices, minlength=ch.size)
+        states, _ = stationary_draws(ch, 100_000, seed=5)
+        counts = np.bincount(states, minlength=ch.size)
         want = ch.length_biased_weights()
         assert np.abs(counts / counts.sum() - want).max() < 0.01
 
