@@ -17,6 +17,11 @@ BLOCK = 1024
 MODELS = {
     "mt.json": '{"maps": [{"s": "1/3", "t": "0"}, {"s": "1/3", "t": "2/3"}]}',
     "refl.json": '{"maps": [{"s": "1/3", "t": "0"}, {"s": "-1/3", "t": "1"}]}',
+    "two.json": '{"maps": [{"s": "1/2", "t": "0"}, {"s": "1/3", "t": "2/3"}]}',
+    "three.json": '{"maps": [{"s": "1/4", "t": "0"}, {"s": "1/4", "t": "3/8"}, '
+                  '{"s": "1/4", "t": "3/4"}], "weights": ["1/2", "1/3", "1/6"]}',
+    "four.json": '{"maps": [{"s": "1/4", "t": "0"}, {"s": "1/5", "t": "1/4"}, '
+                 '{"s": "1/6", "t": "1/2"}, {"s": "1/7", "t": "6/7"}]}',
 }
 
 # (argv, exit code, {output file: SHA-256 of its bytes}), recorded before
@@ -61,6 +66,48 @@ FROZEN = {
                                "e3d95f0646865d0fcd4698769b079fde",
          "samples.csv": "6f2136086108d12319ed98d0bd786061"
                         "ae5a753209a7f9a8e78f05c17a4eacec"}),
+    # the samplers' symbol draws, recorded before they went through one
+    # draw kernel: direct draws with three unequal weights, model draws
+    # with components of mixed size (2+1+1 on refl and two, 2+1*14 on
+    # four) and both samplers of the disintegration check
+    "sample-direct-three": (
+        ["--seed", "6", "sample", "three.json", "--mode", "direct",
+         "--count", "3000"], 0,
+        {"sample_report.json": "059701a1608602f9ccdf1babdc728afa"
+                               "4d7c791d744dcadba643a8308be1d636",
+         "samples.csv": "f65926cf411472e3674c454af603e12d"
+                        "a99b94e8a26cb2a8fc0535abc7733ac8"}),
+    "sample-model-refl": (
+        ["--seed", "9", "sample", "refl.json", "--mode", "model",
+         "--count", "3000"], 0,
+        {"sample_report.json": "047bdd86b0dbda53aa0b606b812130ed"
+                               "5b19c17740995244bff67936b80db1a0",
+         "samples.csv": "2a432701c8b087149c4bd8a52d0b3f53"
+                        "55441961a5be08dde4631ad55809fdab"}),
+    "sample-model-two": (
+        ["--seed", "10", "sample", "two.json", "--mode", "model",
+         "--count", "3000"], 0,
+        {"sample_report.json": "6ec92a2b2fd2385117a395bcc86ea0ea"
+                               "3a9480634d710f7281566cb838a33077",
+         "samples.csv": "a7256a070253d45ed131ff150f3c27b7"
+                        "57c4093f54a7fc2211e1914ebcd83217"}),
+    "sample-model-four": (
+        ["--seed", "11", "sample", "four.json", "--mode", "model",
+         "--count", "3000"], 0,
+        {"sample_report.json": "4c8f2832dfb81f8d3c02cdafccde5981"
+                               "6473357f0c60b218fb72398754b740a9",
+         "samples.csv": "6f1b01f18e04db9777ed553bdea929ae"
+                        "a4819c140fcd82e92834a984d98833df"}),
+    "disintegration-mt": (
+        ["--seed", "12", "disintegration", "mt.json", "--count", "4000",
+         "--tolerance", "0.1"], 0,
+        {"disintegration_report.json": "74982c525b831e5495a7bf7f1d10e02d"
+                                       "382d652b112cd257c7ac62d7d65f1d5f"}),
+    "disintegration-refl": (
+        ["--seed", "13", "disintegration", "refl.json", "--count", "4000",
+         "--tolerance", "0.1"], 0,
+        {"disintegration_report.json": "293067e25a80730104f2c0d10a7ad860"
+                                       "bac779e7a1e025731ffc7d071abd094b"}),
 }
 
 
