@@ -644,9 +644,7 @@ def parse_scalar(text: str) -> ExactScalar:
     except ValueError:
         pass
     neg = text.startswith("-")
-    if neg:
-        text = text[1:].strip()
-    num, _, den = text.partition("/")
+    num, _, den = (text[1:] if neg else text).strip().partition("/")
     num, den = num.strip(), den.strip()
 
     def to_part(s):
@@ -656,7 +654,10 @@ def parse_scalar(text: str) -> ExactScalar:
             a = named_constant(s)
             return NumberField(a).beta()
 
-    value = to_part(num) / to_part(den) if den else to_part(num)
+    try:
+        value = to_part(num) / to_part(den) if den else to_part(num)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"{text!r} divides by zero") from None
     if neg:
         value = -value
     return value

@@ -39,7 +39,7 @@ from .algebraics import (
     IntPolynomial,
     NumberField,
 )
-from .rng import _BLOCK, UniformStream, cdf_thresholds
+from .rng import _BLOCK, UniformStream, cdf_thresholds, draw_symbols
 from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
@@ -109,8 +109,14 @@ class Model:
         self._path_triples = tuple(map(_affine_triple, self._path_maps))
         self._first_map = np.cumsum(
             [0] + [c.size for c in self.components[:-1]])
-        self._inner_thresholds = [cdf_thresholds(c.weights)
-                                  for c in self.components]
+        # row k holds every component's k-th inner threshold, or 2.0 past
+        # its last, which no uniform reaches
+        self._inner_table = np.full(
+            (max(c.size for c in self.components) - 1, len(self.components)),
+            2.0)
+        for i, c in enumerate(self.components):
+            self._inner_table[:c.size - 1, i] = cdf_thresholds(c.weights)
+        self._inner_table.setflags(write=False)
         self._selection_thresholds = cdf_thresholds(self.selection)
         self._selection_thresholds.setflags(write=False)
         # the zoom time one level of each component takes: -log|ratio|
@@ -164,9 +170,8 @@ class Model:
     def omega_word(self, seed: int, *labels) -> "Word":
         """I.i.d. component symbols drawn from the selection weights."""
         stream = UniformStream(seed, "omega", *labels)
-        return Word(source=lambda start: np.searchsorted(
-            self._selection_thresholds, stream.slice(start, _BLOCK),
-            side="right"))
+        return Word(source=lambda start: draw_symbols(
+            self._selection_thresholds, stream.slice(start, _BLOCK)))
 
     def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
         """Inner map choices over the component word omega: position k
@@ -182,12 +187,11 @@ class Model:
     def _add_inner_draws(self, paths: np.ndarray, omega: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
         """Add to paths, at each place, the inner map index that the
-        uniform u draws from the weights of component omega there."""
-        for i, thresholds in enumerate(self._inner_thresholds):
-            if thresholds.size > 1:
-                mask = omega == i
-                paths[mask] += np.searchsorted(thresholds, u[mask],
-                                               side="right")
+        uniform u draws from the weights of component omega there: the
+        number of that component's inner thresholds <= u, counted one
+        padded row of the threshold table at a time."""
+        for row in self._inner_table:
+            paths += u >= row[omega]
         return paths
 
     def _fold(self, omega: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -217,7 +221,8 @@ class Model:
     def sample_measure(self, count: int, seed: int, *labels,
                        depth: Optional[int] = None) -> np.ndarray:
         """`count` float draws from E_omega[eta_omega] = mu: every point gets
-        an independent component path and inner path."""
+        an independent component path, drawn by `rng.draw_symbols` from the
+        selection weights, and an inner path from `_add_inner_draws`."""
         if depth is None:
             depth = sampling_depth([c.ratio for c in self.components])
         stream = UniformStream(seed, "model-measure", *labels)
@@ -226,8 +231,8 @@ class Model:
             # the component draws fill the stream's first count * depth
             # places, the inner draws the next count * depth
             u = stream.slice(start * depth, rows * depth)
-            omega = np.searchsorted(self._selection_thresholds,
-                                    u.reshape(rows, depth), side="right")
+            omega = draw_symbols(self._selection_thresholds,
+                                 u.reshape(rows, depth))
             u = stream.slice((count + start) * depth, rows * depth)
             return self._fold(omega, u.reshape(rows, depth))
         return fold_in_chunks(count, fold)
@@ -237,10 +242,8 @@ class Model:
         """`count` float draws from eta_omega for one fixed component path."""
         omega = np.asarray(omega, dtype=np.int64)
         depth = len(omega)
-        prod = 1.0
-        for i in omega:
-            prod *= abs(float(self.components[int(i)].ratio))
-        if prod > 2.0 ** -50:
+        if math.prod(abs(float(self.components[i].ratio))
+                     for i in omega.tolist()) > 2.0 ** -50:
             raise ValueError(
                 "component path too short for sampling; extend omega until "
                 "its contraction product drops below 2^-50")
@@ -388,7 +391,8 @@ class Word:
     source.  Every shifted view shares that one int64 buffer and differs
     only in its offset.  Random words come from ``Model.omega_word`` and
     ``Model.inner_word``, which map a block of their uniform stream
-    through the inverse-CDF thresholds with one vectorised searchsorted.
+    through the inverse-CDF thresholds with `rng.draw_symbols` and the
+    model's padded inner threshold table.
     """
 
     __slots__ = ("_root", "_offset", "_buf", "_source")

@@ -8,12 +8,14 @@ code relies on that: a shifted symbolic sequence must be literally the same
 tail, not an equidistributed imitation.
 
 Reproducibility contract: for a fixed master seed and label path, draws are
-bit-identical across runs, platforms, and thread counts.
+bit-identical across runs, platforms, and thread counts.  Every sampler
+turns uniforms into symbols with one kernel, `draw_symbols`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -87,17 +89,30 @@ class UniformStream:
 
 
 def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:
-    """Cumulative thresholds for inverse-CDF symbol draws.
+    """The interior thresholds of inverse-CDF symbol draws: the exact
+    partial sums of all weights but the last, each rounded to the nearest
+    float once.  A uniform u in [0, 1) draws symbol i when exactly i
+    thresholds are <= u (`draw_symbols`)."""
+    sums = itertools.accumulate(Fraction(w) for w in weights[:-1])
+    return np.array([float(s) for s in sums], dtype=float)
 
-    Exact rational weights are accumulated exactly, then converted to floats
-    once; the tiny conversion bias is irrelevant for sampling but the
-    accumulation order is fixed so draws are deterministic.
-    """
-    acc = Fraction(0)
-    out = []
-    for w in weights:
-        acc += Fraction(w)
-        out.append(float(acc))
-    out[-1] = 1.0 + 1e-9  # guard: a uniform draw can never fall past the end
-    return np.asarray(out)
 
+# Up to this many thresholds `draw_symbols` compares, beyond it searches.
+# numpy 2, 2-core x86-64, best of 5, comparisons vs searchsorted: 5.7 M
+# uniforms 0.019 vs 0.063 s at 1 threshold, 0.083 vs 0.196 s at 16, level
+# at 128; one 1,024-uniform block 8.5 us either way at 2, 28 vs 9 us at 16.
+_COMPARE_MAX = 16
+
+
+def draw_symbols(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of thresholds <= u, as int64, at each place of the
+    uniforms u (any shape): for nondecreasing thresholds, exactly
+    ``np.searchsorted(thresholds, u, side="right")``.  Up to `_COMPARE_MAX`
+    thresholds it sums ``u >= t`` in a uint8 count; beyond, it searches."""
+    if thresholds.size > _COMPARE_MAX:
+        return np.searchsorted(thresholds, u, side="right").astype(
+            np.int64, copy=False)
+    count = np.zeros(np.shape(u), dtype=np.uint8)
+    for t in thresholds.tolist():
+        count += u >= t
+    return count.astype(np.int64)

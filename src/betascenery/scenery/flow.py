@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..model import Model, Word, build_model, verify_ssc
-from ..rng import UniformStream
+from ..rng import UniformStream, draw_symbols
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
 from .windows import (PANEL_VERSION, WindowMeasure, panel_average,
@@ -127,7 +127,7 @@ def stationary_draws(chain: ExtendedChain, n: int, seed: int
     thresholds = np.cumsum(chain.length_biased_weights())[:-1]
     u_state = UniformStream(seed, "Q-state").slice(0, n)
     u_time = UniformStream(seed, "Q-time").slice(0, n)
-    idx = np.searchsorted(thresholds, u_state, side="right")
+    idx = draw_symbols(thresholds, u_state)
     return idx, u_time * np.array(chain.roofs)[idx]
 
 

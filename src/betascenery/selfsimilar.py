@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebraics import ExactScalar, FieldElement
-from .rng import UniformStream, cdf_thresholds
+from .rng import UniformStream, cdf_thresholds, draw_symbols
 
 
 def canonical_scalar(x: ExactScalar) -> ExactScalar:
@@ -224,14 +224,7 @@ class SimilarityIFS:
             return None
         # verify the fixed-interval property against every map
         images = [f.image_interval(L, H) for f in self.maps]
-        true_lo = images[0][0]
-        true_hi = images[0][1]
-        for a, b in images[1:]:
-            if a < true_lo:
-                true_lo = a
-            if b > true_hi:
-                true_hi = b
-        if true_lo == L and true_hi == H:
+        if min(a for a, _ in images) == L and max(b for _, b in images) == H:
             return (L, H)
         return None
 
@@ -281,8 +274,8 @@ def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
                    seed: int = 0, *labels) -> np.ndarray:
     """`count` i.i.d. draws from the invariant measure as float64; each
     point sits within diam(hull) * (max |ratio|)^depth of an exactly
-    distributed one.  Deterministic given (seed, labels): symbols come from
-    the counter based stream."""
+    distributed one.  Deterministic given (seed, labels): symbols are drawn
+    by `rng.draw_symbols` from the counter based stream."""
     if depth is None:
         depth = sampling_depth([f.ratio for f in ifs.maps])
     stream = UniformStream(seed, "ifs-words", *labels)
@@ -291,8 +284,7 @@ def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
 
     def fold(start, rows):
         u = stream.slice(start * depth, rows * depth).reshape(rows, depth)
-        return fold_paths(ifs.maps, hull,
-                          np.searchsorted(thresholds, u, side="right"))
+        return fold_paths(ifs.maps, hull, draw_symbols(thresholds, u))
     return fold_in_chunks(count, fold)
 
 

@@ -2,7 +2,9 @@
 method is referenced in src/ outside its own definition, or it sits on
 ALLOWED with the reason it is kept.  Every defaulted parameter is passed by
 some call in src/, by keyword or by position, or it sits on
-ALLOWED_PARAMETERS with the reason it is kept.
+ALLOWED_PARAMETERS with the reason it is kept.  Every searchsorted call
+sits in a function on ALLOWED_SEARCHSORTED: symbol draws go through the one
+kernel, `rng.draw_symbols`.
 
 A reference is an identifier match: a bare name or an attribute for a
 module-level def or class, an attribute for a method.  Imports, the
@@ -67,6 +69,23 @@ ALLOWED_PARAMETERS = {
         "tests and perfbench run the command line in process with argv",
 }
 
+# "module.Qualified.function" -> why it may call searchsorted; any other
+# inverse-CDF draw goes through rng.draw_symbols, and this list does not grow
+ALLOWED_SEARCHSORTED = {
+    "rng.draw_symbols":
+        "the draw kernel itself, above its comparison cut",
+    "scenery.windows._descend":
+        "finds each moved focus among the sorted parents of a descent level",
+    "cli.cmd_disintegration":
+        "the two samples' empirical CDFs on their merged grid",
+    "beta_numeration.normality_from_orbit":
+        "the orbit's empirical CDF on the discrepancy grid",
+    "beta_numeration.ParryDensity.cdf":
+        "the density piece under each point of the Parry CDF",
+    "beta_numeration.ParryDensity.sample":
+        "the density piece of each Parry draw, among float mass sums",
+}
+
 
 def _definitions():
     """(key, node, class name or None, file) of every def and class,
@@ -85,11 +104,14 @@ def _definitions():
                 walk(child, prefix, module, path, cls)
 
     for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).with_suffix("")
-        module = ".".join(p for p in rel.parts if p != "__init__")
-        walk(ast.parse(path.read_text(encoding="utf-8")), "", module, path,
-             None)
+        walk(ast.parse(path.read_text(encoding="utf-8")), "", _module(path),
+             path, None)
     return out
+
+
+def _module(path):
+    rel = path.relative_to(SRC).with_suffix("")
+    return ".".join(p for p in rel.parts if p != "__init__")
 
 
 def _trees():
@@ -213,3 +235,35 @@ def test_allowed_names_exist():
               for _, p in ps}
     missing = sorted(set(ALLOWED_PARAMETERS) - params)
     assert not missing, f"ALLOWED_PARAMETERS names no parameter: {missing}"
+
+
+def _searchsorted_callers():
+    """The innermost def or class around each searchsorted call under
+    src/, as its ALLOWED_SEARCHSORTED key; the module for a call outside
+    every def."""
+    found = set()
+
+    def walk(node, key):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, f"{key}.{child.name}")
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and "searchsorted" in (
+                    getattr(f, "attr", None), getattr(f, "id", None)):
+                found.add(key)
+            walk(child, key)
+
+    for path, tree in _trees():
+        walk(tree, _module(path))
+    return found
+
+
+def test_searchsorted_only_where_allowed():
+    found = _searchsorted_callers()
+    extra = sorted(found - set(ALLOWED_SEARCHSORTED))
+    assert not extra, ("searchsorted outside the draw kernel; draw symbols "
+                       "with rng.draw_symbols: " + ", ".join(extra))
+    stale = sorted(set(ALLOWED_SEARCHSORTED) - found)
+    assert not stale, f"ALLOWED_SEARCHSORTED names no caller: {stale}"

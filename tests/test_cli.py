@@ -371,6 +371,8 @@ class TestExitCodes:
          "point '1/0': '1/0' divides by zero"),
         (["model", "b.json"], "b.json: map 0: '1/0' divides by zero"),
         (["model", "c.json"], "c.json: '1/0' divides by zero"),
+        (["expand", "--beta", "2", "--x", "golden/0"],
+         "point 'golden/0': 'golden/0' divides by zero"),
     ])
     def test_bad_number_names_the_reason(self, tmp_path, monkeypatch, args,
                                          reason):

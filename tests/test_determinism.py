@@ -1,16 +1,21 @@
 """Reproducibility of the random streams and of whole runs: block-crossing
-slices of a uniform stream equal its indexed draws, and small scenery and
-sampler runs reproduce outputs frozen as SHA-256 digests."""
+slices of a uniform stream equal its indexed draws, the symbol-draw kernel
+agrees with a one-at-a-time bisection, and small scenery and sampler runs
+reproduce outputs frozen as SHA-256 digests."""
 
+import bisect
 import contextlib
 import hashlib
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from betascenery import cli
-from betascenery.rng import UniformStream
+from betascenery import Model, ModelComponent, cli
+from betascenery.rng import (_COMPARE_MAX, UniformStream, cdf_thresholds,
+                             draw_symbols)
 
 BLOCK = 1024
 
@@ -22,6 +27,9 @@ MODELS = {
                   '{"s": "1/4", "t": "3/4"}], "weights": ["1/2", "1/3", "1/6"]}',
     "four.json": '{"maps": [{"s": "1/4", "t": "0"}, {"s": "1/5", "t": "1/4"}, '
                  '{"s": "1/6", "t": "1/2"}, {"s": "1/7", "t": "6/7"}]}',
+    "five.json": '{"maps": [{"s": "1/4", "t": "0"}, {"s": "1/5", "t": "1/5"}, '
+                 '{"s": "1/6", "t": "1/2"}, {"s": "1/7", "t": "5/7"}, '
+                 '{"s": "1/8", "t": "7/8"}]}',
 }
 
 # (argv, exit code, {output file: SHA-256 of its bytes}), recorded before
@@ -98,6 +106,15 @@ FROZEN = {
                                "6473357f0c60b218fb72398754b740a9",
          "samples.csv": "6f1b01f18e04db9777ed553bdea929ae"
                         "a4819c140fcd82e92834a984d98833df"}),
+    # 24 components: 23 selection thresholds, past the kernel's
+    # comparison cut
+    "sample-model-five": (
+        ["--seed", "14", "sample", "five.json", "--mode", "model",
+         "--count", "3000"], 0,
+        {"sample_report.json": "b3d0f3974ec4689b49211716d3857e59"
+                               "6a18a2ffdadcb0f60f1c8adb11518b94",
+         "samples.csv": "76a66fe7bc993c3f23305cf2590e75f3"
+                        "875815c22dec9af4e65cb440d3d8b197"}),
     "disintegration-mt": (
         ["--seed", "12", "disintegration", "mt.json", "--count", "4000",
          "--tolerance", "0.1"], 0,
@@ -131,6 +148,67 @@ class TestUniformStreamSlice:
         stream = UniformStream(1, "slice")
         stream.slice(5, 3 * BLOCK)
         assert not stream._blocks
+
+
+LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# thresholds in [0, 1], often tied: a few fixed values recur
+THRESHOLD = st.one_of(st.floats(0.0, 1.0),
+                      st.sampled_from([0.0, 0.25, 0.5, LAST_BELOW_ONE, 1.0]))
+UNIFORM = st.floats(0.0, 1.0, exclude_max=True)
+
+
+def bisect_oracle(thresholds, u):
+    """The number of thresholds <= each uniform, one Python float at a
+    time."""
+    ts = [float(t) for t in thresholds]
+    return [bisect.bisect_right(ts, float(x)) for x in np.ravel(u)]
+
+
+class TestDrawSymbols:
+
+    @given(thresholds=st.lists(THRESHOLD, min_size=1, max_size=64).map(sorted),
+           extra=st.lists(UNIFORM, max_size=40), two_d=st.booleans())
+    @example(thresholds=[0.5] * _COMPARE_MAX, extra=[0.5], two_d=False)
+    @example(thresholds=[0.5] * (_COMPARE_MAX + 1), extra=[0.5], two_d=True)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_bisection(self, thresholds, extra, two_d):
+        # every threshold below 1 is also drawn exactly, as are both ends
+        # of [0, 1)
+        u = [t for t in thresholds if t < 1] + extra + [0.0, LAST_BELOW_ONE]
+        u = np.array(u)
+        if two_d:
+            u = np.stack([u, u[::-1]])
+        got = draw_symbols(np.array(thresholds), u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        assert got.ravel().tolist() == bisect_oracle(thresholds, u)
+
+    @given(weights=st.lists(
+        st.lists(st.integers(1, 5), min_size=1, max_size=5),
+        min_size=1, max_size=5),
+        u=st.lists(UNIFORM, min_size=1, max_size=60), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inner_table_matches_each_component(self, reflected_model,
+                                                weights, u, data):
+        # components of 1 to 5 copies of one map of the reflected model's
+        # pair; with only singletons the table has no row
+        base = reflected_model.components[0]
+        comps = []
+        for ws in weights:
+            total = sum(ws)
+            comps.append(ModelComponent(
+                maps=(base.maps[0],) * len(ws),
+                weights=tuple(Fraction(w, total) for w in ws),
+                words=(base.words[0],) * len(ws), ratio=base.ratio))
+        model = Model(reflected_model.base, reflected_model.pair, comps,
+                      [Fraction(1, len(comps))] * len(comps))
+        omega = np.array(data.draw(st.lists(
+            st.integers(0, len(comps) - 1), min_size=len(u),
+            max_size=len(u))))
+        got = model._add_inner_draws(np.zeros(len(u), dtype=np.int64),
+                                     omega, np.array(u))
+        want = [bisect_oracle(cdf_thresholds(comps[i].weights), [x])[0]
+                for i, x in zip(omega.tolist(), u)]
+        assert got.tolist() == want
 
 
 def run_in(tmp_path, monkeypatch, argv):
