@@ -644,7 +644,9 @@ def parse_scalar(text: str) -> ExactScalar:
     except ValueError:
         pass
     neg = text.startswith("-")
-    num, _, den = (text[1:] if neg else text).strip().partition("/")
+    if neg:
+        text = text[1:].strip()
+    num, _, den = text.partition("/")
     num, den = num.strip(), den.strip()
 
     def to_part(s):

@@ -51,7 +51,7 @@ from .algebraics import (
 )
 from .algebraics.algnum import FIXED_BITS
 from .algebraics.intpoly import _parse_poly_string
-from .rng import UniformStream
+from .rng import UniformStream, draw_symbols
 
 
 class OrbitUndecidable(ValueError):
@@ -406,10 +406,8 @@ class ParryDensity:
         widths = np.diff(br)
         masses = vals * widths
         cum = np.concatenate([[0.0], np.cumsum(masses)])
-        cum[-1] = 1.0
         u = UniformStream(seed, "parry", *labels).slice(0, count)
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1,
-                      0, len(vals) - 1)
+        idx = draw_symbols(cum[1:-1], u)
         frac = (u - cum[idx]) / np.where(masses[idx] > 0, masses[idx], 1.0)
         return br[idx] + frac * widths[idx]
 

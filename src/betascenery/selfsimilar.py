@@ -224,7 +224,14 @@ class SimilarityIFS:
             return None
         # verify the fixed-interval property against every map
         images = [f.image_interval(L, H) for f in self.maps]
-        if min(a for a, _ in images) == L and max(b for _, b in images) == H:
+        true_lo = images[0][0]
+        true_hi = images[0][1]
+        for a, b in images[1:]:
+            if a < true_lo:
+                true_lo = a
+            if b > true_hi:
+                true_hi = b
+        if true_lo == L and true_hi == H:
             return (L, H)
         return None
 

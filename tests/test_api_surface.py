@@ -72,8 +72,6 @@ ALLOWED_PARAMETERS = {
 # "module.Qualified.function" -> why it may call searchsorted; any other
 # inverse-CDF draw goes through rng.draw_symbols, and this list does not grow
 ALLOWED_SEARCHSORTED = {
-    "rng.draw_symbols":
-        "the draw kernel itself, above its comparison cut",
     "scenery.windows._descend":
         "finds each moved focus among the sorted parents of a descent level",
     "cli.cmd_disintegration":
@@ -82,8 +80,6 @@ ALLOWED_SEARCHSORTED = {
         "the orbit's empirical CDF on the discrepancy grid",
     "beta_numeration.ParryDensity.cdf":
         "the density piece under each point of the Parry CDF",
-    "beta_numeration.ParryDensity.sample":
-        "the density piece of each Parry draw, among float mass sums",
 }
 
 

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from betascenery import Model, ModelComponent, cli
-from betascenery.rng import (_COMPARE_MAX, UniformStream, cdf_thresholds,
-                             draw_symbols)
+from betascenery.rng import UniformStream, cdf_thresholds, draw_symbols
 
 BLOCK = 1024
 
@@ -106,8 +105,7 @@ FROZEN = {
                                "6473357f0c60b218fb72398754b740a9",
          "samples.csv": "6f1b01f18e04db9777ed553bdea929ae"
                         "a4819c140fcd82e92834a984d98833df"}),
-    # 24 components: 23 selection thresholds, past the kernel's
-    # comparison cut
+    # 24 components: 23 selection thresholds, the most of any run here
     "sample-model-five": (
         ["--seed", "14", "sample", "five.json", "--mode", "model",
          "--count", "3000"], 0,
@@ -168,8 +166,10 @@ class TestDrawSymbols:
 
     @given(thresholds=st.lists(THRESHOLD, min_size=1, max_size=64).map(sorted),
            extra=st.lists(UNIFORM, max_size=40), two_d=st.booleans())
-    @example(thresholds=[0.5] * _COMPARE_MAX, extra=[0.5], two_d=False)
-    @example(thresholds=[0.5] * (_COMPARE_MAX + 1), extra=[0.5], two_d=True)
+    # 255 and 256 tied thresholds: the last count that fits in 8 bits and
+    # the first that needs 16
+    @example(thresholds=[0.5] * 255, extra=[0.5], two_d=False)
+    @example(thresholds=[0.5] * 256, extra=[0.5], two_d=True)
     @settings(max_examples=150, deadline=None)
     def test_counts_match_bisection(self, thresholds, extra, two_d):
         # every threshold below 1 is also drawn exactly, as are both ends
