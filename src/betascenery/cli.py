@@ -265,9 +265,9 @@ def cmd_sample(args) -> int:
         model = build_model(ifs)
         pts = model.sample_measure(args.count, args.seed,
                                    depth=args.depth)
-    rows = [(k, repr(float(x))) for k, x in enumerate(pts)]
     csv_path = os.path.join(args.out_dir, "samples.csv")
-    _write(csv_path, _csv_text(["point_id", "value"], rows))
+    _write(csv_path, "point_id,value\n" + "".join(
+        f"{k},{x!r}\n" for k, x in enumerate(pts.tolist())))
     results = {"count": args.count, "mode": args.mode,
                "mean": float(np.mean(pts)), "min": float(np.min(pts)),
                "max": float(np.max(pts))}
@@ -417,14 +417,13 @@ def cmd_scenery(args) -> int:
     ]
     files = []
     if args.dump_windows:
-        rows = []
+        lines = ["window_id,bin_lo,bin_hi,mass\n"]
         for wid, w in enumerate(orbit.windows[:args.dump_windows]):
-            for blo, bhi, mass in w.csv_rows():
-                rows.append((wid, repr(float(blo)), repr(float(bhi)),
-                             repr(float(mass))))
+            edges = np.linspace(-1.0, 1.0, w.bins.size + 1).tolist()
+            lines += [f"{wid},{lo!r},{hi!r},{m!r}\n" for lo, hi, m
+                      in zip(edges, edges[1:], w.bins.tolist())]
         wpath = os.path.join(args.out_dir, "windows.csv")
-        _write(wpath, _csv_text(["window_id", "bin_lo", "bin_hi", "mass"],
-                                rows))
+        _write(wpath, "".join(lines))
         files.append(wpath)
     cfg = _config_echo(args, ["model", "T", "dt", "n_q", "tolerance",
                               "dump_windows"])
@@ -589,10 +588,21 @@ def _repeatable(action: argparse.Action) -> bool:
     return isinstance(action, argparse._AppendAction)
 
 
+def _check_sizes(args) -> None:
+    """Sizes that a flag or a --config file may give, checked after both."""
+    for name in ("T", "dt", "n_q", "count", "n_points"):
+        v = getattr(args, name, None)
+        if v is not None and not v > 0:
+            raise CliError(f"--{name.replace('_', '-')} {v} is not positive")
+    if getattr(args, "dump_windows", 0) < 0:
+        raise CliError(f"--dump-windows {args.dump_windows} is negative")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(argv)
+        _check_sizes(args)
         os.makedirs(args.out_dir, exist_ok=True)
         return args.func(args)
     except (CliError, OSError, ValueError, TypeError, ZeroDivisionError) as e:

@@ -184,10 +184,9 @@ def compare_scenery_to_Q(orbit: SceneryOrbit,
                          q_samples: Union[QSamples, Sequence[WindowMeasure]]
                          ) -> ComparisonReport:
     """Max over the fp-v1 panel of |orbit time average - Q sample mean|."""
-    q_windows = list(q_samples.windows) if isinstance(q_samples, QSamples) \
-        else list(q_samples)
-    if not q_windows:
-        raise ValueError("no stationary-sample windows to compare against")
+    q_windows = list(q_samples)
+    if not orbit.windows or not q_windows:
+        raise ValueError("no orbit or stationary-sample windows to compare")
     if q_windows[0].bins.size != orbit.windows[0].bins.size:
         raise ValueError("orbit and stationary samples use different "
                          "binnings")

@@ -17,9 +17,10 @@ sequential numpy accumulations), so its bins do not depend on the block.
 window_of_state is that descent for one state.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
-also lives here so every consumer shares one definition.  It stays one
-window at a time: summed over a block at once, its masses and moments
-differ from the per-window sums in the last bits.
+also lives here so every consumer shares one definition.  It runs over a
+stacked block of windows, bit for bit as on each window alone; only its
+moments stay one dot product per window, since a matrix-vector product
+adds in another order and differs in the last bits.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from ..model import Model, Word
 DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
 PANEL_VERSION = "fp-v1"
-# windows rendered together by one descent: enough to amortise the numpy
-# calls of each level over hundreds of nodes, few enough that a block's
+# windows rendered by one descent, and stacked by the panel: enough to
+# amortise numpy calls over hundreds of nodes, few enough that a block's
 # words stay small (a stationary sample's four lazy words hold 1,024
-# symbols each, about 37 KB with their buffers and streams)
+# symbols each, about 37 KB) and its stacked bins too (256 KB at 512 bins)
 WINDOW_BLOCK = 64
 # first length of a block's symbol tables: past the focus walks and focus
 # splits of the scenery benchmark's windows (at most 72 levels on middle
@@ -74,12 +75,6 @@ class WindowMeasure:
         if self.bins.size != other.bins.size:
             raise ValueError("windows use different binnings")
         return float(np.abs(self.bins - other.bins).sum())
-
-    def csv_rows(self) -> List[Tuple[float, float, float]]:
-        n = self.bins.size
-        edges = np.linspace(-1.0, 1.0, n + 1)
-        return [(edges[j], edges[j + 1], float(self.bins[j]))
-                for j in range(n)]
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -429,30 +424,29 @@ def _panel_grid(n: int):
     return moments, central, right
 
 
+def _panel_rows(M: np.ndarray) -> np.ndarray:
+    """Panel fp-v1 of each row of the (windows, 2B) bin array M: a sum over
+    a range of the row per mass and defect, a dot product per moment."""
+    moments, central, right = _panel_grid(M.shape[1])
+    defect = np.abs(M - M[:, ::-1])
+    cols = [M[:, s].sum(axis=1) for s in central + right]
+    cols += [[row @ m for row in M] for m in moments]
+    cols += [M.max(axis=1), (M > 1e-12).mean(axis=1), (M ** 2).sum(axis=1)]
+    cols += [0.5 * defect[:, s].sum(axis=1) for s in central]
+    return np.column_stack(cols)
+
+
 def evaluate_panel(w: WindowMeasure) -> np.ndarray:
-    """The 32 bounded functionals of panel fp-v1, in panel_names order.
-    Each mass and defect is one sum over a contiguous range of bins."""
-    b = w.bins
-    moments, central, right = _panel_grid(b.size)
-    defect = np.abs(b - b[::-1])
-    vals = np.empty(32)
-    for k, s in enumerate(central):
-        vals[k] = b[s].sum()
-        vals[24 + k] = 0.5 * float(defect[s].sum())
-    for k, s in enumerate(right):
-        vals[8 + k] = b[s].sum()
-    for k, m in enumerate(moments):
-        vals[16 + k] = float(b @ m)
-    vals[21] = float(b.max())
-    vals[22] = float((b > 1e-12).mean())
-    vals[23] = float((b ** 2).sum())
-    return vals
+    """The 32 bounded functionals of panel fp-v1, in panel_names order."""
+    return _panel_rows(w.bins[None])[0]
 
 
 def panel_average(windows: Sequence[WindowMeasure]) -> np.ndarray:
+    """The mean panel, WINDOW_BLOCK windows stacked at a time."""
     if not windows:
         raise ValueError("no windows to average")
-    acc = np.zeros(32)
-    for w in windows:
-        acc += evaluate_panel(w)
+    acc, it = np.zeros(32), iter(windows)
+    while block := list(islice(it, WINDOW_BLOCK)):
+        for row in _panel_rows(np.stack([w.bins for w in block])):
+            acc += row      # in window order, as the per-window sum adds
     return acc / len(windows)

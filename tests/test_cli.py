@@ -78,6 +78,20 @@ NO_TRACEBACK["config-not-object"] = ({"c.json": "[1]"},
 NO_TRACEBACK["out-dir-is-a-file"] = ({"afile": "x"},
                                      ["--out-dir", "afile", "pisot", "golden"],
                                      1)
+# sizes that are not positive: a clean error, with no traceback from an
+# empty orbit and no numpy warning from an empty sample
+for _case, _args in {
+        "scenery-T-negative": ["scenery", "mt.json", "--T", "-5"],
+        "scenery-dt-negative": ["scenery", "mt.json", "--dt", "-1"],
+        "scenery-n-q-zero": ["scenery", "mt.json", "--n-q", "0"],
+        "scenery-dump-negative": ["scenery", "mt.json", "--T", "3",
+                                  "--dump-windows", "-2"],
+        "sample-count-zero": ["sample", "mt.json", "--count", "0"],
+        "disintegration-count-zero": ["disintegration", "mt.json",
+                                      "--count", "0"],
+        "normality-n-points-zero": ["normality", "mt.json", "--beta", "2",
+                                    "--n-points", "0"]}.items():
+    NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS}, _args, 1)
 ZERO_DIVISORS = ["ifs-t-golden/0", "ifs-s-1/0", "beta-1/0", "expand-x-1/0"]
 
 
@@ -88,6 +102,7 @@ def run_table_case(tmp_path, case):
     r = run_cli(["--out-dir", "out"] + args, tmp_path)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr
     assert ("error:" in r.stderr) == (code == 1)
 
 

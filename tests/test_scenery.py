@@ -382,6 +382,32 @@ class TestBatchedDescent:
                                       panel_by_masks(w.bins))
 
 
+class TestBlockPanel:
+    """The panel of a stacked block of windows is, row by row, the panel of
+    each window alone, bit for bit; panel_average adds the rows in window
+    order across WINDOW_BLOCK boundaries."""
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_rows_match_mask_oracle(self, request, model):
+        m = request.getfixturevalue(model)
+        ws = windows_of_states(m, descent_states(m, 130))
+        want = [panel_by_masks(w.bins) for w in ws]
+        for n in (1, 63, 64, 65, 130):
+            rows = windows._panel_rows(np.stack([w.bins for w in ws[:n]]))
+            assert rows.shape == (n, 32)
+            for got, row in zip(rows, want):
+                assert np.array_equal(got, row), n
+        total = np.zeros(32)
+        for row in want:
+            total += row
+        assert np.array_equal(panel_average(ws), total / 130)
+
+    def test_point_mass_row(self):
+        b = point_mass_window().bins
+        assert np.array_equal(windows._panel_rows(b[None])[0],
+                              panel_by_masks(b))
+
+
 class TestShiftIdentity:
     """Magnifying by one roof equals shifting the symbolic state: the
     rendered windows must agree far beyond statistical tolerance."""
@@ -500,6 +526,15 @@ class TestComparison:
         assert rep.max_distance < 0.05
         assert rep.n_orbit == len(orb)
         assert rep.n_q == 2000
+
+    def test_empty_orbit_or_samples_rejected(self, mt_scaled):
+        qs = sample_Q(mt_scaled, build_extended_chain(mt_scaled), 4, seed=8)
+        empty = bs.SceneryOrbit(times=np.zeros(0), windows=[])
+        with pytest.raises(ValueError, match="windows to compare"):
+            compare_scenery_to_Q(empty, qs)
+        orb = scenery_orbit(mt_scaled, T=1.0, dt=0.5, seed=2)
+        with pytest.raises(ValueError, match="windows to compare"):
+            compare_scenery_to_Q(orb, [])
 
     def test_report_serializes(self, mt_scaled):
         m = mt_scaled
