@@ -7,6 +7,10 @@ materialized lazily, a block at a time, and read at any offset.  The dynamics
 code relies on that: a shifted symbolic sequence must be literally the same
 tail, not an equidistributed imitation.
 
+Block b of a stream is Philox4x64-10 at the counters (1..256, b, 0, 0) under
+its key, with numpy's 53-bit conversion.  All blocks are filled in place by
+one module-level generator, re-keyed for each block under a lock.
+
 Reproducibility contract: for a fixed master seed and label path, draws are
 bit-identical across runs, platforms, and thread counts.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import threading
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +27,15 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 _BLOCK = 1024
+
+_BITGEN = Philox()
+_GENERATOR = Generator(_BITGEN)
+_LOCK = threading.Lock()
+# the state a slice re-keys _BITGEN with: its key, and each block's counter
+_COUNTER = [0, 0, 0, 0]
+_STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER},
+          "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0,
+          "uinteger": 0}
 
 
 def derive_key(seed: int, *labels: object) -> int:
@@ -43,48 +57,34 @@ class UniformStream:
     """Lazily materialized sequence of i.i.d. uniforms with random access.
 
     ``stream[i]`` is a float in [0, 1) depending only on (seed, labels, i).
-    Blocks of 1024 draws are generated on demand from Philox with the block
-    index placed in the counter.  Blocks read by index are cached; a slice
-    generates its blocks afresh, from one generator, and keeps none, so bulk
-    draws read in chunks hold no more than one chunk.
+    Block b is Philox4x64-10 at the counters (1..256, b, 0, 0) under the
+    stream key, with numpy's 53-bit conversion, read through the one
+    re-keyed generator under the module lock; a slice keeps no blocks.
     """
 
-    __slots__ = ("_key", "_blocks")
+    __slots__ = ("_key",)
 
     def __init__(self, seed: int, *labels: object):
-        self._key = derive_key(seed, *labels)
-        self._blocks = {}
-
-    def _generate(self, b: int) -> np.ndarray:
-        return Generator(Philox(key=self._key, counter=b << 64)).random(_BLOCK)
-
-    def _block(self, b: int) -> np.ndarray:
-        blk = self._blocks.get(b)
-        if blk is None:
-            blk = self._blocks[b] = self._generate(b)
-        return blk
+        key = derive_key(seed, *labels)
+        # the two little-endian words numpy splits an integer key into
+        self._key = (key & (2 ** 64 - 1), key >> 64)
 
     def __getitem__(self, i: int) -> float:
         if i < 0:
             raise IndexError("stream index must be nonnegative")
-        return float(self._block(i // _BLOCK)[i % _BLOCK])
+        return float(self.slice(i, 1)[0])
 
     def slice(self, start: int, count: int) -> np.ndarray:
         """Uniforms at indices start .. start+count-1 as an array."""
-        out = np.empty(count)
         b, r = divmod(start, _BLOCK)
-        bitgen = Philox(key=self._key, counter=b << 64)
-        gen = Generator(bitgen)
-        filled = 0
-        while filled < count:
-            if filled:
-                # a block is 256 Philox counter steps; skip to the next one
-                bitgen.advance(2 ** 64 - _BLOCK // 4)
-            take = min(_BLOCK - r, count - filled)
-            out[filled:filled + take] = gen.random(_BLOCK)[r:r + take]
-            filled += take
-            r = 0
-        return out
+        out = np.empty((-(-(r + count) // _BLOCK), _BLOCK))
+        with _LOCK:
+            _STATE["state"]["key"] = self._key
+            for k, row in enumerate(out):
+                _COUNTER[1] = b + k
+                _BITGEN.state = _STATE
+                _GENERATOR.random(out=row)
+        return out.reshape(-1)[r:r + count]
 
 
 def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:

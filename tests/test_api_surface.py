@@ -4,7 +4,8 @@ ALLOWED with the reason it is kept.  Every defaulted parameter is passed by
 some call in src/, by keyword or by position, or it sits on
 ALLOWED_PARAMETERS with the reason it is kept.  Every searchsorted call
 sits in a function on ALLOWED_SEARCHSORTED: symbol draws go through the one
-kernel, `rng.draw_symbols`.
+kernel, `rng.draw_symbols`.  Every Philox, Generator or default_rng call
+sits in rng.py: uniforms have one producer, `rng.UniformStream`.
 
 A reference is an identifier match: a bare name or an attribute for a
 module-level def or class, an attribute for a method.  Imports, the
@@ -233,10 +234,10 @@ def test_allowed_names_exist():
     assert not missing, f"ALLOWED_PARAMETERS names no parameter: {missing}"
 
 
-def _searchsorted_callers():
-    """The innermost def or class around each searchsorted call under
-    src/, as its ALLOWED_SEARCHSORTED key; the module for a call outside
-    every def."""
+def _callers(*names):
+    """The innermost def or class around each call of one of `names` under
+    src/, as a "module.Qualified.function" key; the module for a call
+    outside every def."""
     found = set()
 
     def walk(node, key):
@@ -246,8 +247,8 @@ def _searchsorted_callers():
                 walk(child, f"{key}.{child.name}")
                 continue
             f = getattr(child, "func", None)
-            if isinstance(child, ast.Call) and "searchsorted" in (
-                    getattr(f, "attr", None), getattr(f, "id", None)):
+            name = getattr(f, "attr", None) or getattr(f, "id", None)
+            if isinstance(child, ast.Call) and name in names:
                 found.add(key)
             walk(child, key)
 
@@ -257,9 +258,17 @@ def _searchsorted_callers():
 
 
 def test_searchsorted_only_where_allowed():
-    found = _searchsorted_callers()
+    found = _callers("searchsorted")
     extra = sorted(found - set(ALLOWED_SEARCHSORTED))
     assert not extra, ("searchsorted outside the draw kernel; draw symbols "
                        "with rng.draw_symbols: " + ", ".join(extra))
     stale = sorted(set(ALLOWED_SEARCHSORTED) - found)
     assert not stale, f"ALLOWED_SEARCHSORTED names no caller: {stale}"
+
+
+def test_uniforms_have_one_producer():
+    outside = sorted(k for k in _callers("Philox", "Generator", "default_rng")
+                     if k != "rng" and not k.startswith("rng."))
+    assert not outside, ("a bit generator built outside rng.py; read "
+                         "uniforms from rng.UniformStream: "
+                         + ", ".join(outside))

@@ -402,6 +402,20 @@ class TestExitCodes:
         assert code == 1
         assert f"error: {reason}" in err
 
+    @pytest.mark.parametrize("mode", ["direct", "model"])
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_sample_depth_below_one_names_the_flag(self, tmp_path, ifs_file,
+                                                   mode, depth):
+        # depth 0 once wrote every point as the hull midpoint, and -1 failed
+        # in numpy with a message that named no flag
+        out = tmp_path / "out"
+        code, err = run_in_process(
+            ["--out-dir", str(out), "sample", str(ifs_file), "--mode", mode,
+             "--depth", depth])
+        assert code == 1
+        assert err == f"error: --depth {depth} is not positive\n"
+        assert not (out / "samples.csv").exists()
+
     def test_help_is_exit_0(self):
         assert run_in_process(["--help"]) == (0, "")
         assert run_in_process(["spectrum", "--help"]) == (0, "")

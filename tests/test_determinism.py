@@ -1,20 +1,25 @@
-"""Reproducibility of the random streams and of whole runs: block-crossing
-slices of a uniform stream equal its indexed draws, the symbol-draw kernel
-agrees with a one-at-a-time bisection, and small scenery and sampler runs
-reproduce outputs frozen as SHA-256 digests."""
+"""Reproducibility of the random streams and of whole runs: slices of a
+uniform stream equal numpy's Philox block by block, alone and from two
+threads, the symbol-draw kernel agrees with a one-at-a-time bisection, and
+small scenery and sampler runs reproduce outputs frozen as SHA-256
+digests."""
 
 import bisect
 import contextlib
 import hashlib
 import io
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from hypothesis import example, given, settings, strategies as st
 
 from betascenery import Model, ModelComponent, cli
-from betascenery.rng import UniformStream, cdf_thresholds, draw_symbols
+from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
+                             draw_symbols)
 
 BLOCK = 1024
 
@@ -126,26 +131,62 @@ FROZEN = {
 }
 
 
+def philox_uniforms(key, first, last):
+    """Blocks first .. last-1 of the stream with this key, each from its
+    own numpy Philox at the counter (0, b, 0, 0)."""
+    return np.concatenate(
+        [Generator(Philox(key=key, counter=b << 64)).random(BLOCK)
+         for b in range(first, last)])
+
+
+# starts anywhere in eight blocks, and often on a block edge or beside one
+START = st.one_of(
+    st.integers(0, 8 * BLOCK),
+    st.builds(lambda b, d: max(b * BLOCK + d, 0),
+              st.integers(0, 8), st.integers(-1, 1)))
+
+
 class TestUniformStreamSlice:
 
-    def test_slice_matches_indexed_draws(self):
-        rng = np.random.default_rng(20)
-        starts = [0, 1, BLOCK - 1, BLOCK, 3 * BLOCK - 5]
-        starts += [int(s) for s in rng.integers(0, 6 * BLOCK, 6)]
-        counts = [0, 1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
-        counts += [int(c) for c in rng.integers(0, 3 * BLOCK, 4)]
-        for k, start in enumerate(starts):
-            stream = UniformStream(k, "slice", "test")
-            for count in counts:
-                got = stream.slice(start, count)
-                assert got.shape == (count,)
-                want = [stream[i] for i in range(start, start + count)]
-                assert np.array_equal(got, np.array(want)), (start, count)
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64),
+           labels=st.lists(st.one_of(st.integers(-5, 5), st.text(max_size=3)),
+                           max_size=3),
+           start=START, count=st.integers(0, 4 * BLOCK))
+    @example(seed=0, labels=[], start=0, count=0)
+    @example(seed=1, labels=["slice"], start=BLOCK - 1, count=2)
+    @example(seed=2, labels=["slice", 3], start=BLOCK, count=3 * BLOCK)
+    def test_slice_matches_per_block_philox(self, seed, labels, start,
+                                            count):
+        stream = UniformStream(seed, *labels)
+        first, r = divmod(start, BLOCK)
+        want = philox_uniforms(derive_key(seed, *labels), first,
+                               (start + count) // BLOCK + 1)[r:r + count]
+        got = stream.slice(start, count)
+        assert got.shape == (count,)
+        assert np.array_equal(got, want)
+        if count:
+            assert stream[start] == want[0]
 
-    def test_slice_keeps_no_blocks(self):
-        stream = UniformStream(1, "slice")
-        stream.slice(5, 3 * BLOCK)
-        assert not stream._blocks
+    def test_threads_read_the_serial_bits(self):
+        # each task reads one stream in interleaved slices, some across
+        # block edges; two threads re-key the one shared generator at once
+        def read(k):
+            stream = UniformStream(k, "threads")
+            return [stream.slice(start, count)
+                    for start, count in [(0, 5 * BLOCK), (BLOCK - 3, 7),
+                                         (7 * BLOCK + 1, 3 * BLOCK), (2, 1)]]
+
+        serial = [read(k) for k in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                threaded = list(pool.map(read, range(48), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            assert all(np.array_equal(w, g) for w, g in zip(want, got))
 
 
 LAST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
