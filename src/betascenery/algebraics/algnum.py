@@ -285,7 +285,8 @@ class NumberField:
 
     def _decide(self, v, q: int, read, bits: int = FIXED_BITS):
         """(read(v/q), P) for a read of an integer over a positive one
-        (floor division, true division, sign): exact when v/q is rational,
+        (floor division, true division, sign, or a floor together with the
+        float of what is left): exact when v/q is rational,
         else read at both ends of the fixed-point enclosure
         [A - R, A + R] / (q 2^P), doubling P from `bits` until the two
         agree.  v/q is then irrational, so it is neither zero, an integer

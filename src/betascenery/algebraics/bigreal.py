@@ -158,10 +158,6 @@ class BigReal:
             raise ZeroDivisionError("divisor interval contains zero")
         return self._binop(other, lambda a, b, prec: mpi_div(b, a, prec))
 
-    def exp(self) -> "BigReal":
-        with _iv_prec(self.prec):
-            return BigReal(iv.exp(self._iv), self.prec)
-
     def log(self) -> "BigReal":
         if self.lo <= 0:
             raise ValueError("log of an interval touching (-inf, 0]")

@@ -18,10 +18,11 @@ Two arithmetic paths, chosen by the type of the starting point:
     FieldElement, so a remainder becomes one without conversion.  A floor
     is w_0 // q when w_1 = ... = w_{d-1} = 0 (the value is rational).
     Otherwise the field's fixed-point evaluator reads it (see
-    NumberField._decide); when its enclosure straddles an integer, P
-    doubles for the rest of the orbit and the floor is taken again.  No
-    floor comes from an uncertified value.  Floats are certified the same
-    way, and the exact remainders are built only when read;
+    NumberField._decide).  Each step reads its floor and its remainder's
+    float at once, from one enclosure; when the two ends of that enclosure
+    disagree on either, P doubles for the rest of the orbit and the step is
+    read again.  No floor or float comes from an uncertified value, and the
+    exact remainders are built only when read;
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
@@ -51,7 +52,6 @@ from .algebraics import (
 )
 from .algebraics.algnum import FIXED_BITS
 from .algebraics.intpoly import _parse_poly_string
-from .rng import UniformStream, draw_symbols
 
 
 class OrbitUndecidable(ValueError):
@@ -165,9 +165,9 @@ class _Lattice:
     Multiplying by beta is the integer companion matrix of gamma's monic
     minimal polynomial with Q multiplied by c, and subtracting a digit
     changes v[0] only, so the k-th point of an orbit from v/q sits over
-    q*c^k.  Floors and floats are read by the field's fixed-point evaluator
-    (`NumberField._decide`), at a precision that each orbit (or float
-    array) carries.
+    q*c^k.  Each step reads its floor and its remainder's float at once,
+    with the field's fixed-point evaluator (`NumberField._decide`), at a
+    precision that the orbit carries.
     """
 
     def __init__(self, coeffs: Sequence[int], field, scale: int):
@@ -176,10 +176,13 @@ class _Lattice:
         self.scale = scale            # c
         self.degree = len(self.coeffs) - 1
 
-    def orbit(self, v, q, steps: int) -> Tuple[List[int], List[tuple]]:
-        """The digits and remainder vectors of `steps` greedy steps from
-        v/q: multiply by gamma and the denominator by c, take the floor,
-        subtract it from v[0]."""
+    def orbit(self, v, q, steps: int
+              ) -> Tuple[List[int], List[tuple], Optional[List[float]]]:
+        """The digits, remainder vectors and remainder floats of `steps`
+        greedy steps from v/q: multiply by gamma and the denominator by c,
+        read the floor and the remainder's float, subtract the floor from
+        v[0].  A rational base leaves its floats, one integer division
+        each, to `OrbitRecord.orbit_floats`, which `expand` never calls."""
         digits, states = [], []
         if self.degree == 1:
             # beta = a/c: the step is x -> a*x over q*c, and its floor and
@@ -190,8 +193,9 @@ class _Lattice:
                 d, x = divmod(a * x, q)
                 digits.append(d)
                 states.append((x,))
-            return digits, states
-        # each orbit starts at FIXED_BITS; a floor that it cannot certify
+            return digits, states, None
+        floats = []
+        # each orbit starts at FIXED_BITS; a step that it cannot certify
         # doubles the precision for the rest of the orbit
         decide, bits = self.field._decide, FIXED_BITS
         for _ in range(steps):
@@ -200,27 +204,12 @@ class _Lattice:
             w = (0,) + v[:-1]
             if top:
                 w = tuple(a - c * top for a, c in zip(w, self.coeffs))
-            d, bits = decide(w, q, operator.floordiv, bits)
+            (d, f), bits = decide(w, q, _floor_and_rest, bits)
             v = (w[0] - d * q,) + w[1:]
             digits.append(d)
             states.append(v)
-        return digits, states
-
-    def floats(self, states: Sequence[tuple], q: int) -> List[float]:
-        """The float nearest each v/Q, where the k-th state sits over
-        Q = q*c^k."""
-        out = []
-        if self.degree == 1:
-            for (x,) in states:
-                out.append(x / q)   # int / int rounds correctly
-                q *= self.scale
-            return out
-        decide, bits = self.field._decide, FIXED_BITS
-        for v in states:
-            f, bits = decide(v, q, operator.truediv, bits)
-            out.append(f)
-            q *= self.scale
-        return out
+            floats.append(f)
+        return digits, states, floats
 
     def unwind(self, v, q, digits: Sequence[int]) -> Tuple[tuple, int]:
         """Run the expansion back from the remainder v/q to (v, q) of the
@@ -239,6 +228,12 @@ class _Lattice:
         return v, q
 
 
+def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
+    """(floor(a/q), the float nearest a/q - floor(a/q)), for q > 0."""
+    d, m = divmod(a, q)
+    return d, m / q
+
+
 class _LatticeRemainders(Sequence):
     """The remainders of a lattice orbit from v/q, stored as integer vectors;
     the one at position k of the orbit sits over q*c^(k+1), and reading it
@@ -248,10 +243,11 @@ class _LatticeRemainders(Sequence):
     pickling; `list(rems)` builds every value."""
 
     def __init__(self, lattice: _Lattice, q: int, states: List[tuple],
-                 positions: range):
+                 floats: Optional[List[float]], positions: range):
         self.lattice = lattice
         self.q = q
         self.states = states
+        self.floats = floats         # read with the floors; None if rational
         self.positions = positions   # orbit step of each state
 
     def denominator(self, k: int) -> int:
@@ -262,8 +258,9 @@ class _LatticeRemainders(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
+            floats = None if self.floats is None else self.floats[k]
             return _LatticeRemainders(self.lattice, self.q, self.states[k],
-                                      self.positions[k])
+                                      floats, self.positions[k])
         return self.value(self.states[k], self.denominator(k))
 
     def value(self, v, q: int) -> ExactScalar:
@@ -293,10 +290,16 @@ class OrbitRecord:
         """Float values of x_0, ..., x_{n-1} (the points whose
         equidistribution normality is about)."""
         rems = self.remainders
-        if isinstance(rems, _LatticeRemainders):
-            return np.array([float(self.start), *rems.lattice.floats(
-                rems.states[:-1], rems.denominator(0))])
-        return np.array([float(r) for r in [self.start, *rems[:-1]]])
+        if not isinstance(rems, _LatticeRemainders):
+            return np.array([float(r) for r in [self.start, *rems[:-1]]])
+        if rems.floats is not None:
+            floats = rems.floats[:-1]
+        else:
+            floats, q = [], rems.denominator(0)
+            for (x,) in rems.states[:-1]:
+                floats.append(x / q)   # int / int rounds correctly
+                q *= rems.lattice.scale
+        return np.array([float(self.start), *floats])
 
     def reconstruct_exact(self):
         """Run the expansion backwards: ((x_n + d_n)/beta + ...)/beta.
@@ -329,9 +332,10 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         v, q = (x.numerator,) + (0,) * (lat.degree - 1), x.denominator
     else:
         v, q = x.num, x.den
-    digits, states = lat.orbit(v, q, steps)
+    digits, states, floats = lat.orbit(v, q, steps)
     return OrbitRecord(x, digits,
-                       _LatticeRemainders(lat, q, states, range(steps)),
+                       _LatticeRemainders(lat, q, states, floats,
+                                          range(steps)),
                        0, base)
 
 
@@ -399,17 +403,6 @@ class ParryDensity:
         idx = np.clip(np.searchsorted(br, t, side="right") - 1,
                       0, len(vals) - 1)
         return np.clip(cum[idx] + vals[idx] * (t - br[idx]), 0.0, 1.0)
-
-    def sample(self, count: int, seed: int, *labels) -> np.ndarray:
-        """Inverse-CDF draws (float) from the density."""
-        br, vals = self.piece_floats
-        widths = np.diff(br)
-        masses = vals * widths
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        u = UniformStream(seed, "parry", *labels).slice(0, count)
-        idx = draw_symbols(cum[1:-1], u)
-        frac = (u - cum[idx]) / np.where(masses[idx] > 0, masses[idx], 1.0)
-        return br[idx] + frac * widths[idx]
 
 
 def orbit_of_one(base: BetaBase, max_terms: int):
@@ -543,40 +536,25 @@ def normality_from_orbit(rec: OrbitRecord,
 
 
 class MapSpec:
-    """A user-specified smooth map: affine/polynomial with exact rational
-    coefficients, or the built-in exponential.  Polynomials must have a
-    nonvanishing derivative on the stated hull (checked exactly) to count as
-    diffeomorphisms."""
+    """A user-specified polynomial map with exact rational coefficients.  It
+    must have a nonvanishing derivative on the stated hull (checked exactly)
+    to count as a diffeomorphism."""
 
-    def __init__(self, kind: str, coeffs: Optional[Tuple[Fraction, ...]] = None):
-        if kind not in ("poly", "exp"):
-            raise ValueError(f"unknown map kind {kind!r}")
-        self.kind = kind
+    def __init__(self, coeffs: Tuple[Fraction, ...]):
+        if len(coeffs) < 2 or coeffs[-1] == 0:
+            raise ValueError("a polynomial map needs degree >= 1")
         self.coeffs = coeffs
-        if kind == "poly":
-            if coeffs is None or len(coeffs) < 2:
-                raise ValueError("a polynomial map needs degree >= 1")
 
     @classmethod
     def parse(cls, text: str) -> "MapSpec":
-        text = text.strip()
-        if text in ("exp", "exp(x)"):
-            return cls("exp")
-        return cls("poly", tuple(_parse_poly_string(text, rational=True)))
+        return cls(tuple(_parse_poly_string(text, rational=True)))
 
     def check_diffeo(self, hull_lo, hull_hi) -> None:
         """Reject maps whose derivative can vanish on [hull_lo, hull_hi]."""
-        if self.kind == "exp":
-            return
+        # count real roots of the derivative on a rational cover of the hull;
+        # its leading coefficient is not 0, so a constant one has none
         deriv = [k * c for k, c in enumerate(self.coeffs)][1:]
-        if len(deriv) == 1:
-            if deriv[0] == 0:
-                raise ValueError("affine map has zero slope")
-            return
-        # count real roots of the derivative on a rational cover of the hull
         dpoly = IntPolynomial.from_rational(deriv)
-        if dpoly.is_zero:
-            raise ValueError("derivative is identically zero")
         # the hull's outer dyadic cover at 2^-32, widened by 2^-30
         lo_enc = Fraction(math.floor(hull_lo * 2 ** 32) - 4, 2 ** 32)
         hi_enc = Fraction(-math.floor(-hull_hi * 2 ** 32) + 4, 2 ** 32)
@@ -585,45 +563,25 @@ class MapSpec:
             raise ValueError(
                 "derivative vanishes on the hull; not a diffeomorphism there")
 
-    def apply_float(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == "exp":
-            return np.exp(xs)
-        acc = np.zeros_like(xs)
-        for c in reversed(self.coeffs):
-            acc = acc * xs + float(c)
-        return acc
-
     def apply_exact(self, x: ExactScalar) -> ExactScalar:
-        if self.kind == "exp":
-            raise ValueError("the exponential map has no exact path; use "
-                             "float samples")
         acc: ExactScalar = Fraction(0)
         for c in reversed(self.coeffs):
             acc = x * acc + c
         return acc
 
     def __repr__(self):
-        if self.kind == "exp":
-            return "MapSpec(exp)"
         terms = " + ".join(f"{c}*x^{k}" if k else str(c)
                            for k, c in enumerate(self.coeffs) if c)
         return f"MapSpec({terms})"
 
 
 def pushforward_samples(points, g: MapSpec, hull=None):
-    """Apply g and reduce mod 1 for fractional-dynamics testing.
-
-    Float arrays go through the float path; lists of exact scalars stay
-    exact (polynomial maps only).  Returns (points in [0,1), mod1_applied),
-    where the flag records whether any value actually left [0, 1).
+    """Apply g exactly to exact scalars and reduce mod 1.  Returns (points
+    in [0,1), mod1_applied), where the flag records whether any value
+    actually left [0, 1).
     """
     if hull is not None:
         g.check_diffeo(*hull)
-    if isinstance(points, np.ndarray):
-        ys = g.apply_float(points)
-        frac = np.mod(ys, 1.0)
-        return frac, bool(np.any((ys < 0) | (ys >= 1)))
     out = []
     moved = False
     for p in points:

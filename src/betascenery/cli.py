@@ -590,7 +590,8 @@ def _repeatable(action: argparse.Action) -> bool:
 
 def _check_sizes(args) -> None:
     """Sizes that a flag or a --config file may give, checked after both."""
-    for name in ("T", "dt", "n_q", "count", "n_points", "depth"):
+    for name in ("T", "dt", "n_q", "count", "n_points", "depth", "digits",
+                 "n_digits", "max_length", "truncation"):
         v = getattr(args, name, None)
         if v is not None and not v > 0:
             raise CliError(f"--{name.replace('_', '-')} {v} is not positive")

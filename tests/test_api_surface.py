@@ -27,10 +27,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "betascenery"
 ALLOWED = {
     "beta_numeration.MapSpec":
         "the paper's diffeomorphism g, to be wired into normality",
-    "beta_numeration.pushforward_samples": "applies g to float samples",
-    "beta_numeration.ParryDensity.sample":
-        "draws the Parry-law points the pushforward test moves by g",
-    "algebraics.bigreal.BigReal.exp": "encloses the analytic g = exp",
+    "beta_numeration.pushforward_samples":
+        "applies g exactly to model points, to be wired into normality",
     "cli._Parser.error": "argparse calls it on a usage error",
     "scenery.windows.window_of_state":
         "the one-state window the acceptance tests and perfbench spans name",
@@ -64,8 +62,6 @@ ALLOWED_PARAMETERS = {
         "the replay-identity test starts the orbit from given words",
     "beta_numeration.pushforward_samples.hull":
         "checks that g is a diffeomorphism on the hull it is applied to",
-    "beta_numeration.MapSpec.__init__.coeffs":
-        "MapSpec.parse passes it through cls(...)",
     "cli.main.argv":
         "tests and perfbench run the command line in process with argv",
 }

@@ -92,6 +92,19 @@ for _case, _args in {
         "normality-n-points-zero": ["normality", "mt.json", "--beta", "2",
                                     "--n-points", "0"]}.items():
     NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS}, _args, 1)
+# sizes whose error once blamed the point or the IFS, or named no flag: each
+# must print one line that names its flag and value, the last two arguments
+FLAG_ERRORS = {
+    "expand-digits-zero": ["expand", "--beta", "2", "--x", "1/3",
+                           "--digits", "0"],
+    "normality-n-digits-zero": ["normality", "mt.json", "--beta", "2",
+                                "--n-digits", "0"],
+    "model-max-length-zero": ["model", "mt.json", "--max-length", "0"],
+    "parry-truncation-negative": ["parry", "--beta", "golden",
+                                  "--truncation", "-1"],
+}
+for _case, _args in FLAG_ERRORS.items():
+    NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS}, _args, 1)
 ZERO_DIVISORS = ["ifs-t-golden/0", "ifs-s-1/0", "beta-1/0", "expand-x-1/0"]
 
 
@@ -104,6 +117,8 @@ def run_table_case(tmp_path, case):
     assert "Traceback" not in r.stderr
     assert "Warning" not in r.stderr
     assert ("error:" in r.stderr) == (code == 1)
+    if case in FLAG_ERRORS:
+        assert r.stderr == f"error: {' '.join(args[-2:])} is not positive\n"
 
 
 @pytest.fixture()
