@@ -589,7 +589,12 @@ def _repeatable(action: argparse.Action) -> bool:
 
 
 def _check_sizes(args) -> None:
-    """Sizes that a flag or a --config file may give, checked after both."""
+    """Sizes and bounds a flag or a --config file may give, checked after
+    both; abs(v) < inf also holds for an int too large for a float."""
+    for name in ("T", "dt", "tolerance", "max_mean_discrepancy"):
+        v = getattr(args, name, None)
+        if v is not None and not abs(v) < math.inf:
+            raise CliError(f"--{name.replace('_', '-')} {v} is not finite")
     for name in ("T", "dt", "n_q", "count", "n_points", "depth", "digits",
                  "n_digits", "max_length", "truncation"):
         v = getattr(args, name, None)

@@ -39,7 +39,7 @@ from .algebraics import (
     IntPolynomial,
     NumberField,
 )
-from .rng import _BLOCK, UniformStream, cdf_thresholds, draw_symbols
+from .rng import UniformStream, cdf_thresholds, draw_symbols
 from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
@@ -168,35 +168,47 @@ class Model:
     # -- sampling -------------------------------------------------------------
 
     def omega_word(self, seed: int, *labels) -> "Word":
-        """I.i.d. component symbols drawn from the selection weights."""
+        """I.i.d. component symbols drawn from the selection weights: all 0,
+        with no uniform read, in a one-component model."""
         stream = UniformStream(seed, "omega", *labels)
-        return Word(source=lambda start: draw_symbols(
-            self._selection_thresholds, stream.slice(start, _BLOCK)))
+        return Word(source=lambda start, n: self._draw_components(
+            stream, start, n))
 
     def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
         """Inner map choices over the component word omega: position k
         draws from the weights of component omega.symbol(k)."""
         stream = UniformStream(seed, "inner", *labels)
 
-        def source(start):
-            om = omega.take(start, _BLOCK)
+        def source(start, n):
+            om = omega.take(start, n)
             return self._add_inner_draws(np.zeros(om.size, dtype=np.int64),
                                          om, stream.slice(start, om.size))
         return Word(source=source)
+
+    def _draw_components(self, stream, start: int, n: int) -> np.ndarray:
+        """The component symbols of places start .. start+n-1 of stream."""
+        if not self._selection_thresholds.size:
+            return np.zeros(n, dtype=np.int64)
+        return draw_symbols(self._selection_thresholds,
+                            stream.slice(start, n))
 
     def _add_inner_draws(self, paths: np.ndarray, omega: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
         """Add to paths, at each place, the inner map index that the
         uniform u draws from the weights of component omega there, counted
-        one padded row of the inner threshold table at a time."""
+        one padded row of the inner threshold table at a time (with no
+        gather by omega in a one-component model)."""
+        single = not self._selection_thresholds.size
         for row in self._inner_table:
-            paths += u >= row[omega]
+            paths += u >= (row[0] if single else row[omega])
         return paths
 
     def _fold(self, omega: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Float points of the (count, depth) component paths omega, with
         the inner map at each place drawn by the uniforms u."""
-        paths = self._add_inner_draws(self._first_map[omega], omega, u)
+        first = (self._first_map[omega] if self._selection_thresholds.size
+                 else np.zeros(u.shape, dtype=np.int64))
+        paths = self._add_inner_draws(first, omega, u)
         return fold_paths(self._path_maps, self.hull, paths)
 
     def point_of_path(self, omega: Sequence[int],
@@ -220,18 +232,18 @@ class Model:
     def sample_measure(self, count: int, seed: int, *labels,
                        depth: Optional[int] = None) -> np.ndarray:
         """`count` float draws from E_omega[eta_omega] = mu: every point gets
-        an independent component path, drawn by `rng.draw_symbols` from the
-        selection weights, and an inner path from `_add_inner_draws`."""
+        an independent component path, drawn by `_draw_components` from the
+        selection weights, and an inner path from `_add_inner_draws`.  A
+        one-component model reads only the inner half of the stream."""
         if depth is None:
             depth = sampling_depth([c.ratio for c in self.components])
         stream = UniformStream(seed, "model-measure", *labels)
 
         def fold(start, rows):
-            # the component draws fill the stream's first count * depth
+            # the component draws take the stream's first count * depth
             # places, the inner draws the next count * depth
-            u = stream.slice(start * depth, rows * depth)
-            omega = draw_symbols(self._selection_thresholds,
-                                 u.reshape(rows, depth))
+            omega = self._draw_components(stream, start * depth,
+                                          rows * depth).reshape(rows, depth)
             u = stream.slice((count + start) * depth, rows * depth)
             return self._fold(omega, u.reshape(rows, depth))
         return fold_in_chunks(count, fold)
@@ -386,14 +398,13 @@ class Word:
     and ``shift(m)``.
 
     ``Word(seq)`` is the finite word seq: reading past its end raises
-    IndexError.  With a ``source``, a function from a position to the
-    symbols from there on (an empty array where the word ends), the word
-    starts with ``head`` and grows its buffer a block at a time from the
-    source.  Every shifted view shares that one int64 buffer and differs
-    only in its offset.  Random words come from ``Model.omega_word`` and
-    ``Model.inner_word``, which map a block of their uniform stream
-    through the inverse-CDF thresholds with `rng.draw_symbols` and the
-    model's padded inner threshold table.
+    IndexError.  With a ``source``, where source(start, n) gives the n
+    symbols from position start on (fewer where the word ends), the word
+    starts with ``head`` and grows its buffer from the source as reads
+    need it, at least doubling it.  Every shifted view shares that one
+    int64 buffer and differs only in its offset.  Random words come from
+    ``Model.omega_word`` and ``Model.inner_word``: a symbol is the draw of
+    its own place in a uniform stream, so no fill pattern changes it.
     """
 
     __slots__ = ("_root", "_offset", "_buf", "_source")
@@ -411,15 +422,15 @@ class Word:
     def prefixed(cls, head: Sequence[int], tail: "Word") -> "Word":
         """Finitely many fixed leading symbols before the word tail."""
         h = len(head)
-        return cls(head, lambda start: tail.take(start - h, _BLOCK))
+        return cls(head, lambda start, n: tail.take(start - h, n))
 
     def _grow(self, stop: int) -> np.ndarray:
-        """Extend this root buffer to at least `stop` symbols, unless the
-        word ends first."""
+        """Extend this root buffer to at least `stop` symbols, and at least
+        to twice its size, unless the word ends first."""
         parts = [self._buf]
         size = self._buf.size
         while size < stop and self._source is not None:
-            more = self._source(size)
+            more = self._source(size, max(stop - size, size))
             if not more.size:
                 break
             parts.append(more)

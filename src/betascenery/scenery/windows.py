@@ -11,9 +11,10 @@ in the block, each node tagged with its window, and all mass lands in one
 (windows, 2B) bin array.  A block reads its words once, into a (windows, L)
 table of component symbols and one of inner symbols, -1 where a finite word
 has ended; the focus points, the symbolic splits of the focus cylinders and
-the descent read those tables.  Each window gets the float operations it
-would get alone, in the same order (running products and sums are
-sequential numpy accumulations), so its bins do not depend on the block.
+the descent read those tables, and the lazy words grow only as far as the
+tables read.  Each window gets the float operations it would get alone, in
+the same order (running products and sums are sequential numpy
+accumulations), so its bins do not depend on the block.
 window_of_state is that descent for one state.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
@@ -39,10 +40,10 @@ DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
 PANEL_VERSION = "fp-v1"
 # windows rendered by one descent, and stacked by the panel: enough to
-# amortise numpy calls over hundreds of nodes, few enough that a block's
-# words stay small (a stationary sample's four lazy words hold 1,024
-# symbols each, about 37 KB) and its stacked bins too (256 KB at 512 bins)
-WINDOW_BLOCK = 64
+# amortise numpy calls over thousands of nodes, few enough that a block's
+# lazy words (about 256 symbols, 2 KB, each) and stacked bins (1 MB at 512
+# bins) stay small; 512 windows were no faster and raised the peak memory
+WINDOW_BLOCK = 256
 # first length of a block's symbol tables: past the focus walks and focus
 # splits of the scenery benchmark's windows (at most 72 levels on middle
 # thirds, 133 on the reflected model), so that few blocks read past them

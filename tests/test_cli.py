@@ -92,8 +92,9 @@ for _case, _args in {
         "normality-n-points-zero": ["normality", "mt.json", "--beta", "2",
                                     "--n-points", "0"]}.items():
     NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS}, _args, 1)
-# sizes whose error once blamed the point or the IFS, or named no flag: each
-# must print one line that names its flag and value, the last two arguments
+# sizes and bounds whose error once blamed the point or the IFS, or named no
+# flag: each must print one line that names its flag and value, the last two
+# arguments
 FLAG_ERRORS = {
     "expand-digits-zero": ["expand", "--beta", "2", "--x", "1/3",
                            "--digits", "0"],
@@ -102,6 +103,17 @@ FLAG_ERRORS = {
     "model-max-length-zero": ["model", "mt.json", "--max-length", "0"],
     "parry-truncation-negative": ["parry", "--beta", "golden",
                                   "--truncation", "-1"],
+    # bounds that are not finite: inf once ran out of memory or wrote
+    # Infinity, and nan wrote NaN, which strict JSON parsers reject
+    "scenery-T-inf": ["scenery", "mt.json", "--T", "inf"],
+    "scenery-T-nan": ["scenery", "mt.json", "--T", "nan"],
+    "scenery-dt-inf": ["scenery", "mt.json", "--dt", "inf"],
+    "scenery-tolerance-nan": ["scenery", "mt.json", "--tolerance", "nan"],
+    "disintegration-tolerance-inf": ["disintegration", "mt.json",
+                                     "--tolerance", "inf"],
+    "normality-max-mean-discrepancy-nan": [
+        "normality", "mt.json", "--beta", "2", "--max-mean-discrepancy",
+        "nan"],
 }
 for _case, _args in FLAG_ERRORS.items():
     NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS}, _args, 1)
@@ -118,7 +130,9 @@ def run_table_case(tmp_path, case):
     assert "Warning" not in r.stderr
     assert ("error:" in r.stderr) == (code == 1)
     if case in FLAG_ERRORS:
-        assert r.stderr == f"error: {' '.join(args[-2:])} is not positive\n"
+        fault = ("not positive" if math.isfinite(float(args[-1]))
+                 else "not finite")
+        assert r.stderr == f"error: {' '.join(args[-2:])} is {fault}\n"
 
 
 @pytest.fixture()

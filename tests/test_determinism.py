@@ -118,6 +118,25 @@ FROZEN = {
                                "6a18a2ffdadcb0f60f1c8adb11518b94",
          "samples.csv": "76a66fe7bc993c3f23305cf2590e75f3"
                         "875815c22dec9af4e65cb440d3d8b197"}),
+    # recorded before a one-component model stopped reading a component
+    # stream and before lazy words grew by doubling: 20,000 rows are three
+    # sampler chunks, and 300 stationary windows of a third model cross
+    # the window blocks; at this short orbit the 0.05 panel check fails,
+    # so the run exits 2
+    "sample-model-chunks": (
+        ["--seed", "15", "sample", "mt.json", "--mode", "model",
+         "--count", "20000"], 0,
+        {"sample_report.json": "215c038a28e14f14f1f723dcb04d3538"
+                               "e782073c4d01e95ab3119d9f9700eebb",
+         "samples.csv": "6c47ab45cd6eea235ed535a5b71b3f9a"
+                        "058e243f27a7937d610962b6aad7a4ae"}),
+    "scenery-two": (
+        ["--seed", "16", "scenery", "two.json", "--T", "200", "--dt", "4",
+         "--n-q", "300", "--dump-windows", "5"], 2,
+        {"scenery_report.json": "00bfd96a210cd67b13e2cd3bf995ad17"
+                                "ae4973efb039575e6d1cd92f9474b65b",
+         "windows.csv": "00ef5081d3656ed1f4b3e5f1418bed4f"
+                        "cedc62515b5ffdeaa8fa47e9fd9fcda2"}),
     "disintegration-mt": (
         ["--seed", "12", "disintegration", "mt.json", "--count", "4000",
          "--tolerance", "0.1"], 0,

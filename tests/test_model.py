@@ -1,6 +1,7 @@
 """Disintegration model: component bookkeeping, exact weights, sampling
 identities, atom bounds, and serialization."""
 
+import bisect
 import json
 import math
 from fractions import Fraction
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
-from betascenery.rng import UniformStream, cdf_thresholds
-from betascenery.selfsimilar import canonical_scalar
+from betascenery.rng import UniformStream, cdf_thresholds, draw_symbols
+from betascenery.scenery import (build_extended_chain,
+                                 rescale_model_for_gap, sample_Q)
+from betascenery.selfsimilar import SAMPLE_CHUNK_ROWS, canonical_scalar
 from betascenery import (
     Model,
+    ModelComponent,
     Word,
     build_model,
     sample_measure,
@@ -203,6 +207,120 @@ class TestWord:
         assert inner.take(0, 5).size == 2
         with pytest.raises(IndexError):
             inner.symbol(2)
+
+
+def mixed_model(reflected_model):
+    """Three components of 3, 1 and 2 copies of a map of the reflected
+    model's pair, with unequal weights: an inner threshold table of two
+    rows, one padded."""
+    base = reflected_model.components[0]
+    comps = [ModelComponent(
+        maps=(base.maps[0],) * len(ws),
+        weights=tuple(Fraction(w, sum(ws)) for w in ws),
+        words=(base.words[0],) * len(ws), ratio=base.ratio)
+        for ws in ((1, 2, 3), (1,), (3, 1))]
+    return Model(reflected_model.base, reflected_model.pair, comps,
+                 [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+
+
+# the furthest position a read below reaches, past five stream blocks
+FILL_SPAN = 5400
+SMALL_OR_LARGE = st.one_of(st.integers(0, 40), st.integers(0, 2100))
+# (view, action, position or shift, count): a read of one of the four
+# words of a stationary sample, or of a shifted view of one
+FILL_READ = st.tuples(st.integers(0, 15),
+                      st.sampled_from(["symbol", "take", "shift"]),
+                      SMALL_OR_LARGE, st.integers(0, 1100))
+
+
+class TestFillPattern:
+    """A lazy word grows by whatever its reads ask for, but each symbol is
+    a pure function of its position: the words of a stationary sample,
+    read in any interleaving, match one reference drawn in a single
+    slice."""
+
+    @pytest.fixture(scope="class")
+    def fill_models(self, middle_thirds_model, reflected_model):
+        return {"mt": middle_thirds_model, "refl": reflected_model,
+                "mixed": mixed_model(reflected_model)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(["mt", "refl", "mixed"]),
+           seed=st.integers(0, 2 ** 32),
+           heads=st.lists(st.lists(st.integers(0, 2), max_size=3),
+                          min_size=2, max_size=2),
+           reads=st.lists(FILL_READ, min_size=1, max_size=12))
+    def test_words_do_not_depend_on_their_fill(self, fill_models, name,
+                                                seed, heads, reads):
+        m = fill_models[name]
+        u_omega = UniformStream(seed, "omega", "fill").slice(0, FILL_SPAN)
+        u_inner = UniformStream(seed, "inner", "fill").slice(0, FILL_SPAN)
+        ref_omega = draw_symbols(m._selection_thresholds, u_omega).tolist()
+        inner_cdfs = [cdf_thresholds(c.weights).tolist()
+                      for c in m.components]
+        ref_inner = [bisect.bisect_right(inner_cdfs[c], u)
+                     for c, u in zip(ref_omega, u_inner.tolist())]
+        # the tail omega word is shared, as in a stationary sample
+        tail = m.omega_word(seed, "fill")
+        inner = m.inner_word(tail, seed, "fill")
+        refs = [ref_omega, ref_inner, heads[0] + ref_omega,
+                heads[1] + ref_inner]
+        views = [(w, 0, r) for w, r in zip(
+            [tail, inner, Word.prefixed(heads[0], tail),
+             Word.prefixed(heads[1], inner)], refs)]
+        for which, action, k, n in reads:
+            word, off, ref = views[which % len(views)]
+            if action == "shift":
+                if off + k <= 2100:
+                    views.append((word.shift(k), off + k, ref))
+            elif action == "symbol":
+                assert word.symbol(k) == ref[off + k]
+            else:
+                assert word.take(k, n).tolist() == ref[off + k:off + k + n]
+
+
+class TestNothingUnread:
+    """Uniforms that no comparison reads are never generated."""
+
+    @pytest.fixture()
+    def slices(self, monkeypatch):
+        made = []
+        real = UniformStream.slice
+
+        def spy(stream, start, count):
+            made.append((start, count))
+            return real(stream, start, count)
+        monkeypatch.setattr(UniformStream, "slice", spy)
+        return made
+
+    def test_one_component_reads_no_component_stream(
+            self, middle_thirds_model, slices):
+        m = middle_thirds_model
+        count = 2 * SAMPLE_CHUNK_ROWS + 5
+        depth = sampling_depth([c.ratio for c in m.components])
+        m.sample_measure(count, 3)
+        # three chunks, each reading only its inner half
+        assert [start for start, _ in slices] == \
+            [(count + s) * depth for s in range(0, count, SAMPLE_CHUNK_ROWS)]
+        assert sum(n for _, n in slices) == count * depth
+        slices.clear()
+        assert not m.omega_word(3).take(0, 5000).any()
+        assert slices == []
+
+    def test_stationary_words_hold_what_the_descent_reads(
+            self, middle_thirds_model, monkeypatch):
+        m, _ = rescale_model_for_gap(middle_thirds_model)
+        made = []
+        init = Word.__init__
+
+        def record(word, *args, **kwargs):
+            init(word, *args, **kwargs)
+            made.append(word)
+        monkeypatch.setattr(Word, "__init__", record)
+        sample_Q(m, build_extended_chain(m), 64, seed=5)
+        # a prefixed and a tail word per omega and inner, per draw
+        assert len(made) == 4 * 64
+        assert max(w._buf.size for w in made) < 1024
 
 
 class TestSampling:
