@@ -1,86 +1,45 @@
 """Arbitrary-precision reals with certified error bounds.
 
-A BigReal wraps an outward-rounded interval (mpmath's `iv` context does the
-directed rounding).  Arithmetic propagates the enclosure, so the exact
-result always lies in [lo, hi]: the interval is a certificate, not an
-estimate.  Precision is a per-value hint: operations run at the widest
-precision among their operands, and exact sources (fractions, algebraic
-numbers) can be re-materialized at any requested precision.
+A BigReal is the interval [lo, hi] / 2^prec with integer endpoints lo <= hi:
+prec counts binary places.  Arithmetic rounds the low endpoint down (`>>`,
+`//`) and the high one up (the same operations on the negated value), so the
+exact result always lies in the enclosure: the interval is a certificate, not
+an estimate (R. E. Moore, Interval Analysis, 1966).  Operands of different
+precision meet at the larger one, where the shift is exact.  An int or
+Fraction operand of + - * / enters exactly, and only the result is rounded.
+Exact sources (fractions, algebraic numbers) can be re-materialized at any
+requested precision.  mpmath is needed only by `log`, for its certified
+directed-rounding logarithm, and is imported there.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
-
-from mpmath import iv
-from mpmath.libmp import (from_int, mpi_add, mpi_div, mpi_mul, mpi_sub,
-                          round_ceiling, round_floor)
-
-
-@contextmanager
-def _iv_prec(bits: int):
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
-
-
-def _endpoint_parts(t):
-    """(signed mantissa, exponent) of a raw mpf tuple (sign, man, exp, bc):
-    the endpoint's value is man * 2^exp."""
-    sign, man, exp, _ = t
-    if man == 0 and exp != 0:
-        raise ValueError("non-finite interval endpoint")
-    return (-man if sign else man), exp
-
-
-def _endpoint_fraction(t) -> Fraction:
-    """Exact rational value of a raw mpf tuple."""
-    man, exp = _endpoint_parts(t)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _endpoint_floor(t) -> int:
-    """Exact floor of a raw mpf tuple: an arithmetic shift of the signed
-    mantissa, which rounds towards minus infinity."""
-    man, exp = _endpoint_parts(t)
-    return man << exp if exp >= 0 else man >> -exp
 
 
 class BigReal:
-    """Interval-backed real number: the exact value lies in [lo, hi]."""
+    """The real interval [lo, hi] / 2^prec: the exact value lies in it."""
 
-    __slots__ = ("_iv", "prec")
+    __slots__ = ("_lo", "_hi", "prec")
 
-    def __init__(self, interval, prec: int = 128):
-        self._iv = interval
-        self.prec = prec
+    def __init__(self, lo: int, hi: int, prec: int):
+        self._lo, self._hi, self.prec = lo, hi, prec
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_fraction(cls, q, prec: int = 128) -> "BigReal":
-        q = Fraction(q)
-        with _iv_prec(prec):
-            val = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-        return cls(val, prec)
+        return cls.from_interval(q, q, prec)
 
     @classmethod
     def from_int(cls, n: int, prec: int = 128) -> "BigReal":
-        with _iv_prec(prec):
-            return cls(iv.mpf(n), prec)
+        return cls(n << prec, n << prec, prec)
 
     @classmethod
     def from_interval(cls, lo, hi, prec: int = 128) -> "BigReal":
         lo, hi = Fraction(lo), Fraction(hi)
-        with _iv_prec(prec):
-            a = iv.mpf(lo.numerator) / iv.mpf(lo.denominator)
-            b = iv.mpf(hi.numerator) / iv.mpf(hi.denominator)
-            val = iv.mpf([a.a, b.b])
-        return cls(val, prec)
+        return cls((lo.numerator << prec) // lo.denominator,
+                   -((-hi.numerator << prec) // hi.denominator), prec)
 
     @classmethod
     def from_algebraic(cls, a, prec: int = 128) -> "BigReal":
@@ -91,14 +50,15 @@ class BigReal:
 
     @property
     def lo(self) -> Fraction:
-        return _endpoint_fraction(self._iv._mpi_[0])
+        return Fraction(self._lo, 1 << self.prec)
 
     @property
     def hi(self) -> Fraction:
-        return _endpoint_fraction(self._iv._mpi_[1])
+        return Fraction(self._hi, 1 << self.prec)
 
     def __float__(self) -> float:
-        return float(self._iv.mid)
+        # int / int rounds correctly: the float nearest the exact midpoint
+        return (self._lo + self._hi) / (1 << (self.prec + 1))
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -109,65 +69,88 @@ class BigReal:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _lift(self, other) -> "BigReal":
-        """other as a BigReal at this precision: an int enters as an exact
-        point (outward-rounded if it needs more bits), any other rational
-        through its outward-rounded quotient."""
-        if isinstance(other, BigReal):
-            return other
-        if isinstance(other, int):
-            prec = self.prec
-            return BigReal(iv.make_mpf((from_int(other, prec, round_floor),
-                                        from_int(other, prec, round_ceiling))),
-                           prec)
-        return BigReal.from_fraction(Fraction(other), self.prec)
+    def _ends(self, prec: int):
+        """The endpoints at prec >= self.prec binary places (exact)."""
+        s = prec - self.prec
+        return self._lo << s, self._hi << s
 
-    def _binop(self, other, op) -> "BigReal":
-        """op on the raw endpoint tuples at the wider precision: the
-        outward-rounded interval functions that mpmath's `iv` operators
-        call, without switching the context's precision."""
-        other = self._lift(other)
-        prec = max(self.prec, other.prec)
-        return BigReal(iv.make_mpf(op(self._iv._mpi_, other._iv._mpi_, prec)),
-                       prec)
+    def __neg__(self):
+        return BigReal(-self._hi, -self._lo, self.prec)
 
     def __add__(self, other):
-        return self._binop(other, mpi_add)
+        if isinstance(other, int):
+            n = other << self.prec
+            return BigReal(self._lo + n, self._hi + n, self.prec)
+        if not isinstance(other, BigReal):
+            other = BigReal.from_fraction(other, self.prec)
+        prec = max(self.prec, other.prec)
+        (a, b), (c, d) = self._ends(prec), other._ends(prec)
+        return BigReal(a + c, b + d, prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, mpi_sub)
+        return self + -other
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b, prec: mpi_sub(b, a, prec))
+        return -self + other
 
     def __mul__(self, other):
-        return self._binop(other, mpi_mul)
+        if not isinstance(other, BigReal):
+            # an int or Fraction a/c: one exact product per endpoint and one
+            # directed division by c > 0, the ends swapped when a < 0
+            a, c = other.numerator, other.denominator
+            lo, hi = (self._lo * a, self._hi * a) if a >= 0 else \
+                (self._hi * a, self._lo * a)
+            return BigReal(lo // c, -(-hi // c), self.prec)
+        prec = max(self.prec, other.prec)
+        (a, b), (c, d) = self._ends(prec), other._ends(prec)
+        if a >= 0 and c >= 0:
+            lo, hi = a * c, b * d
+        else:
+            products = (a * c, a * d, b * c, b * d)
+            lo, hi = min(products), max(products)
+        return BigReal(lo >> prec, -(-hi >> prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other.contains(0):
+        if not isinstance(other, BigReal):
+            return self * (1 / Fraction(other))
+        prec = max(self.prec, other.prec)
+        dens = other._ends(prec)
+        if dens[0] <= 0 <= dens[1]:
             raise ZeroDivisionError("divisor interval contains zero")
-        return self._binop(other, mpi_div)
+        nums = [n << prec for n in self._ends(prec)]
+        return BigReal(min(n // d for n in nums for d in dens),
+                       max(-(-n // d) for n in nums for d in dens), prec)
 
     def __rtruediv__(self, other):
-        if self.contains(0):
-            raise ZeroDivisionError("divisor interval contains zero")
-        return self._binop(other, lambda a, b, prec: mpi_div(b, a, prec))
+        # a/c / self = a / (c * self): both operands exact, one rounding
+        q = Fraction(other)
+        return (BigReal.from_int(q.numerator, self.prec)
+                / (self * q.denominator))
 
     def log(self) -> "BigReal":
-        if self.lo <= 0:
+        """mpmath's certified logarithm of each endpoint at prec significant
+        bits, rounded down at the low end and up at the high end."""
+        from mpmath.libmp import (from_man_exp, mpf_log, round_ceiling,
+                                  round_floor)
+
+        if self._lo <= 0:
             raise ValueError("log of an interval touching (-inf, 0]")
-        with _iv_prec(self.prec):
-            return BigReal(iv.log(self._iv), self.prec)
+        prec, ends = self.prec, []
+        # s = -1 negates the high end, so that the floor below is a ceiling
+        for n, rnd, s in ((self._lo, round_floor, 1),
+                          (self._hi, round_ceiling, -1)):
+            sign, man, exp, _ = mpf_log(from_man_exp(n, -prec), prec, rnd)
+            v, e = (-s if sign else s) * man, exp + prec
+            ends.append(s * (v << e if e >= 0 else v >> -e))
+        return BigReal(ends[0], ends[1], prec)
 
     # -- certified decisions ---------------------------------------------------
 
     def floor_certain(self):
         """The integer floor if the enclosure decides it, else None."""
-        lo, hi = self._iv._mpi_
-        flo = _endpoint_floor(lo)
-        return flo if flo == _endpoint_floor(hi) else None
+        flo = self._lo >> self.prec
+        return flo if flo == self._hi >> self.prec else None

@@ -158,14 +158,15 @@ def _exponent_bound(a, b) -> Tuple[int, int]:
 
 
 def _log_abs(x) -> BigReal:
-    """log|x| enclosed away from 0 (|x| != 1), from 192 bits up."""
+    """log|x| enclosed away from 0 (|x| != 1), from 192 binary places up;
+    a tiny |x| needs more places before its enclosure leaves 0."""
     prec = 192
     while True:
         if isinstance(x, Fraction):
-            log = BigReal.from_fraction(abs(x), prec).log()
+            v = BigReal.from_fraction(abs(x), prec)
         else:
-            log = BigReal.from_algebraic(x.abs_value(), prec).log()
-        if not log.contains(0):
+            v = BigReal.from_algebraic(x.abs_value(), prec)
+        if v.lo > 0 and not (log := v.log()).contains(0):
             return log
         prec *= 2
 

@@ -343,16 +343,15 @@ def _orbit_interval(base: BetaBase, x: BigReal, steps: int) -> OrbitRecord:
     needed = math.ceil(steps * math.log2(float(base.beta))) + 64
     prec = max(x.prec, needed)
     for attempt in range(2):
-        if isinstance(base.beta, Fraction):
-            b = BigReal.from_fraction(base.beta, prec)
-        else:
-            b = BigReal.from_algebraic(base.beta, prec)
+        # a rational base multiplies exactly; an algebraic one is enclosed
+        b = base.beta if isinstance(base.beta, Fraction) else \
+            BigReal.from_algebraic(base.beta, prec)
         cur = BigReal.from_interval(x.lo, x.hi, prec)
         digits: List[int] = []
         rems: List[object] = []
         failed_at = None
         for k in range(steps):
-            y = b * cur
+            y = cur * b
             d = y.floor_certain()
             if d is None:
                 failed_at = k

@@ -590,11 +590,16 @@ def _repeatable(action: argparse.Action) -> bool:
 
 def _check_sizes(args) -> None:
     """Sizes and bounds a flag or a --config file may give, checked after
-    both; abs(v) < inf also holds for an int too large for a float."""
+    both.  The float bounds are read as floats, which a config's int may
+    be too large for."""
     for name in ("T", "dt", "tolerance", "max_mean_discrepancy"):
-        v = getattr(args, name, None)
-        if v is not None and not abs(v) < math.inf:
-            raise CliError(f"--{name.replace('_', '-')} {v} is not finite")
+        v, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+        try:
+            finite = v is None or abs(float(v)) < math.inf
+        except OverflowError:
+            raise CliError(f"{flag} {v} is too large for a float") from None
+        if not finite:
+            raise CliError(f"{flag} {v} is not finite")
     for name in ("T", "dt", "n_q", "count", "n_points", "depth", "digits",
                  "n_digits", "max_length", "truncation"):
         v = getattr(args, name, None)

@@ -3,6 +3,7 @@ relations, and interval arithmetic soundness."""
 
 import gc
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -216,6 +217,16 @@ class TestMultiplicativeRelation:
         assert v == IndependentCertified(
             "height bound: no relation with q <= 1 (D = 2)")
 
+    def test_tiny_operands(self):
+        # 2^-300 and 3 * 2^-400 lie below 2^-192, the first enclosure of
+        # their logarithms
+        s2 = AlgebraicNumber.largest_root(IntPolynomial.parse("x^2 - 2"))
+        assert multiplicative_relation(Fraction(1, 2 ** 300), s2) == \
+            Dependent(-600, 1)
+        assert multiplicative_relation(s2, Fraction(3, 2 ** 400)) == \
+            IndependentCertified(
+                "height bound: no relation with q <= 1594 (D = 2)")
+
     def test_golden_powers(self):
         g = named_constant("golden")
         sq = AlgebraicNumber.largest_root(IntPolynomial((1, -3, 1)))  # g^2
@@ -280,7 +291,60 @@ class TestMultiplicativeRelation:
             assert Fraction(a) ** v.q == Fraction(b) ** v.p
 
 
+# BigReal operands from raw integer endpoints of both signs at 0 to 96
+# binary places, points among them; int and Fraction operands of both signs
+BIGREALS = st.builds(lambda lo, width, prec: BigReal(lo, lo + width, prec),
+                     st.integers(-2 ** 100, 2 ** 100),
+                     st.one_of(st.just(0), st.integers(0, 2 ** 80)),
+                     st.integers(0, 96))
+OPERANDS = st.one_of(BIGREALS, st.integers(-10 ** 6, 10 ** 6),
+                     st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 9))
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+def _exact_ends(v):
+    return (v.lo, v.hi) if isinstance(v, BigReal) else (Fraction(v),)
+
+
 class TestBigReal:
+    @given(BIGREALS, OPERANDS, st.sampled_from(sorted(ARITHMETIC)),
+           st.booleans())
+    @example(BigReal(-3, 5, 2), Fraction(-7, 3), "/", True)
+    @example(BigReal(1, 1, 0), BigReal(-2, 0, 7), "/", False)
+    @settings(max_examples=600, deadline=None)
+    def test_arithmetic_matches_fractions(self, x, y, op, flip):
+        """Every result holds each exact combination of the operands'
+        endpoints, and is wider than their hull by at most the two outward
+        roundings of one unit in the last place, at the wider precision."""
+        a, b = (y, x) if flip else (x, y)
+        f, prec = ARITHMETIC[op], max(v.prec for v in (a, b)
+                                      if isinstance(v, BigReal))
+        if op == "/" and min(_exact_ends(b)) <= 0 <= max(_exact_ends(b)):
+            with pytest.raises(ZeroDivisionError):
+                f(a, b)
+            return
+        exact = [f(u, v) for u in _exact_ends(a) for v in _exact_ends(b)]
+        got = f(a, b)
+        assert got.prec == prec
+        assert got.lo <= min(exact) and max(exact) <= got.hi
+        assert got.hi - got.lo <= \
+            max(exact) - min(exact) + Fraction(2, 2 ** prec)
+
+    @given(BIGREALS)
+    @example(BigReal.from_fraction(Fraction(1, 3)))
+    @example(BigReal(-1, 2 ** 60 + 1, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_float_is_the_nearest_to_the_midpoint(self, x):
+        """float() rounds the exact midpoint, so it lies in [lo, hi]
+        whenever a float does."""
+        f = float(x)
+        assert f == float((x.lo + x.hi) / 2)
+        first = float(x.lo)
+        if Fraction(first) < x.lo:
+            first = math.nextafter(first, math.inf)
+        assert x.lo <= Fraction(f) <= x.hi or Fraction(first) > x.hi
+
     def test_from_fraction_contains(self):
         x = BigReal.from_fraction(Fraction(1, 3), 128)
         assert x.contains(Fraction(1, 3))
@@ -314,14 +378,8 @@ class TestBigReal:
         # zero, zero and integers; the interval may straddle an integer,
         # which moves by `shift` so that it is not always 0
         ends = sorted((Fraction(m) * Fraction(2) ** e + shift for m, e in ends))
-        raw = []
-        for v in ends:
-            if v.denominator == 1:
-                raw.append(mpmath.libmp.from_int(int(v)))
-            else:
-                exp = v.denominator.bit_length() - 1
-                raw.append(mpmath.libmp.from_man_exp(v.numerator, -exp))
-        x = BigReal(mpmath.iv.make_mpf(tuple(raw)), 64)
+        # 200 binary places hold every endpoint exactly
+        x = BigReal.from_interval(ends[0], ends[1], 200)
         assert (x.lo, x.hi) == tuple(ends)
         lo, hi = math.floor(ends[0]), math.floor(ends[1])
         assert x.floor_certain() == (lo if lo == hi else None)

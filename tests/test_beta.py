@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import betascenery as bs
 import betascenery.beta_numeration as bn
@@ -522,6 +522,32 @@ class TestBigRealPath:
             beta_orbit(golden_base, wide, 200)
         assert exc.value.step > 0
         assert exc.value.precision > 0
+
+    @pytest.mark.parametrize("name", ["2", "3", "3/2", "5/3", "x^2 - x - 1"])
+    @given(x=st.fractions(0, 1, max_denominator=10 ** 6).filter(
+        lambda q: q < 1))
+    @example(x=Fraction(0))
+    @example(x=Fraction(1, 3))
+    @example(x=Fraction(3, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_digits_match_the_lattice(self, name, x):
+        """Enclosures of rational points give the exact path's digits: in
+        5/3 each step multiplies by the exact non-dyadic base, in golden by
+        an enclosure of it.  An orbit that lands on 0 passes through an
+        integer, which no enclosure of positive width decides."""
+        base = lattice_base(name)
+        steps = 300
+        exact = beta_orbit(base, x, steps)
+        prec = math.ceil(steps * math.log2(float(base.beta))) + 128
+        try:
+            rec = beta_orbit(base, BigReal.from_fraction(x, prec), steps)
+        except OrbitUndecidable as e:
+            assert exact.remainders[e.step] == 0
+            return
+        assert list(rec.digits) == list(exact.digits)
+        if base.degree == 1:    # the exact remainders are Fractions
+            assert all(r.contains(e)
+                       for r, e in zip(rec.remainders, exact.remainders))
 
     def test_float_input_certified_shallow(self):
         rec = beta_orbit(BetaBase(2), 0.375, 10)

@@ -75,6 +75,11 @@ NO_TRACEBACK["config-missing"] = ({}, ["--config", "nosuch.json", "pisot",
 NO_TRACEBACK["config-not-object"] = ({"c.json": "[1]"},
                                      ["--config", "c.json", "pisot", "golden"],
                                      1)
+# a config int too large for a float once stopped in np.arange
+NO_TRACEBACK["config-T-huge"] = ({"mt.json": MIDDLE_THIRDS,
+                                  "c.json": '{"T": 1%s}' % ("0" * 400)},
+                                 ["--config", "c.json", "scenery", "mt.json"],
+                                 1)
 NO_TRACEBACK["out-dir-is-a-file"] = ({"afile": "x"},
                                      ["--out-dir", "afile", "pisot", "golden"],
                                      1)
@@ -529,6 +534,18 @@ def test_commands_never_import_sympy(tmp_path):
     assert [argv for argv, _, _ in runs] == SYMPY_FREE
     for argv, code, loaded in runs:
         assert code in (0, 2) and loaded == [], argv
+
+
+def test_import_loads_no_mpmath(tmp_path):
+    """mpmath serves only BigReal.log and the root-disk centres, which
+    import it when called: a fresh import of the package and its command
+    line loads no mpmath module."""
+    script = ("import sys, betascenery, betascenery.cli\n"
+              "print([m for m in sys.modules if m.split('.')[0] == 'mpmath'])")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=package_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_pisot_report_ends_on_a_float_tie(tmp_path):
