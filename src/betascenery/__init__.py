@@ -64,7 +64,6 @@ from .scenery import (
     sample_Q,
     scenery_orbit,
     spectrum_obstruction,
-    window_of_state,
     windows_of_states,
 )
 from .rng import UniformStream, derive_key

@@ -211,22 +211,6 @@ class _Lattice:
             floats.append(f)
         return digits, states, floats
 
-    def unwind(self, v, q, digits: Sequence[int]) -> Tuple[tuple, int]:
-        """Run the expansion back from the remainder v/q to (v, q) of the
-        start: x = c(x' + d)/gamma, with the integer matrix of c_0/gamma
-        (c_0 the constant coefficient), so per digit the denominator gains
-        a factor |c_0| and loses the factor c that the forward step put
-        in."""
-        c0 = self.coeffs[0]
-        sign, scale = (-1, -c0) if c0 < 0 else (1, c0)
-        tail = self.coeffs[1:]
-        for d in reversed(digits):
-            u0 = v[0] + d * q
-            v = tuple(sign * (c0 * a - u0 * c)
-                      for a, c in zip(v[1:] + (0,), tail))
-            q = q * scale // self.scale
-        return v, q
-
 
 def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
     """(floor(a/q), the float nearest a/q - floor(a/q)), for q > 0."""
@@ -261,14 +245,8 @@ class _LatticeRemainders(Sequence):
             floats = None if self.floats is None else self.floats[k]
             return _LatticeRemainders(self.lattice, self.q, self.states[k],
                                       floats, self.positions[k])
-        return self.value(self.states[k], self.denominator(k))
-
-    def value(self, v, q: int) -> ExactScalar:
-        """v/q as a Fraction (a rational base) or a field element."""
-        field = self.lattice.field
-        if field is None:
-            return Fraction(v[0], q)
-        return FieldElement(field, v, q)
+        v, q, field = self.states[k], self.denominator(k), self.lattice.field
+        return Fraction(v[0], q) if field is None else FieldElement(field, v, q)
 
     def __eq__(self, other):
         if not isinstance(other, (list, _LatticeRemainders)):
@@ -300,15 +278,6 @@ class OrbitRecord:
                 floats.append(x / q)   # int / int rounds correctly
                 q *= rems.lattice.scale
         return np.array([float(self.start), *floats])
-
-    def reconstruct_exact(self):
-        """Run the expansion backwards: ((x_n + d_n)/beta + ...)/beta.
-        Exact orbits reproduce the starting point identically."""
-        rems = self.remainders
-        if not isinstance(rems, _LatticeRemainders):
-            raise ValueError("exact reconstruction needs an exact orbit")
-        return rems.value(*rems.lattice.unwind(
-            rems.states[-1], rems.denominator(-1), self.digits))
 
 
 def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:

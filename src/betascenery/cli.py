@@ -571,8 +571,11 @@ def _parse(argv: List[str]) -> argparse.Namespace:
     if isinstance(cfg.get("config"), dict):
         cfg = cfg["config"]   # a full report echoes its config here
     cfg = {k: v for k, v in cfg.items()
-           if k not in ("command", "config", "func")}
-    for p in [parser, *registry.values()]:
+           if k not in ("command", "config", "help")}
+    for p in (parser, registry[probe.command]):
+        for a in p._actions:
+            if a.dest in cfg:
+                _check_config_value(a, cfg[a.dest], probe.config)
         p.set_defaults(**{a.dest: cfg[a.dest] for a in p._actions
                           if a.dest in cfg and not _repeatable(a)})
     args = parser.parse_args(argv)
@@ -586,6 +589,24 @@ def _parse(argv: List[str]) -> argparse.Namespace:
 
 def _repeatable(action: argparse.Action) -> bool:
     return isinstance(action, argparse._AppendAction)
+
+
+def _check_config_value(action: argparse.Action, value, path: str) -> None:
+    """A config value must be one the flag itself would give: of the
+    flag's type (any number for a float), one of its choices, a list of
+    strings for a repeatable flag, or null where the flag's default is."""
+    kind, what = {int: (int, "an integer"), float: ((int, float), "a number")
+                  }.get(action.type, (str, "a string"))
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if action.choices:
+        ok = value in action.choices
+        what = "one of " + ", ".join(action.choices)
+    if _repeatable(action):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        what = "a list of strings"
+    if not ok and not (value is None and action.default is None):
+        flag = (action.option_strings or [action.dest])[-1]
+        raise CliError(f"{flag} {json.dumps(value)} in {path} is not {what}")
 
 
 def _check_sizes(args) -> None:

@@ -76,10 +76,6 @@ class ModelComponent:
         return len(self.maps)
 
     @property
-    def max_weight(self) -> Fraction:
-        return max(self.weights)
-
-    @property
     def reflects(self) -> bool:
         return self.ratio < 0
 
@@ -131,26 +127,8 @@ class Model:
         return len(self.components)
 
     @property
-    def gap(self) -> ExactScalar:
-        """Exact distance between the two hull images of the pair component."""
-        lo_j = self.pair.hull_j[0]
-        hi_i = self.pair.hull_i[1]
-        if lo_j > hi_i:
-            return canonical_scalar(lo_j - hi_i)
-        return canonical_scalar(self.pair.hull_i[0] - self.pair.hull_j[1])
-
-    @property
     def has_reflection(self) -> bool:
         return any(c.reflects for c in self.components)
-
-    def atom_mass_bound(self, omega: Sequence[int]) -> Fraction:
-        """Upper bound for the largest atom of eta_omega after these levels:
-        the product of each level's largest inner weight.  Singleton
-        components contribute a factor of 1, so only pair levels shrink it."""
-        bound = Fraction(1)
-        for i in omega:
-            bound *= self.components[i].max_weight
-        return bound
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -203,14 +181,6 @@ class Model:
             paths += u >= (row[0] if single else row[omega])
         return paths
 
-    def _fold(self, omega: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Float points of the (count, depth) component paths omega, with
-        the inner map at each place drawn by the uniforms u."""
-        first = (self._first_map[omega] if self._selection_thresholds.size
-                 else np.zeros(u.shape, dtype=np.int64))
-        paths = self._add_inner_draws(first, omega, u)
-        return fold_paths(self._path_maps, self.hull, paths)
-
     def point_of_path(self, omega: Sequence[int],
                       inner: Sequence[int]) -> ExactScalar:
         """Exact composition of the chosen maps applied to the hull midpoint.
@@ -244,25 +214,14 @@ class Model:
             # places, the inner draws the next count * depth
             omega = self._draw_components(stream, start * depth,
                                           rows * depth).reshape(rows, depth)
-            u = stream.slice((count + start) * depth, rows * depth)
-            return self._fold(omega, u.reshape(rows, depth))
+            u = stream.slice((count + start) * depth,
+                             rows * depth).reshape(rows, depth)
+            first = (self._first_map[omega]
+                     if self._selection_thresholds.size
+                     else np.zeros(u.shape, dtype=np.int64))
+            return fold_paths(self._path_maps, self.hull,
+                              self._add_inner_draws(first, omega, u))
         return fold_in_chunks(count, fold)
-
-    def sample_eta(self, omega: Sequence[int], count: int, seed: int,
-                   *labels) -> np.ndarray:
-        """`count` float draws from eta_omega for one fixed component path."""
-        omega = np.asarray(omega, dtype=np.int64)
-        depth = len(omega)
-        prod = 1.0
-        for i in omega:
-            prod *= abs(float(self.components[int(i)].ratio))
-        if prod > 2.0 ** -50:
-            raise ValueError(
-                "component path too short for sampling; extend omega until "
-                "its contraction product drops below 2^-50")
-        stream = UniformStream(seed, "eta", *labels)
-        u = stream.slice(0, count * depth).reshape(count, depth)
-        return self._fold(np.broadcast_to(omega, (count, depth)), u)
 
     # -- serialization ----------------------------------------------------------
 

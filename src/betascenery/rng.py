@@ -56,7 +56,7 @@ def derive_key(seed: int, *labels: object) -> int:
 class UniformStream:
     """Lazily materialized sequence of i.i.d. uniforms with random access.
 
-    ``stream[i]`` is a float in [0, 1) depending only on (seed, labels, i).
+    Uniform i is a float in [0, 1) that depends only on (seed, labels, i).
     Block b is Philox4x64-10 at the counters (1..256, b, 0, 0) under the
     stream key, with numpy's 53-bit conversion, read through the one
     re-keyed generator under the module lock; a slice keeps no blocks.
@@ -68,11 +68,6 @@ class UniformStream:
         key = derive_key(seed, *labels)
         # the two little-endian words numpy splits an integer key into
         self._key = (key & (2 ** 64 - 1), key >> 64)
-
-    def __getitem__(self, i: int) -> float:
-        if i < 0:
-            raise IndexError("stream index must be nonnegative")
-        return float(self.slice(i, 1)[0])
 
     def slice(self, start: int, count: int) -> np.ndarray:
         """Uniforms at indices start .. start+count-1 as an array."""

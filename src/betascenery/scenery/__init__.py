@@ -9,7 +9,7 @@ from .flow import (ComparisonReport, QSamples, SceneryOrbit,
 from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
 from .windows import (PANEL_VERSION, WindowMeasure, evaluate_panel,
                       panel_average, panel_names, point_mass_window,
-                      window_of_state, windows_of_states)
+                      windows_of_states)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
@@ -18,5 +18,5 @@ __all__ = [
     "Inconclusive", "NormalityImplied", "spectrum_obstruction",
     "PANEL_VERSION", "WindowMeasure",
     "evaluate_panel", "panel_average", "panel_names",
-    "point_mass_window", "window_of_state", "windows_of_states",
+    "point_mass_window", "windows_of_states",
 ]

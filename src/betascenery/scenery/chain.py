@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -48,16 +48,6 @@ class ExtendedChain:
             if acc != self.stationary[col]:
                 return False
         return True
-
-    def orientation_marginal(self) -> Optional[Tuple[Fraction, Fraction]]:
-        """Total stationary mass on each orientation, or None when the
-        chain has no orientation bit."""
-        if not self.has_orientation:
-            return None
-        m = [Fraction(0), Fraction(0)]
-        for s, p in zip(self.states, self.stationary):
-            m[s[2]] += p
-        return (m[0], m[1])
 
     def expected_roof(self) -> float:
         return float(sum(float(p) * r

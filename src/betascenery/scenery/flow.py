@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,22 +64,16 @@ def _require_separated(model: Model) -> None:
             "rescale_model_for_gap first")
 
 
-def scenery_orbit(model: Model, omega: Optional[Word] = None,
-                  inner: Optional[Word] = None, a: int = 0,
-                  T: float = 50.0, dt: float = 0.25,
-                  seed: int = 0) -> SceneryOrbit:
-    """Replay the zoom flow from (omega, inner, a) for time T, emitting the
-    window at each multiple of dt, rendered as windows_of_states renders
-    it at its default resolution.
-
-    omega and inner default to fresh seeded lazy words; explicit finite
-    words must be long enough to cover T.
+def scenery_orbit(model: Model, a: int = 0, T: float = 50.0,
+                  dt: float = 0.25, seed: int = 0) -> SceneryOrbit:
+    """Replay the zoom flow for time T from (omega, inner, a), omega and
+    inner the seeded lazy words labelled "orbit-omega" and "orbit-inner",
+    emitting the window at each multiple of dt, rendered as
+    windows_of_states renders it at its default resolution.
     """
     _require_separated(model)
-    if omega is None:
-        omega = model.omega_word(seed, "orbit-omega")
-    if inner is None:
-        inner = model.inner_word(omega, seed, "orbit-inner")
+    omega = model.omega_word(seed, "orbit-omega")
+    inner = model.inner_word(omega, seed, "orbit-inner")
     roofs = model.roofs
     reflects = [c.reflects for c in model.components]
 

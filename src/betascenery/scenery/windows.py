@@ -14,8 +14,8 @@ has ended; the focus points, the symbolic splits of the focus cylinders and
 the descent read those tables, and the lazy words grow only as far as the
 tables read.  Each window gets the float operations it would get alone, in
 the same order (running products and sums are sequential numpy
-accumulations), so its bins do not depend on the block.
-window_of_state is that descent for one state.
+accumulations), so its bins do not depend on the block: a block of one
+window renders the same bins.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
 also lives here so every consumer shares one definition.  It runs over a
@@ -67,15 +67,6 @@ class WindowMeasure:
         total = self.bins.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"window mass {total} is not 1")
-
-    def reflect(self) -> "WindowMeasure":
-        """The pushforward under x -> -x; an exact involution on bins."""
-        return WindowMeasure(self.bins[::-1].copy(), self.zero_in_support)
-
-    def l1_distance(self, other: "WindowMeasure") -> float:
-        if self.bins.size != other.bins.size:
-            raise ValueError("windows use different binnings")
-        return float(np.abs(self.bins - other.bins).sum())
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -230,20 +221,21 @@ def _bin_index(w: np.ndarray, bins_half: int) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0), 2 * bins_half - 1)
 
 
-def window_of_state(model: Model, omega: Word, inner: Word, a: int,
-                    zoom_t: float,
-                    bins_half: int = DEFAULT_BINS_HALF,
-                    eps_cut: float = MASS_CUTOFF,
-                    node_budget: int = 500_000) -> WindowMeasure:
-    """Deterministic window of the model measure for component word omega,
-    focused at the point coded by (omega, inner), orientation a, magnified
-    by e^zoom_t and conditioned on [-1, 1].
+def windows_of_states(model: Model,
+                      states: Iterable[Tuple[Word, Word, int, float]],
+                      bins_half: int = DEFAULT_BINS_HALF,
+                      eps_cut: float = MASS_CUTOFF,
+                      node_budget: int = 500_000) -> List[WindowMeasure]:
+    """The window of each state (omega, inner, a, zoom_t), in order: the
+    model measure for component word omega, focused at the point coded by
+    (omega, inner), orientation a, magnified by e^zoom_t and conditioned
+    on [-1, 1].
 
     Cylinder intervals descend breadth-first with exact mass bookkeeping;
     a cylinder stops when it fits inside one bin (mass assigned exactly) or
     when its mass drops below eps_cut (assigned to its midpoint bin).  Once
-    node_budget cylinders have been expanded, whatever is left goes to its
-    midpoint bin.
+    node_budget cylinders of a window have been expanded, whatever is left
+    goes to its midpoint bin.
 
     The chain of cylinders containing the focus needs care: the focus sits
     exactly on the edge between the two central bins, and once those
@@ -254,21 +246,6 @@ def window_of_state(model: Model, omega: Word, inner: Word, a: int,
     two central bins symbolically, by walking the inner word's tail and
     adding each sibling word's weight to the side it sits on.  Everything
     else is misassigned by at most eps_cut per straddling chain.
-
-    The descent is that of windows_of_states, on a block of one window:
-    the bins equal those of the same state rendered in any block.
-    """
-    return windows_of_states(model, [(omega, inner, a, zoom_t)], bins_half,
-                             eps_cut, node_budget)[0]
-
-
-def windows_of_states(model: Model,
-                      states: Iterable[Tuple[Word, Word, int, float]],
-                      bins_half: int = DEFAULT_BINS_HALF,
-                      eps_cut: float = MASS_CUTOFF,
-                      node_budget: int = 500_000) -> List[WindowMeasure]:
-    """The window of each state (omega, inner, a, zoom_t), in order, as
-    window_of_state defines it.
 
     States are read lazily and rendered WINDOW_BLOCK at a time, so a
     generator of states holds no more than one block of words at once.

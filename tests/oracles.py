@@ -26,6 +26,17 @@ evidence rather than circularity.
     scenery window, rendered one cylinder at a time in Python floats.
   * panel_by_masks: the 32 functionals of scenery panel fp-v1, each mass
     summed over a boolean mask of the bins.
+  * eta_samples: float draws from eta_omega for one component path, the
+    inverse-CDF pick and the map composition written out level by level.
+  * atom_mass_bound: the product of each level's largest inner weight.
+  * orientation_marginal: the stationary mass of a chain on each
+    orientation, summed state by state.
+  * unwind_reference: a start point from its digits and last remainder,
+    x <- (x + d)/beta in the exact scalars of the point.
+
+The last four read a model, a chain or a base only through their plain
+attributes (components, weights, maps, hull, states, stationary, the exact
+value of beta) and do their own arithmetic on them.
 """
 
 from __future__ import annotations
@@ -440,3 +451,52 @@ def panel_by_masks(bins: np.ndarray) -> np.ndarray:
     for k, sel in enumerate(central):
         vals[24 + k] = 0.5 * float(np.abs(b[sel] - rev[sel]).sum())
     return vals
+
+
+def eta_samples(model, omega: Sequence[int], u: np.ndarray) -> np.ndarray:
+    """Float draws from eta_omega for the component path omega, one per
+    row of the uniforms u (shape (count, len(omega))): level k takes the
+    map of component omega[k] whose inverse-CDF interval holds u[:, k]
+    (thresholds the exact partial sums of the weights, each rounded to a
+    float once), and the maps are applied to the hull midpoint, innermost
+    first."""
+    lo, hi = model.hull
+    x = np.full(u.shape[0], (float(lo) + float(hi)) / 2)
+    for k in range(len(omega) - 1, -1, -1):
+        c = model.components[int(omega[k])]
+        sums = [sum(c.weights[:j + 1], Fraction(0)) for j in range(c.size - 1)]
+        pick = np.searchsorted([float(s) for s in sums], u[:, k],
+                               side="right")
+        r = np.array([float(f.ratio) for f in c.maps])
+        t = np.array([float(f.shift) for f in c.maps])
+        x = r[pick] * x + t[pick]
+    return x
+
+
+def atom_mass_bound(model, omega: Sequence[int]) -> Fraction:
+    """Upper bound for the largest atom of eta_omega after the levels
+    omega: the product of each level's largest inner weight (a singleton
+    component contributes a factor of 1)."""
+    bound = Fraction(1)
+    for i in omega:
+        bound *= max(model.components[i].weights)
+    return bound
+
+
+def orientation_marginal(chain) -> Optional[Tuple[Fraction, Fraction]]:
+    """Total stationary mass of the chain on each orientation, or None
+    when its states carry no orientation bit."""
+    if not chain.has_orientation:
+        return None
+    m = [Fraction(0), Fraction(0)]
+    for s, p in zip(chain.states, chain.stationary):
+        m[s[2]] += p
+    return m[0], m[1]
+
+
+def unwind_reference(base, x, digits):
+    """x_0 from the last remainder x: x <- (x + d)/beta, in exact scalars."""
+    b_inv = 1 / base.exact_value()
+    for d in reversed(digits):
+        x = (x + d) * b_inv
+    return x

@@ -2,20 +2,23 @@
 method is referenced in src/ outside its own definition, or it sits on
 ALLOWED with the reason it is kept.  Every defaulted parameter is passed by
 some call in src/, by keyword or by position, or it sits on
-ALLOWED_PARAMETERS with the reason it is kept.  Every searchsorted call
-sits in a function on ALLOWED_SEARCHSORTED: symbol draws go through the one
-kernel, `rng.draw_symbols`.  Every Philox, Generator or default_rng call
-sits in rng.py: uniforms have one producer, `rng.UniformStream`.
+ALLOWED_PARAMETERS with the reason it is kept.  Neither list keeps an entry
+that src/ uses or passes, or one that names nothing.  Every searchsorted
+call sits in a function on ALLOWED_SEARCHSORTED: symbol draws go through
+the one kernel, `rng.draw_symbols`.  Every Philox, Generator or
+default_rng call sits in rng.py: uniforms have one producer,
+`rng.UniformStream`.
 
 A reference is an identifier match: a bare name or an attribute for a
 module-level def or class, an attribute for a method.  Imports, the
-package re-exports among them, are not references.  Dunder methods are
-called by the language and are exempt, except that a call of a class
-passes the parameters of its __init__.  Names are matched without types,
-so a method can pass on another class's use of the same name; the guard
-catches what no code names at all.  A function that src/ also names
-outside a call (bound to a local, passed as a value) may be called under
-another name, so its parameters are not checked.
+package re-exports among them, and type annotations are not references:
+neither runs the code it names.  Dunder methods are called by the language
+and are exempt, except that a call of a class passes the parameters of its
+__init__.  Names are matched without types, so a method can pass on
+another class's use of the same name; the guard catches what no code names
+at all.  A function that src/ also names outside a call (bound to a local,
+passed as a value) may be called under another name, so its parameters are
+not checked.
 """
 
 import ast
@@ -30,36 +33,17 @@ ALLOWED = {
     "beta_numeration.pushforward_samples":
         "applies g exactly to model points, to be wired into normality",
     "cli._Parser.error": "argparse calls it on a usage error",
-    "scenery.windows.window_of_state":
-        "the one-state window the acceptance tests and perfbench spans name",
-    "scenery.windows.WindowMeasure.reflect":
-        "tests the reflection identity of oriented windows",
-    "scenery.windows.WindowMeasure.l1_distance":
-        "tests the zoom/shift identity of windows",
-    "model.Model.sample_eta": "tests the model's self-similarity",
-    "model.Model.atom_mass_bound": "tests the non-atomic bound",
-    "model.Model.gap": "tests the exact gap of the separated pair",
-    "scenery.chain.ExtendedChain.orientation_marginal":
-        "tests the orientation law of reflected models",
-    "beta_numeration.OrbitRecord.reconstruct_exact":
-        "tests that digits and remainder rebuild the point exactly",
-    "rng.UniformStream.__getitem__":
-        "the scalar draw the exact point coder is tested against",
 }
 
 # "module.Qualified.function.parameter" -> why its default stays although
 # no call in src/ passes it
 ALLOWED_PARAMETERS = {
-    "scenery.windows.window_of_state.bins_half":
+    "scenery.windows.windows_of_states.bins_half":
         "oracle-sweep knob: the sweep tests render coarse binnings",
-    "scenery.windows.window_of_state.eps_cut":
+    "scenery.windows.windows_of_states.eps_cut":
         "oracle-sweep knob: the sweep tests reach the mass cutoff",
-    "scenery.windows.window_of_state.node_budget":
+    "scenery.windows.windows_of_states.node_budget":
         "oracle-sweep knob: the sweep tests reach the budget valve",
-    "scenery.flow.scenery_orbit.omega":
-        "the replay-identity test starts the orbit from given words",
-    "scenery.flow.scenery_orbit.inner":
-        "the replay-identity test starts the orbit from given words",
     "beta_numeration.pushforward_samples.hull":
         "checks that g is a diffeomorphism on the hull it is applied to",
     "cli.main.argv":
@@ -112,11 +96,26 @@ def _trees():
             for path in sorted(SRC.rglob("*.py"))]
 
 
+def _annotations(tree):
+    """The ids of the nodes inside the type annotations of a module."""
+    out = set()
+    for node in ast.walk(tree):
+        for a in (getattr(node, "annotation", None),
+                  getattr(node, "returns", None)):
+            if a is not None:
+                out.update(id(n) for n in ast.walk(a))
+    return out
+
+
 def _references():
-    """identifier -> [(file, line, is_attribute)] over all of src/."""
+    """identifier -> [(file, line, is_attribute)] over all of src/, outside
+    type annotations."""
     refs = {}
     for path, tree in _trees():
+        skip = _annotations(tree)
         for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append((path, node.lineno, False))
             elif isinstance(node, ast.Attribute):
@@ -157,19 +156,25 @@ def _passes(call, position, name) -> bool:
         any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_definition_is_used_or_allowed():
+def _unused_definitions():
+    """Keys of the definitions, dunders aside, that src/ references nowhere
+    outside their own body."""
     refs = _references()
-    unused = []
+    unused = set()
     for key, node, cls, path in _definitions():
         name = node.name
         if name.startswith("__") and name.endswith("__"):
             continue
-        used = any((attr or cls is None)
+        if not any((attr or cls is None)
                    and not (p == path and node.lineno <= line
                             <= node.end_lineno)
-                   for p, line, attr in refs.get(name, ()))
-        if not used and key not in ALLOWED:
-            unused.append(key)
+                   for p, line, attr in refs.get(name, ())):
+            unused.add(key)
+    return unused
+
+
+def test_every_definition_is_used_or_allowed():
+    unused = sorted(_unused_definitions() - set(ALLOWED))
     assert not unused, ("defined under src/ but referenced nowhere in it; "
                         "delete them or add them to ALLOWED with a reason: "
                         + ", ".join(unused))
@@ -203,17 +208,23 @@ def _defaulted_parameters():
     return out
 
 
-def test_every_default_is_passed_or_allowed():
+def _unpassed_parameters():
+    """Keys of the defaulted parameters that no call in src/ passes, of the
+    functions that src/ names only in calls."""
     calls, values = _calls()
-    unpassed = []
+    unpassed = set()
     for key, names, params in _defaulted_parameters():
         if any(n in values for n in names):
             continue
         for position, param in params:
             if not any(_passes(call, position, param)
                        for n in names for call, _ in calls.get(n, ())):
-                unpassed.append(f"{key}.{param}")
-    unpassed = [k for k in unpassed if k not in ALLOWED_PARAMETERS]
+                unpassed.add(f"{key}.{param}")
+    return unpassed
+
+
+def test_every_default_is_passed_or_allowed():
+    unpassed = sorted(_unpassed_parameters() - set(ALLOWED_PARAMETERS))
     assert not unpassed, ("defaulted parameters that no call in src/ "
                           "passes; delete them or add them to "
                           "ALLOWED_PARAMETERS with a reason: "
@@ -224,10 +235,15 @@ def test_allowed_names_exist():
     keys = {d[0] for d in _definitions()}
     missing = sorted(set(ALLOWED) - keys)
     assert not missing, f"ALLOWED names no definition: {missing}"
+    stale = sorted(set(ALLOWED) - _unused_definitions())
+    assert not stale, f"ALLOWED names definitions src/ uses: {stale}"
     params = {f"{key}.{p}" for key, _, ps in _defaulted_parameters()
               for _, p in ps}
     missing = sorted(set(ALLOWED_PARAMETERS) - params)
     assert not missing, f"ALLOWED_PARAMETERS names no parameter: {missing}"
+    stale = sorted(set(ALLOWED_PARAMETERS) - _unpassed_parameters())
+    assert not stale, ("ALLOWED_PARAMETERS names parameters src/ passes: "
+                       f"{stale}")
 
 
 def _callers(*names):

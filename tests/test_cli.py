@@ -80,6 +80,22 @@ NO_TRACEBACK["config-T-huge"] = ({"mt.json": MIDDLE_THIRDS,
                                   "c.json": '{"T": 1%s}' % ("0" * 400)},
                                  ["--config", "c.json", "scenery", "mt.json"],
                                  1)
+# config values the flag itself would not take: a string for a repeatable
+# flag once ran spectrum on the bases "2" and "3", a number for a string
+# flag or in a list ended in a traceback, and an unknown --mode ran the
+# model sampler; each must print one line that names its flag
+CONFIG_ERRORS = {
+    "config-beta-not-a-list": ('{"beta": "23"}', ["spectrum", "mt.json"],
+                               "--beta"),
+    "config-x-holds-a-number": ('{"x": ["1/3", 5]}',
+                                ["expand", "--beta", "2"], "--x"),
+    "config-beta-a-number": ('{"beta": 2}', ["parry"], "--beta"),
+    "config-mode-bogus": ('{"mode": "bogus"}', ["sample", "mt.json"],
+                          "--mode"),
+}
+for _case, (_cfg, _args, _) in CONFIG_ERRORS.items():
+    NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS, "c.json": _cfg},
+                           ["--config", "c.json"] + _args, 1)
 NO_TRACEBACK["out-dir-is-a-file"] = ({"afile": "x"},
                                      ["--out-dir", "afile", "pisot", "golden"],
                                      1)
@@ -138,6 +154,9 @@ def run_table_case(tmp_path, case):
         fault = ("not positive" if math.isfinite(float(args[-1]))
                  else "not finite")
         assert r.stderr == f"error: {' '.join(args[-2:])} is {fault}\n"
+    if case in CONFIG_ERRORS:
+        assert r.stderr.startswith(f"error: {CONFIG_ERRORS[case][2]} ")
+        assert r.stderr.count("\n") == 1
 
 
 @pytest.fixture()
@@ -743,7 +762,7 @@ def test_outputs_are_frozen(tmp_path, monkeypatch, name):
 
 
 def scalar_model_points(model, base, n_points, n_digits, seed):
-    """The draws of `cli._exact_model_points` one uniform at a time: level
+    """The draws of `cli._exact_model_points` one level at a time: level
     k reads uniforms 2k and 2k + 1 and adds its cost to a running sum until
     the sum reaches the target."""
     log_beta = math.log(float(base.beta))
@@ -756,9 +775,10 @@ def scalar_model_points(model, base, n_points, n_digits, seed):
         stream = UniformStream(seed, "normality-point", j)
         omega, inner, acc, k = [], [], 0.0, 0
         while acc < target:
-            i = int(np.searchsorted(th_sel, stream[2 * k], side="right"))
+            u_sel, u_inner = stream.slice(2 * k, 2)
+            i = int(np.searchsorted(th_sel, u_sel, side="right"))
             omega.append(i)
-            inner.append(int(np.searchsorted(th_inner[i], stream[2 * k + 1],
+            inner.append(int(np.searchsorted(th_inner[i], u_inner,
                                              side="right")))
             acc += -math.log(ratios[i])
             k += 1

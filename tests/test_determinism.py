@@ -184,8 +184,6 @@ class TestUniformStreamSlice:
         got = stream.slice(start, count)
         assert got.shape == (count,)
         assert np.array_equal(got, want)
-        if count:
-            assert stream[start] == want[0]
 
     def test_threads_read_the_serial_bits(self):
         # each task reads one stream in interleaved slices, some across

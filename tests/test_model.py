@@ -25,7 +25,7 @@ from betascenery import (
     verify_ssc,
 )
 
-from oracles import ks_between
+from oracles import atom_mass_bound, eta_samples, ks_between
 
 
 def cylinder(model, omega, inner):
@@ -50,7 +50,7 @@ class TestStructure:
         assert c.ratio == Fraction(1, 3)
         assert c.words == ((0,), (1,))
         assert c.weights == (Fraction(1, 2), Fraction(1, 2))
-        assert m.gap == Fraction(1, 3)
+        assert verify_ssc(m) == Fraction(1, 3)
 
     def test_two_ratio_components(self, two_ratio_model):
         m = two_ratio_model
@@ -136,8 +136,8 @@ EDGES = [0, 1, 1022, 1023, 1024, 1025, 2046, 2047, 2048, 2049, 3100]
 
 def scalar_symbol(weights, stream, k):
     """The definition of a drawn symbol, one position at a time."""
-    return int(np.searchsorted(cdf_thresholds(weights), stream[k],
-                               side="right"))
+    return int(np.searchsorted(cdf_thresholds(weights),
+                               stream.slice(k, 1)[0], side="right"))
 
 
 class TestWord:
@@ -323,17 +323,17 @@ class TestNothingUnread:
         assert max(w._buf.size for w in made) < 1024
 
 
-class TestSampling:
-    def test_eta_deterministic(self, two_ratio_model):
-        m = two_ratio_model
-        w = m.omega_word(3)
-        a = m.sample_eta(w.take(0, 40), 500, 9)
-        b = m.sample_eta(w.take(0, 40), 500, 9)
-        assert np.array_equal(a, b)
+def sample_eta(model, omega, count, seed):
+    """`count` float draws from eta_omega, from the uniforms of the stream
+    (seed, "eta"), one row of len(omega) per point."""
+    u = UniformStream(seed, "eta").slice(0, count * len(omega))
+    return eta_samples(model, omega, u.reshape(count, len(omega)))
 
+
+class TestSampling:
     def test_eta_in_hull(self, two_ratio_model):
         m = two_ratio_model
-        xs = m.sample_eta(m.omega_word(1).take(0, 40), 2000, 2)
+        xs = sample_eta(m, m.omega_word(1).take(0, 40), 2000, 2)
         lo, hi = m.hull
         assert xs.min() >= float(lo) - 1e-12
         assert xs.max() <= float(hi) + 1e-12
@@ -344,11 +344,11 @@ class TestSampling:
         # through that word's similarity
         m = two_ratio_model
         omega = m.omega_word(23)
-        direct = m.sample_eta(omega.take(0, 50), 30_000, 101)
+        direct = sample_eta(m, omega.take(0, 50), 30_000, 101)
 
         comp = m.components[omega.symbol(0)]
         rng = np.random.default_rng(7)
-        tail = m.sample_eta(omega.shift(1).take(0, 49), 30_000, 202)
+        tail = sample_eta(m, omega.shift(1).take(0, 49), 30_000, 202)
         probs = np.array([float(x) for x in comp.weights])
         choice = rng.choice(len(comp.words), size=tail.size, p=probs)
         mixed = np.empty_like(tail)
@@ -436,7 +436,7 @@ class TestAtomBound:
         m = middle_thirds_model
         prev = Fraction(1)
         for n in range(1, 12):
-            b = m.atom_mass_bound([0] * n)
+            b = atom_mass_bound(m, [0] * n)
             assert 0 < b <= prev
             prev = b
         assert prev < Fraction(1, 1000)
@@ -450,7 +450,7 @@ class TestAtomBound:
         expect = Fraction(1)
         for s in prefix:
             expect *= max(m.components[s].weights)
-        assert m.atom_mass_bound(prefix) == expect
+        assert atom_mass_bound(m, prefix) == expect
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
     @settings(max_examples=30, deadline=None)
@@ -458,14 +458,14 @@ class TestAtomBound:
         m = build_model(bs.SimilarityIFS(
             [bs.SimilarityMap(Fraction(1, 2), Fraction(0)),
              bs.SimilarityMap(Fraction(1, 3), Fraction(2, 3))]))
-        full = m.atom_mass_bound(prefix)
-        shorter = m.atom_mass_bound(prefix[:-1])
+        full = atom_mass_bound(m, prefix)
+        shorter = atom_mass_bound(m, prefix[:-1])
         assert 0 < full <= shorter <= 1
 
     def test_bound_formula(self, middle_thirds_model):
         # single component with two equal weights: bound halves per level
         m = middle_thirds_model
-        assert m.atom_mass_bound([0, 0]) == Fraction(1, 4)
+        assert atom_mass_bound(m, [0, 0]) == Fraction(1, 4)
 
 
 class TestSerialization:
@@ -475,7 +475,7 @@ class TestSerialization:
         m2 = Model.from_json(s)
         assert m2.to_json() == s
         assert m2.selection == m.selection
-        assert m2.gap == m.gap
+        assert verify_ssc(m2) == verify_ssc(m)
         for c, c2 in zip(m.components, m2.components):
             assert c.ratio == c2.ratio
             assert c.words == c2.words
@@ -483,9 +483,9 @@ class TestSerialization:
 
     def test_round_trip_sampling_identical(self, reflected_model):
         m2 = Model.from_json(reflected_model.to_json())
-        a = reflected_model.sample_eta(
-            reflected_model.omega_word(2).take(0, 30), 400, 3)
-        b = m2.sample_eta(m2.omega_word(2).take(0, 30), 400, 3)
+        a = sample_eta(reflected_model,
+                       reflected_model.omega_word(2).take(0, 30), 400, 3)
+        b = sample_eta(m2, m2.omega_word(2).take(0, 30), 400, 3)
         assert np.array_equal(a, b)
 
     def test_json_is_versioned(self, middle_thirds_model):

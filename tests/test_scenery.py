@@ -27,15 +27,24 @@ from betascenery import (
     sample_Q,
     scenery_orbit,
     spectrum_obstruction,
-    window_of_state,
     windows_of_states,
 )
 from betascenery.model import Word
 from betascenery.scenery import windows
 from betascenery.scenery.flow import stationary_draws
 
-from oracles import (cylinder_focus, cylinder_window, ks_between,
+from oracles import (cylinder_focus, cylinder_window, orientation_marginal,
                      panel_by_masks)
+
+
+def window(model, omega, inner, a, zoom_t, **kw):
+    """The window of one state, rendered in a block of one."""
+    return windows_of_states(model, [(omega, inner, a, zoom_t)], **kw)[0]
+
+
+def l1(w, v):
+    """The L1 distance between the bins of two windows."""
+    return float(np.abs(w.bins - v.bins).sum())
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +102,7 @@ class TestChain:
         assert ch.has_orientation
         assert all(len(s) == 3 for s in ch.states)
         assert ch.verify_stationary()
-        assert ch.orientation_marginal() == (Fraction(1, 2), Fraction(1, 2))
+        assert orientation_marginal(ch) == (Fraction(1, 2), Fraction(1, 2))
         # transitions out of a reversing component flip the flag
         signs = {i: (c.ratio < 0)
                  for i, c in enumerate(reflected_model.components)}
@@ -127,31 +136,25 @@ class TestWindows:
         assert w.zero_in_support
 
     def test_window_mass_bounded(self, mt_scaled):
-        w = window_of_state(mt_scaled, mt_scaled.omega_word(1),
-                            mt_scaled.inner_word(mt_scaled.omega_word(1), 2),
-                            0, 3.0)
+        w = window(mt_scaled, mt_scaled.omega_word(1),
+                   mt_scaled.inner_word(mt_scaled.omega_word(1), 2), 0, 3.0)
         assert w.bins.sum() <= 1.0 + 1e-9
         assert w.bins.min() >= 0.0
         assert w.zero_in_support
 
     def test_reflect_involution(self, mt_scaled):
-        w = window_of_state(mt_scaled, mt_scaled.omega_word(4),
-                            mt_scaled.inner_word(mt_scaled.omega_word(4), 5),
-                            0, 2.0)
-        r = w.reflect()
-        assert np.array_equal(r.reflect().bins, w.bins)
+        w = window(mt_scaled, mt_scaled.omega_word(4),
+                   mt_scaled.inner_word(mt_scaled.omega_word(4), 5), 0, 2.0)
+        r = windows.WindowMeasure(w.bins[::-1], w.zero_in_support)
+        assert np.array_equal(r.bins[::-1], w.bins)
         assert np.array_equal(r.bins, w.bins[::-1])
 
     def test_orientation_flag_reflects(self, mt_scaled):
         om = mt_scaled.omega_word(6)
         inner = mt_scaled.inner_word(om, 7)
-        w0 = window_of_state(mt_scaled, om, inner, 0, 2.5)
-        w1 = window_of_state(mt_scaled, om, inner, 1, 2.5)
-        assert w0.l1_distance(w1.reflect()) < 1e-8
-
-    def test_l1_distance(self):
-        a = point_mass_window()
-        assert a.l1_distance(a) == 0.0
+        w0 = window(mt_scaled, om, inner, 0, 2.5)
+        w1 = window(mt_scaled, om, inner, 1, 2.5)
+        assert np.abs(w0.bins - w1.bins[::-1]).sum() < 1e-8
 
     def test_panel_shape_and_names(self):
         names = panel_names()
@@ -164,8 +167,7 @@ class TestWindows:
 
     def test_panel_average(self, mt_scaled):
         om = mt_scaled.omega_word(8)
-        ws = [window_of_state(mt_scaled, om,
-                              mt_scaled.inner_word(om, s), 0, 1.0)
+        ws = [window(mt_scaled, om, mt_scaled.inner_word(om, s), 0, 1.0)
               for s in range(3)]
         avg = panel_average(ws)
         stack = np.stack([evaluate_panel(w) for w in ws]).mean(axis=0)
@@ -175,7 +177,7 @@ class TestWindows:
         a = point_mass_window()
         b = windows.WindowMeasure(np.full(256, 1 / 256), True)
         with pytest.raises(ValueError):
-            a.l1_distance(b)
+            l1(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +241,7 @@ class TestBatchedDescent:
         m = request.getfixturevalue(model)
         kw = DESCENT_SETTINGS[setting]
         states = descent_states(m, 7)
-        alone = [window_of_state(m, *st, **kw) for st in states]
+        alone = [window(m, *st, **kw) for st in states]
         together = windows_of_states(m, states, **kw)
         monkeypatch.setattr(windows, "WINDOW_BLOCK", 3)
         blocks = windows_of_states(m, iter(states), **kw)
@@ -305,7 +307,7 @@ class TestBatchedDescent:
             if np.isnan(want).any():
                 # the valve left no mass inside the window
                 with pytest.raises(ValueError, match="empty window"):
-                    window_of_state(m, om, inner, a, t, **kw)
+                    window(m, om, inner, a, t, **kw)
             else:
                 block.append((om, inner, a, t))
                 wants.append(want)
@@ -344,7 +346,7 @@ class TestBatchedDescent:
     def test_omega_too_short_for_the_focus_walk(self, mt_scaled):
         # the focus walk of middle thirds needs about 32 levels
         with pytest.raises(IndexError, match="symbol sequence exhausted"):
-            window_of_state(mt_scaled, Word([0] * 5), Word([0] * 40), 0, 1.0)
+            window(mt_scaled, Word([0] * 5), Word([0] * 40), 0, 1.0)
 
     @pytest.mark.parametrize("model", DESCENT_MODELS)
     def test_finite_words_end_where_the_oracle_needs_them(self, request,
@@ -366,9 +368,9 @@ class TestBatchedDescent:
                     raised += 1
                     with pytest.raises(IndexError,
                                        match="symbol sequence exhausted"):
-                        window_of_state(m, fo, fi, 1, 1.0)
+                        window(m, fo, fi, 1, 1.0)
                     continue
-                got = window_of_state(m, fo, fi, 1, 1.0)
+                got = window(m, fo, fi, 1, 1.0)
                 assert np.array_equal(got.bins, want), (n_om, n_in)
         assert 0 < raised < 90
 
@@ -418,9 +420,9 @@ class TestShiftIdentity:
         for s in range(10):
             om = m.omega_word(s)
             inner = m.inner_word(om, 100 + s)
-            w_zoom = window_of_state(m, om, inner, 0, roof + 0.4)
-            w_shift = window_of_state(m, om.shift(1), inner.shift(1), 0, 0.4)
-            assert w_zoom.l1_distance(w_shift) < 1e-6
+            w_zoom = window(m, om, inner, 0, roof + 0.4)
+            w_shift = window(m, om.shift(1), inner.shift(1), 0, 0.4)
+            assert l1(w_zoom, w_shift) < 1e-6
 
     def test_reflected(self, refl_scaled):
         m = refl_scaled
@@ -431,18 +433,19 @@ class TestShiftIdentity:
             comp = m.components[om.symbol(0)]
             roof = -math.log(abs(float(comp.ratio)))
             flip = comp.ratio < 0
-            w_zoom = window_of_state(m, om, inner, 0, roof + 0.3)
-            w_shift = window_of_state(m, om.shift(1), inner.shift(1),
-                                      1 if flip else 0, 0.3)
-            assert w_zoom.l1_distance(w_shift) < 1e-6
+            w_zoom = window(m, om, inner, 0, roof + 0.3)
+            w_shift = window(m, om.shift(1), inner.shift(1),
+                             1 if flip else 0, 0.3)
+            assert l1(w_zoom, w_shift) < 1e-6
 
 
 class TestSceneryOrbit:
     def test_replay_matches_direct_windows(self, mt_scaled):
         m = mt_scaled
-        om = m.omega_word(3)
-        inner = m.inner_word(om, 3)
-        orb = scenery_orbit(m, omega=om, inner=inner, T=4.0, dt=0.5, seed=3)
+        # the words the orbit draws for its seed
+        om = m.omega_word(3, "orbit-omega")
+        inner = m.inner_word(om, 3, "orbit-inner")
+        orb = scenery_orbit(m, T=4.0, dt=0.5, seed=3)
         assert len(orb) == len(orb.times)
         roof = math.log(3)
         # windows at times below the first roof must match direct rendering
@@ -450,8 +453,8 @@ class TestSceneryOrbit:
         for t, w in zip(orb.times, orb.windows):
             if t >= roof:
                 break
-            direct = window_of_state(m, om, inner, 0, t)
-            assert w.l1_distance(direct) < 1e-9
+            direct = window(m, om, inner, 0, t)
+            assert l1(w, direct) < 1e-9
             checked += 1
         assert checked >= 2
 
