@@ -417,11 +417,14 @@ def cmd_scenery(args) -> int:
     ]
     files = []
     if args.dump_windows:
+        # every window has the first one's bins: format their edges once
+        edges = np.linspace(-1.0, 1.0,
+                            orbit.windows[0].bins.size + 1).tolist()
+        spans = [f"{lo!r},{hi!r}," for lo, hi in zip(edges, edges[1:])]
         lines = ["window_id,bin_lo,bin_hi,mass\n"]
         for wid, w in enumerate(orbit.windows[:args.dump_windows]):
-            edges = np.linspace(-1.0, 1.0, w.bins.size + 1).tolist()
-            lines += [f"{wid},{lo!r},{hi!r},{m!r}\n" for lo, hi, m
-                      in zip(edges, edges[1:], w.bins.tolist())]
+            lines += [f"{wid},{span}{m!r}\n"
+                      for span, m in zip(spans, w.bins.tolist())]
         wpath = os.path.join(args.out_dir, "windows.csv")
         _write(wpath, "".join(lines))
         files.append(wpath)

@@ -39,7 +39,8 @@ from .algebraics import (
     IntPolynomial,
     NumberField,
 )
-from .rng import UniformStream, cdf_thresholds, draw_symbols
+from .rng import (UniformStream, cdf_thresholds, derive_keys, draw_symbols,
+                  uniform_rows)
 from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
@@ -162,6 +163,28 @@ class Model:
             return self._add_inner_draws(np.zeros(om.size, dtype=np.int64),
                                          om, stream.slice(start, om.size))
         return Word(source=source)
+
+    def word_rows(self, seed: int, omega_label: str, inner_label: str,
+                  count: int):
+        """fill(draws, start, n) -> (omega, inner): symbols start ..
+        start+n-1 of ``omega_word(seed, omega_label, j)`` and of the inner
+        word over it labelled inner_label, for each draw j < count in the
+        index array draws, as two (draws, n) tables filled straight from
+        the draws' streams, with no Word built.  A one-component model
+        derives and reads no omega stream."""
+        multi = self._selection_thresholds.size > 0
+        omega_keys = (derive_keys(seed, ("omega", omega_label), count)
+                      if multi else None)
+        inner_keys = derive_keys(seed, ("inner", inner_label), count)
+
+        def fill(draws, start, n):
+            u = uniform_rows([inner_keys[j] for j in draws], start, n)
+            omega = (draw_symbols(self._selection_thresholds, uniform_rows(
+                [omega_keys[j] for j in draws], start, n))
+                if multi else np.zeros(u.shape, dtype=np.int64))
+            return omega, self._add_inner_draws(
+                np.zeros(u.shape, dtype=np.int64), omega, u)
+        return fill
 
     def _draw_components(self, stream, start: int, n: int) -> np.ndarray:
         """The component symbols of places start .. start+n-1 of stream."""
@@ -363,7 +386,8 @@ class Word:
     need it, at least doubling it.  Every shifted view shares that one
     int64 buffer and differs only in its offset.  Random words come from
     ``Model.omega_word`` and ``Model.inner_word``: a symbol is the draw of
-    its own place in a uniform stream, so no fill pattern changes it.
+    its own place in a uniform stream, so no fill pattern changes it, and
+    ``Model.word_rows`` fills the same symbols into tables with no Word.
     """
 
     __slots__ = ("_root", "_offset", "_buf", "_source")
@@ -376,12 +400,6 @@ class Word:
         self._offset = 0
         self._buf = np.array(head, dtype=np.int64)
         self._source = source
-
-    @classmethod
-    def prefixed(cls, head: Sequence[int], tail: "Word") -> "Word":
-        """Finitely many fixed leading symbols before the word tail."""
-        h = len(head)
-        return cls(head, lambda start, n: tail.take(start - h, n))
 
     def _grow(self, stop: int) -> np.ndarray:
         """Extend this root buffer to at least `stop` symbols, and at least

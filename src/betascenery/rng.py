@@ -9,7 +9,10 @@ tail, not an equidistributed imitation.
 
 Block b of a stream is Philox4x64-10 at the counters (1..256, b, 0, 0) under
 its key, with numpy's 53-bit conversion.  All blocks are filled in place by
-one module-level generator, re-keyed for each block under a lock.
+one module-level generator, re-keyed for each block under a lock, and a read
+makes only the counters of the places it returns: numpy hands out a
+counter's four doubles in order, so a read that starts or stops inside a
+block has the same bits as the whole block.
 
 Reproducibility contract: for a fixed master seed and label path, draws are
 bit-identical across runs, platforms, and thread counts.
@@ -21,7 +24,7 @@ import hashlib
 import itertools
 import threading
 from fractions import Fraction
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -38,6 +41,13 @@ _STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER},
           "uinteger": 0}
 
 
+def _label_hash(seed: int, labels: Sequence[object]):
+    h = hashlib.blake2b(repr(int(seed)).encode(), digest_size=16)
+    for lab in labels:
+        h.update(b"/" + repr(lab).encode())
+    return h
+
+
 def derive_key(seed: int, *labels: object) -> int:
     """Derive a 128-bit Philox key from a master seed and a label path.
 
@@ -45,41 +55,61 @@ def derive_key(seed: int, *labels: object) -> int:
     mix of ints and strings is fine.  Distinct label paths give independent
     streams; the same path always gives the same key.
     """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(repr(int(seed)).encode())
-    for lab in labels:
-        h.update(b"/")
-        h.update(repr(lab).encode())
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(_label_hash(seed, labels).digest(), "big")
+
+
+def derive_keys(seed: int, labels: Sequence[object], count: int) -> List[int]:
+    """``derive_key(seed, *labels, j)`` for j = 0 .. count-1, from one hash
+    of the common label path, copied for each j."""
+    prefix = _label_hash(seed, labels)
+    keys = []
+    for j in range(count):
+        h = prefix.copy()
+        h.update(b"/" + repr(j).encode())
+        keys.append(int.from_bytes(h.digest(), "big"))
+    return keys
+
+
+def uniform_rows(keys: Sequence[int], start: int, count: int) -> np.ndarray:
+    """Uniforms start .. start+count-1 of the stream of each key, one row
+    per key.  Each block is read from the counter of its first place read
+    to its last, so only the up to three places before start that share
+    its counter are made and dropped."""
+    lead = start % 4
+    stop = start + count
+    out = np.empty((len(keys), lead + count))
+    with _LOCK:
+        for key, row in zip(keys, out):
+            # the two little-endian words numpy splits an integer key into
+            _STATE["state"]["key"] = (key & (2 ** 64 - 1), key >> 64)
+            p = start - lead
+            while p < stop:
+                _COUNTER[1], r = divmod(p, _BLOCK)
+                _COUNTER[0] = r // 4
+                n = min(_BLOCK - r, stop - p)
+                _BITGEN.state = _STATE
+                at = p - start + lead
+                _GENERATOR.random(out=row[at:at + n])
+                p += n
+    return out[:, lead:]
 
 
 class UniformStream:
     """Lazily materialized sequence of i.i.d. uniforms with random access.
 
-    Uniform i is a float in [0, 1) that depends only on (seed, labels, i).
-    Block b is Philox4x64-10 at the counters (1..256, b, 0, 0) under the
-    stream key, with numpy's 53-bit conversion, read through the one
-    re-keyed generator under the module lock; a slice keeps no blocks.
+    Uniform i is a float in [0, 1) that depends only on (seed, labels, i):
+    place i of the key's stream in `uniform_rows`.  A slice keeps no
+    blocks.
     """
 
     __slots__ = ("_key",)
 
     def __init__(self, seed: int, *labels: object):
-        key = derive_key(seed, *labels)
-        # the two little-endian words numpy splits an integer key into
-        self._key = (key & (2 ** 64 - 1), key >> 64)
+        self._key = derive_key(seed, *labels)
 
     def slice(self, start: int, count: int) -> np.ndarray:
         """Uniforms at indices start .. start+count-1 as an array."""
-        b, r = divmod(start, _BLOCK)
-        out = np.empty((-(-(r + count) // _BLOCK), _BLOCK))
-        with _LOCK:
-            _STATE["state"]["key"] = self._key
-            for k, row in enumerate(out):
-                _COUNTER[1] = b + k
-                _BITGEN.state = _STATE
-                _GENERATOR.random(out=row)
-        return out.reshape(-1)[r:r + count]
+        return uniform_rows((self._key,), start, count)[0]
 
 
 def cdf_thresholds(weights: Sequence[Fraction]) -> np.ndarray:

@@ -17,12 +17,12 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..model import Model, Word, build_model, verify_ssc
+from ..model import Model, build_model, verify_ssc
 from ..rng import UniformStream, draw_symbols
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
 from .windows import (PANEL_VERSION, WindowMeasure, panel_average,
-                      panel_names, windows_of_states)
+                      panel_names, windows_of_states, windows_of_tables)
 
 
 def rescale_model_for_gap(model: Model):
@@ -129,22 +129,26 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int,
              seed: int) -> QSamples:
     """n independent draws from the stationary law of the zoom flow, with
     (state, time) from `stationary_draws`; the sequence continues i.i.d.
-    beyond the state."""
+    beyond the state.  Draw j's omega and inner words start with its
+    state's component and inner symbol, and go on one place later with
+    the words of `Model.word_rows` labelled "Q-omega" and "Q-inner" for
+    draw j.  Each block of windows fills its (draws, L) symbol tables
+    straight from the draws' streams, building no Word."""
     _require_separated(model)
     idx, ts = stationary_draws(chain, n, seed)
+    states = np.array(chain.states, dtype=np.int64)[idx]
+    tails = model.word_rows(seed, "Q-omega", "Q-inner", n)
 
-    def states():
-        for j in range(n):
-            state = chain.states[idx[j]]
-            i0, u0 = state[0], state[1]
-            a0 = state[2] if chain.has_orientation else 0
-            tail_omega = model.omega_word(seed, "Q-omega", j)
-            omega = Word.prefixed((i0,), tail_omega)
-            inner = Word.prefixed((u0,), model.inner_word(
-                tail_omega, seed, "Q-inner", j))
-            yield omega, inner, a0, float(ts[j])
+    def fill(draws, start, m):
+        head = int(start == 0 and m > 0)
+        tables = tails(draws, start + head - 1, m - head)
+        if not head:
+            return tables
+        return tuple(np.concatenate([states[draws, col:col + 1], t], axis=1)
+                     for col, t in enumerate(tables))
 
-    return QSamples(windows_of_states(model, states()), idx, ts, chain)
+    a = states[:, 2] if chain.has_orientation else np.zeros(n, np.int64)
+    return QSamples(windows_of_tables(model, fill, a, ts), idx, ts, chain)
 
 
 @dataclass

@@ -8,14 +8,17 @@ bin or holds negligible mass.  No sampling noise; resolution is set by the
 mass cutoff.  The windows of a run go down the tree together, WINDOW_BLOCK
 at a time: a level is one set of numpy calls over the nodes of every window
 in the block, each node tagged with its window, and all mass lands in one
-(windows, 2B) bin array.  A block reads its words once, into a (windows, L)
-table of component symbols and one of inner symbols, -1 where a finite word
-has ended; the focus points, the symbolic splits of the focus cylinders and
-the descent read those tables, and the lazy words grow only as far as the
-tables read.  Each window gets the float operations it would get alone, in
-the same order (running products and sums are sequential numpy
-accumulations), so its bins do not depend on the block: a block of one
-window renders the same bins.
+(windows, 2B) bin array.  A block reads its symbols once, into a
+(windows, L) table of component symbols and one of inner symbols, -1 where
+a finite word has ended; the focus points, the symbolic splits of the focus
+cylinders and the descent read those tables.  The tables come from a fill
+function: windows_of_states fills them from lazy words, which grow only as
+far as the tables read, and windows_of_tables from its caller's fill, which
+for the stationary sampler reads each draw's uniform streams with no word
+built.  Each window gets the float operations it would get alone, in the
+same order (running products and sums are sequential numpy accumulations),
+so its bins do not depend on the block: a block of one window renders the
+same bins.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
 also lives here so every consumer shares one definition.  It runs over a
@@ -38,6 +41,8 @@ from ..model import Model, Word
 
 DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
+# cylinders a window may expand before the rest goes to midpoint bins
+NODE_BUDGET = 500_000
 PANEL_VERSION = "fp-v1"
 # windows rendered by one descent, and stacked by the panel: enough to
 # amortise numpy calls over thousands of nodes, few enough that a block's
@@ -56,7 +61,6 @@ SPLIT_CHUNK = 64
 class WindowMeasure:
     """Probability histogram over 2B equal-width bins spanning [-1, 1]."""
     bins: np.ndarray
-    zero_in_support: bool = True
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=float)
@@ -79,7 +83,7 @@ def point_mass_window() -> WindowMeasure:
     bins = np.zeros(2 * DEFAULT_BINS_HALF)
     bins[DEFAULT_BINS_HALF - 1] = 0.5
     bins[DEFAULT_BINS_HALF] = 0.5
-    return WindowMeasure(bins, True)
+    return WindowMeasure(bins)
 
 
 class _Floats:
@@ -98,37 +102,31 @@ class _Floats:
         self.hhi = float(model.hull[1])
 
 
-def _rows(words: Sequence[Word], start: int, n: int) -> np.ndarray:
-    """The n symbols of each word from position start on, one row per word,
-    with -1 where a finite word has ended."""
-    out = np.full((len(words), n), -1, dtype=np.int64)
-    for row, word in zip(out, words):
-        got = word.take(start, n)
-        row[:got.size] = got
-    return out
-
-
 class _Symbols:
-    """The omega and inner symbols of a block's windows as two
-    (windows, L) tables, filled with one Word.take per word and refilled
-    at twice the length when a read goes past L."""
+    """The omega and inner symbols of a block's count windows as two
+    (windows, L) tables.  fill(rows, start, n) gives symbols start ..
+    start+n-1 of the given windows' omega and inner words as two (rows, n)
+    tables, -1 where a word has ended; ended(which, row, k) raises the
+    IndexError of symbol k of window row's omega (which=0) or inner (1)
+    word, which has ended.  The tables grow to twice their length when a
+    read goes past L."""
 
-    def __init__(self, omegas: Sequence[Word], inners: Sequence[Word]):
-        self.words = (omegas, inners)
-        self._fill(SYMBOL_TABLE)
-
-    def _fill(self, n: int) -> None:
-        self.tables = tuple(_rows(words, 0, n) for words in self.words)
-        self.length = n
+    def __init__(self, fill, ended, count: int):
+        self.fill, self.ended, self.count = fill, ended, count
+        self.tables = fill(np.arange(count), 0, SYMBOL_TABLE)
+        self.length = SYMBOL_TABLE
 
     def at(self, which: int, k: int, rows: np.ndarray) -> np.ndarray:
         """Symbol k of the given windows' omega (which=0) or inner (1)
-        word; IndexError, as Word.symbol raises it, where one has ended."""
+        word; IndexError where one has ended."""
         while k >= self.length:
-            self._fill(2 * self.length)
+            more = self.fill(np.arange(self.count), self.length, self.length)
+            self.tables = tuple(np.concatenate(t, axis=1)
+                                for t in zip(self.tables, more))
+            self.length *= 2
         got = self.tables[which][rows, k]
         if got.size and got.min() < 0:
-            self.words[which][rows[np.argmax(got < 0)]].symbol(k)
+            self.ended(which, int(rows[np.argmax(got < 0)]), k)
         return got
 
     def span(self, rows: np.ndarray, start: int, n: int):
@@ -136,8 +134,31 @@ class _Symbols:
         past a word's end; read past the tables without growing them."""
         if start + n <= self.length:
             return tuple(t[rows, start:start + n] for t in self.tables)
-        return tuple(_rows([words[w] for w in rows], start, n)
-                     for words in self.words)
+        return self.fill(rows, start, n)
+
+
+def _word_symbols(omegas: Sequence[Word], inners: Sequence[Word]
+                  ) -> _Symbols:
+    """The symbols of a block of (omega, inner) words, read with one
+    Word.take per word, -1 where a finite word has ended; an ended word
+    raises from Word.symbol."""
+    words = (omegas, inners)
+
+    def fill(rows, start, n):
+        tables = np.full((2, len(rows), n), -1, dtype=np.int64)
+        for table, ws in zip(tables, words):
+            for row, w in zip(table, rows):
+                got = ws[w].take(start, n)
+                row[:got.size] = got
+        return tuple(tables)
+
+    def ended(which, row, k):
+        words[which][row].symbol(k)
+    return _Symbols(fill, ended, len(omegas))
+
+
+def _exhausted(which: int, row: int, k: int):
+    raise IndexError(f"symbol sequence exhausted at position {k}")
 
 
 def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
@@ -145,7 +166,7 @@ def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
     compositions along its (omega, inner) path, until the image of the hull
     is shorter than tol."""
     scale = max(abs(fl.hlo), abs(fl.hhi), fl.hhi - fl.hlo, 1.0)
-    nw = len(sy.words[0])
+    nw = sy.count
     a, b = np.ones(nw), np.zeros(nw)
     live = np.arange(nw)
     for k in range(5000):
@@ -181,9 +202,9 @@ def _split_focus_mass(fl: _Floats, sy: _Symbols, rows: np.ndarray,
     while todo.size and j < cap:
         c = min(SPLIT_CHUNK, cap - j)
         t = np.arange(todo.size)
-        om, inn = sy.span(rows[todo], j, c)
-        ended = (om < 0) | (inn < 0)
-        om, inn = np.maximum(om, 0), np.maximum(inn, 0)
+        om_read, inn_read = sy.span(rows[todo], j, c)
+        ended = (om_read < 0) | (inn_read < 0)
+        om, inn = np.maximum(om_read, 0), np.maximum(inn_read, 0)
         chosen = fl.start[om] + inn
         ms = np.cumprod(np.column_stack([m[todo], fl.weights[chosen]]),
                         axis=1)
@@ -191,8 +212,7 @@ def _split_focus_mass(fl: _Floats, sy: _Symbols, rows: np.ndarray,
         if (walk & ended).any():
             # a walked level past a word's end: that word raises
             r, i = np.argwhere(walk & ended)[0]
-            for words in sy.words:
-                words[rows[todo[r]]].symbol(int(j + i))
+            sy.ended(int(om_read[r, i] >= 0), int(rows[todo[r]]), int(j + i))
         flips = np.where(fl.ratio[om] < 0, -1.0, 1.0)
         sides = np.cumprod(np.column_stack([side[todo], flips]), axis=1)
         sib = (walk[..., None] & (kids < fl.size[om][..., None])
@@ -225,7 +245,7 @@ def windows_of_states(model: Model,
                       states: Iterable[Tuple[Word, Word, int, float]],
                       bins_half: int = DEFAULT_BINS_HALF,
                       eps_cut: float = MASS_CUTOFF,
-                      node_budget: int = 500_000) -> List[WindowMeasure]:
+                      node_budget: int = NODE_BUDGET) -> List[WindowMeasure]:
     """The window of each state (omega, inner, a, zoom_t), in order: the
     model measure for component word omega, focused at the point coded by
     (omega, inner), orientation a, magnified by e^zoom_t and conditioned
@@ -253,23 +273,43 @@ def windows_of_states(model: Model,
     fl = _Floats(model)
     it = iter(states)
     out: List[WindowMeasure] = []
-    while True:
-        block = list(islice(it, WINDOW_BLOCK))
-        if not block:
-            return out
-        out += _descend(fl, block, bins_half, eps_cut, node_budget)
+    while block := list(islice(it, WINDOW_BLOCK)):
+        omegas, inners, a, t = zip(*block)
+        out += _descend(fl, _word_symbols(omegas, inners), a, t, bins_half,
+                        eps_cut, node_budget)
+    return out
 
 
-def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
+def windows_of_tables(model: Model, fill, orientations: Sequence[int],
+                      times: Sequence[float]) -> List[WindowMeasure]:
+    """The window of each draw j < len(times), as windows_of_states renders
+    the state (omega_j, inner_j, orientations[j], times[j]) at its default
+    resolution, where fill(draws, start, n) gives symbols start ..
+    start+n-1 of the omega and inner words of the draws (an index array)
+    as two (draws, n) tables.  Rendered WINDOW_BLOCK draws at a time: fill
+    is asked for the rows of one block at a time, never for all draws."""
+    fl = _Floats(model)
+    out: List[WindowMeasure] = []
+    for j in range(0, len(times), WINDOW_BLOCK):
+        block = slice(j, j + WINDOW_BLOCK)
+        sy = _Symbols(lambda rows, start, n: fill(rows + j, start, n),
+                      _exhausted, len(times[block]))
+        out += _descend(fl, sy, orientations[block], times[block],
+                        DEFAULT_BINS_HALF, MASS_CUTOFF, NODE_BUDGET)
+    return out
+
+
+def _descend(fl: _Floats, sy: _Symbols, orientations: Sequence[int],
+             times: Sequence[float], bins_half: int, eps_cut: float,
              node_budget: int) -> List[WindowMeasure]:
-    """One breadth-first descent of the cylinder tree for every state of
-    the block, all windows in lockstep, one level at a time."""
-    nw, nb = len(block), 2 * bins_half
+    """One breadth-first descent of the cylinder tree for every window of
+    the block, with symbols sy, orientations and zoom times, all windows in
+    lockstep, one level at a time."""
+    nw, nb = sy.count, 2 * bins_half
     hlo, hhi = fl.hlo, fl.hhi
-    sy = _Symbols([st[0] for st in block], [st[1] for st in block])
     x = _focus(fl, sy, 1e-15)
-    ezoom = np.array([math.exp(t) for *_, t in block])
-    sgn = np.array([-1.0 if a % 2 else 1.0 for _, _, a, _ in block])
+    ezoom = np.array([math.exp(t) for t in times])
+    sgn = np.array([-1.0 if a % 2 else 1.0 for a in orientations])
 
     # a level-k node is the affine image offs + A*[hull]; A is one scalar
     # per window and level because maps within a component share one ratio
@@ -365,7 +405,7 @@ def _descend(fl: _Floats, block, bins_half: int, eps_cut: float,
             raise ValueError("empty window: the focus fell outside the "
                              "measure's support")
         row /= total
-        out.append(WindowMeasure(row, True))
+        out.append(WindowMeasure(row))
     return out
 
 

@@ -33,10 +33,16 @@ evidence rather than circularity.
     orientation, summed state by state.
   * unwind_reference: a start point from its digits and last remainder,
     x <- (x + d)/beta in the exact scalars of the point.
+  * prefixed, stationary_words: the omega and inner words of one
+    stationary scenery draw as one lazy word each, a fixed head before
+    the model's own seeded words: the per-draw construction that the
+    stationary sampler's batch symbol tables must reproduce.
 
-The last four read a model, a chain or a base only through their plain
-attributes (components, weights, maps, hull, states, stationary, the exact
-value of beta) and do their own arithmetic on them.
+Of these, eta_samples through unwind_reference read a model, a chain or a
+base only through their plain attributes (components, weights, maps, hull,
+states, stationary, the exact value of beta) and do their own arithmetic
+on them.  The last two build words through the model's omega_word and
+inner_word and the class of the words these return.
 """
 
 from __future__ import annotations
@@ -500,3 +506,20 @@ def unwind_reference(base, x, digits):
     for d in reversed(digits):
         x = (x + d) * b_inv
     return x
+
+
+def prefixed(head: Sequence[int], tail):
+    """The lazy word of tail's class that reads the fixed symbols head,
+    then tail: its source reads tail len(head) places back."""
+    h = len(head)
+    return type(tail)(head, lambda start, n: tail.take(start - h, n))
+
+
+def stationary_words(model, state, seed: int, j: int):
+    """(omega, inner) of stationary draw j in the chain state (component,
+    inner symbol[, orientation]): the state's two symbols, then the words
+    labelled "Q-omega" and "Q-inner" for draw j, the inner one over the
+    omega tail."""
+    tail = model.omega_word(seed, "Q-omega", j)
+    return (prefixed(state[:1], tail),
+            prefixed(state[1:2], model.inner_word(tail, seed, "Q-inner", j)))

@@ -1,8 +1,8 @@
 """Reproducibility of the random streams and of whole runs: slices of a
-uniform stream equal numpy's Philox block by block, alone and from two
-threads, the symbol-draw kernel agrees with a one-at-a-time bisection, and
-small scenery and sampler runs reproduce outputs frozen as SHA-256
-digests."""
+uniform stream equal numpy's Philox block by block, alone, several streams
+at once and from two threads, batch keys equal one-at-a-time keys, the
+symbol-draw kernel agrees with a one-at-a-time bisection, and small
+scenery and sampler runs reproduce outputs frozen as SHA-256 digests."""
 
 import bisect
 import contextlib
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betascenery import Model, ModelComponent, cli
 from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
-                             draw_symbols)
+                             derive_keys, draw_symbols, uniform_rows)
 
 BLOCK = 1024
 
@@ -175,6 +175,12 @@ class TestUniformStreamSlice:
     @example(seed=0, labels=[], start=0, count=0)
     @example(seed=1, labels=["slice"], start=BLOCK - 1, count=2)
     @example(seed=2, labels=["slice", 3], start=BLOCK, count=3 * BLOCK)
+    # reads that start and stop inside one block, off a counter's four
+    # places, and one that crosses a block edge
+    @example(seed=3, labels=["mid"], start=BLOCK + 5, count=7)
+    @example(seed=4, labels=[], start=2 * BLOCK + 510, count=BLOCK - 600)
+    @example(seed=5, labels=["mid", 1], start=3, count=1)
+    @example(seed=6, labels=["mid", 2], start=BLOCK - 3, count=6)
     def test_slice_matches_per_block_philox(self, seed, labels, start,
                                             count):
         stream = UniformStream(seed, *labels)
@@ -184,6 +190,22 @@ class TestUniformStreamSlice:
         got = stream.slice(start, count)
         assert got.shape == (count,)
         assert np.array_equal(got, want)
+        # a read of several streams at once gives each stream's own row
+        other = derive_key(seed, *labels, "other")
+        rows = uniform_rows([other, derive_key(seed, *labels)], start, count)
+        assert rows.shape == (2, count)
+        assert np.array_equal(rows[1], want)
+        assert np.array_equal(rows[0], philox_uniforms(
+            other, first, (start + count) // BLOCK + 1)[r:r + count])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64),
+           labels=st.lists(st.one_of(st.integers(-5, 5), st.text(max_size=3)),
+                           max_size=3),
+           count=st.integers(0, 20))
+    def test_batch_keys_match_derive_key(self, seed, labels, count):
+        assert derive_keys(seed, labels, count) == \
+            [derive_key(seed, *labels, j) for j in range(count)]
 
     def test_threads_read_the_serial_bits(self):
         # each task reads one stream in interleaved slices, some across

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
-from betascenery.rng import UniformStream, cdf_thresholds, draw_symbols
+from betascenery import rng
+from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
+                             draw_symbols)
 from betascenery.scenery import (build_extended_chain,
                                  rescale_model_for_gap, sample_Q)
 from betascenery.selfsimilar import SAMPLE_CHUNK_ROWS, canonical_scalar
@@ -25,7 +27,7 @@ from betascenery import (
     verify_ssc,
 )
 
-from oracles import atom_mass_bound, eta_samples, ks_between
+from oracles import atom_mass_bound, eta_samples, ks_between, prefixed
 
 
 def cylinder(model, omega, inner):
@@ -179,13 +181,13 @@ class TestWord:
     def test_inner_word_over_a_fixed_head(self, two_ratio_model):
         m = two_ratio_model
         head = (2, 0, 1)
-        omega = Word.prefixed(head, m.omega_word(7))
+        omega = prefixed(head, m.omega_word(7))
         omega_stream = UniformStream(7, "omega")
         want_omega = [head[k] if k < len(head) else
                       scalar_symbol(m.selection, omega_stream, k - len(head))
                       for k in EDGES]
         assert [omega.symbol(k) for k in EDGES] == want_omega
-        inner = Word.prefixed((1,), m.inner_word(omega, 8))
+        inner = prefixed((1,), m.inner_word(omega, 8))
         inner_stream = UniformStream(8, "inner")
         want_inner = [1] + [
             scalar_symbol(m.components[omega.symbol(k - 1)].weights,
@@ -266,8 +268,8 @@ class TestFillPattern:
         refs = [ref_omega, ref_inner, heads[0] + ref_omega,
                 heads[1] + ref_inner]
         views = [(w, 0, r) for w, r in zip(
-            [tail, inner, Word.prefixed(heads[0], tail),
-             Word.prefixed(heads[1], inner)], refs)]
+            [tail, inner, prefixed(heads[0], tail),
+             prefixed(heads[1], inner)], refs)]
         for which, action, k, n in reads:
             word, off, ref = views[which % len(views)]
             if action == "shift":
@@ -308,8 +310,7 @@ class TestNothingUnread:
         assert slices == []
 
     def test_stationary_words_hold_what_the_descent_reads(
-            self, middle_thirds_model, monkeypatch):
-        m, _ = rescale_model_for_gap(middle_thirds_model)
+            self, middle_thirds_model, two_ratio_model, monkeypatch):
         made = []
         init = Word.__init__
 
@@ -317,10 +318,31 @@ class TestNothingUnread:
             init(word, *args, **kwargs)
             made.append(word)
         monkeypatch.setattr(Word, "__init__", record)
-        sample_Q(m, build_extended_chain(m), 64, seed=5)
-        # a prefixed and a tail word per omega and inner, per draw
-        assert len(made) == 4 * 64
-        assert max(w._buf.size for w in made) < 1024
+        # the uniforms the shared generator makes, by stream key
+        filled = {}
+        real = rng._GENERATOR
+
+        class Spy:
+            def random(self, out):
+                key = rng._STATE["state"]["key"]
+                filled[key] = filled.get(key, 0) + out.size
+                return real.random(out=out)
+        monkeypatch.setattr(rng, "_GENERATOR", Spy())
+        for model in (middle_thirds_model, two_ratio_model):
+            m, _ = rescale_model_for_gap(model)
+            filled.clear()
+            sample_Q(m, build_extended_chain(m), 64, seed=5)
+            assert made == []
+            # the state and time streams, each draw's inner stream, and its
+            # omega stream only where the model has more than one component
+            labels = [("Q-state",), ("Q-time",)]
+            labels += [("inner", "Q-inner", j) for j in range(64)]
+            if m.n_components > 1:
+                labels += [("omega", "Q-omega", j) for j in range(64)]
+            keys = [derive_key(5, *lab) for lab in labels]
+            assert set(filled) == {(k & (2 ** 64 - 1), k >> 64)
+                                   for k in keys}
+            assert max(filled.values()) < 1024
 
 
 def sample_eta(model, omega, count, seed):

@@ -30,11 +30,11 @@ from betascenery import (
     windows_of_states,
 )
 from betascenery.model import Word
-from betascenery.scenery import windows
+from betascenery.scenery import flow, windows
 from betascenery.scenery.flow import stationary_draws
 
 from oracles import (cylinder_focus, cylinder_window, orientation_marginal,
-                     panel_by_masks)
+                     panel_by_masks, stationary_words)
 
 
 def window(model, omega, inner, a, zoom_t, **kw):
@@ -133,19 +133,17 @@ class TestWindows:
         w = point_mass_window()
         assert w.bins.shape == (512,)
         assert w.bins.sum() == pytest.approx(1.0)
-        assert w.zero_in_support
 
     def test_window_mass_bounded(self, mt_scaled):
         w = window(mt_scaled, mt_scaled.omega_word(1),
                    mt_scaled.inner_word(mt_scaled.omega_word(1), 2), 0, 3.0)
         assert w.bins.sum() <= 1.0 + 1e-9
         assert w.bins.min() >= 0.0
-        assert w.zero_in_support
 
     def test_reflect_involution(self, mt_scaled):
         w = window(mt_scaled, mt_scaled.omega_word(4),
                    mt_scaled.inner_word(mt_scaled.omega_word(4), 5), 0, 2.0)
-        r = windows.WindowMeasure(w.bins[::-1], w.zero_in_support)
+        r = windows.WindowMeasure(w.bins[::-1])
         assert np.array_equal(r.bins[::-1], w.bins)
         assert np.array_equal(r.bins, w.bins[::-1])
 
@@ -175,7 +173,7 @@ class TestWindows:
 
     def test_mismatched_bins_rejected(self):
         a = point_mass_window()
-        b = windows.WindowMeasure(np.full(256, 1 / 256), True)
+        b = windows.WindowMeasure(np.full(256, 1 / 256))
         with pytest.raises(ValueError):
             l1(a, b)
 
@@ -335,11 +333,11 @@ class TestBatchedDescent:
         want = [cylinder_focus(comps, hull, om.symbol, inner.symbol)
                 for om, inner in words]
         fl = windows._Floats(m)
-        block = windows._focus(fl, windows._Symbols(
+        block = windows._focus(fl, windows._word_symbols(
             [om for om, _ in words], [inner for _, inner in words]), 1e-15)
         assert block.tolist() == want
         # blocks of one window give the same points
-        assert [float(windows._focus(fl, windows._Symbols([om], [inner]),
+        assert [float(windows._focus(fl, windows._word_symbols([om], [inner]),
                                      1e-15)[0])
                 for om, inner in words] == want
 
@@ -504,6 +502,56 @@ class TestSampleQ:
         assert len(qs.windows) == 5
         for w in qs.windows:
             assert w.bins.sum() <= 1 + 1e-9
+
+    @pytest.mark.parametrize("model", DESCENT_MODELS)
+    def test_tables_match_per_draw_words(self, request, model, monkeypatch):
+        # the batch symbol tables against one pair of lazy words per draw,
+        # built as a head before the model's seeded words
+        m = request.getfixturevalue(model)
+        ch = build_extended_chain(m)
+        seed, n = 9, 40
+        fills = []
+        real = flow.windows_of_tables
+
+        def spy(model, fill, orientations, times):
+            fills.append(fill)
+            return real(model, fill, orientations, times)
+        monkeypatch.setattr(flow, "windows_of_tables", spy)
+        # blocks of 16 draws: three blocks, the last one short
+        monkeypatch.setattr(windows, "WINDOW_BLOCK", 16)
+        qs = sample_Q(m, ch, n, seed)
+        states = [ch.states[i] for i in qs.state_indices]
+        words = [stationary_words(m, s, seed, j)
+                 for j, s in enumerate(states)]
+        want = windows_of_states(m, [
+            (om, inner, s[2] if ch.has_orientation else 0, t)
+            for (om, inner), s, t in zip(words, states, qs.times)])
+        assert len(qs.windows) == n
+        for w, v in zip(qs.windows, want):
+            assert np.array_equal(w.bins, v.bins)
+
+        draws = np.array([3, 0, 39, 17, 16])
+        got = windows._Symbols(
+            lambda rows, start, k: fills[0](draws[rows], start, k),
+            windows._exhausted, draws.size)
+        ref = windows._word_symbols([words[j][0] for j in draws],
+                                    [words[j][1] for j in draws])
+        rows = np.arange(draws.size)
+        L = windows.SYMBOL_TABLE
+        # within the tables, across their end, past them (through span),
+        # and across the edge of the streams' first 1,024-uniform block
+        for start, k in ((0, 1), (1, 5), (L - 30, 64), (L + 40, 64),
+                         (1000, 100)):
+            for a, b in zip(got.span(rows, start, k),
+                            ref.span(rows, start, k)):
+                assert np.array_equal(a, b)
+        # a read past twice the first length refills the tables twice
+        for which in (0, 1):
+            assert np.array_equal(got.at(which, 3 * L, rows),
+                                  ref.at(which, 3 * L, rows))
+        assert got.length == ref.length == 4 * L
+        for a, b in zip(got.tables, ref.tables):
+            assert np.array_equal(a, b)
 
 
 class TestComparison:
