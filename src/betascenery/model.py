@@ -39,7 +39,7 @@ from .algebraics import (
     IntPolynomial,
     NumberField,
 )
-from .rng import (UniformStream, cdf_thresholds, derive_keys, draw_symbols,
+from .rng import (UniformStream, cdf_thresholds, derive_key, draw_symbols,
                   uniform_rows)
 from .selfsimilar import (
     SeparatedPair,
@@ -151,7 +151,7 @@ class Model:
         with no uniform read, in a one-component model."""
         stream = UniformStream(seed, "omega", *labels)
         return Word(source=lambda start, n: self._draw_components(
-            stream, start, n))
+            lambda: stream.slice(start, n), n))
 
     def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
         """Inner map choices over the component word omega: position k
@@ -164,34 +164,30 @@ class Model:
                                          om, stream.slice(start, om.size))
         return Word(source=source)
 
-    def word_rows(self, seed: int, omega_label: str, inner_label: str,
-                  count: int):
+    def word_rows(self, seed: int, omega_label: str, inner_label: str):
         """fill(draws, start, n) -> (omega, inner): symbols start ..
         start+n-1 of ``omega_word(seed, omega_label, j)`` and of the inner
-        word over it labelled inner_label, for each draw j < count in the
-        index array draws, as two (draws, n) tables filled straight from
-        the draws' streams, with no Word built.  A one-component model
-        derives and reads no omega stream."""
-        multi = self._selection_thresholds.size > 0
-        omega_keys = (derive_keys(seed, ("omega", omega_label), count)
-                      if multi else None)
-        inner_keys = derive_keys(seed, ("inner", inner_label), count)
-
+        word over it labelled inner_label, for each draw j in the index
+        array draws, as two (draws, n) tables filled straight from the
+        draws' streams, with no Word built."""
         def fill(draws, start, n):
-            u = uniform_rows([inner_keys[j] for j in draws], start, n)
-            omega = (draw_symbols(self._selection_thresholds, uniform_rows(
-                [omega_keys[j] for j in draws], start, n))
-                if multi else np.zeros(u.shape, dtype=np.int64))
+            def rows(*labels):
+                return uniform_rows([derive_key(seed, *labels, j)
+                                     for j in draws.tolist()], start, n)
+            u = rows("inner", inner_label)
+            omega = self._draw_components(
+                lambda: rows("omega", omega_label), u.shape)
             return omega, self._add_inner_draws(
                 np.zeros(u.shape, dtype=np.int64), omega, u)
         return fill
 
-    def _draw_components(self, stream, start: int, n: int) -> np.ndarray:
-        """The component symbols of places start .. start+n-1 of stream."""
+    def _draw_components(self, uniforms, shape) -> np.ndarray:
+        """The component symbols that the uniforms uniforms() draw, of the
+        given shape: all 0, with uniforms() never called, in a
+        one-component model."""
         if not self._selection_thresholds.size:
-            return np.zeros(n, dtype=np.int64)
-        return draw_symbols(self._selection_thresholds,
-                            stream.slice(start, n))
+            return np.zeros(shape, dtype=np.int64)
+        return draw_symbols(self._selection_thresholds, uniforms())
 
     def _add_inner_draws(self, paths: np.ndarray, omega: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
@@ -235,8 +231,9 @@ class Model:
         def fold(start, rows):
             # the component draws take the stream's first count * depth
             # places, the inner draws the next count * depth
-            omega = self._draw_components(stream, start * depth,
-                                          rows * depth).reshape(rows, depth)
+            omega = self._draw_components(
+                lambda: stream.slice(start * depth, rows * depth),
+                rows * depth).reshape(rows, depth)
             u = stream.slice((count + start) * depth,
                              rows * depth).reshape(rows, depth)
             first = (self._first_map[omega]

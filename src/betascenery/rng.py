@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import threading
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -41,13 +41,6 @@ _STATE = {"bit_generator": "Philox", "state": {"counter": _COUNTER},
           "uinteger": 0}
 
 
-def _label_hash(seed: int, labels: Sequence[object]):
-    h = hashlib.blake2b(repr(int(seed)).encode(), digest_size=16)
-    for lab in labels:
-        h.update(b"/" + repr(lab).encode())
-    return h
-
-
 def derive_key(seed: int, *labels: object) -> int:
     """Derive a 128-bit Philox key from a master seed and a label path.
 
@@ -55,19 +48,12 @@ def derive_key(seed: int, *labels: object) -> int:
     mix of ints and strings is fine.  Distinct label paths give independent
     streams; the same path always gives the same key.
     """
-    return int.from_bytes(_label_hash(seed, labels).digest(), "big")
-
-
-def derive_keys(seed: int, labels: Sequence[object], count: int) -> List[int]:
-    """``derive_key(seed, *labels, j)`` for j = 0 .. count-1, from one hash
-    of the common label path, copied for each j."""
-    prefix = _label_hash(seed, labels)
-    keys = []
-    for j in range(count):
-        h = prefix.copy()
-        h.update(b"/" + repr(j).encode())
-        keys.append(int.from_bytes(h.digest(), "big"))
-    return keys
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr(int(seed)).encode())
+    for lab in labels:
+        h.update(b"/")
+        h.update(repr(lab).encode())
+    return int.from_bytes(h.digest(), "big")
 
 
 def uniform_rows(keys: Sequence[int], start: int, count: int) -> np.ndarray:

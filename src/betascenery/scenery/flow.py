@@ -137,7 +137,7 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int,
     _require_separated(model)
     idx, ts = stationary_draws(chain, n, seed)
     states = np.array(chain.states, dtype=np.int64)[idx]
-    tails = model.word_rows(seed, "Q-omega", "Q-inner", n)
+    tails = model.word_rows(seed, "Q-omega", "Q-inner")
 
     def fill(draws, start, m):
         head = int(start == 0 and m > 0)

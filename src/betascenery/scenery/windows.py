@@ -106,13 +106,11 @@ class _Symbols:
     """The omega and inner symbols of a block's count windows as two
     (windows, L) tables.  fill(rows, start, n) gives symbols start ..
     start+n-1 of the given windows' omega and inner words as two (rows, n)
-    tables, -1 where a word has ended; ended(which, row, k) raises the
-    IndexError of symbol k of window row's omega (which=0) or inner (1)
-    word, which has ended.  The tables grow to twice their length when a
-    read goes past L."""
+    tables, -1 where a word has ended.  The tables grow to twice their
+    length when a read goes past L."""
 
-    def __init__(self, fill, ended, count: int):
-        self.fill, self.ended, self.count = fill, ended, count
+    def __init__(self, fill, count: int):
+        self.fill, self.count = fill, count
         self.tables = fill(np.arange(count), 0, SYMBOL_TABLE)
         self.length = SYMBOL_TABLE
 
@@ -126,7 +124,7 @@ class _Symbols:
             self.length *= 2
         got = self.tables[which][rows, k]
         if got.size and got.min() < 0:
-            self.ended(which, int(rows[np.argmax(got < 0)]), k)
+            raise IndexError(f"symbol sequence exhausted at position {k}")
         return got
 
     def span(self, rows: np.ndarray, start: int, n: int):
@@ -140,8 +138,7 @@ class _Symbols:
 def _word_symbols(omegas: Sequence[Word], inners: Sequence[Word]
                   ) -> _Symbols:
     """The symbols of a block of (omega, inner) words, read with one
-    Word.take per word, -1 where a finite word has ended; an ended word
-    raises from Word.symbol."""
+    Word.take per word, -1 where a finite word has ended."""
     words = (omegas, inners)
 
     def fill(rows, start, n):
@@ -151,14 +148,7 @@ def _word_symbols(omegas: Sequence[Word], inners: Sequence[Word]
                 got = ws[w].take(start, n)
                 row[:got.size] = got
         return tuple(tables)
-
-    def ended(which, row, k):
-        words[which][row].symbol(k)
-    return _Symbols(fill, ended, len(omegas))
-
-
-def _exhausted(which: int, row: int, k: int):
-    raise IndexError(f"symbol sequence exhausted at position {k}")
+    return _Symbols(fill, len(omegas))
 
 
 def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
@@ -210,9 +200,9 @@ def _split_focus_mass(fl: _Floats, sy: _Symbols, rows: np.ndarray,
                         axis=1)
         walk = np.logical_and.accumulate(ms[:, :c] > eps_cut, axis=1)
         if (walk & ended).any():
-            # a walked level past a word's end: that word raises
-            r, i = np.argwhere(walk & ended)[0]
-            sy.ended(int(om_read[r, i] >= 0), int(rows[todo[r]]), int(j + i))
+            # a walked level past a word's end
+            _, i = np.argwhere(walk & ended)[0]
+            raise IndexError(f"symbol sequence exhausted at position {j + i}")
         flips = np.where(fl.ratio[om] < 0, -1.0, 1.0)
         sides = np.cumprod(np.column_stack([side[todo], flips]), axis=1)
         sib = (walk[..., None] & (kids < fl.size[om][..., None])
@@ -293,7 +283,7 @@ def windows_of_tables(model: Model, fill, orientations: Sequence[int],
     for j in range(0, len(times), WINDOW_BLOCK):
         block = slice(j, j + WINDOW_BLOCK)
         sy = _Symbols(lambda rows, start, n: fill(rows + j, start, n),
-                      _exhausted, len(times[block]))
+                      len(times[block]))
         out += _descend(fl, sy, orientations[block], times[block],
                         DEFAULT_BINS_HALF, MASS_CUTOFF, NODE_BUDGET)
     return out

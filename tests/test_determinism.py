@@ -1,8 +1,8 @@
 """Reproducibility of the random streams and of whole runs: slices of a
 uniform stream equal numpy's Philox block by block, alone, several streams
-at once and from two threads, batch keys equal one-at-a-time keys, the
-symbol-draw kernel agrees with a one-at-a-time bisection, and small
-scenery and sampler runs reproduce outputs frozen as SHA-256 digests."""
+at once and from two threads, the symbol-draw kernel agrees with a
+one-at-a-time bisection, and small scenery and sampler runs reproduce
+outputs frozen as SHA-256 digests."""
 
 import bisect
 import contextlib
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from betascenery import Model, ModelComponent, cli
 from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
-                             derive_keys, draw_symbols, uniform_rows)
+                             draw_symbols, uniform_rows)
 
 BLOCK = 1024
 
@@ -197,15 +197,6 @@ class TestUniformStreamSlice:
         assert np.array_equal(rows[1], want)
         assert np.array_equal(rows[0], philox_uniforms(
             other, first, (start + count) // BLOCK + 1)[r:r + count])
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2 ** 64),
-           labels=st.lists(st.one_of(st.integers(-5, 5), st.text(max_size=3)),
-                           max_size=3),
-           count=st.integers(0, 20))
-    def test_batch_keys_match_derive_key(self, seed, labels, count):
-        assert derive_keys(seed, labels, count) == \
-            [derive_key(seed, *labels, j) for j in range(count)]
 
     def test_threads_read_the_serial_bits(self):
         # each task reads one stream in interleaved slices, some across

@@ -533,7 +533,7 @@ class TestSampleQ:
         draws = np.array([3, 0, 39, 17, 16])
         got = windows._Symbols(
             lambda rows, start, k: fills[0](draws[rows], start, k),
-            windows._exhausted, draws.size)
+            draws.size)
         ref = windows._word_symbols([words[j][0] for j in draws],
                                     [words[j][1] for j in draws])
         rows = np.arange(draws.size)
