@@ -28,7 +28,6 @@ from .selfsimilar import (
 from .model import (
     Model,
     ModelComponent,
-    Word,
     build_model,
     verify_ssc,
 )
@@ -64,7 +63,6 @@ from .scenery import (
     sample_Q,
     scenery_orbit,
     spectrum_obstruction,
-    windows_of_states,
 )
 from .rng import UniformStream, derive_key
 

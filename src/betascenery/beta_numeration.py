@@ -347,7 +347,6 @@ class ParryDensity:
     base: BetaBase
     breakpoints: Tuple[ExactScalar, ...]
     values: Tuple[ExactScalar, ...]
-    normalizer: ExactScalar
     truncated_at: int
     tail_bound: float
     breakpoint_floats: Tuple[float, ...]
@@ -451,8 +450,8 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     else:
         bf = float(base.beta)
         tail = bf ** (-(n_terms - 1)) / (1 - 1 / bf)
-    return ParryDensity(base, tuple(breakpoints), values, normalizer,
-                        n_terms, tail, (0.0, *floats, 1.0))
+    return ParryDensity(base, tuple(breakpoints), values, n_terms, tail,
+                        (0.0, *floats, 1.0))
 
 
 def _sorted_with_floats(values: Sequence[ExactScalar]):

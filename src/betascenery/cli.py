@@ -32,7 +32,7 @@ from .algebraics.algnum import parse_fraction
 from .beta_numeration import (BetaBase, beta_orbit,
                               normality_from_orbit, parry_density)
 from .model import Model, build_model, verify_ssc
-from .rng import UniformStream, draw_symbols
+from .rng import UniformStream
 from .scenery import (PANEL_VERSION, build_extended_chain,
                       compare_scenery_to_Q, evaluate_panel, point_mass_window,
                       rescale_model_for_gap, sample_Q, scenery_orbit,
@@ -337,7 +337,7 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
         # uniform 2k + 1; the path ends at the first level whose summed
         # roofs reach the target (cumsum adds in level order)
         u = UniformStream(seed, "normality-point", j).slice(0, 2 * depth)
-        omega = draw_symbols(model._selection_thresholds, u[0::2])
+        omega = model._draw_components(lambda: u[0::2], depth)
         n = int(np.count_nonzero(np.cumsum(model.roofs[omega]) < target)) + 1
         omega = omega[:n]
         inner = model._add_inner_draws(np.zeros(n, dtype=np.int64), omega,

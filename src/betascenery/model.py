@@ -28,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .algebraics import (
     IntPolynomial,
     NumberField,
 )
-from .rng import (UniformStream, cdf_thresholds, derive_key, draw_symbols,
-                  uniform_rows)
+from .rng import UniformStream, cdf_thresholds, draw_symbols, uniform_rows
 from .selfsimilar import (
     SeparatedPair,
     SimilarityIFS,
@@ -146,40 +145,23 @@ class Model:
 
     # -- sampling -------------------------------------------------------------
 
-    def omega_word(self, seed: int, *labels) -> "Word":
-        """I.i.d. component symbols drawn from the selection weights: all 0,
-        with no uniform read, in a one-component model."""
-        stream = UniformStream(seed, "omega", *labels)
-        return Word(source=lambda start, n: self._draw_components(
-            lambda: stream.slice(start, n), n))
-
-    def inner_word(self, omega: "Word", seed: int, *labels) -> "Word":
-        """Inner map choices over the component word omega: position k
-        draws from the weights of component omega.symbol(k)."""
-        stream = UniformStream(seed, "inner", *labels)
-
-        def source(start, n):
-            om = omega.take(start, n)
-            return self._add_inner_draws(np.zeros(om.size, dtype=np.int64),
-                                         om, stream.slice(start, om.size))
-        return Word(source=source)
-
-    def word_rows(self, seed: int, omega_label: str, inner_label: str):
-        """fill(draws, start, n) -> (omega, inner): symbols start ..
-        start+n-1 of ``omega_word(seed, omega_label, j)`` and of the inner
-        word over it labelled inner_label, for each draw j in the index
-        array draws, as two (draws, n) tables filled straight from the
-        draws' streams, with no Word built."""
-        def fill(draws, start, n):
-            def rows(*labels):
-                return uniform_rows([derive_key(seed, *labels, j)
-                                     for j in draws.tolist()], start, n)
-            u = rows("inner", inner_label)
-            omega = self._draw_components(
-                lambda: rows("omega", omega_label), u.shape)
-            return omega, self._add_inner_draws(
-                np.zeros(u.shape, dtype=np.int64), omega, u)
-        return fill
+    def word_rows(self, keys: Callable[[str], Sequence[int]], start: int,
+                  n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(omega, inner): places start .. start+n-1 of a component word and
+        of the inner word over it, one row per stream key of
+        keys("omega") and keys("inner"), as two (rows, n) tables filled
+        straight from the uniform streams.  Place k of a component word is
+        the selection draw of uniform k of its stream, and place k of an
+        inner word the draw of uniform k of its stream from the weights of
+        the component at place k: a symbol depends on its place alone, so
+        every read of a span gives the same symbols.  A one-component
+        model never calls keys("omega").  The orbit and the stationary
+        sampler both fill their symbol tables here."""
+        u = uniform_rows(keys("inner"), start, n)
+        omega = self._draw_components(
+            lambda: uniform_rows(keys("omega"), start, n), u.shape)
+        return omega, self._add_inner_draws(
+            np.zeros(u.shape, dtype=np.int64), omega, u)
 
     def _draw_components(self, uniforms, shape) -> np.ndarray:
         """The component symbols that the uniforms uniforms() draw, of the
@@ -346,8 +328,7 @@ def build_model(base: SimilarityIFS, max_length: int = 8,
         hi_, hj_ = fi.image_interval(*hull), fj.image_interval(*hull)
         if not (hi_[1] < hj_[0] or hj_[1] < hi_[0]):
             raise ValueError("supplied words are not strictly separated")
-        pair = SeparatedPair(len(word_i), tuple(word_i), tuple(word_j),
-                             ri, hi_, hj_)
+        pair = SeparatedPair(len(word_i), tuple(word_i), tuple(word_j), ri)
 
     m = pair.length
     w_i = base.word_weight(pair.word_i)
@@ -370,72 +351,6 @@ def build_model(base: SimilarityIFS, max_length: int = 8,
             ratio=canonical_scalar(f.ratio)))
         selection.append(base.word_weight(word))
     return Model(base, pair, components, selection)
-
-
-class Word:
-    """A symbol sequence read by position: ``symbol(k)``, ``take(start, n)``
-    and ``shift(m)``.
-
-    ``Word(seq)`` is the finite word seq: reading past its end raises
-    IndexError.  With a ``source``, where source(start, n) gives the n
-    symbols from position start on (fewer where the word ends), the word
-    starts with ``head`` and grows its buffer from the source as reads
-    need it, at least doubling it.  Every shifted view shares that one
-    int64 buffer and differs only in its offset.  Random words come from
-    ``Model.omega_word`` and ``Model.inner_word``: a symbol is the draw of
-    its own place in a uniform stream, so no fill pattern changes it, and
-    ``Model.word_rows`` fills the same symbols into tables with no Word.
-    """
-
-    __slots__ = ("_root", "_offset", "_buf", "_source")
-
-    def __init__(self, head: Sequence[int] = (), source=None):
-        # a shifted view's root word; None on the root itself, which as its
-        # own root would be a reference cycle that only the cycle collector
-        # frees, long after a batch of windows has dropped its words
-        self._root = None
-        self._offset = 0
-        self._buf = np.array(head, dtype=np.int64)
-        self._source = source
-
-    def _grow(self, stop: int) -> np.ndarray:
-        """Extend this root buffer to at least `stop` symbols, and at least
-        to twice its size, unless the word ends first."""
-        parts = [self._buf]
-        size = self._buf.size
-        while size < stop and self._source is not None:
-            more = self._source(size, max(stop - size, size))
-            if not more.size:
-                break
-            parts.append(more)
-            size += more.size
-        if len(parts) > 1:
-            self._buf = np.concatenate(parts)
-        return self._buf
-
-    def symbol(self, k: int) -> int:
-        j = self._offset + k
-        root = self._root or self
-        buf = root._buf
-        if j >= buf.size:
-            buf = root._grow(j + 1)
-            if j >= buf.size:
-                raise IndexError(
-                    f"symbol sequence exhausted at position {j}; supply a "
-                    "longer prefix or a lazy word")
-        return int(buf[j])
-
-    def take(self, start: int, n: int) -> np.ndarray:
-        """The n symbols from position start on, fewer where the word
-        ends."""
-        j = self._offset + start
-        return (self._root or self)._grow(j + n)[j:j + n].copy()
-
-    def shift(self, m: int) -> "Word":
-        out = object.__new__(Word)
-        out._root = self._root or self
-        out._offset = self._offset + m
-        return out
 
 
 def verify_ssc(model: Model):

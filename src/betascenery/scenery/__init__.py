@@ -8,8 +8,7 @@ from .flow import (ComparisonReport, QSamples, SceneryOrbit,
                    scenery_orbit)
 from .spectrum import Inconclusive, NormalityImplied, spectrum_obstruction
 from .windows import (PANEL_VERSION, WindowMeasure, evaluate_panel,
-                      panel_average, panel_names, point_mass_window,
-                      windows_of_states)
+                      panel_average, panel_names, point_mass_window)
 
 __all__ = [
     "ExtendedChain", "build_extended_chain",
@@ -18,5 +17,5 @@ __all__ = [
     "Inconclusive", "NormalityImplied", "spectrum_obstruction",
     "PANEL_VERSION", "WindowMeasure",
     "evaluate_panel", "panel_average", "panel_names",
-    "point_mass_window", "windows_of_states",
+    "point_mass_window",
 ]

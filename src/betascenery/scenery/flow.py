@@ -18,11 +18,11 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from ..model import Model, build_model, verify_ssc
-from ..rng import UniformStream, draw_symbols
+from ..rng import UniformStream, derive_key, draw_symbols
 from ..selfsimilar import SimilarityIFS, SimilarityMap
 from .chain import ExtendedChain
-from .windows import (PANEL_VERSION, WindowMeasure, panel_average,
-                      panel_names, windows_of_states, windows_of_tables)
+from .windows import (PANEL_VERSION, SYMBOL_TABLE, WindowMeasure,
+                      panel_average, panel_names, windows_of_tables)
 
 
 def rescale_model_for_gap(model: Model):
@@ -67,33 +67,56 @@ def _require_separated(model: Model) -> None:
 def scenery_orbit(model: Model, a: int = 0, T: float = 50.0,
                   dt: float = 0.25, seed: int = 0) -> SceneryOrbit:
     """Replay the zoom flow for time T from (omega, inner, a), omega and
-    inner the seeded lazy words labelled "orbit-omega" and "orbit-inner",
-    emitting the window at each multiple of dt, rendered as
-    windows_of_states renders it at its default resolution.
-    """
+    inner the words of `Model.word_rows` on the streams labelled
+    "orbit-omega" and "orbit-inner", emitting the window at each multiple
+    of dt, rendered as windows_of_tables renders it at its default
+    resolution.  The window at time t is that of the state shifted by the
+    s places whose roofs fit in t, its orientation flipped by each
+    reflecting one among them, at zoom time t minus their roofs; omega's
+    symbols for this are read by doubling.  Each block of windows fills
+    its (windows, L) tables from one span of the two streams, the places
+    its windows cover, each row read at its window's own shift."""
     _require_separated(model)
-    omega = model.omega_word(seed, "orbit-omega")
-    inner = model.inner_word(omega, seed, "orbit-inner")
     roofs = model.roofs
     reflects = [c.reflects for c in model.components]
+    omega: List[int] = []
+
+    def keys(stream):
+        return [derive_key(seed, stream, "orbit-" + stream)]
+
+    def symbol(k):
+        while k >= len(omega):
+            more = model.word_rows(keys, len(omega),
+                                   max(len(omega), SYMBOL_TABLE))[0]
+            omega.extend(more[0].tolist())
+        return omega[k]
 
     times = np.arange(0.0, T + 1e-12, dt)
+    shifts, orientations, zooms = [], [], []
+    shift_count = 0
+    tau = 0.0
+    a_cur = int(a) & 1
+    for t in times:
+        while t - tau >= roofs[symbol(shift_count)] - 1e-12:
+            c = symbol(shift_count)
+            tau += roofs[c]
+            if reflects[c]:
+                a_cur ^= 1
+            shift_count += 1
+        shifts.append(shift_count)
+        orientations.append(a_cur)
+        zooms.append(t - tau)
+    shifts = np.array(shifts, dtype=np.int64)
 
-    def states():
-        shift_count = 0
-        tau = 0.0
-        a_cur = int(a) & 1
-        for t in times:
-            while t - tau >= roofs[omega.symbol(shift_count)] - 1e-12:
-                c = omega.symbol(shift_count)
-                tau += roofs[c]
-                if reflects[c]:
-                    a_cur ^= 1
-                shift_count += 1
-            yield (omega.shift(shift_count), inner.shift(shift_count),
-                   a_cur, t - tau)
+    def fill(rows, start, n):
+        at = shifts[rows] + start
+        lo = int(at.min())
+        span = model.word_rows(keys, lo, int(at.max()) - lo + n)
+        cols = (at - lo)[:, None] + np.arange(n)
+        return tuple(t[0][cols] for t in span)
 
-    return SceneryOrbit(times, windows_of_states(model, states()))
+    return SceneryOrbit(times, windows_of_tables(model, fill, orientations,
+                                                 zooms))
 
 
 @dataclass
@@ -103,7 +126,6 @@ class QSamples:
     windows: List[WindowMeasure]
     state_indices: np.ndarray
     times: np.ndarray
-    chain: ExtendedChain
 
     def __len__(self):
         return len(self.windows)
@@ -131,24 +153,26 @@ def sample_Q(model: Model, chain: ExtendedChain, n: int,
     (state, time) from `stationary_draws`; the sequence continues i.i.d.
     beyond the state.  Draw j's omega and inner words start with its
     state's component and inner symbol, and go on one place later with
-    the words of `Model.word_rows` labelled "Q-omega" and "Q-inner" for
-    draw j.  Each block of windows fills its (draws, L) symbol tables
-    straight from the draws' streams, building no Word."""
+    the words of `Model.word_rows` on the streams labelled "Q-omega" and
+    "Q-inner" for draw j.  Each block of windows fills its (draws, L)
+    symbol tables straight from the draws' streams."""
     _require_separated(model)
     idx, ts = stationary_draws(chain, n, seed)
     states = np.array(chain.states, dtype=np.int64)[idx]
-    tails = model.word_rows(seed, "Q-omega", "Q-inner")
 
     def fill(draws, start, m):
         head = int(start == 0 and m > 0)
-        tables = tails(draws, start + head - 1, m - head)
+        tables = model.word_rows(
+            lambda stream: [derive_key(seed, stream, "Q-" + stream, j)
+                            for j in draws.tolist()],
+            start + head - 1, m - head)
         if not head:
             return tables
         return tuple(np.concatenate([states[draws, col:col + 1], t], axis=1)
                      for col, t in enumerate(tables))
 
     a = states[:, 2] if chain.has_orientation else np.zeros(n, np.int64)
-    return QSamples(windows_of_tables(model, fill, a, ts), idx, ts, chain)
+    return QSamples(windows_of_tables(model, fill, a, ts), idx, ts)
 
 
 @dataclass

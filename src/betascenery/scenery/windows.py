@@ -1,7 +1,7 @@
 """Window measures: what a magnified measure looks like through [-1, 1].
 
 A WindowMeasure is a histogram over 2B equal bins on [-1, 1] (B = 256 halves
-by default).  windows_of_states renders them, for orbit replay and for the
+by default).  windows_of_tables renders them, for orbit replay and for the
 stationary sampler alike: it descends the cylinder tree of a model measure
 with exact masses, splitting cylinders until each either fits inside one
 bin or holds negligible mass.  No sampling noise; resolution is set by the
@@ -11,14 +11,14 @@ in the block, each node tagged with its window, and all mass lands in one
 (windows, 2B) bin array.  A block reads its symbols once, into a
 (windows, L) table of component symbols and one of inner symbols, -1 where
 a finite word has ended; the focus points, the symbolic splits of the focus
-cylinders and the descent read those tables.  The tables come from a fill
-function: windows_of_states fills them from lazy words, which grow only as
-far as the tables read, and windows_of_tables from its caller's fill, which
-for the stationary sampler reads each draw's uniform streams with no word
-built.  Each window gets the float operations it would get alone, in the
-same order (running products and sums are sequential numpy accumulations),
-so its bins do not depend on the block: a block of one window renders the
-same bins.
+cylinders and the descent read those tables.  The tables come from the
+caller's fill function.  The orbit and the stationary sampler both fill
+them straight from uniform streams through `Model.word_rows`, making only
+the places the tables hold; no word object stands between the streams and
+the tables.  Each window gets the float operations it would get alone, in
+the same order (running products and sums are sequential numpy
+accumulations), so its bins do not depend on the block: a block of one
+window renders the same bins.
 
 The comparison panel (a fixed, versioned family of 32 bounded functionals)
 also lives here so every consumer shares one definition.  It runs over a
@@ -33,11 +33,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from ..model import Model, Word
+from ..model import Model
 
 DEFAULT_BINS_HALF = 256
 MASS_CUTOFF = 1e-10
@@ -46,8 +46,9 @@ NODE_BUDGET = 500_000
 PANEL_VERSION = "fp-v1"
 # windows rendered by one descent, and stacked by the panel: enough to
 # amortise numpy calls over thousands of nodes, few enough that a block's
-# lazy words (about 256 symbols, 2 KB, each) and stacked bins (1 MB at 512
-# bins) stay small; 512 windows were no faster and raised the peak memory
+# two symbol tables (0.5 MB each at their first length) and stacked bins
+# (1 MB at 512 bins) stay small; 512 windows were no faster and raised the
+# peak memory
 WINDOW_BLOCK = 256
 # first length of a block's symbol tables: past the focus walks and focus
 # splits of the scenery benchmark's windows (at most 72 levels on middle
@@ -135,22 +136,6 @@ class _Symbols:
         return self.fill(rows, start, n)
 
 
-def _word_symbols(omegas: Sequence[Word], inners: Sequence[Word]
-                  ) -> _Symbols:
-    """The symbols of a block of (omega, inner) words, read with one
-    Word.take per word, -1 where a finite word has ended."""
-    words = (omegas, inners)
-
-    def fill(rows, start, n):
-        tables = np.full((2, len(rows), n), -1, dtype=np.int64)
-        for table, ws in zip(tables, words):
-            for row, w in zip(table, rows):
-                got = ws[w].take(start, n)
-                row[:got.size] = got
-        return tuple(tables)
-    return _Symbols(fill, len(omegas))
-
-
 def _focus(fl: _Floats, sy: _Symbols, tol: float) -> np.ndarray:
     """The focus point of every window of the block: the nested map
     compositions along its (omega, inner) path, until the image of the hull
@@ -231,15 +216,17 @@ def _bin_index(w: np.ndarray, bins_half: int) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0), 2 * bins_half - 1)
 
 
-def windows_of_states(model: Model,
-                      states: Iterable[Tuple[Word, Word, int, float]],
+def windows_of_tables(model: Model, fill, orientations: Sequence[int],
+                      times: Sequence[float],
                       bins_half: int = DEFAULT_BINS_HALF,
                       eps_cut: float = MASS_CUTOFF,
                       node_budget: int = NODE_BUDGET) -> List[WindowMeasure]:
-    """The window of each state (omega, inner, a, zoom_t), in order: the
-    model measure for component word omega, focused at the point coded by
-    (omega, inner), orientation a, magnified by e^zoom_t and conditioned
-    on [-1, 1].
+    """The window of each draw j < len(times), in order: the model measure
+    for draw j's component word omega, focused at the point coded by omega
+    and its inner word, orientation orientations[j], magnified by
+    e^times[j] and conditioned on [-1, 1].  fill(draws, start, n) gives
+    symbols start .. start+n-1 of the omega and inner words of the draws
+    (an index array) as two (draws, n) tables, -1 where a word has ended.
 
     Cylinder intervals descend breadth-first with exact mass bookkeeping;
     a cylinder stops when it fits inside one bin (mass assigned exactly) or
@@ -257,27 +244,9 @@ def windows_of_states(model: Model,
     adding each sibling word's weight to the side it sits on.  Everything
     else is misassigned by at most eps_cut per straddling chain.
 
-    States are read lazily and rendered WINDOW_BLOCK at a time, so a
-    generator of states holds no more than one block of words at once.
+    Rendered WINDOW_BLOCK draws at a time: fill is asked for the rows of
+    one block at a time, never for all draws.
     """
-    fl = _Floats(model)
-    it = iter(states)
-    out: List[WindowMeasure] = []
-    while block := list(islice(it, WINDOW_BLOCK)):
-        omegas, inners, a, t = zip(*block)
-        out += _descend(fl, _word_symbols(omegas, inners), a, t, bins_half,
-                        eps_cut, node_budget)
-    return out
-
-
-def windows_of_tables(model: Model, fill, orientations: Sequence[int],
-                      times: Sequence[float]) -> List[WindowMeasure]:
-    """The window of each draw j < len(times), as windows_of_states renders
-    the state (omega_j, inner_j, orientations[j], times[j]) at its default
-    resolution, where fill(draws, start, n) gives symbols start ..
-    start+n-1 of the omega and inner words of the draws (an index array)
-    as two (draws, n) tables.  Rendered WINDOW_BLOCK draws at a time: fill
-    is asked for the rows of one block at a time, never for all draws."""
     fl = _Floats(model)
     out: List[WindowMeasure] = []
     for j in range(0, len(times), WINDOW_BLOCK):
@@ -285,7 +254,7 @@ def windows_of_tables(model: Model, fill, orientations: Sequence[int],
         sy = _Symbols(lambda rows, start, n: fill(rows + j, start, n),
                       len(times[block]))
         out += _descend(fl, sy, orientations[block], times[block],
-                        DEFAULT_BINS_HALF, MASS_CUTOFF, NODE_BUDGET)
+                        bins_half, eps_cut, node_budget)
     return out
 
 

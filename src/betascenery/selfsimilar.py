@@ -304,8 +304,6 @@ class SeparatedPair:
     word_i: Tuple[int, ...]
     word_j: Tuple[int, ...]
     ratio: ExactScalar
-    hull_i: Tuple[ExactScalar, ExactScalar]
-    hull_j: Tuple[ExactScalar, ExactScalar]
 
 
 # words of one length that the separated-pair search compares, at most
@@ -346,8 +344,7 @@ def find_separated_pair(ifs: SimilarityIFS,
                     continue
                 # strict disjointness, either side
                 if hull_i[1] < hull_j[0] or hull_j[1] < hull_i[0]:
-                    return SeparatedPair(m, word_i, word_j, ratio_i,
-                                         hull_i, hull_j)
+                    return SeparatedPair(m, word_i, word_j, ratio_i)
     raise ValueError(
         f"no separated pair of words up to length {max_length}; the IFS may "
         "have too much overlap or too little contrast")

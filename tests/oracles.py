@@ -33,20 +33,29 @@ evidence rather than circularity.
     orientation, summed state by state.
   * unwind_reference: a start point from its digits and last remainder,
     x <- (x + d)/beta in the exact scalars of the point.
+  * Word, omega_word, inner_word: reference lazy words, finite or
+    seeded; a seeded word draws each symbol from its own place of a
+    uniform stream, one place at a time, with its own inverse-CDF pick.
   * prefixed, stationary_words: the omega and inner words of one
-    stationary scenery draw as one lazy word each, a fixed head before
-    the model's own seeded words: the per-draw construction that the
-    stationary sampler's batch symbol tables must reproduce.
+    stationary scenery draw, a fixed head before the seeded words: the
+    per-draw construction that the stationary sampler's batch symbol
+    tables must reproduce.
+  * word_fill, windows_of_words: words as the fill of the package's
+    windows_of_tables, and the windows that renders from them.
 
-Of these, eta_samples through unwind_reference read a model, a chain or a
-base only through their plain attributes (components, weights, maps, hull,
-states, stationary, the exact value of beta) and do their own arithmetic
-on them.  The last two build words through the model's omega_word and
-inner_word and the class of the words these return.
+Of these, eta_samples through inner_word read a model, a chain or a base
+only through their plain attributes (components, weights, selection, maps,
+hull, states, stationary, the exact value of beta) and do their own
+arithmetic on them.  The seeded words read their uniforms one place at a
+time from the package's UniformStream, whose places test_determinism
+checks against Philox directly, and use neither Model.word_rows nor
+rng.draw_symbols.  windows_of_words renders through the package, so it is
+a harness, not an oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -508,11 +517,104 @@ def unwind_reference(base, x, digits):
     return x
 
 
-def prefixed(head: Sequence[int], tail):
-    """The lazy word of tail's class that reads the fixed symbols head,
-    then tail: its source reads tail len(head) places back."""
+class Word:
+    """A reference symbol sequence read by position: ``symbol(k)``,
+    ``take(start, n)`` and ``shift(m)``.
+
+    ``Word(seq)`` is the finite word seq: reading past its end raises
+    IndexError.  With a ``source``, where source(start, n) gives the n
+    symbols from position start on (fewer where the word ends), the word
+    starts with ``head`` and grows its buffer from the source as reads
+    need it, at least doubling it.  Every shifted view shares that one
+    buffer and differs only in its offset."""
+
+    def __init__(self, head: Sequence[int] = (), source=None):
+        self._root = None       # a shifted view's root word
+        self._offset = 0
+        self._buf = np.array(head, dtype=np.int64)
+        self._source = source
+
+    def _grow(self, stop: int) -> np.ndarray:
+        parts, size = [self._buf], self._buf.size
+        while size < stop and self._source is not None:
+            more = self._source(size, max(stop - size, size))
+            if not more.size:
+                break
+            parts.append(more)
+            size += more.size
+        if len(parts) > 1:
+            self._buf = np.concatenate(parts)
+        return self._buf
+
+    def symbol(self, k: int) -> int:
+        j = self._offset + k
+        buf = (self._root or self)._grow(j + 1)
+        if j >= buf.size:
+            raise IndexError(f"symbol sequence exhausted at position {j}")
+        return int(buf[j])
+
+    def take(self, start: int, n: int) -> np.ndarray:
+        """The n symbols from position start on, fewer where the word
+        ends."""
+        j = self._offset + start
+        return (self._root or self)._grow(j + n)[j:j + n].copy()
+
+    def shift(self, m: int) -> "Word":
+        out = Word()
+        out._root = self._root or self
+        out._offset = self._offset + m
+        return out
+
+
+def _cuts(weights) -> List[float]:
+    """Inverse-CDF cut points: the exact partial sums of all weights but
+    the last, each rounded to the nearest float once."""
+    sums, acc = [], Fraction(0)
+    for w in weights[:-1]:
+        acc += Fraction(w)
+        sums.append(float(acc))
+    return sums
+
+
+def _scalar_draws(cuts_at, stream, start: int, n: int) -> np.ndarray:
+    """Symbol k of a word for k in start .. start+n-1: the number of cut
+    points cuts_at(k) at or below uniform k of the stream, read one place
+    at a time."""
+    return np.array([bisect.bisect_right(cuts_at(k),
+                                         float(stream.slice(k, 1)[0]))
+                     for k in range(start, start + n)], dtype=np.int64)
+
+
+def omega_word(model, seed: int, *labels) -> Word:
+    """The component word on the stream (seed, "omega", *labels): place k
+    is the selection draw of its uniform k."""
+    from betascenery.rng import UniformStream
+    stream = UniformStream(seed, "omega", *labels)
+    cuts = _cuts(model.selection)
+    return Word(source=lambda start, n: _scalar_draws(
+        lambda k: cuts, stream, start, n))
+
+
+def inner_word(model, omega: Word, seed: int, *labels) -> Word:
+    """The inner word over omega on the stream (seed, "inner", *labels):
+    place k draws its uniform k from the weights of component
+    omega.symbol(k), and the word ends where omega does."""
+    from betascenery.rng import UniformStream
+    stream = UniformStream(seed, "inner", *labels)
+    cuts = [_cuts(c.weights) for c in model.components]
+
+    def source(start, n):
+        om = omega.take(start, n).tolist()
+        return _scalar_draws(lambda k: cuts[om[k - start]], stream, start,
+                             len(om))
+    return Word(source=source)
+
+
+def prefixed(head: Sequence[int], tail: Word) -> Word:
+    """The lazy word that reads the fixed symbols head, then tail: its
+    source reads tail len(head) places back."""
     h = len(head)
-    return type(tail)(head, lambda start, n: tail.take(start - h, n))
+    return Word(head, lambda start, n: tail.take(start - h, n))
 
 
 def stationary_words(model, state, seed: int, j: int):
@@ -520,6 +622,32 @@ def stationary_words(model, state, seed: int, j: int):
     inner symbol[, orientation]): the state's two symbols, then the words
     labelled "Q-omega" and "Q-inner" for draw j, the inner one over the
     omega tail."""
-    tail = model.omega_word(seed, "Q-omega", j)
+    tail = omega_word(model, seed, "Q-omega", j)
     return (prefixed(state[:1], tail),
-            prefixed(state[1:2], model.inner_word(tail, seed, "Q-inner", j)))
+            prefixed(state[1:2], inner_word(model, tail, seed, "Q-inner", j)))
+
+
+def word_fill(words):
+    """A fill for windows_of_tables from a list whose item j starts with
+    draw j's (omega, inner) words: symbols start .. start+n-1 of the given
+    rows' words as two (rows, n) tables, read with one take per word, -1
+    where a finite word has ended."""
+    def fill(rows, start, n):
+        tables = np.full((2, len(rows), n), -1, dtype=np.int64)
+        for col, table in enumerate(tables):
+            for row, j in zip(table, rows.tolist()):
+                got = words[j][col].take(start, n)
+                row[:got.size] = got
+        return tuple(tables)
+    return fill
+
+
+def windows_of_words(model, states, **kw):
+    """The window of each state (omega, inner, orientation, zoom time), in
+    order, rendered by the package's windows_of_tables from the states'
+    words."""
+    from betascenery.scenery.windows import windows_of_tables
+    states = list(states)
+    return windows_of_tables(model, word_fill(states),
+                             [s[2] for s in states], [s[3] for s in states],
+                             **kw)

@@ -18,7 +18,8 @@ import betascenery as bs
 from betascenery.beta_numeration import OrbitRecord
 from betascenery.rng import UniformStream, cdf_thresholds
 
-from oracles import ks_between, orientation_marginal, unwind_reference
+from oracles import (inner_word, ks_between, omega_word, orientation_marginal,
+                     unwind_reference, windows_of_words)
 
 
 def report(num, name, passed, detail, elapsed, budget):
@@ -98,13 +99,13 @@ def test_03_shift_identity(middle_thirds_model, two_ratio_model,
                        reflected_model):
         m, _ = bs.rescale_model_for_gap(base_model)
         for s in range(50):
-            om = m.omega_word(s, "c3-omega")
-            inner = m.inner_word(om, 1000 + s, "c3-inner")
+            om = omega_word(m, s, "c3-omega")
+            inner = inner_word(m, om, 1000 + s, "c3-inner")
             comp = m.components[om.symbol(0)]
             roof = -math.log(abs(float(comp.ratio)))
             flip = comp.ratio < 0
             kw = dict(bins_half=128, node_budget=100_000)
-            w_zoom, w_shift = bs.windows_of_states(
+            w_zoom, w_shift = windows_of_words(
                 m, [(om, inner, 0, roof + 0.37),
                     (om.shift(1), inner.shift(1), 1 if flip else 0, 0.37)],
                 **kw)

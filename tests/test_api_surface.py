@@ -2,12 +2,13 @@
 method is referenced in src/ outside its own definition, or it sits on
 ALLOWED with the reason it is kept.  Every defaulted parameter is passed by
 some call in src/, by keyword or by position, or it sits on
-ALLOWED_PARAMETERS with the reason it is kept.  Neither list keeps an entry
-that src/ uses or passes, or one that names nothing.  Every searchsorted
-call sits in a function on ALLOWED_SEARCHSORTED: symbol draws go through
-the one kernel, `rng.draw_symbols`.  Every Philox, Generator or
-default_rng call sits in rng.py: uniforms have one producer,
-`rng.UniformStream`.
+ALLOWED_PARAMETERS with the reason it is kept.  Every dataclass field is
+read as an attribute somewhere in src/, or it sits on ALLOWED_FIELDS with
+the reason it is kept.  No list keeps an entry that src/ uses, passes or
+reads, or one that names nothing.  Every searchsorted call sits in a
+function on ALLOWED_SEARCHSORTED: symbol draws go through the one kernel,
+`rng.draw_symbols`.  Every Philox, Generator or default_rng call sits in
+rng.py: uniforms have one producer, `rng.UniformStream`.
 
 A reference is an identifier match: a bare name or an attribute for a
 module-level def or class, an attribute for a method.  Imports, the
@@ -38,16 +39,31 @@ ALLOWED = {
 # "module.Qualified.function.parameter" -> why its default stays although
 # no call in src/ passes it
 ALLOWED_PARAMETERS = {
-    "scenery.windows.windows_of_states.bins_half":
+    "scenery.windows.windows_of_tables.bins_half":
         "oracle-sweep knob: the sweep tests render coarse binnings",
-    "scenery.windows.windows_of_states.eps_cut":
+    "scenery.windows.windows_of_tables.eps_cut":
         "oracle-sweep knob: the sweep tests reach the mass cutoff",
-    "scenery.windows.windows_of_states.node_budget":
+    "scenery.windows.windows_of_tables.node_budget":
         "oracle-sweep knob: the sweep tests reach the budget valve",
     "beta_numeration.pushforward_samples.hull":
         "checks that g is a diffeomorphism on the hull it is applied to",
     "cli.main.argv":
         "tests and perfbench run the command line in process with argv",
+}
+
+# "module.Class.field" -> why a dataclass field stays although no code in
+# src/ reads it as an attribute
+ALLOWED_FIELDS = {
+    "beta_numeration.NormalityStatistic.steps":
+        "the orbit length the frequencies average over, returned with them",
+    "scenery.flow.QSamples.state_indices":
+        "the chain state of each draw: with times, it rebuilds the draw",
+    "scenery.flow.QSamples.times":
+        "the roof time of each draw: with state_indices, it rebuilds it",
+    "scenery.flow.SceneryOrbit.times":
+        "the flow time of each window: the orbit's time grid",
+    "scenery.spectrum.NormalityImplied.witness":
+        "the independence certificate behind the verdict",
 }
 
 # "module.Qualified.function" -> why it may call searchsorted; any other
@@ -244,6 +260,50 @@ def test_allowed_names_exist():
     stale = sorted(set(ALLOWED_PARAMETERS) - _unpassed_parameters())
     assert not stale, ("ALLOWED_PARAMETERS names parameters src/ passes: "
                        f"{stale}")
+
+
+def _is_dataclass(node) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", None) == "dataclass" or \
+                getattr(f, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _fields():
+    """"module.Class.field" of every field a dataclass under src/
+    declares, with the field's name."""
+    out = {}
+    for key, node, _, _ in _definitions():
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and \
+                        isinstance(item.target, ast.Name):
+                    out[f"{key}.{item.target.id}"] = item.target.id
+    return out
+
+
+def _unread_fields():
+    """The dataclass fields that no attribute read in src/ names."""
+    read = {node.attr for _, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {key for key, name in _fields().items() if name not in read}
+
+
+def test_every_field_is_read_or_allowed():
+    unread = sorted(_unread_fields() - set(ALLOWED_FIELDS))
+    assert not unread, ("dataclass fields that src/ never reads; delete "
+                        "them or add them to ALLOWED_FIELDS with a reason: "
+                        + ", ".join(unread))
+
+
+def test_allowed_fields_exist():
+    missing = sorted(set(ALLOWED_FIELDS) - set(_fields()))
+    assert not missing, f"ALLOWED_FIELDS names no field: {missing}"
+    stale = sorted(set(ALLOWED_FIELDS) - _unread_fields())
+    assert not stale, f"ALLOWED_FIELDS names fields src/ reads: {stale}"
 
 
 def _callers(*names):

@@ -15,19 +15,20 @@ from betascenery import rng
 from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
                              draw_symbols)
 from betascenery.scenery import (build_extended_chain,
-                                 rescale_model_for_gap, sample_Q)
+                                 rescale_model_for_gap, sample_Q,
+                                 scenery_orbit)
 from betascenery.selfsimilar import SAMPLE_CHUNK_ROWS, canonical_scalar
 from betascenery import (
     Model,
     ModelComponent,
-    Word,
     build_model,
     sample_measure,
     sampling_depth,
     verify_ssc,
 )
 
-from oracles import atom_mass_bound, eta_samples, ks_between, prefixed
+from oracles import (Word, atom_mass_bound, eta_samples, inner_word,
+                     ks_between, omega_word, prefixed)
 
 
 def cylinder(model, omega, inner):
@@ -103,28 +104,38 @@ class TestStructure:
             build_model(middle_thirds, pair_words=((0,), (0,)))
 
 
+def row_words(model, seed, *labels):
+    """The component and inner words that `Model.word_rows` fills from
+    the streams (seed, "omega", *labels) and (seed, "inner", *labels), as
+    reference words that read one span of rows at a time."""
+    keys = {s: [derive_key(seed, s, *labels)] for s in ("omega", "inner")}
+    return tuple(Word(source=lambda start, n, col=col:
+                      model.word_rows(keys.get, start, n)[col][0])
+                 for col in (0, 1))
+
+
 class TestOmegaWord:
     def test_deterministic_symbols(self, two_ratio_model):
-        w1 = two_ratio_model.omega_word(11)
-        w2 = two_ratio_model.omega_word(11)
+        w1 = row_words(two_ratio_model, 11)[0]
+        w2 = row_words(two_ratio_model, 11)[0]
         assert [w1.symbol(k) for k in range(50)] == \
                [w2.symbol(k) for k in range(50)]
 
     def test_shift_consistency(self, two_ratio_model):
-        w = two_ratio_model.omega_word(5)
+        w = row_words(two_ratio_model, 5)[0]
         s = w.shift(3)
         assert [s.symbol(k) for k in range(20)] == \
                [w.symbol(k + 3) for k in range(20)]
 
     def test_symbols_in_range(self, two_ratio_model):
-        w = two_ratio_model.omega_word(2)
+        w = row_words(two_ratio_model, 2)[0]
         syms = {w.symbol(k) for k in range(200)}
         assert syms <= set(range(two_ratio_model.n_components))
         assert len(syms) == two_ratio_model.n_components
 
     def test_selection_frequencies(self, two_ratio_model):
         m = two_ratio_model
-        w = m.omega_word(17)
+        w = row_words(m, 17)[0]
         n = 4000
         counts = np.bincount([w.symbol(k) for k in range(n)],
                              minlength=m.n_components)
@@ -147,7 +158,7 @@ class TestWord:
         m = two_ratio_model
         stream = UniformStream(3, "omega", "lab")
         for order in (EDGES, EDGES[::-1]):
-            w = m.omega_word(3, "lab")
+            w = row_words(m, 3, "lab")[0]
             got = {k: w.symbol(k) for k in order}
             assert got == {k: scalar_symbol(m.selection, stream, k)
                            for k in order}
@@ -155,7 +166,7 @@ class TestWord:
     def test_shift_inside_a_block(self, two_ratio_model):
         m = two_ratio_model
         stream = UniformStream(3, "omega")
-        w = m.omega_word(3)
+        w = row_words(m, 3)[0]
         for shift in (1, 700, 1023, 1500):
             v = w.shift(shift)
             assert [v.symbol(k) for k in EDGES] == \
@@ -166,28 +177,29 @@ class TestWord:
                 [w.symbol(shift + k) for k in range(1020, 1028)]
 
     def test_inner_word_is_scalar_draw(self, two_ratio_model):
+        # the row source reads place k of both streams for symbol k, from
+        # any first place read
         m = two_ratio_model
         stream = UniformStream(6, "inner", "x")
+        keys = {"omega": [derive_key(5, "omega")],
+                "inner": [derive_key(6, "inner", "x")]}
         for start in (0, 37, 1024):
-            omega = m.omega_word(5).shift(start)
-            inner = m.inner_word(omega, 6, "x")
-            assert [inner.symbol(k) for k in EDGES] == \
-                [scalar_symbol(m.components[omega.symbol(k)].weights,
-                               stream, k) for k in EDGES]
-            view = inner.shift(1000)
-            assert [view.symbol(k) for k in (23, 24, 1047, 1048)] == \
-                [inner.symbol(k) for k in (1023, 1024, 2047, 2048)]
+            omega, inner = (t[0] for t in m.word_rows(keys.get, start,
+                                                      EDGES[-1] + 1))
+            assert [inner[k] for k in EDGES] == \
+                [scalar_symbol(m.components[omega[k]].weights,
+                               stream, start + k) for k in EDGES]
 
     def test_inner_word_over_a_fixed_head(self, two_ratio_model):
         m = two_ratio_model
         head = (2, 0, 1)
-        omega = prefixed(head, m.omega_word(7))
+        omega = prefixed(head, omega_word(m, 7))
         omega_stream = UniformStream(7, "omega")
         want_omega = [head[k] if k < len(head) else
                       scalar_symbol(m.selection, omega_stream, k - len(head))
                       for k in EDGES]
         assert [omega.symbol(k) for k in EDGES] == want_omega
-        inner = prefixed((1,), m.inner_word(omega, 8))
+        inner = prefixed((1,), inner_word(m, omega, 8))
         inner_stream = UniformStream(8, "inner")
         want_inner = [1] + [
             scalar_symbol(m.components[omega.symbol(k - 1)].weights,
@@ -205,7 +217,7 @@ class TestWord:
         for word, k in ((w, 3), (w.shift(2), 1), (w.shift(5), 0)):
             with pytest.raises(IndexError):
                 word.symbol(k)
-        inner = two_ratio_model.inner_word(w.shift(1), 4)
+        inner = inner_word(two_ratio_model, w.shift(1), 4)
         assert inner.take(0, 5).size == 2
         with pytest.raises(IndexError):
             inner.symbol(2)
@@ -236,10 +248,10 @@ FILL_READ = st.tuples(st.integers(0, 15),
 
 
 class TestFillPattern:
-    """A lazy word grows by whatever its reads ask for, but each symbol is
-    a pure function of its position: the words of a stationary sample,
-    read in any interleaving, match one reference drawn in a single
-    slice."""
+    """The row source reads whatever spans its reads ask for, but each
+    symbol is a pure function of its position: the words of a stationary
+    sample, read in any interleaving, match one reference drawn in a
+    single slice."""
 
     @pytest.fixture(scope="class")
     def fill_models(self, middle_thirds_model, reflected_model):
@@ -262,9 +274,8 @@ class TestFillPattern:
                       for c in m.components]
         ref_inner = [bisect.bisect_right(inner_cdfs[c], u)
                      for c, u in zip(ref_omega, u_inner.tolist())]
-        # the tail omega word is shared, as in a stationary sample
-        tail = m.omega_word(seed, "fill")
-        inner = m.inner_word(tail, seed, "fill")
+        # the component and inner words of the row source
+        tail, inner = row_words(m, seed, "fill")
         refs = [ref_omega, ref_inner, heads[0] + ref_omega,
                 heads[1] + ref_inner]
         views = [(w, 0, r) for w, r in zip(
@@ -295,8 +306,23 @@ class TestNothingUnread:
         monkeypatch.setattr(UniformStream, "slice", spy)
         return made
 
+    @pytest.fixture()
+    def filled(self, monkeypatch):
+        """The uniforms the shared generator makes, by stream key as the
+        generator holds it."""
+        made = {}
+        real = rng._GENERATOR
+
+        class Spy:
+            def random(self, out):
+                key = rng._STATE["state"]["key"]
+                made[key] = made.get(key, 0) + out.size
+                return real.random(out=out)
+        monkeypatch.setattr(rng, "_GENERATOR", Spy())
+        return made
+
     def test_one_component_reads_no_component_stream(
-            self, middle_thirds_model, slices):
+            self, middle_thirds_model, slices, filled):
         m = middle_thirds_model
         count = 2 * SAMPLE_CHUNK_ROWS + 5
         depth = sampling_depth([c.ratio for c in m.components])
@@ -305,44 +331,45 @@ class TestNothingUnread:
         assert [start for start, _ in slices] == \
             [(count + s) * depth for s in range(0, count, SAMPLE_CHUNK_ROWS)]
         assert sum(n for _, n in slices) == count * depth
-        slices.clear()
-        assert not m.omega_word(3).take(0, 5000).any()
-        assert slices == []
+        filled.clear()
+        assert not row_words(m, 3)[0].take(0, 5000).any()
+        assert set(filled) == generator_keys(3, [("inner",)])
 
     def test_stationary_words_hold_what_the_descent_reads(
-            self, middle_thirds_model, two_ratio_model, monkeypatch):
-        made = []
-        init = Word.__init__
-
-        def record(word, *args, **kwargs):
-            init(word, *args, **kwargs)
-            made.append(word)
-        monkeypatch.setattr(Word, "__init__", record)
-        # the uniforms the shared generator makes, by stream key
-        filled = {}
-        real = rng._GENERATOR
-
-        class Spy:
-            def random(self, out):
-                key = rng._STATE["state"]["key"]
-                filled[key] = filled.get(key, 0) + out.size
-                return real.random(out=out)
-        monkeypatch.setattr(rng, "_GENERATOR", Spy())
+            self, middle_thirds_model, two_ratio_model, filled):
         for model in (middle_thirds_model, two_ratio_model):
             m, _ = rescale_model_for_gap(model)
             filled.clear()
             sample_Q(m, build_extended_chain(m), 64, seed=5)
-            assert made == []
             # the state and time streams, each draw's inner stream, and its
             # omega stream only where the model has more than one component
             labels = [("Q-state",), ("Q-time",)]
             labels += [("inner", "Q-inner", j) for j in range(64)]
             if m.n_components > 1:
                 labels += [("omega", "Q-omega", j) for j in range(64)]
-            keys = [derive_key(5, *lab) for lab in labels]
-            assert set(filled) == {(k & (2 ** 64 - 1), k >> 64)
-                                   for k in keys}
+            assert set(filled) == generator_keys(5, labels)
             assert max(filled.values()) < 1024
+
+    def test_orbit_reads_only_its_two_streams(
+            self, middle_thirds_model, two_ratio_model, reflected_model,
+            filled):
+        for model in (middle_thirds_model, two_ratio_model, reflected_model):
+            m, _ = rescale_model_for_gap(model)
+            filled.clear()
+            scenery_orbit(m, T=60.0, dt=0.5, seed=4)
+            # the inner stream, and the omega stream only where the model
+            # has more than one component
+            labels = [("inner", "orbit-inner")]
+            if m.n_components > 1:
+                labels += [("omega", "orbit-omega")]
+            assert set(filled) == generator_keys(4, labels)
+
+
+def generator_keys(seed, labels):
+    """The keys of the streams (seed, *label) as the shared generator
+    holds them: two little-endian 64-bit words."""
+    keys = [derive_key(seed, *lab) for lab in labels]
+    return {(k & (2 ** 64 - 1), k >> 64) for k in keys}
 
 
 def sample_eta(model, omega, count, seed):
@@ -355,7 +382,7 @@ def sample_eta(model, omega, count, seed):
 class TestSampling:
     def test_eta_in_hull(self, two_ratio_model):
         m = two_ratio_model
-        xs = sample_eta(m, m.omega_word(1).take(0, 40), 2000, 2)
+        xs = sample_eta(m, omega_word(m, 1).take(0, 40), 2000, 2)
         lo, hi = m.hull
         assert xs.min() >= float(lo) - 1e-12
         assert xs.max() <= float(hi) + 1e-12
@@ -365,7 +392,7 @@ class TestSampling:
         # the weights of component omega_0, then map eta(shift omega)
         # through that word's similarity
         m = two_ratio_model
-        omega = m.omega_word(23)
+        omega = omega_word(m, 23)
         direct = sample_eta(m, omega.take(0, 50), 30_000, 101)
 
         comp = m.components[omega.symbol(0)]
@@ -394,21 +421,21 @@ class TestSampling:
         # the path's maps applied to the hull midpoint give exactly the
         # midpoint of the path's cylinder
         m = middle_thirds_model
-        omega = m.omega_word(4)
+        omega = omega_word(m, 4)
         om = omega.take(0, 60)
         for s in range(5):
-            inner = m.inner_word(omega, 8, s).take(0, 60)
+            inner = inner_word(m, omega, 8, s).take(0, 60)
             lo, hi = cylinder(m, om, inner)
             assert m.point_of_path(om, inner) == (lo + hi) / 2
             assert float(hi - lo) < 1e-25
 
     def test_point_of_path_in_hull(self, two_ratio_model):
         m = two_ratio_model
-        omega = m.omega_word(10)
+        omega = omega_word(m, 10)
         om = omega.take(0, 30)
         h0, h1 = m.hull
         for s in range(3):
-            inner = m.inner_word(omega, 11, s).take(0, 30)
+            inner = inner_word(m, omega, 11, s).take(0, 30)
             lo, hi = cylinder(m, om, inner)
             x = m.point_of_path(om, inner)
             assert h0 <= lo <= x <= hi <= h1
@@ -467,7 +494,7 @@ class TestAtomBound:
         # bound multiplies the largest word weight of each selected
         # component; singleton components contribute a factor of one
         m = two_ratio_model
-        w = m.omega_word(1)
+        w = omega_word(m, 1)
         prefix = [w.symbol(k) for k in range(14)]
         expect = Fraction(1)
         for s in prefix:
@@ -506,8 +533,8 @@ class TestSerialization:
     def test_round_trip_sampling_identical(self, reflected_model):
         m2 = Model.from_json(reflected_model.to_json())
         a = sample_eta(reflected_model,
-                       reflected_model.omega_word(2).take(0, 30), 400, 3)
-        b = sample_eta(m2, m2.omega_word(2).take(0, 30), 400, 3)
+                       omega_word(reflected_model, 2).take(0, 30), 400, 3)
+        b = sample_eta(m2, omega_word(m2, 2).take(0, 30), 400, 3)
         assert np.array_equal(a, b)
 
     def test_json_is_versioned(self, middle_thirds_model):

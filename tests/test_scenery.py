@@ -27,19 +27,18 @@ from betascenery import (
     sample_Q,
     scenery_orbit,
     spectrum_obstruction,
-    windows_of_states,
 )
-from betascenery.model import Word
 from betascenery.scenery import flow, windows
 from betascenery.scenery.flow import stationary_draws
 
-from oracles import (cylinder_focus, cylinder_window, orientation_marginal,
-                     panel_by_masks, stationary_words)
+from oracles import (Word, cylinder_focus, cylinder_window, inner_word,
+                     omega_word, orientation_marginal, panel_by_masks,
+                     stationary_words, windows_of_words, word_fill)
 
 
 def window(model, omega, inner, a, zoom_t, **kw):
     """The window of one state, rendered in a block of one."""
-    return windows_of_states(model, [(omega, inner, a, zoom_t)], **kw)[0]
+    return windows_of_words(model, [(omega, inner, a, zoom_t)], **kw)[0]
 
 
 def l1(w, v):
@@ -135,21 +134,21 @@ class TestWindows:
         assert w.bins.sum() == pytest.approx(1.0)
 
     def test_window_mass_bounded(self, mt_scaled):
-        w = window(mt_scaled, mt_scaled.omega_word(1),
-                   mt_scaled.inner_word(mt_scaled.omega_word(1), 2), 0, 3.0)
+        w = window(mt_scaled, omega_word(mt_scaled, 1),
+                   inner_word(mt_scaled, omega_word(mt_scaled, 1), 2), 0, 3.0)
         assert w.bins.sum() <= 1.0 + 1e-9
         assert w.bins.min() >= 0.0
 
     def test_reflect_involution(self, mt_scaled):
-        w = window(mt_scaled, mt_scaled.omega_word(4),
-                   mt_scaled.inner_word(mt_scaled.omega_word(4), 5), 0, 2.0)
+        w = window(mt_scaled, omega_word(mt_scaled, 4),
+                   inner_word(mt_scaled, omega_word(mt_scaled, 4), 5), 0, 2.0)
         r = windows.WindowMeasure(w.bins[::-1])
         assert np.array_equal(r.bins[::-1], w.bins)
         assert np.array_equal(r.bins, w.bins[::-1])
 
     def test_orientation_flag_reflects(self, mt_scaled):
-        om = mt_scaled.omega_word(6)
-        inner = mt_scaled.inner_word(om, 7)
+        om = omega_word(mt_scaled, 6)
+        inner = inner_word(mt_scaled, om, 7)
         w0 = window(mt_scaled, om, inner, 0, 2.5)
         w1 = window(mt_scaled, om, inner, 1, 2.5)
         assert np.abs(w0.bins - w1.bins[::-1]).sum() < 1e-8
@@ -164,8 +163,8 @@ class TestWindows:
         assert vec[0] == pytest.approx(1.0)  # constant functional
 
     def test_panel_average(self, mt_scaled):
-        om = mt_scaled.omega_word(8)
-        ws = [window(mt_scaled, om, mt_scaled.inner_word(om, s), 0, 1.0)
+        om = omega_word(mt_scaled, 8)
+        ws = [window(mt_scaled, om, inner_word(mt_scaled, om, s), 0, 1.0)
               for s in range(3)]
         avg = panel_average(ws)
         stack = np.stack([evaluate_panel(w) for w in ws]).mean(axis=0)
@@ -221,8 +220,8 @@ def oracle_model(m):
 def descent_states(m, n):
     states = []
     for s in range(n):
-        om = m.omega_word(1, "descent", s)
-        inner = m.inner_word(om, 1, "descent", s)
+        om = omega_word(m, 1, "descent", s)
+        inner = inner_word(m, om, 1, "descent", s)
         states.append((om.shift(s % 3), inner.shift(s % 3), s % 2,
                        0.37 * s % 3.0))
     return states
@@ -240,9 +239,9 @@ class TestBatchedDescent:
         kw = DESCENT_SETTINGS[setting]
         states = descent_states(m, 7)
         alone = [window(m, *st, **kw) for st in states]
-        together = windows_of_states(m, states, **kw)
+        together = windows_of_words(m, states, **kw)
         monkeypatch.setattr(windows, "WINDOW_BLOCK", 3)
-        blocks = windows_of_states(m, iter(states), **kw)
+        blocks = windows_of_words(m, iter(states), **kw)
         assert len(together) == len(blocks) == len(states)
         for a, b, c in zip(alone, together, blocks):
             assert np.array_equal(a.bins, b.bins)
@@ -254,7 +253,7 @@ class TestBatchedDescent:
         comps, hull = oracle_model(m)
         states = descent_states(m, 12)
         for setting, kw in DESCENT_SETTINGS.items():
-            got = windows_of_states(m, states, **kw)
+            got = windows_of_words(m, states, **kw)
             for (om, inner, a, t), w in zip(states, got):
                 want = cylinder_window(comps, hull, om.symbol, inner.symbol,
                                        a, t, **kw)
@@ -264,16 +263,16 @@ class TestBatchedDescent:
     def test_valve_and_cutoff_change_the_bins(self, request, model):
         m = request.getfixturevalue(model)
         states = descent_states(m, 7)
-        full = windows_of_states(m, states)
+        full = windows_of_words(m, states)
         for setting in ("valve", "cutoff"):
-            coarse = windows_of_states(m, states, **DESCENT_SETTINGS[setting])
+            coarse = windows_of_words(m, states, **DESCENT_SETTINGS[setting])
             assert any(not np.array_equal(a.bins, b.bins)
                        for a, b in zip(full, coarse)), setting
             for w in coarse:
                 assert w.bins.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_no_states_no_windows(self, mt_scaled):
-        assert windows_of_states(mt_scaled, []) == []
+        assert windows_of_words(mt_scaled, []) == []
 
     # small symbol tables and split chunks make the tables refill and the
     # split walks cross many chunks, also past the end of the tables
@@ -296,8 +295,8 @@ class TestBatchedDescent:
         kw = DESCENT_SETTINGS[setting]
         block, wants = [], []
         for seed, shift, a, t in states:
-            om = m.omega_word(seed, "sweep")
-            inner = m.inner_word(om, seed, "sweep")
+            om = omega_word(m, seed, "sweep")
+            inner = inner_word(m, om, seed, "sweep")
             om, inner = om.shift(shift), inner.shift(shift)
             with np.errstate(invalid="ignore"):
                 want = cylinder_window(comps, hull, om.symbol, inner.symbol,
@@ -311,7 +310,7 @@ class TestBatchedDescent:
                 wants.append(want)
         with mock.patch.object(windows, "SYMBOL_TABLE", table), \
                 mock.patch.object(windows, "SPLIT_CHUNK", chunk):
-            got = windows_of_states(m, block, **kw)
+            got = windows_of_words(m, block, **kw)
         assert len(got) == len(wants)
         for w, want in zip(got, wants):
             assert np.array_equal(w.bins, want)
@@ -327,19 +326,19 @@ class TestBatchedDescent:
         comps, hull = oracle_model(m)
         words = []
         for seed, shift in states:
-            om = m.omega_word(seed, "focus")
-            inner = m.inner_word(om, seed, "focus")
+            om = omega_word(m, seed, "focus")
+            inner = inner_word(m, om, seed, "focus")
             words.append((om.shift(shift), inner.shift(shift)))
         want = [cylinder_focus(comps, hull, om.symbol, inner.symbol)
                 for om, inner in words]
         fl = windows._Floats(m)
-        block = windows._focus(fl, windows._word_symbols(
-            [om for om, _ in words], [inner for _, inner in words]), 1e-15)
+        block = windows._focus(
+            fl, windows._Symbols(word_fill(words), len(words)), 1e-15)
         assert block.tolist() == want
         # blocks of one window give the same points
-        assert [float(windows._focus(fl, windows._word_symbols([om], [inner]),
-                                     1e-15)[0])
-                for om, inner in words] == want
+        assert [float(windows._focus(
+                    fl, windows._Symbols(word_fill([w]), 1), 1e-15)[0])
+                for w in words] == want
 
     def test_omega_too_short_for_the_focus_walk(self, mt_scaled):
         # the focus walk of middle thirds needs about 32 levels
@@ -353,8 +352,8 @@ class TestBatchedDescent:
         # read past its end: in the focus walk, the descent or the split
         m = request.getfixturevalue(model)
         comps, hull = oracle_model(m)
-        om = m.omega_word(3, "finite")
-        inner = m.inner_word(om, 3, "finite")
+        om = omega_word(m, 3, "finite")
+        inner = inner_word(m, om, 3, "finite")
         raised = 0
         for n in range(0, 120, 4):
             for n_om, n_in in ((n, n), (n + 60, n), (n, n + 60)):
@@ -377,7 +376,7 @@ class TestBatchedDescent:
         m = request.getfixturevalue(model)
         states = descent_states(m, 12)
         for kw in DESCENT_SETTINGS.values():
-            for w in windows_of_states(m, states, **kw):
+            for w in windows_of_words(m, states, **kw):
                 assert np.array_equal(evaluate_panel(w),
                                       panel_by_masks(w.bins))
 
@@ -390,7 +389,7 @@ class TestBlockPanel:
     @pytest.mark.parametrize("model", DESCENT_MODELS)
     def test_rows_match_mask_oracle(self, request, model):
         m = request.getfixturevalue(model)
-        ws = windows_of_states(m, descent_states(m, 130))
+        ws = windows_of_words(m, descent_states(m, 130))
         want = [panel_by_masks(w.bins) for w in ws]
         for n in (1, 63, 64, 65, 130):
             rows = windows._panel_rows(np.stack([w.bins for w in ws[:n]]))
@@ -416,8 +415,8 @@ class TestShiftIdentity:
         m = mt_scaled
         roof = math.log(3)
         for s in range(10):
-            om = m.omega_word(s)
-            inner = m.inner_word(om, 100 + s)
+            om = omega_word(m, s)
+            inner = inner_word(m, om, 100 + s)
             w_zoom = window(m, om, inner, 0, roof + 0.4)
             w_shift = window(m, om.shift(1), inner.shift(1), 0, 0.4)
             assert l1(w_zoom, w_shift) < 1e-6
@@ -426,8 +425,8 @@ class TestShiftIdentity:
         m = refl_scaled
         ch = build_extended_chain(m)
         for s in range(10):
-            om = m.omega_word(50 + s)
-            inner = m.inner_word(om, 200 + s)
+            om = omega_word(m, 50 + s)
+            inner = inner_word(m, om, 200 + s)
             comp = m.components[om.symbol(0)]
             roof = -math.log(abs(float(comp.ratio)))
             flip = comp.ratio < 0
@@ -437,12 +436,32 @@ class TestShiftIdentity:
             assert l1(w_zoom, w_shift) < 1e-6
 
 
+def assert_same_symbols(got, ref):
+    """Two block symbol sources of one block read the same symbols."""
+    rows = np.arange(got.count)
+    L = windows.SYMBOL_TABLE
+    # within the tables, across their end, past them (through span),
+    # and across the edge of the streams' first 1,024-uniform block
+    for start, k in ((0, 1), (1, 5), (L - 30, 64), (L + 40, 64),
+                     (1000, 100)):
+        for a, b in zip(got.span(rows, start, k),
+                        ref.span(rows, start, k)):
+            assert np.array_equal(a, b)
+    # a read past twice the first length refills the tables twice
+    for which in (0, 1):
+        assert np.array_equal(got.at(which, 3 * L, rows),
+                              ref.at(which, 3 * L, rows))
+    assert got.length == ref.length == 4 * L
+    for a, b in zip(got.tables, ref.tables):
+        assert np.array_equal(a, b)
+
+
 class TestSceneryOrbit:
     def test_replay_matches_direct_windows(self, mt_scaled):
         m = mt_scaled
         # the words the orbit draws for its seed
-        om = m.omega_word(3, "orbit-omega")
-        inner = m.inner_word(om, 3, "orbit-inner")
+        om = omega_word(m, 3, "orbit-omega")
+        inner = inner_word(m, om, 3, "orbit-inner")
         orb = scenery_orbit(m, T=4.0, dt=0.5, seed=3)
         assert len(orb) == len(orb.times)
         roof = math.log(3)
@@ -455,6 +474,60 @@ class TestSceneryOrbit:
             assert l1(w, direct) < 1e-9
             checked += 1
         assert checked >= 2
+
+    @pytest.mark.parametrize("model", ["mt_scaled", "two_ratio_scaled",
+                                       "refl_scaled"])
+    def test_orbit_tables_match_words(self, request, model, monkeypatch):
+        # the orbit's span fill against one pair of reference words per
+        # window, the orbit's words shifted past the roofs its time passed
+        m = request.getfixturevalue(model)
+        seed = 5
+        calls = []
+        real = flow.windows_of_tables
+
+        def spy(model, fill, orientations, times):
+            calls.append((fill, orientations, times))
+            return real(model, fill, orientations, times)
+        monkeypatch.setattr(flow, "windows_of_tables", spy)
+        monkeypatch.setattr(windows, "WINDOW_BLOCK", 16)
+        roofs = [-math.log(abs(float(c.ratio))) for c in m.components]
+        # past 1,100 shifts: beyond the streams' first 1,024-place block
+        T = 1120 * max(roofs)
+        orb = scenery_orbit(m, T=T, dt=T / 150, seed=seed)
+        [(fill, orientations, zooms)] = calls
+
+        om = omega_word(m, seed, "orbit-omega")
+        inner = inner_word(m, om, seed, "orbit-inner")
+        shifts, want_a, want_t = [], [], []
+        k, tau, a = 0, 0.0, 0
+        for t in orb.times:
+            while t - tau >= roofs[om.symbol(k)] - 1e-12:
+                tau += roofs[om.symbol(k)]
+                a ^= m.components[om.symbol(k)].reflects
+                k += 1
+            shifts.append(k)
+            want_a.append(a)
+            want_t.append(t - tau)
+        assert list(orientations) == want_a
+        assert list(zooms) == want_t
+        assert shifts[-1] > 1100
+        states = [(om.shift(k), inner.shift(k), a, t)
+                  for k, a, t in zip(shifts, want_a, want_t)]
+        for w, v in zip(orb.windows, windows_of_words(m, states)):
+            assert np.array_equal(w.bins, v.bins)
+
+        L = windows.SYMBOL_TABLE
+        # a window whose first tables cross the 1,024-place block edge,
+        # the first windows and the last
+        edge = next(j for j, k in enumerate(shifts) if k > 1024 - L // 2)
+        assert shifts[edge] < 1024
+        draws = np.array([edge, 0, len(shifts) - 1, 1, edge + 1])
+        assert_same_symbols(
+            windows._Symbols(
+                lambda rows, start, n: fill(draws[rows], start, n),
+                draws.size),
+            windows._Symbols(word_fill([states[j] for j in draws]),
+                             draws.size))
 
     def test_requires_wide_gap(self, middle_thirds_model):
         with pytest.raises(ValueError):
@@ -523,7 +596,7 @@ class TestSampleQ:
         states = [ch.states[i] for i in qs.state_indices]
         words = [stationary_words(m, s, seed, j)
                  for j, s in enumerate(states)]
-        want = windows_of_states(m, [
+        want = windows_of_words(m, [
             (om, inner, s[2] if ch.has_orientation else 0, t)
             for (om, inner), s, t in zip(words, states, qs.times)])
         assert len(qs.windows) == n
@@ -531,27 +604,12 @@ class TestSampleQ:
             assert np.array_equal(w.bins, v.bins)
 
         draws = np.array([3, 0, 39, 17, 16])
-        got = windows._Symbols(
-            lambda rows, start, k: fills[0](draws[rows], start, k),
-            draws.size)
-        ref = windows._word_symbols([words[j][0] for j in draws],
-                                    [words[j][1] for j in draws])
-        rows = np.arange(draws.size)
-        L = windows.SYMBOL_TABLE
-        # within the tables, across their end, past them (through span),
-        # and across the edge of the streams' first 1,024-uniform block
-        for start, k in ((0, 1), (1, 5), (L - 30, 64), (L + 40, 64),
-                         (1000, 100)):
-            for a, b in zip(got.span(rows, start, k),
-                            ref.span(rows, start, k)):
-                assert np.array_equal(a, b)
-        # a read past twice the first length refills the tables twice
-        for which in (0, 1):
-            assert np.array_equal(got.at(which, 3 * L, rows),
-                                  ref.at(which, 3 * L, rows))
-        assert got.length == ref.length == 4 * L
-        for a, b in zip(got.tables, ref.tables):
-            assert np.array_equal(a, b)
+        assert_same_symbols(
+            windows._Symbols(
+                lambda rows, start, k: fills[0](draws[rows], start, k),
+                draws.size),
+            windows._Symbols(word_fill([words[j] for j in draws]),
+                             draws.size))
 
 
 class TestComparison:
