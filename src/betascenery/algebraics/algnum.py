@@ -249,6 +249,16 @@ class NumberField:
                     v[k + i] -= c * a
         return tuple(v) + (0,) * (d - len(v))
 
+    def _mul(self, x, y) -> Tuple[int, ...]:
+        """The integer coordinates of (sum x_i beta^i)(sum y_j beta^j)."""
+        prod = [0] * (2 * self.degree - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y):
+                    if b:
+                        prod[i + j] += a * b
+        return self._reduce(prod)
+
     def from_rational(self, q) -> "FieldElement":
         q = Fraction(q)
         return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1),
@@ -374,13 +384,7 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        prod = [0] * (2 * self.field.degree - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(o.num):
-                    if b:
-                        prod[i + j] += a * b
-        return FieldElement(self.field, self.field._reduce(prod),
+        return FieldElement(self.field, self.field._mul(self.num, o.num),
                             self.den * o.den)
 
     __rmul__ = __mul__

@@ -26,6 +26,11 @@ Two arithmetic paths, chosen by the type of the starting point:
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
+
+The Parry density sums beta^-n over the orbit of 1, which takes the same
+lattice steps.  Its sums are integer sums on the lattice: the n orbit values
+over c^(n-1), and the powers beta^-k over |a_0|^(n-1), for gamma's constant
+coefficient a_0.  Each breakpoint and value is reduced once, when built.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -84,7 +89,6 @@ class BetaBase:
             self.degree = 1
             self.floor_beta = math.floor(beta)
             self._field = None
-            self._beta_elem = None
             self._lattice = _Lattice((-beta.numerator, 1), None,
                                      beta.denominator)
         elif isinstance(beta, AlgebraicNumber):
@@ -98,7 +102,6 @@ class BetaBase:
             self.degree = beta.degree
             self.floor_beta = math.floor(beta)
             self._field, scale = monic_scaled_field(beta)
-            self._beta_elem = self._field.beta() / scale
             self._lattice = _Lattice(self._field.poly.coeffs, self._field,
                                      scale)
         else:
@@ -120,12 +123,6 @@ class BetaBase:
         if self.is_integer:
             return int(self.beta)
         return self.floor_beta + 1
-
-    def exact_value(self):
-        """beta as a Fraction or a FieldElement, for exact orbit steps."""
-        if self._beta_elem is not None:
-            return self._beta_elem
-        return self.beta
 
     def coerce_point(self, x):
         """Lift x into the exact arithmetic of this base, if possible."""
@@ -211,6 +208,32 @@ class _Lattice:
             floats.append(f)
         return digits, states, floats
 
+    def element(self, v, q: int) -> ExactScalar:
+        """v/q as a Fraction or a FieldElement, reduced once."""
+        if self.field is None:
+            return Fraction(v[0], q)
+        return FieldElement(self.field, v, q)
+
+    def vector(self, x: ExactScalar, q: int) -> tuple:
+        """The integer vector of x over q, a multiple of x's denominator."""
+        if isinstance(x, Fraction):
+            return (x.numerator * (q // x.denominator),)
+        return tuple(a * (q // x.den) for a in x.num)
+
+    def mul(self, x, y) -> tuple:
+        """The integer vector of the product of x and y."""
+        if self.field is None:
+            return (x[0] * y[0],)
+        return self.field._mul(x, y)
+
+    def inverse(self, v) -> Tuple[tuple, int]:
+        """1/v for a nonzero integer vector v, as an integer vector over a
+        positive denominator."""
+        if self.field is None:
+            return ((1,), v[0]) if v[0] > 0 else ((-1,), -v[0])
+        x = FieldElement(self.field, v, 1).inverse()
+        return x.num, x.den
+
 
 def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
     """(floor(a/q), the float nearest a/q - floor(a/q)), for q > 0."""
@@ -245,8 +268,7 @@ class _LatticeRemainders(Sequence):
             floats = None if self.floats is None else self.floats[k]
             return _LatticeRemainders(self.lattice, self.q, self.states[k],
                                       floats, self.positions[k])
-        v, q, field = self.states[k], self.denominator(k), self.lattice.field
-        return Fraction(v[0], q) if field is None else FieldElement(field, v, q)
+        return self.lattice.element(self.states[k], self.denominator(k))
 
     def __eq__(self, other):
         if not isinstance(other, (list, _LatticeRemainders)):
@@ -380,22 +402,26 @@ def orbit_of_one(base: BetaBase, max_terms: int):
     orbit.  So cycle is truthy exactly when the values are the whole orbit,
     whether it ends at 0 or turns periodic; it does not mean that the
     expansion of 1 is finite.  For a Pisot base every orbit in Q(beta) is
-    eventually periodic (K. Schmidt 1980)."""
-    b = base.exact_value()
-    z = b ** 0   # 1, in the arithmetic of beta
-    seen: dict = {}
-    values = []
-    while True:
-        seen[z] = len(values)
-        values.append(z)
-        if len(values) == max_terms:
-            return values, None
-        y = b * z
-        z = y - math.floor(y)
-        if z == 0:
-            return values, len(values)
-        if z in seen:
-            return values, seen[z]
+    eventually periodic (K. Schmidt 1980).  The steps are the lattice steps
+    of `beta_orbit`, taken in runs of doubling length: T^k(1) is an integer
+    vector over c^k, reduced once when its value is built, and a value
+    repeats when its reduced form does."""
+    lat = base._lattice
+    v, q = (1,) + (0,) * (lat.degree - 1), 1
+    values, seen, run = [lat.element(v, q)], {}, 2
+    while len(values) < max_terms:
+        _, states, _ = lat.orbit(v, q, min(run, max_terms - len(values)))
+        for v in states:
+            q *= lat.scale
+            if not any(v):
+                return values, len(values)
+            z = lat.element(v, q)
+            k = seen.setdefault(z, len(values))
+            if k < len(values):
+                return values, k
+            values.append(z)
+        run *= 2
+    return values, None
 
 
 def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
@@ -404,67 +430,72 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     the orbit of 1 ends at 0 or turns periodic within `truncation` terms
     (every Pisot base): a period of k terms is summed once and scaled by
     1/(1 - beta^-k).  Otherwise it stops after `truncation` terms and
-    tail_bound bounds what is left."""
+    tail_bound bounds what is left.  The sums are integer sums on the
+    lattice of beta = gamma/c (see the module docstring); the period factor
+    and the normalizer cost one inverse each."""
     if not isinstance(base.beta, (Fraction, AlgebraicNumber)):
         raise TypeError("Parry construction needs an exact base")
     if truncation < 1:
         raise ValueError("truncation must be a positive term count")
     orbit, cycle = orbit_of_one(base, truncation)
-    n_terms = len(orbit)
-    head = n_terms if cycle is None else cycle
+    n = len(orbit)
+    head = n if cycle is None else cycle
+    lat, den = base._lattice, base._lattice.scale ** (n - 1)
 
-    beta_inv = 1 / base.exact_value()
+    # after the leading 1, last in exact order, the orbit values are
+    # distinct points of (0, 1): they are the interior breakpoints, and
+    # T^n(1) > b_j iff its rank among the breakpoints exceeds j
+    floats = [float(z) for z in orbit]
+    order = _exact_order(orbit, floats)
 
-    # after the leading 1 the orbit values are distinct points of (0, 1):
-    # they are the interior breakpoints, and T^n(1) > b_j iff its rank
-    # among the breakpoints exceeds j
-    floats, interior = _sorted_with_floats(orbit[1:])
-    breakpoints = [Fraction(0)] + interior + [Fraction(1)]
-    rank = {z: j for j, z in enumerate(breakpoints)}
-    ranks = [rank[z] for z in orbit]
+    # 1/gamma = -(a_1 + a_2 gamma + ... + gamma^(d-1))/a_0, so a step
+    # divides the first coordinate by a_0, exactly over m = |a_0|^(n-1)
+    a0, rest = lat.coeffs[0], lat.coeffs[1:]
+    m = abs(a0) ** (n - 1)
+    powers = [(m,) + (0,) * (lat.degree - 1)]
+    for _ in range(n - 1):
+        w = powers[-1]
+        t = w[0] // a0
+        powers.append(tuple(lat.scale * (x - t * a)
+                            for x, a in zip(w[1:] + (0,), rest)))
+    if head < n:
+        # the terms from `head` on repeat with period k = n - head, so each
+        # carries 1/(1 - beta^-k) = m/(m - m beta^-k) = m r/s
+        r, s = lat.inverse(tuple(map(operator.sub, powers[0],
+                                     powers[n - head])))
+        powers = [tuple(s * x for x in w) for w in powers[:head]] + \
+            [tuple(m * x for x in lat.mul(r, w)) for w in powers[head:]]
+        m *= s
 
-    # piece value on [b_j, b_{j+1}): sum beta^-n over n with T^n(1) > b_j,
-    # a suffix sum over the ranks above j; the terms from `head` on repeat
-    # with period k = n_terms - head, so each carries 1/(1 - beta^-k)
-    powers = []
-    p = orbit[0]
-    for _ in range(n_terms):
-        powers.append(p)
-        p = p * beta_inv
-    if head < n_terms:
-        scale = 1 / (1 - powers[n_terms - head])
-        powers[head:] = [w * scale for w in powers[head:]]
-    at_rank = [orbit[0] * 0] * len(breakpoints)
-    for r, w in zip(ranks, powers):
-        at_rank[r] = at_rank[r] + w
-    raw = list(accumulate(reversed(at_rank[1:])))[::-1]
-
-    normalizer = raw[0] * 0
-    for j, v in enumerate(raw):
-        normalizer = normalizer + v * (breakpoints[j + 1] - breakpoints[j])
-    inverse = 1 / normalizer
-    values = tuple(v * inverse for v in raw)
+    # piece value on [b_j, b_{j+1}): the terms of rank above j, the leading
+    # 1 having rank n, as suffix sums over the ranks, over m.  Summed by
+    # parts, the integral of the pieces is the sum of beta^-k T^k(1), over
+    # m * den, and each value is raw * den / that
+    raw = list(accumulate([powers[i] for i in reversed(order)],
+                          lambda u, v: tuple(map(operator.add, u, v))))
+    edges = [lat.vector(z, den) for z in orbit]
+    r, s = lat.inverse(tuple(map(sum, zip(*map(lat.mul, powers, edges)))))
+    r = tuple(den * x for x in r)
+    values = tuple(lat.element(lat.mul(v, r), s) for v in reversed(raw))
 
     if cycle is not None:
         tail = 0.0
     else:
         bf = float(base.beta)
-        tail = bf ** (-(n_terms - 1)) / (1 - 1 / bf)
-    return ParryDensity(base, tuple(breakpoints), values, n_terms, tail,
-                        (0.0, *floats, 1.0))
+        tail = bf ** (-(n - 1)) / (1 - 1 / bf)
+    inner = order[:-1]
+    return ParryDensity(base, (Fraction(0), *(orbit[i] for i in inner),
+                               Fraction(1)),
+                        values, n, tail, (0.0, *(floats[i] for i in inner),
+                                          1.0))
 
 
-def _sorted_with_floats(values: Sequence[ExactScalar]):
-    """(floats, values), both in the exact order of the values.  The sort
-    key is each value's nearest float, which is certified and monotone, so
-    exact comparisons are needed only among values with equal floats."""
-    keyed = sorted(zip(map(float, values), values), key=operator.itemgetter(0))
-    floats, ordered = [], []
-    for f, run in groupby(keyed, key=operator.itemgetter(0)):
-        run = [z for _, z in run]
-        floats += [f] * len(run)
-        ordered += sorted(run) if len(run) > 1 else run
-    return floats, ordered
+def _exact_order(values: Sequence[ExactScalar],
+                 floats: Sequence[float]) -> List[int]:
+    """The indices of the values in their exact order.  Each value's nearest
+    float is certified and monotone, so the sort key (float, value) compares
+    values exactly only where their floats are equal."""
+    return sorted(range(len(values)), key=lambda i: (floats[i], values[i]))
 
 
 # -- normality statistics --------------------------------------------------------

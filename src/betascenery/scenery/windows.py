@@ -60,18 +60,22 @@ SPLIT_CHUNK = 64
 
 @dataclass
 class WindowMeasure:
-    """Probability histogram over 2B equal-width bins spanning [-1, 1]."""
+    """Probability histogram over 2B equal-width bins spanning [-1, 1],
+    checked a block at a time where it is rendered (`_check_block`)."""
     bins: np.ndarray
 
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=float)
-        if self.bins.ndim != 1 or self.bins.size % 2:
-            raise ValueError("bins must be a flat array of even length")
-        if np.any(self.bins < -1e-15):
-            raise ValueError("negative bin mass")
-        total = self.bins.sum()
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"window mass {total} is not 1")
+
+def _check_block(bins: np.ndarray) -> None:
+    """Reject a block of rendered windows, a (windows, 2B) array, unless
+    each row is a probability histogram over an even number of bins."""
+    if bins.ndim != 2 or bins.shape[1] % 2:
+        raise ValueError("bins must be a flat array of even length")
+    if (bins < -1e-15).any():
+        raise ValueError("negative bin mass")
+    totals = bins.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"window mass {totals[off][0]} is not 1")
 
 
 def _midpoints(n: int) -> np.ndarray:
@@ -356,16 +360,15 @@ def _descend(fl: _Floats, sy: _Symbols, orientations: Sequence[int],
         A[go] *= fl.ratio[sym[go]]
         level += 1
 
-    # each window keeps its row of the block's array, normalised in place
-    out = []
-    for row in bins:
-        total = row.sum()
-        if total < 1e-12:
-            raise ValueError("empty window: the focus fell outside the "
-                             "measure's support")
-        row /= total
-        out.append(WindowMeasure(row))
-    return out
+    # each window keeps its row of the block's array, normalised in place;
+    # a sum along the rows adds each row as its own sum does
+    totals = bins.sum(axis=1)
+    if (totals < 1e-12).any():
+        raise ValueError("empty window: the focus fell outside the "
+                         "measure's support")
+    bins /= totals[:, None]
+    _check_block(bins)
+    return [WindowMeasure(row) for row in bins]
 
 
 # -- the fixed comparison panel -------------------------------------------------

@@ -31,8 +31,12 @@ evidence rather than circularity.
   * atom_mass_bound: the product of each level's largest inner weight.
   * orientation_marginal: the stationary mass of a chain on each
     orientation, summed state by state.
+  * exact_beta: beta in the exact scalars of its base's orbits.
   * unwind_reference: a start point from its digits and last remainder,
     x <- (x + d)/beta in the exact scalars of the point.
+  * parry_reference: the Parry density straight from its definition,
+    each piece value its own sum of beta^-n over the orbit of 1, in the
+    exact scalars of beta (plain Fractions for a rational base).
   * Word, omega_word, inner_word: reference lazy words, finite or
     seeded; a seeded word draws each symbol from its own place of a
     uniform stream, one place at a time, with its own inverse-CDF pick.
@@ -45,12 +49,12 @@ evidence rather than circularity.
 
 Of these, eta_samples through inner_word read a model, a chain or a base
 only through their plain attributes (components, weights, selection, maps,
-hull, states, stationary, the exact value of beta) and do their own
-arithmetic on them.  The seeded words read their uniforms one place at a
-time from the package's UniformStream, whose places test_determinism
-checks against Philox directly, and use neither Model.word_rows nor
-rng.draw_symbols.  windows_of_words renders through the package, so it is
-a harness, not an oracle.
+hull, states, stationary, a base's field generator and lattice scale) and
+do their own arithmetic on them.  The seeded words read their uniforms one
+place at a time from the package's UniformStream, whose places
+test_determinism checks against Philox directly, and use neither
+Model.word_rows nor rng.draw_symbols.  windows_of_words renders through
+the package, so it is a harness, not an oracle.
 """
 
 from __future__ import annotations
@@ -509,12 +513,52 @@ def orientation_marginal(chain) -> Optional[Tuple[Fraction, Fraction]]:
     return m[0], m[1]
 
 
+def exact_beta(base):
+    """beta as a Fraction, or as an element of the base's field: its
+    generator gamma = c*beta over the lattice scale c."""
+    if base._field is None:
+        return base.beta
+    return base._field.beta() / base._lattice.scale
+
+
 def unwind_reference(base, x, digits):
     """x_0 from the last remainder x: x <- (x + d)/beta, in exact scalars."""
-    b_inv = 1 / base.exact_value()
+    b_inv = 1 / exact_beta(base)
     for d in reversed(digits):
         x = (x + d) * b_inv
     return x
+
+
+def parry_reference(beta, truncation: int):
+    """h(x) proportional to the sum of beta^-n over n >= 0 with x < T^n(1),
+    from the definition, in the arithmetic of beta: a Fraction, or any
+    exact scalar with +, -, *, /, floor and order.  The orbit of 1 stops at
+    0, at a repeat, or at `truncation` values; when it repeats from index h
+    with period k, the terms from h on stand for their periodic series and
+    carry 1/(1 - beta^-k).  Each piece [b_j, b_j+1) sums the terms whose
+    orbit value exceeds b_j, over the whole orbit.  Returns (breakpoints
+    with 0 and 1, normalised values, terms, tail bound)."""
+    orbit, head = [Fraction(1)], None
+    while len(orbit) < truncation:
+        y = beta * orbit[-1]
+        z = y - math.floor(y)
+        if z == 0 or z in orbit:
+            head = len(orbit) if z == 0 else orbit.index(z)
+            break
+        orbit.append(z)
+    n, inv = len(orbit), 1 / beta
+    terms = [inv ** k for k in range(n)]
+    if head is not None and head < n:
+        period = 1 / (1 - inv ** (n - head))
+        terms[head:] = [w * period for w in terms[head:]]
+    breaks = [Fraction(0), *sorted(orbit[1:]), Fraction(1)]
+    raw = [sum(w for z, w in zip(orbit, terms) if z > b) for b in breaks[:-1]]
+    mass = sum(v * (hi - lo) for v, lo, hi in zip(raw, breaks, breaks[1:]))
+    tail = 0.0
+    if head is None:
+        bf = float(beta)
+        tail = bf ** (-(n - 1)) / (1 - 1 / bf)
+    return breaks, [v / mass for v in raw], n, tail
 
 
 class Word:

@@ -30,8 +30,10 @@ from betascenery.algebraics.algnum import NumberField
 
 from oracles import (
     beta_invariant_density,
+    exact_beta,
     golden_parry_values,
     greedy_digits_ok,
+    parry_reference,
     tribonacci_parry_pieces,
     unwind_reference,
 )
@@ -54,7 +56,7 @@ def lattice_base(text: str) -> BetaBase:
 def greedy_orbit(base, x, steps):
     """The orbit in plain exact-scalar arithmetic (Fractions and field
     elements): the reference for the lattice."""
-    b = base.exact_value()
+    b = exact_beta(base)
     digits, rems = [], []
     for _ in range(steps):
         y = b * x
@@ -433,14 +435,64 @@ class TestParryDensity:
         assert pd.breakpoint_floats == tuple(map(float, pd.breakpoints))
 
     def test_equal_floats_are_ordered_exactly(self, golden_base):
+        field = golden_base._field
         third, tiny = Fraction(1, 3), Fraction(1, 2 ** 80)
-        g = golden_base._field.beta()
-        values = [third + tiny, g - 1, third, third - tiny, Fraction(1, 5),
-                  (g - 1) + tiny]
-        floats, ordered = bn._sorted_with_floats(values)
-        assert ordered == [Fraction(1, 5), third - tiny, third, third + tiny,
-                           g - 1, (g - 1) + tiny]
-        assert floats == [float(z) for z in ordered]
+        g = field.beta()
+        values = [field.from_rational(third + tiny), g - 1,
+                  field.from_rational(third),
+                  field.from_rational(third - tiny),
+                  field.from_rational(Fraction(1, 5)), (g - 1) + tiny]
+        floats = [float(z) for z in values]
+        assert floats[0] == floats[2] == floats[3]
+        assert floats[1] == floats[5]
+        order = bn._exact_order(values, floats)
+        assert [values[i] for i in order] == [
+            Fraction(1, 5), third - tiny, third, third + tiny, g - 1,
+            (g - 1) + tiny]
+
+    def test_one_fraction_per_breakpoint_and_value(self, monkeypatch):
+        # the sums run on integer vectors: the only Fractions built are the
+        # n orbit values (the leading 1 and the interior breakpoints), the
+        # ends 0 and 1, and the n values
+        base, made = BetaBase(Fraction(3, 2)), []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(1)
+            return new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        pd = parry_density(base, truncation=256)
+        assert len(pd.values) == 256
+        assert len(made) <= 2 * 256 + 4
+
+    @given(beta=st.integers(1, 12).flatmap(lambda c: st.integers(
+        c + 1, 10 * c).map(lambda a: Fraction(a, c))),
+        truncation=st.integers(1, 80))
+    @example(beta=Fraction(3), truncation=5)
+    @example(beta=Fraction(3, 2), truncation=80)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_bases_match_definition(self, beta, truncation):
+        pd = parry_density(BetaBase(beta), truncation=truncation)
+        breaks, values, terms, tail = parry_reference(beta, truncation)
+        assert pd.breakpoints == tuple(breaks)
+        assert pd.values == tuple(values)
+        assert (pd.truncated_at, pd.tail_bound) == (terms, tail)
+        assert pd.breakpoint_floats == tuple(map(float, breaks))
+
+    @pytest.mark.parametrize("text", [
+        "x^2 - x - 1", "x^3 - x^2 - x - 1", "x^2 - 2", "x^2 - x - 3",
+        "2*x^2 - 3*x - 1", "x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4",
+        "x^2 - 3*x + 1", "x^3 - 3*x^2 + 2*x - 1"])
+    def test_field_bases_match_definition(self, text):
+        # the reference runs on FieldElement arithmetic alone: its orbit,
+        # powers, order and sums hold no lattice vector; the last two
+        # orbits turn periodic and carry the period factor
+        base = lattice_base(text)
+        pd = parry_density(base, truncation=32)
+        breaks, values, terms, tail = parry_reference(exact_beta(base), 32)
+        assert pd.breakpoints == tuple(breaks)
+        assert pd.values == tuple(values)
+        assert (pd.truncated_at, pd.tail_bound) == (terms, tail)
 
     def test_cdf_properties(self, golden_base):
         pd = parry_density(golden_base)

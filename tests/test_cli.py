@@ -706,6 +706,14 @@ def frozen_runs():
     for base in ("3/2", "golden", "tribonacci", SEXTIC):
         runs[f"parry {base}"] = (["parry", "--beta", base],
                                  ["parry.csv", "parry_report.json"])
+    # a deep rational orbit, a longer truncation, a non-Pisot quadratic and
+    # a non-monic base (lattice scale c = 2)
+    for base in ("7/3", "x^2 - 2", "2*x^2 - 3*x - 1"):
+        runs[f"parry {base}"] = (["parry", "--beta", base],
+                                 ["parry.csv", "parry_report.json"])
+    runs["parry 5/3 --truncation 600"] = (
+        ["parry", "--beta", "5/3", "--truncation", "600"],
+        ["parry.csv", "parry_report.json"])
     return runs
 
 
@@ -750,6 +758,15 @@ FROZEN_DIGESTS = {
         "ea4cef48f22fd3bb60cc0dcea43cc4574b043ebcdc1c1d4a07b016c41cf11e36",
     "parry x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4":
         "14b461f3c17c83812cc50e3a96fbe50588046dadd3b001d723975a11afba56c2",
+    # recorded before the Parry density moved to the integer lattice
+    "parry 7/3":
+        "f70b23fb125a3b0ec65f8a7aa7f7a12694740016581e11fccb5387807f22dced",
+    "parry 5/3 --truncation 600":
+        "cd251d3809c1e4bffd75a65e1c8ad96cacc2ab7ab821081d2913ad88588835ac",
+    "parry x^2 - 2":
+        "93d576f6a1dd40900542a136387e2777ce756e63c5cd98ba5d9c883a591f49d1",
+    "parry 2*x^2 - 3*x - 1":
+        "669012849895884217dbab2babd5f377b6aa92f18f5a7dedcc9f633ae0cc36ab",
 }
 
 

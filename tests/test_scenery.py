@@ -170,6 +170,30 @@ class TestWindows:
         stack = np.stack([evaluate_panel(w) for w in ws]).mean(axis=0)
         assert avg == pytest.approx(stack)
 
+    def test_corrupted_block_raises(self, mt_scaled, monkeypatch):
+        om = omega_word(mt_scaled, 1)
+        states = [(om, inner_word(mt_scaled, om, s), 0, 1.0) for s in (2, 3)]
+        block = np.stack([w.bins for w in windows_of_words(mt_scaled, states)])
+        windows._check_block(block)
+        heavy, moved = block.copy(), block.copy()
+        heavy[1, 0] += 1e-9
+        moved[1, 0] -= 0.5      # the row still sums to 1
+        moved[1, -1] += 0.5
+        for bad, text in ((block[:, :-1], "even length"),
+                          (heavy, "window mass"), (moved, "negative bin")):
+            with pytest.raises(ValueError, match=text):
+                windows._check_block(bad)
+        # the descent checks its block: a focus split that moves mass past
+        # the left central bin leaves that bin negative
+        split = windows._split_focus_mass
+
+        def skewed(*args):
+            left, right = split(*args)
+            return left - 1e3, right + 1e3
+        monkeypatch.setattr(windows, "_split_focus_mass", skewed)
+        with pytest.raises(ValueError, match="negative bin mass"):
+            windows_of_words(mt_scaled, states)
+
     def test_mismatched_bins_rejected(self):
         a = point_mass_window()
         b = windows.WindowMeasure(np.full(256, 1 / 256))
