@@ -4,7 +4,8 @@ Every subcommand reads exact inputs (JSON files, scalar strings), runs a
 deterministic seeded experiment, and writes its outputs under --out-dir:
 a <command>_report.json carrying the fully materialized config echo plus
 results, and CSV tables where the data is tabular.  Identical configs give
-byte-identical files; wall-clock goes to stdout only.
+byte-identical files; wall-clock goes to stdout only.  The parser is built
+once per process and reused; a --config run leaves no defaults behind.
 
 Exit codes: 0 all checks passed, 2 a tolerance check failed, 1 error.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -260,7 +262,7 @@ def cmd_sample(args) -> int:
     ifs = _load_ifs(doc, args.ifs)
     if args.mode == "direct":
         pts = sample_measure(ifs, args.count, depth=args.depth,
-                             seed=args.seed, )
+                             seed=args.seed)
     else:
         model = build_model(ifs)
         pts = model.sample_measure(args.count, args.seed,
@@ -482,6 +484,7 @@ def cmd_spectrum(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
     p = _Parser(
         prog="betascenery",
@@ -575,13 +578,23 @@ def _parse(argv: List[str]) -> argparse.Namespace:
         cfg = cfg["config"]   # a full report echoes its config here
     cfg = {k: v for k, v in cfg.items()
            if k not in ("command", "config", "help")}
-    for p in (parser, registry[probe.command]):
-        for a in p._actions:
-            if a.dest in cfg:
-                _check_config_value(a, cfg[a.dest], probe.config)
-        p.set_defaults(**{a.dest: cfg[a.dest] for a in p._actions
-                          if a.dest in cfg and not _repeatable(a)})
-    args = parser.parse_args(argv)
+    parsers = (parser, registry[probe.command])
+    # every call shares the parsers: undo the config however the parse ends
+    saved = [(p, dict(p._defaults), [a.default for a in p._actions])
+             for p in parsers]
+    try:
+        for p in parsers:
+            for a in p._actions:
+                if a.dest in cfg:
+                    _check_config_value(a, cfg[a.dest], probe.config)
+            p.set_defaults(**{a.dest: cfg[a.dest] for a in p._actions
+                              if a.dest in cfg and not _repeatable(a)})
+        args = parser.parse_args(argv)
+    finally:
+        for p, defaults, action_defaults in saved:
+            p._defaults = defaults
+            for a, default in zip(p._actions, action_defaults):
+                a.default = default
     # argparse appends explicit values of a repeatable flag to its default,
     # so the config's list fills such a flag only when it is not given
     for a in registry[args.command]._actions:

@@ -1,5 +1,6 @@
 """Command-line runner: reports, determinism, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -495,6 +496,59 @@ def run_in_process(args):
         except SystemExit as e:       # --help
             code = e.code
     return code, err.getvalue()
+
+
+def test_config_leaves_no_defaults_behind(tmp_path, ifs_file, monkeypatch):
+    """main reuses one parser tree: a --config run, one that fails on a
+    subcommand flag, a --help and a usage error after the config was read
+    leave it as they found it, so a plain run before and after them writes
+    the bytes of a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text('{"count": 25, "seed": 3}')
+    (tmp_path / "bad.json").write_text('{"seed": 5, "mode": "bogus"}')
+    plain = ["sample", ifs_file.name]
+    assert run_in_process(["--out-dir", "first"] + plain) == (0, "")
+    assert run_in_process(["--config", "c.json", "--out-dir", "cfg"] +
+                          plain) == (0, "")
+    rep = json.loads((tmp_path / "cfg" / "sample_report.json").read_text())
+    assert (rep["config"]["count"], rep["config"]["seed"]) == (25, 3)
+    code, err = run_in_process(["--config", "bad.json"] + plain)
+    assert code == 1 and err.startswith("error: --mode "), err
+    assert run_in_process(["sample", "--help"]) == (0, "")
+    code, err = run_in_process(["--config", "c.json", "--out-dir", "usage"] +
+                               plain + ["--bogus"])
+    assert code == 1 and "unrecognized arguments: --bogus" in err, err
+    assert run_in_process(["--out-dir", "last"] + plain) == (0, "")
+    r = run_cli(["--out-dir", "fresh"] + plain, tmp_path)
+    assert r.returncode == 0, r.stderr
+    for name in ("sample_report.json", "samples.csv"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "last" / name).read_bytes() == first
+        assert (tmp_path / "fresh" / name).read_bytes() == first
+
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, ifs_file,
+                                                    monkeypatch):
+    """The parser tree is built once per process: after a warm-up call,
+    main constructs no ArgumentParser (a tree is 10 of them)."""
+    out = ["--out-dir", str(tmp_path / "out")]
+    assert run_in_process(out + ["pisot", "golden"]) == (0, "")
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    mt = str(ifs_file)
+    for argv in (["pisot", "2"], ["pisot", "3/2"], ["pisot", "tribonacci"],
+                 ["parry", "--beta", "golden"], ["parry", "--beta", "2"],
+                 ["parry", "--beta", "3/2", "--truncation", "16"],
+                 ["spectrum", mt, "--beta", "2", "--beta", "golden"],
+                 ["spectrum", mt, "--beta", "3"],
+                 ["model", mt], ["model", mt, "--beta", "golden"]):
+        assert run_in_process(out + argv) == (0, ""), argv
+    assert made == []
 
 
 TETRANACCI = "x^4 - x^3 - x^2 - x - 1"
