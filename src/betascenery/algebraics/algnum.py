@@ -17,6 +17,7 @@ doubling ends: every decision is exact, with no floating point on its path.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -610,8 +611,12 @@ def is_pisot(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _named(poly: str) -> AlgebraicNumber:
-    return AlgebraicNumber.largest_root(IntPolynomial.parse(poly))
+@functools.cache
+def _named(poly: str) -> Tuple[IntPolynomial, Fraction, Fraction]:
+    """The isolation of the largest real root, found once per polynomial.
+    A number refines in place, so each caller gets a fresh one built on it."""
+    a = AlgebraicNumber.largest_root(IntPolynomial.parse(poly))
+    return a.min_poly, a.lo, a.hi
 
 
 def named_constant(name: str) -> AlgebraicNumber:
@@ -625,7 +630,7 @@ def named_constant(name: str) -> AlgebraicNumber:
     if name not in table:
         raise ValueError(f"unknown named constant {name!r}; "
                          f"known: {sorted(table)}")
-    return _named(table[name])
+    return AlgebraicNumber(*_named(table[name]), _validated=True)
 
 
 ExactScalar = Union[Fraction, FieldElement]

@@ -1,11 +1,13 @@
 """Experiment runner.
 
-Every subcommand reads exact inputs (JSON files, scalar strings), runs a
-deterministic seeded experiment, and writes its outputs under --out-dir:
-a <command>_report.json carrying the fully materialized config echo plus
-results, and CSV tables where the data is tabular.  Identical configs give
-byte-identical files; wall-clock goes to stdout only.  The parser is built
-once per process and reused; a --config run leaves no defaults behind.
+Every subcommand reads exact inputs (JSON files, scalar strings) and runs a
+deterministic seeded experiment; it only computes, returning its results,
+checks and tables.  main times the command and writes its outputs under
+--out-dir: a <command>_report.json carrying the config echo (--seed plus
+every argument of the subcommand's parser) and the results, and the
+tables, CSV where the data is tabular.  Identical configs give byte-identical
+files; wall-clock goes to stdout only.  The parser is built once per
+process and reused; a --config run leaves no defaults behind.
 
 Exit codes: 0 all checks passed, 2 a tolerance check failed, 1 error.
 """
@@ -145,11 +147,17 @@ def _load_model(path: str) -> Model:
         raise CliError(f"{path}: {e}") from e
 
 
-def _finish(args, name: str, config: dict, results: dict,
-            checks: List[dict], extra_files: List[str],
-            t0: float) -> int:
-    """Assemble the run report, write it, print the summary, pick the exit
-    code."""
+def _finish(args, t0: float, results: dict, checks: List[dict],
+            tables: dict) -> int:
+    """Assemble the run report, write the tables (file name -> text) and
+    the report, print the summary, pick the exit code."""
+    name = args.command
+    # --seed plus every argument of the subcommand's parser; out_dir never
+    # changes what gets computed, so it stays out (byte-identity)
+    config = {"seed": args.seed}
+    for a in _build_parser()[1][name]._actions:
+        if a.dest != "help":
+            config[a.dest] = getattr(args, a.dest)
     status = "pass" if all(c["pass"] for c in checks) else "fail"
     report = {
         "command": name,
@@ -160,6 +168,9 @@ def _finish(args, name: str, config: dict, results: dict,
         "checks": checks,
         "status": status,
     }
+    paths = [os.path.join(args.out_dir, f) for f in tables]
+    for path, text in zip(paths, tables.values()):
+        _write(path, text)
     out = os.path.join(args.out_dir, f"{name}_report.json")
     _write(out, _json_text(report))
     elapsed = time.monotonic() - t0
@@ -168,18 +179,9 @@ def _finish(args, name: str, config: dict, results: dict,
         mark = "ok" if c["pass"] else "FAIL"
         print(f"  check {c['name']}: {c['value']:.6g} "
               f"(tolerance {c['tolerance']}) {mark}")
-    for f in [out] + extra_files:
+    for f in [out] + paths:
         print(f"  wrote {f}")
     return 0 if status == "pass" else 2
-
-
-def _config_echo(args, fields: Sequence[str]) -> dict:
-    # only result-affecting parameters: out_dir never changes what gets
-    # computed, so it stays out of the echo (byte-identity)
-    cfg = {"seed": args.seed}
-    for f in fields:
-        cfg[f] = getattr(args, f)
-    return cfg
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -194,30 +196,21 @@ def _require(args, *names: str) -> None:
                            "(flag or config entry)")
 
 
-def cmd_pisot(args) -> int:
-    t0 = time.monotonic()
+def cmd_pisot(args):
     text = args.number.strip()
     num = _parse_number(text)
-    results: dict = {"input": text}
+    results = {"input": text, "value": float(num),
+               "pisot": bool(is_pisot(num))}
     if isinstance(num, Fraction):
-        results["kind"] = "rational"
-        results["pisot"] = bool(is_pisot(num))
-        results["conjugate_moduli"] = []
-        results["value"] = float(num)
+        results.update(kind="rational", conjugate_moduli=[])
     else:
-        results["kind"] = "algebraic"
-        results["polynomial"] = str(num.min_poly)
-        results["value"] = float(num)
-        results["pisot"] = bool(is_pisot(num))
-        results["conjugate_moduli"] = num.conjugates().conjugate_moduli()
-    cfg = _config_echo(args, ["number"])
-    return _finish(args, "pisot", cfg, results, [], [], t0)
+        results.update(kind="algebraic", polynomial=str(num.min_poly),
+                       conjugate_moduli=num.conjugates().conjugate_moduli())
+    return results, [], {}
 
 
-def cmd_model(args) -> int:
-    t0 = time.monotonic()
-    doc = _load_json(args.ifs)
-    ifs = _load_ifs(doc, args.ifs)
+def cmd_model(args):
+    ifs = _load_ifs(_load_json(args.ifs), args.ifs)
     try:
         model = build_model(ifs, max_length=args.max_length)
     except ValueError as e:
@@ -244,10 +237,7 @@ def cmd_model(args) -> int:
                           **_verdict_doc(verdict)})
         results["base"] = args.beta
         results["relation_table"] = table
-    model_path = os.path.join(args.out_dir, "model.json")
-    _write(model_path, model.to_json() + "\n")
-    cfg = _config_echo(args, ["ifs", "max_length", "beta"])
-    return _finish(args, "model", cfg, results, [], [model_path], t0)
+    return results, [], {"model.json": model.to_json() + "\n"}
 
 
 def _verdict_doc(v) -> dict:
@@ -256,10 +246,8 @@ def _verdict_doc(v) -> dict:
     return {"verdict": "independent_certified", "reason": v.reason}
 
 
-def cmd_sample(args) -> int:
-    t0 = time.monotonic()
-    doc = _load_json(args.ifs)
-    ifs = _load_ifs(doc, args.ifs)
+def cmd_sample(args):
+    ifs = _load_ifs(_load_json(args.ifs), args.ifs)
     if args.mode == "direct":
         pts = sample_measure(ifs, args.count, depth=args.depth,
                              seed=args.seed)
@@ -267,18 +255,14 @@ def cmd_sample(args) -> int:
         model = build_model(ifs)
         pts = model.sample_measure(args.count, args.seed,
                                    depth=args.depth)
-    csv_path = os.path.join(args.out_dir, "samples.csv")
-    _write(csv_path, "point_id,value\n" + "".join(
-        f"{k},{x!r}\n" for k, x in enumerate(pts.tolist())))
     results = {"count": args.count, "mode": args.mode,
                "mean": float(np.mean(pts)), "min": float(np.min(pts)),
                "max": float(np.max(pts))}
-    cfg = _config_echo(args, ["ifs", "count", "depth", "mode"])
-    return _finish(args, "sample", cfg, results, [], [csv_path], t0)
+    return results, [], {"samples.csv": "point_id,value\n" + "".join(
+        f"{k},{x!r}\n" for k, x in enumerate(pts.tolist()))}
 
 
-def cmd_expand(args) -> int:
-    t0 = time.monotonic()
+def cmd_expand(args):
     _require(args, "beta", "x")
     base = _parse_beta(args.beta)
     rows = []
@@ -291,16 +275,11 @@ def cmd_expand(args) -> int:
         rows.append((k, text, args.beta, args.digits,
                      " ".join(str(d) for d in rec.digits),
                      rec.precision_used))
-    csv_path = os.path.join(args.out_dir, "expand.csv")
-    _write(csv_path, _csv_text(
-        ["point_id", "x", "beta", "n", "digits", "precision_used"], rows))
-    results = {"n_points": len(rows)}
-    cfg = _config_echo(args, ["beta", "x", "digits"])
-    return _finish(args, "expand", cfg, results, [], [csv_path], t0)
+    return {"n_points": len(rows)}, [], {"expand.csv": _csv_text(
+        ["point_id", "x", "beta", "n", "digits", "precision_used"], rows)}
 
 
-def cmd_parry(args) -> int:
-    t0 = time.monotonic()
+def cmd_parry(args):
     _require(args, "beta")
     base = _parse_beta(args.beta)
     try:
@@ -310,8 +289,6 @@ def cmd_parry(args) -> int:
     br, vals = pd.piece_floats
     rows = [(repr(float(br[j])), repr(float(br[j + 1])),
              repr(float(vals[j]))) for j in range(len(vals))]
-    csv_path = os.path.join(args.out_dir, "parry.csv")
-    _write(csv_path, _csv_text(["piece_lo", "piece_hi", "density"], rows))
     results = {
         "pieces": len(vals),
         "breakpoints": [scalar_to_str(b, f) for b, f in
@@ -321,8 +298,8 @@ def cmd_parry(args) -> int:
         "truncated_at": pd.truncated_at,
         "tail_bound": pd.tail_bound,
     }
-    cfg = _config_echo(args, ["beta", "truncation"])
-    return _finish(args, "parry", cfg, results, [], [csv_path], t0)
+    return results, [], {"parry.csv": _csv_text(
+        ["piece_lo", "piece_hi", "density"], rows)}
 
 
 def _exact_model_points(model: Model, base: BetaBase, n_points: int,
@@ -349,8 +326,7 @@ def _exact_model_points(model: Model, base: BetaBase, n_points: int,
     return pts
 
 
-def cmd_normality(args) -> int:
-    t0 = time.monotonic()
+def cmd_normality(args):
     _require(args, "beta")
     model = _load_model(args.model)
     base = _parse_beta(args.beta)
@@ -374,8 +350,6 @@ def cmd_normality(args) -> int:
     header = (["point_id", "beta", "n"] +
               [f"freq_{d}" for d in range(k)] +
               ["discrepancy", "precision_used"])
-    csv_path = os.path.join(args.out_dir, "normality.csv")
-    _write(csv_path, _csv_text(header, rows))
     mean_freqs = (freq_acc / len(pts)).tolist()
     mean_disc = disc_acc / len(pts)
     results = {"n_points": len(pts), "mean_digit_freqs": mean_freqs,
@@ -386,13 +360,10 @@ def cmd_normality(args) -> int:
                        "value": mean_disc,
                        "tolerance": args.max_mean_discrepancy,
                        "pass": bool(mean_disc < args.max_mean_discrepancy)})
-    cfg = _config_echo(args, ["model", "beta", "n_points", "n_digits",
-                              "max_mean_discrepancy"])
-    return _finish(args, "normality", cfg, results, checks, [csv_path], t0)
+    return results, checks, {"normality.csv": _csv_text(header, rows)}
 
 
-def cmd_scenery(args) -> int:
-    t0 = time.monotonic()
+def cmd_scenery(args):
     model = _load_model(args.model)
     scaled, factor = rescale_model_for_gap(model)
     chain = build_extended_chain(scaled)
@@ -417,7 +388,7 @@ def cmd_scenery(args) -> int:
         {"name": "trivial_contrast", "value": contrast,
          "tolerance": 0.2, "pass": bool(contrast > 0.2)},
     ]
-    files = []
+    tables = {}
     if args.dump_windows:
         # every window has the first one's bins: format their edges once
         edges = np.linspace(-1.0, 1.0,
@@ -427,18 +398,12 @@ def cmd_scenery(args) -> int:
         for wid, w in enumerate(orbit.windows[:args.dump_windows]):
             lines += [f"{wid},{span}{m!r}\n"
                       for span, m in zip(spans, w.bins.tolist())]
-        wpath = os.path.join(args.out_dir, "windows.csv")
-        _write(wpath, "".join(lines))
-        files.append(wpath)
-    cfg = _config_echo(args, ["model", "T", "dt", "n_q", "tolerance",
-                              "dump_windows"])
-    return _finish(args, "scenery", cfg, results, checks, files, t0)
+        tables["windows.csv"] = "".join(lines)
+    return results, checks, tables
 
 
-def cmd_disintegration(args) -> int:
-    t0 = time.monotonic()
-    doc = _load_json(args.ifs)
-    ifs = _load_ifs(doc, args.ifs)
+def cmd_disintegration(args):
+    ifs = _load_ifs(_load_json(args.ifs), args.ifs)
     model = build_model(ifs)
     direct = np.sort(sample_measure(ifs, args.count, seed=args.seed))
     via_model = np.sort(model.sample_measure(args.count, args.seed + 1))
@@ -450,12 +415,10 @@ def cmd_disintegration(args) -> int:
     checks = [{"name": "ks_distance", "value": ks,
                "tolerance": args.tolerance,
                "pass": bool(ks < args.tolerance)}]
-    cfg = _config_echo(args, ["ifs", "count", "tolerance"])
-    return _finish(args, "disintegration", cfg, results, checks, [], t0)
+    return results, checks, {}
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.monotonic()
+def cmd_spectrum(args):
     _require(args, "beta")
     model = _load_model(args.model)
     table = []
@@ -476,9 +439,7 @@ def cmd_spectrum(args) -> int:
                           "relations": [
                               {"component": j, **_verdict_doc(d)}
                               for j, d in verdict.relations]})
-    results = {"table": table}
-    cfg = _config_echo(args, ["model", "beta"])
-    return _finish(args, "spectrum", cfg, results, [], [], t0)
+    return {"table": table}, [], {}
 
 
 # -- parser ---------------------------------------------------------------------
@@ -652,7 +613,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _parse(argv)
         _check_sizes(args)
         os.makedirs(args.out_dir, exist_ok=True)
-        return args.func(args)
+        t0 = time.monotonic()
+        return _finish(args, t0, *args.func(args))
     except (CliError, OSError, ValueError, TypeError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

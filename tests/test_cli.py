@@ -97,6 +97,11 @@ CONFIG_ERRORS = {
 for _case, (_cfg, _args, _) in CONFIG_ERRORS.items():
     NO_TRACEBACK[_case] = ({"mt.json": MIDDLE_THIRDS, "c.json": _cfg},
                            ["--config", "c.json"] + _args, 1)
+# an IFS scalar is a rational, a named constant or a quotient of those; a
+# polynomial is read only where a number or a base is expected
+NO_TRACEBACK["ifs-s-polynomial"] = (
+    {"bad.json": '{"maps": [{"s": "x^2 - x - 1", "t": "0"}]}'},
+    ["model", "bad.json"], 1)
 NO_TRACEBACK["out-dir-is-a-file"] = ({"afile": "x"},
                                      ["--out-dir", "afile", "pisot", "golden"],
                                      1)
@@ -158,6 +163,8 @@ def run_table_case(tmp_path, case):
     if case in CONFIG_ERRORS:
         assert r.stderr.startswith(f"error: {CONFIG_ERRORS[case][2]} ")
         assert r.stderr.count("\n") == 1
+    if case == "ifs-s-polynomial":
+        assert r.stderr.startswith("error: bad.json: map 0: ")
 
 
 @pytest.fixture()
@@ -551,6 +558,69 @@ def test_main_builds_no_parser_after_the_first_call(tmp_path, ifs_file,
     assert made == []
 
 
+# one small run of each subcommand that gives a value to --seed and to
+# every flag, off the default where that is cheap: (argv, the dests of its
+# positional arguments, its tables)
+REPLAYS = {
+    "pisot": (["--seed", "1", "pisot", "tribonacci"], ["number"], []),
+    "model": (["--seed", "2", "model", "two.json", "--max-length", "6",
+               "--beta", "golden"], ["ifs"], ["model.json"]),
+    "sample": (["--seed", "3", "sample", "mt.json", "--count", "40",
+                "--depth", "7", "--mode", "model"], ["ifs"], ["samples.csv"]),
+    "expand": (["--seed", "4", "expand", "--beta", "3/2", "--x", "1/3",
+                "--x", "2/7", "--digits", "40"], [], ["expand.csv"]),
+    "parry": (["--seed", "5", "parry", "--beta", "golden", "--truncation",
+               "32"], [], ["parry.csv"]),
+    "normality": (["--seed", "6", "normality", "mt.json", "--beta", "3",
+                   "--n-points", "2", "--n-digits", "80",
+                   "--max-mean-discrepancy", "0.9"], ["model"],
+                  ["normality.csv"]),
+    "scenery": (["--seed", "7", "scenery", "mt.json", "--T", "12", "--dt",
+                 "0.5", "--n-q", "60", "--tolerance", "0.9",
+                 "--dump-windows", "1"], ["model"], ["windows.csv"]),
+    "disintegration": (["--seed", "8", "disintegration", "two.json",
+                        "--count", "300", "--tolerance", "0.5"], ["ifs"],
+                       []),
+    "spectrum": (["--seed", "9", "spectrum", "mt.json", "--beta", "2",
+                  "--beta", "golden"], ["model"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS))
+def test_every_report_replays_itself(tmp_path, monkeypatch, command):
+    """A report echoes --seed and every flag its run gave, and --config
+    with that report, plus the positional arguments read from the same
+    echo, writes the report and the tables again byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    Path("mt.json").write_text(MIDDLE_THIRDS)
+    Path("two.json").write_text(TWO_RATIO)
+    argv, positional, tables = REPLAYS[command]
+    assert run_in_process(["--out-dir", "a"] + argv) == (0, "")
+    report = Path("a", f"{command}_report.json")
+    config = json.loads(report.read_text())["config"]
+    given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+    assert given | set(positional) <= set(config)
+    assert run_in_process(["--config", str(report), "--out-dir", "b",
+                           command] + [config[d] for d in positional]) == \
+        (0, "")
+    for name in [report.name] + tables:
+        assert Path("b", name).read_bytes() == Path("a", name).read_bytes()
+
+
+def test_named_constant_is_fresh_per_call(tmp_path, monkeypatch):
+    """A named constant refines in place, and a field built on it writes
+    its bounds into model.json: after `pisot golden` refined golden, a
+    model run in the same process still writes a fresh process's bytes."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(GOLDEN_IFS)
+    assert run_in_process(["--out-dir", "p", "pisot", "golden"]) == (0, "")
+    assert run_in_process(["--out-dir", "a", "model", "g.json"]) == (0, "")
+    r = run_cli(["--out-dir", "fresh", "model", "g.json"], tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert Path("a", "model.json").read_bytes() == \
+        Path("fresh", "model.json").read_bytes()
+
+
 TETRANACCI = "x^4 - x^3 - x^2 - x - 1"
 
 
@@ -768,12 +838,25 @@ def frozen_runs():
     runs["parry 5/3 --truncation 600"] = (
         ["parry", "--beta", "5/3", "--truncation", "600"],
         ["parry.csv", "parry_report.json"])
+    # a rational, a quadratic, a cubic with a complex pair, a non-Pisot
+    for number in ("2", "golden", "x^3 - x - 1", "x^2 - 2"):
+        runs[f"pisot {number}"] = (["pisot", number], ["pisot_report.json"])
+    for name, argv in (("model mt", ["mt.json"]),
+                       ("model two 3", ["two.json", "--beta", "3"]),
+                       ("model two x^2 - 2", ["two.json", "--beta", "x^2 - 2"])):
+        runs[name] = (["model"] + argv, ["model.json", "model_report.json"])
+    runs["spectrum mt 2 3 golden"] = (
+        ["spectrum", "mt.json", "--beta", "2", "--beta", "3", "--beta",
+         "golden"], ["spectrum_report.json"])
+    runs["sample --config count 25 seed 3"] = (
+        ["--config", "c.json", "sample", "mt.json"],
+        ["samples.csv", "sample_report.json"])
     return runs
 
 
 def output_digest(argv, files) -> str:
     """SHA-256 of the output files of one in-process run from the working
-    directory, which holds mt.json and two.json."""
+    directory, which holds mt.json, two.json and the config c.json."""
     code, err = run_in_process(["--out-dir", "out"] + argv)
     assert code == 0, err
     h = hashlib.sha256()
@@ -821,6 +904,25 @@ FROZEN_DIGESTS = {
         "93d576f6a1dd40900542a136387e2777ce756e63c5cd98ba5d9c883a591f49d1",
     "parry 2*x^2 - 3*x - 1":
         "669012849895884217dbab2babd5f377b6aa92f18f5a7dedcc9f633ae0cc36ab",
+    # recorded before main took over the config echo and the file writes
+    "pisot 2":
+        "d03158178693bbe674ce052f05858650d452f6446c4266f183ddf093cdd5b7d6",
+    "pisot golden":
+        "c5a81e89e3bb91976f77300a7688d52cf4a5bb48ee190cfb2858d4494236c672",
+    "pisot x^3 - x - 1":
+        "c1108ba933efb531eff7388d60f7816ef6a760d1998cd6c2968f9fe7f4d372fd",
+    "pisot x^2 - 2":
+        "7d271fe7bead14c9777e7b0e0dfe0797203b87a7f57e80797abf6283022f6841",
+    "model mt":
+        "0b21f0dc420e9e0298100b3a338f64bca887bd6a17ef1097dab6ee30628e933c",
+    "model two 3":
+        "8db94b2a61aca7c2bd25a9c23174ddb6cab0cdca3a4cacb7a53f1cbe39e5ea34",
+    "model two x^2 - 2":
+        "9e0985c5bab5ef5bee421ef897a8108f8d83e92ef034bb566e093f2928f62a3d",
+    "spectrum mt 2 3 golden":
+        "84544e4afd7be94403a27b78a4f26091d202916ec88c87959bdf9ec945b12b7a",
+    "sample --config count 25 seed 3":
+        "1cf45ce183690f483a53db1732d17fb4d6883e1a2819d45e7e9c1b083acbe682",
 }
 
 
@@ -829,6 +931,7 @@ def test_outputs_are_frozen(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     Path("mt.json").write_text(MIDDLE_THIRDS)
     Path("two.json").write_text(TWO_RATIO)
+    Path("c.json").write_text('{"count": 25, "seed": 3}')
     assert output_digest(*frozen_runs()[name]) == FROZEN_DIGESTS[name]
 
 
