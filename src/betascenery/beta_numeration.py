@@ -15,14 +15,24 @@ Two arithmetic paths, chosen by the type of the starting point:
     1, gamma, ..., gamma^(d-1) over a denominator q; multiplying by beta is
     the companion matrix of gamma with the denominator multiplied by c, so
     the k-th remainder sits over q*c^k.  This is the representation of a
-    FieldElement, so a remainder becomes one without conversion.  A floor
-    is w_0 // q when w_1 = ... = w_{d-1} = 0 (the value is rational).
-    Otherwise the field's fixed-point evaluator reads it (see
-    NumberField._decide).  Each step reads its floor and its remainder's
-    float at once, from one enclosure; when the two ends of that enclosure
-    disagree on either, P doubles for the rest of the orbit and the step is
-    read again.  No floor or float comes from an uncertified value, and the
-    exact remainders are built only when read;
+    FieldElement, so a remainder becomes one without conversion.  The
+    orbit runs in blocks of BLOCK digits.  One fixed-point read of the
+    block's first point (NumberField._fixed, or one shifted division for
+    a rational base) encloses it in [lo, hi] / 2^P, with P wide enough for
+    the block's growth beta^BLOCK and MARGIN bits to spare.  The two ends
+    are stepped on plain integers with bounds of beta, and a digit and a
+    float are taken only where both ends agree on them.  The exact vector
+    then advances once per block, v <- gamma^k v - q S, with S the block's
+    digits in Z[gamma].  At a step the enclosure cannot decide, the block
+    ends and one exact step reads the floor and float at once through
+    NumberField._decide, whose precision doubles for the rest of the orbit
+    when the two ends of its own enclosure disagree.  No floor or float
+    comes from an uncertified value.  The record keeps the digits, the
+    floats and the block-boundary vectors, and a remainder is rebuilt
+    exactly from its boundary only when read.  For a Pisot base the
+    state's coordinates over q stay bounded (K. Schmidt 1980), so P stays
+    put from block to block, and a digit costs a few operations on P-bit
+    integers plus a 1/BLOCK share of one exact advance;
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
     that step, never silently rounded.
@@ -35,6 +45,7 @@ coefficient a_0.  Each breakpoint and value is reduced once, when built.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -153,6 +164,12 @@ def _reject_field():
                      "base; express it in the base's field")
 
 
+# Digits per block of the exact orbit kernel, and the bits of slack that a
+# block's enclosure keeps at its last step.
+BLOCK = 256
+MARGIN = 64
+
+
 class _Lattice:
     """Exact orbit arithmetic for beta = gamma/c, gamma an algebraic integer
     and c >= 1 an integer.
@@ -162,9 +179,10 @@ class _Lattice:
     Multiplying by beta is the integer companion matrix of gamma's monic
     minimal polynomial with Q multiplied by c, and subtracting a digit
     changes v[0] only, so the k-th point of an orbit from v/q sits over
-    q*c^k.  Each step reads its floor and its remainder's float at once,
-    with the field's fixed-point evaluator (`NumberField._decide`), at a
-    precision that the orbit carries.
+    q*c^k.  `orbit` runs in blocks of BLOCK digits: an integer enclosure of
+    the block's first point, stepped with fixed-point bounds of beta, gives
+    the digits and floats that both its ends agree on, and the exact vector
+    advances once per block (see `orbit`).
     """
 
     def __init__(self, coeffs: Sequence[int], field, scale: int):
@@ -173,40 +191,134 @@ class _Lattice:
         self.scale = scale            # c
         self.degree = len(self.coeffs) - 1
 
-    def orbit(self, v, q, steps: int
-              ) -> Tuple[List[int], List[tuple], Optional[List[float]]]:
-        """The digits, remainder vectors and remainder floats of `steps`
-        greedy steps from v/q: multiply by gamma and the denominator by c,
-        read the floor and the remainder's float, subtract the floor from
-        v[0].  A rational base leaves its floats, one integer division
-        each, to `OrbitRecord.orbit_floats`, which `expand` never calls."""
-        digits, states = [], []
-        if self.degree == 1:
-            # beta = a/c: the step is x -> a*x over q*c, and its floor and
-            # remainder are one integer divmod
-            a, x = -self.coeffs[0], v[0]
-            for _ in range(steps):
+    @functools.cached_property
+    def _log2_beta(self) -> float:
+        """An upper bound of log2(beta), from the bounds the evaluator
+        reads first."""
+        _, hi, s = self._beta_bounds(FIXED_BITS)
+        return math.log2(hi) - s
+
+    def _beta_bounds(self, bits: int) -> Tuple[int, int, int]:
+        """(lo, hi, s) with beta 2^s in [lo, hi]: exact for an integer
+        base (s = 0), else s = bits."""
+        if self.field is None:
+            a = -self.coeffs[0]
+            if self.scale == 1:
+                return a, a, 0
+            lo = hi = a << bits
+        else:
+            b, e = self.field._table(bits)
+            lo, hi = b[0], b[0] + e[0]
+        return lo // self.scale, -(-hi // self.scale), bits
+
+    def orbit(self, v, q: int, steps: int
+              ) -> Tuple[List[int], List[float], List[int], List[tuple]]:
+        """`steps` greedy digits from v/q, with the float of each remainder:
+        (digits, floats, starts, vectors), where vectors[i] is the integer
+        vector of the orbit's point number starts[i], over q*c^starts[i].
+
+        Each block of up to BLOCK digits reads one enclosure of its first
+        point (`_block`).  The exact vector then advances over the k digits
+        the block certified, v <- gamma^k v - q S with S = sum d_j
+        c^(j+1) gamma^(k-1-j), and the denominator grows by c^k.  A block
+        cut short is followed by one exact step: its floor and float come
+        from one integer division for a rational value, else from the
+        field's evaluator (`NumberField._decide`), whose precision starts
+        at FIXED_BITS and doubles, for the rest of the orbit, at each step
+        it cannot certify."""
+        digits: List[int] = []
+        floats: List[float] = []
+        starts, vectors, bits = [], [], FIXED_BITS
+        while len(digits) < steps:
+            n = len(digits)
+            starts.append(n)
+            vectors.append(v)
+            block = min(BLOCK, steps - n)
+            k = self._block(v, q, block, digits, floats)
+            if k:
+                v, q = self._advance(v, q, digits[n:])
+            if k < block:
+                w = _times_gamma(v, self.coeffs)
                 q *= self.scale
-                d, x = divmod(a * x, q)
+                if self.field is None:
+                    d, f = _floor_and_rest(w[0], q)
+                else:
+                    (d, f), bits = self.field._decide(w, q, _floor_and_rest,
+                                                      bits)
+                v = (w[0] - d * q,) + w[1:]
                 digits.append(d)
-                states.append((x,))
-            return digits, states, None
-        floats = []
-        # each orbit starts at FIXED_BITS; a step that it cannot certify
-        # doubles the precision for the rest of the orbit
-        decide, bits = self.field._decide, FIXED_BITS
+                floats.append(f)
+        return digits, floats, starts, vectors
+
+    def _block(self, v, q: int, steps: int, digits: List[int],
+               floats: List[float]) -> int:
+        """Append up to `steps` digits and remainder floats of the orbit
+        from v/q, read from an enclosure [lo, hi] / 2^P of v/q, and return
+        how many.  P covers the block's growth beta^steps, the state's
+        size and MARGIN bits, and doubles until the enclosure's width times
+        beta^steps is below 2^-MARGIN.  A step maps the ends by beta's
+        bounds; it is taken only when both ends have the same floor and
+        their remainders round to the same float."""
+        growth = math.ceil(steps * self._log2_beta)
+        # hi - lo + 1 is at most about 4 sum|v_i| / q + 2 at any P, since
+        # the table's errors are 1 or 2
+        width = max(sum(map(abs, v[1:])).bit_length() - q.bit_length() + 3,
+                    0) + 2
+        # rounded up to 32 bits, so an orbit's blocks share few tables
+        bits = max(1, -(-(width + growth + MARGIN) // 32) * 32)
+        while True:
+            a, r = (v[0] << bits, 0) if self.field is None else \
+                self.field._fixed(v, bits)
+            lo, hi = max((a - r) // q, 0), -((-a - r) // q)
+            if (hi - lo + 1).bit_length() + growth + MARGIN <= bits:
+                break
+            bits *= 2
+        blo, bhi, sh = self._beta_bounds(bits)
+        # a remainder's float is read from its top 128 bits at most:
+        # scaling the nearest float of an integer below 2^129 by 2^-cut is
+        # exact, and the result is 0 or at least 2^-128, never subnormal
+        cut = max(bits - 128, 0)
+        scale = 2.0 ** (cut - bits)
+        taken = 0
         for _ in range(steps):
-            q *= self.scale
-            top = v[-1]
-            w = (0,) + v[:-1]
-            if top:
-                w = tuple(a - c * top for a, c in zip(w, self.coeffs))
-            (d, f), bits = decide(w, q, _floor_and_rest, bits)
-            v = (w[0] - d * q,) + w[1:]
+            ylo = lo * blo >> sh
+            yhi = -(-hi * bhi >> sh)
+            d = ylo >> bits
+            if yhi >> bits != d:
+                break
+            if d:
+                ylo -= d << bits
+                yhi -= d << bits
+            f = float(ylo >> cut)
+            if float(-(-yhi >> cut)) != f:
+                break
             digits.append(d)
-            states.append(v)
-            floats.append(f)
-        return digits, states, floats
+            floats.append(f * scale)
+            lo, hi = ylo, yhi
+            taken += 1
+        return taken
+
+    def _advance(self, v, q: int, digits: List[int]) -> Tuple[tuple, int]:
+        """The point after k known digits from v/q: gamma^k v - q S over
+        q c^k, with S = sum d_j c^(j+1) gamma^(k-1-j) summed coordinate by
+        coordinate against gamma^(k-1), ..., gamma^0."""
+        k, c, powers = len(digits), self.scale, _gamma_powers(self.coeffs)
+        if c > 1:
+            digits = list(map(operator.mul, digits,
+                              accumulate([c] * k, operator.mul)))
+        s = [sum(map(operator.mul, digits, col))
+             for col in zip(*powers[k - 1::-1])]
+        gv = self.mul(powers[k], v)
+        return tuple(a - q * b for a, b in zip(gv, s)), q * c ** k
+
+    def replay(self, v, q: int, digits):
+        """The points after each of the known digits, from v/q, exact:
+        (v, q) <- (gamma v - d q c, q c)."""
+        for d in digits:
+            q *= self.scale
+            w = _times_gamma(v, self.coeffs)
+            v = (w[0] - d * q,) + w[1:]
+            yield v, q
 
     def element(self, v, q: int) -> ExactScalar:
         """v/q as a Fraction or a FieldElement, reduced once."""
@@ -235,6 +347,26 @@ class _Lattice:
         return x.num, x.den
 
 
+def _times_gamma(v: tuple, coeffs: Tuple[int, ...]) -> tuple:
+    """The integer vector of gamma times v, for gamma a root of the monic
+    polynomial with the given coefficients, lowest first."""
+    top = v[-1]
+    w = (0,) + v[:-1]
+    if top:
+        w = tuple([a - c * top for a, c in zip(w, coeffs)])
+    return w
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_powers(coeffs: Tuple[int, ...]) -> Tuple[tuple, ...]:
+    """gamma^0, ..., gamma^BLOCK as integer vectors, once per polynomial:
+    each CLI call builds its base afresh."""
+    powers = [(1,) + (0,) * (len(coeffs) - 2)]
+    for _ in range(BLOCK):
+        powers.append(_times_gamma(powers[-1], coeffs))
+    return tuple(powers)
+
+
 def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
     """(floor(a/q), the float nearest a/q - floor(a/q)), for q > 0."""
     d, m = divmod(a, q)
@@ -242,33 +374,58 @@ def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
 
 
 class _LatticeRemainders(Sequence):
-    """The remainders of a lattice orbit from v/q, stored as integer vectors;
-    the one at position k of the orbit sits over q*c^(k+1), and reading it
-    builds its exact Fraction or FieldElement.  It is a read-only sequence,
-    not a list: like a list it compares equal to a list (or another such
+    """The remainders of a lattice orbit from v/q: the one at position k of
+    the orbit is point k+1, over q*c^(k+1).  Only the digits, the
+    remainder floats and the block-boundary vectors are stored; reading a
+    remainder replays the digits exactly from the last boundary at or
+    before it (`_Lattice.replay`) and builds its Fraction or FieldElement,
+    and iterating replays each digit once.  It is a read-only sequence, not
+    a list: like a list it compares equal to a list (or another such
     sequence) of the same values, but it has no `+` and is not meant for
     pickling; `list(rems)` builds every value."""
 
-    def __init__(self, lattice: _Lattice, q: int, states: List[tuple],
-                 floats: Optional[List[float]], positions: range):
+    def __init__(self, lattice: _Lattice, q: int, digits: Sequence[int],
+                 floats: List[float], starts: List[int],
+                 vectors: List[tuple], positions: range):
         self.lattice = lattice
         self.q = q
-        self.states = states
-        self.floats = floats         # read with the floors; None if rational
-        self.positions = positions   # orbit step of each state
+        self.digits = digits
+        self.floats = floats         # one per position, certified
+        self.starts = starts         # orbit point of each boundary vector
+        self.vectors = vectors
+        self.positions = positions   # orbit step of each remainder
 
     def denominator(self, k: int) -> int:
         return self.q * self.lattice.scale ** (self.positions[k] + 1)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.positions)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            floats = None if self.floats is None else self.floats[k]
-            return _LatticeRemainders(self.lattice, self.q, self.states[k],
-                                      floats, self.positions[k])
-        return self.lattice.element(self.states[k], self.denominator(k))
+            return _LatticeRemainders(self.lattice, self.q, self.digits,
+                                      self.floats[k], self.starts,
+                                      self.vectors, self.positions[k])
+        return next(self._values([self.positions[k]]))
+
+    def __iter__(self):
+        return self._values(self.positions)
+
+    def _values(self, positions):
+        """The remainders at the given orbit steps, each replayed from the
+        last boundary at or before it, or from the remainder read before it
+        when that is nearer."""
+        lat, s = self.lattice, None
+        for p in positions:
+            t = p + 1
+            b = bisect.bisect_right(self.starts, t) - 1
+            if s is None or not self.starts[b] <= s <= t:
+                s, v = self.starts[b], self.vectors[b]
+                den = self.q * lat.scale ** s
+            for v, den in lat.replay(v, den, self.digits[s:t]):
+                pass
+            s = t
+            yield lat.element(v, den)
 
     def __eq__(self, other):
         if not isinstance(other, (list, _LatticeRemainders)):
@@ -290,16 +447,9 @@ class OrbitRecord:
         """Float values of x_0, ..., x_{n-1} (the points whose
         equidistribution normality is about)."""
         rems = self.remainders
-        if not isinstance(rems, _LatticeRemainders):
-            return np.array([float(r) for r in [self.start, *rems[:-1]]])
-        if rems.floats is not None:
-            floats = rems.floats[:-1]
-        else:
-            floats, q = [], rems.denominator(0)
-            for (x,) in rems.states[:-1]:
-                floats.append(x / q)   # int / int rounds correctly
-                q *= rems.lattice.scale
-        return np.array([float(self.start), *floats])
+        if isinstance(rems, _LatticeRemainders):
+            return np.array([float(self.start), *rems.floats[:-1]])
+        return np.array([float(r) for r in [self.start, *rems[:-1]]])
 
 
 def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
@@ -323,10 +473,12 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         v, q = (x.numerator,) + (0,) * (lat.degree - 1), x.denominator
     else:
         v, q = x.num, x.den
-    digits, states, floats = lat.orbit(v, q, steps)
+    digits, floats, starts, vectors = lat.orbit(v, q, steps)
+    # the remainders replay their own copy of the digits, so a caller that
+    # edits rec.digits does not change them
     return OrbitRecord(x, digits,
-                       _LatticeRemainders(lat, q, states, floats,
-                                          range(steps)),
+                       _LatticeRemainders(lat, q, tuple(digits), floats,
+                                          starts, vectors, range(steps)),
                        0, base)
 
 
@@ -402,26 +554,33 @@ def orbit_of_one(base: BetaBase, max_terms: int):
     orbit.  So cycle is truthy exactly when the values are the whole orbit,
     whether it ends at 0 or turns periodic; it does not mean that the
     expansion of 1 is finite.  For a Pisot base every orbit in Q(beta) is
-    eventually periodic (K. Schmidt 1980).  The steps are the lattice steps
-    of `beta_orbit`, taken in runs of doubling length: T^k(1) is an integer
-    vector over c^k, reduced once when its value is built, and a value
-    repeats when its reduced form does."""
+    eventually periodic (K. Schmidt 1980)."""
+    values, _, cycle = _orbit_of_one(base, max_terms)
+    return values, cycle
+
+
+def _orbit_of_one(base: BetaBase, max_terms: int):
+    """`orbit_of_one`'s (values, floats, cycle), with the certified float of
+    each value.  The steps are the lattice orbit of `beta_orbit`, taken in
+    runs of doubling length: T^k(1) is an integer vector over c^k, replayed
+    from the run's digits and reduced once when its value is built, and a
+    value repeats when its reduced form does."""
     lat = base._lattice
     v, q = (1,) + (0,) * (lat.degree - 1), 1
-    values, seen, run = [lat.element(v, q)], {}, 2
+    values, floats, seen, run = [lat.element(v, q)], [1.0], {}, 2
     while len(values) < max_terms:
-        _, states, _ = lat.orbit(v, q, min(run, max_terms - len(values)))
-        for v in states:
-            q *= lat.scale
+        digits, fl, _, _ = lat.orbit(v, q, min(run, max_terms - len(values)))
+        for (v, q), f in zip(lat.replay(v, q, digits), fl):
             if not any(v):
-                return values, len(values)
+                return values, floats, len(values)
             z = lat.element(v, q)
             k = seen.setdefault(z, len(values))
             if k < len(values):
-                return values, k
+                return values, floats, k
             values.append(z)
+            floats.append(f)
         run *= 2
-    return values, None
+    return values, floats, None
 
 
 def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
@@ -437,7 +596,7 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
         raise TypeError("Parry construction needs an exact base")
     if truncation < 1:
         raise ValueError("truncation must be a positive term count")
-    orbit, cycle = orbit_of_one(base, truncation)
+    orbit, floats, cycle = _orbit_of_one(base, truncation)
     n = len(orbit)
     head = n if cycle is None else cycle
     lat, den = base._lattice, base._lattice.scale ** (n - 1)
@@ -445,7 +604,6 @@ def parry_density(base: BetaBase, truncation: int = 256) -> ParryDensity:
     # after the leading 1, last in exact order, the orbit values are
     # distinct points of (0, 1): they are the interior breakpoints, and
     # T^n(1) > b_j iff its rank among the breakpoints exceeds j
-    floats = [float(z) for z in orbit]
     order = _exact_order(orbit, floats)
 
     # 1/gamma = -(a_1 + a_2 gamma + ... + gamma^(d-1))/a_0, so a step

@@ -5,9 +5,10 @@ deterministic seeded experiment; it only computes, returning its results,
 checks and tables.  main times the command and writes its outputs under
 --out-dir: a <command>_report.json carrying the config echo (--seed plus
 every argument of the subcommand's parser) and the results, and the
-tables, CSV where the data is tabular.  Identical configs give byte-identical
-files; wall-clock goes to stdout only.  The parser is built once per
-process and reused; a --config run leaves no defaults behind.
+tables, CSV where the data is tabular.  --out-dir is made only then, so a
+run refused on its input leaves no directory.  Identical configs give
+byte-identical files; wall-clock goes to stdout only.  The parser is built
+once per process and reused; a --config run leaves no defaults behind.
 
 Exit codes: 0 all checks passed, 2 a tolerance check failed, 1 error.
 """
@@ -168,6 +169,7 @@ def _finish(args, t0: float, results: dict, checks: List[dict],
         "checks": checks,
         "status": status,
     }
+    os.makedirs(args.out_dir, exist_ok=True)
     paths = [os.path.join(args.out_dir, f) for f in tables]
     for path, text in zip(paths, tables.values()):
         _write(path, text)
@@ -612,7 +614,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse(argv)
         _check_sizes(args)
-        os.makedirs(args.out_dir, exist_ok=True)
         t0 = time.monotonic()
         return _finish(args, t0, *args.func(args))
     except (CliError, OSError, ValueError, TypeError, ZeroDivisionError) as e:

@@ -32,6 +32,8 @@ evidence rather than circularity.
   * orientation_marginal: the stationary mass of a chain on each
     orientation, summed state by state.
   * exact_beta: beta in the exact scalars of its base's orbits.
+  * greedy_reference: the greedy orbit one step at a time, x <- beta x -
+    floor(beta x), in the exact scalars of the point.
   * unwind_reference: a start point from its digits and last remainder,
     x <- (x + d)/beta in the exact scalars of the point.
   * parry_reference: the Parry density straight from its definition,
@@ -519,6 +521,20 @@ def exact_beta(base):
     if base._field is None:
         return base.beta
     return base._field.beta() / base._lattice.scale
+
+
+def greedy_reference(base, x, steps):
+    """The digits and remainders of `steps` greedy steps from x, one step
+    at a time in exact scalars (Fractions or field elements)."""
+    b = exact_beta(base)
+    digits, rems = [], []
+    for _ in range(steps):
+        y = b * x
+        d = math.floor(y)
+        x = y - d
+        digits.append(int(d))
+        rems.append(x)
+    return digits, rems
 
 
 def unwind_reference(base, x, digits):

@@ -34,6 +34,9 @@ ALLOWED = {
     "beta_numeration.pushforward_samples":
         "applies g exactly to model points, to be wired into normality",
     "cli._Parser.error": "argparse calls it on a usage error",
+    "beta_numeration.orbit_of_one":
+        "public: the orbit of 1 and its cycle; parry_density reads the same "
+        "orbit with its floats through _orbit_of_one",
 }
 
 # "module.Qualified.function.parameter" -> why its default stays although

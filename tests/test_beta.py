@@ -4,6 +4,7 @@ statistics, and smooth pushforwards."""
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from oracles import (
     exact_beta,
     golden_parry_values,
     greedy_digits_ok,
+    greedy_reference,
     parry_reference,
     tribonacci_parry_pieces,
     unwind_reference,
@@ -45,6 +47,22 @@ LATTICE_BASES = ["2", "3", "10", "3/2", "5/3", "7/2", "10/3", "x^2 - x - 1",
                  "x^2 - 3*x + 1", "x^2 - 2", "2*x^2 - 3*x - 1"]
 
 
+# bases and lengths of the kernel sweep: one block less, one block, one
+# more, and three blocks and a part
+KERNEL_BASES = ["2", "3", "3/2", "10/3", "x^2 - x - 1", "x^3 - x^2 - x - 1",
+                "x^3 - x - 1", "2*x^2 - 2*x - 1", "x^2 - 2"]
+KERNEL_STEPS = [bn.BLOCK - 1, bn.BLOCK, bn.BLOCK + 1, 3 * bn.BLOCK + 7]
+
+
+def middle_thirds_point(n: int) -> Fraction:
+    """A point of the middle-thirds set over 3^n, from a seeded word."""
+    rng = np.random.default_rng(n)
+    num = 0
+    for w in rng.integers(0, 2, size=n).tolist():
+        num = 3 * num + 2 * w
+    return Fraction(num, 3 ** n)
+
+
 @functools.lru_cache(maxsize=None)
 def lattice_base(text: str) -> BetaBase:
     try:
@@ -53,26 +71,12 @@ def lattice_base(text: str) -> BetaBase:
         return BetaBase(AlgebraicNumber.largest_root(IntPolynomial.parse(text)))
 
 
-def greedy_orbit(base, x, steps):
-    """The orbit in plain exact-scalar arithmetic (Fractions and field
-    elements): the reference for the lattice."""
-    b = exact_beta(base)
-    digits, rems = [], []
-    for _ in range(steps):
-        y = b * x
-        d = math.floor(y)
-        x = y - d
-        digits.append(int(d))
-        rems.append(x)
-    return digits, rems
-
-
 def assert_matches_reference(base, x, steps):
     """The lattice orbit against the plain exact-scalar loop: digits,
     remainders, floats and the backward reconstruction."""
     rec = beta_orbit(base, x, steps)
     x = base.coerce_point(x)
-    digits, rems = greedy_orbit(base, x, steps)
+    digits, rems = greedy_reference(base, x, steps)
     assert rec.digits == digits
     assert list(rec.remainders) == rems
     # both float paths are certified: integer division or fixed point
@@ -205,7 +209,10 @@ class TestLatticeOrbit:
         # 1/7 in base 3/2: 3/14, 9/28, 27/56, 81/112, then 243/224 - 1
         rec = beta_orbit(BetaBase(Fraction(3, 2)), Fraction(1, 7), 5)
         assert rec.digits == [0, 0, 0, 0, 1]
-        assert rec.remainders.states == [(3,), (9,), (27,), (81,), (19,)]
+        rems = rec.remainders
+        assert (rems.starts, rems.vectors) == ([0], [(1,)])
+        assert [v for v, _ in rems.lattice.replay((1,), 7, rec.digits)] == \
+            [(3,), (9,), (27,), (81,), (19,)]
         assert [rec.remainders.denominator(k) for k in range(5)] == \
             [7 * 2 ** (k + 1) for k in range(5)]
         assert rec.remainders[1:3] == [Fraction(9, 28), Fraction(27, 56)]
@@ -257,10 +264,13 @@ class TestLatticeOrbit:
         assert_matches_reference(base, x, 60)
 
     def test_escalation_keeps_digits(self, monkeypatch):
-        # a 4-bit start cannot certify most floors or floats: the precision
+        # a margin far below zero leaves every block's enclosure too wide to
+        # take a step, so each step is an exact fallback step; a 4-bit start
+        # cannot certify most of those floors or floats: the precision
         # doubles, and nothing else changes (field elements start their own
-        # reads at FIXED_BITS, so only the orbit builds an 8-bit table)
+        # reads at FIXED_BITS, so only the fallback builds an 8-bit table)
         monkeypatch.setattr(bn, "FIXED_BITS", 4)
+        monkeypatch.setattr(bn, "MARGIN", -10 ** 6)
         for name in ("golden", "tribonacci"):
             base = BetaBase(named_constant(name))
             assert_matches_reference(base, Fraction(22, 113), 300)
@@ -268,19 +278,22 @@ class TestLatticeOrbit:
 
     def test_escalation_is_per_orbit(self, monkeypatch):
         # the coordinates of 1/3 + sqrt(2)/5 grow like sqrt(2)^n, so 2000
-        # digits need powers far wider than the start; a later short orbit
-        # on the same base starts again at FIXED_BITS
+        # exact steps need powers far wider than the start; a later short
+        # orbit on the same base starts again at FIXED_BITS.  The margin
+        # makes every step an exact fallback step, whose reads are recorded
         base = BetaBase(AlgebraicNumber.largest_root(
             IntPolynomial.parse("x^2 - 2")))
         field = base._field
         used = []
-        fixed = type(field)._fixed
+        decide = NumberField._decide
 
-        def recording(self, v, bits):
+        def recording(self, v, q, read, bits=bn.FIXED_BITS):
+            out = decide(self, v, q, read, bits)
             if self is field:
-                used.append(bits)
-            return fixed(self, v, bits)
-        monkeypatch.setattr(type(field), "_fixed", recording)
+                used.append(out[1])
+            return out
+        monkeypatch.setattr(NumberField, "_decide", recording)
+        monkeypatch.setattr(bn, "MARGIN", -10 ** 6)
         x = base._field.element([Fraction(1, 3), Fraction(1, 5)])
         long = beta_orbit(base, x, 2000)
         assert max(used) > 8 * bn.FIXED_BITS
@@ -289,6 +302,127 @@ class TestLatticeOrbit:
         assert set(used) == {bn.FIXED_BITS}
         assert short.digits == long.digits[:20]
 
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    @given(steps=st.sampled_from(KERNEL_STEPS),
+           coords=st.lists(st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=10 ** 6),
+                           min_size=1, max_size=3),
+           cut=st.tuples(st.integers(0, 3 * bn.BLOCK + 7),
+                         st.integers(0, 3 * bn.BLOCK + 7),
+                         st.sampled_from([1, 2, 7])))
+    @example(steps=bn.BLOCK + 1, coords=[Fraction(2, 7)],
+             cut=(bn.BLOCK - 2, bn.BLOCK + 1, 1))
+    @example(steps=3 * bn.BLOCK + 7, coords=[Fraction(1, 7), Fraction(1, 3)],
+             cut=(0, 3 * bn.BLOCK + 7, 7))
+    @settings(max_examples=8, deadline=None)
+    def test_kernel_matches_step_by_step(self, text, steps, coords, cut):
+        # the block kernel against the one-step-at-a-time reference, across
+        # block edges: digits, floats, each remainder by index and by
+        # slice, and the denominators
+        base = lattice_base(text)
+        if len(coords) == 1 or base.degree == 1:
+            x = coords[0] - math.floor(coords[0])
+        else:
+            x = base._field.element(coords[:base.degree])
+            x = x - math.floor(x)
+        rec = beta_orbit(base, x, steps)
+        x = base.coerce_point(x)
+        digits, rems = greedy_reference(base, x, steps)
+        assert rec.digits == digits
+        assert rec.orbit_floats().tolist() == \
+            [float(r) for r in [x, *rems[:-1]]]
+        den = x.denominator if isinstance(x, Fraction) else x.den
+        lat = base._lattice
+        for k, r in enumerate(rems):
+            assert rec.remainders[k] == r
+            assert rec.remainders.denominator(k) == den * lat.scale ** (k + 1)
+        assert list(rec.remainders) == rems
+        part = slice(*cut)
+        sub = rec.remainders[part]
+        assert sub == rems[part]
+        assert list(sub) == rems[part]
+        assert [sub.denominator(j) for j in range(len(sub))] == \
+            [den * lat.scale ** (k + 1) for k in range(steps)[part]]
+
+    @pytest.mark.parametrize("text,x", [("2", Fraction(2, 7)),
+                                        ("3/2", Fraction(1, 7)),
+                                        ("x^2 - x - 1", Fraction(2, 7)),
+                                        ("2*x^2 - 2*x - 1", Fraction(1, 3))])
+    def test_forced_fallback_keeps_records(self, text, x, monkeypatch):
+        # a margin far below zero stops every block at its first step, so
+        # the orbit is all exact fallback steps, one boundary each: the
+        # record is the kernel's
+        base = lattice_base(text)
+        steps = 2 * bn.BLOCK + 3
+        rec = beta_orbit(base, x, steps)
+        monkeypatch.setattr(bn, "MARGIN", -10 ** 6)
+        forced = beta_orbit(base, x, steps)
+        assert forced.remainders.starts == list(range(steps))
+        assert rec.remainders.starts == [0, bn.BLOCK, 2 * bn.BLOCK]
+        assert forced.digits == rec.digits
+        assert forced.orbit_floats().tolist() == rec.orbit_floats().tolist()
+        assert forced.remainders.floats == rec.remainders.floats
+        assert forced.remainders == rec.remainders
+        assert forced.remainders[5:300:3] == rec.remainders[5:300:3]
+        assert forced.precision_used == rec.precision_used == 0
+
+    @pytest.mark.parametrize("text,point,hit", [
+        ("x^2 - x - 1", "gamma - 1", True),      # beta x = 1
+        ("2*x^2 - 2*x - 1", "gamma - 2", True),  # x = 1/beta, gamma = 2 beta
+        ("3/2", "2/3", True),
+        ("x^2 - x - 1", "0", False),
+        ("x^2 - 2", "1/3", False)])
+    def test_exact_edges(self, text, point, hit):
+        # beta x exactly an integer (digit 1, then zeros), the point 0, and
+        # 1/3 in base sqrt(2), whose every other remainder is rational
+        base = lattice_base(text)
+        if point.startswith("gamma"):
+            x = base._field.beta() - int(point[-1])
+        else:
+            x = Fraction(point)
+        for steps in (1, bn.BLOCK, bn.BLOCK + 5):
+            assert_matches_reference(base, x, steps)
+        rec = beta_orbit(base, x, 40)
+        if hit:
+            assert rec.digits == [1] + [0] * 39
+            assert rec.remainders[0] == 0
+        if text == "x^2 - 2":
+            assert all(r.to_rational() is not None
+                       for r in rec.remainders[1::2])
+            assert all(r.to_rational() is None for r in rec.remainders[::2])
+
+    def test_decide_reads_per_block(self, golden_base, monkeypatch):
+        # 16,000 golden digits of a middle-thirds point with a 7,100-digit
+        # ternary denominator: the kernel reads the evaluator only for an
+        # exact fallback step, and the blocks cut short are few (a
+        # per-digit read makes 16,000 calls)
+        n, x = 16_000, middle_thirds_point(7_100)
+        decide, calls = NumberField._decide, []
+
+        def spy(field, *args):
+            calls.append(args)
+            return decide(field, *args)
+
+        monkeypatch.setattr(NumberField, "_decide", spy)
+        rec = beta_orbit(golden_base, x, n)
+        assert len(rec.digits) == n
+        assert len(calls) <= math.ceil(n / bn.BLOCK)
+
+    def test_long_orbit_memory(self, golden_base):
+        # the record keeps the digits, the floats and one vector per block,
+        # not one exact remainder per digit: 32,000 golden digits of a
+        # point over 3^14,100 peak under 16 MB of Python allocations (one
+        # remainder per digit is about 2.8 KB a coordinate)
+        n, x = 32_000, middle_thirds_point(14_100)
+        tracemalloc.start()
+        try:
+            rec = beta_orbit(golden_base, x, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec.digits) == n
+        assert peak < 16 * 2 ** 20
+
     def test_remainders_compare_like_a_list(self, golden_base):
         rec = beta_orbit(golden_base, Fraction(2, 7), 30)
         rems = list(rec.remainders)
@@ -296,6 +430,10 @@ class TestLatticeOrbit:
         assert rec.remainders[5:] == rems[5:]
         assert rec.remainders != rems[1:]
         assert rec.remainders != tuple(rems)
+        # the remainders are rebuilt from the record's digits, but not from
+        # the list that the record hands out
+        rec.digits[3] ^= 1
+        assert rec.remainders == rems
 
     @pytest.mark.parametrize("poly", ["x^2 - x - 1", "x^3 - x^2 - x - 1"])
     def test_greedy_oracle(self, poly):
@@ -510,8 +648,8 @@ class TestNormalityStatistic:
 
     @pytest.mark.parametrize("name", ["golden", "tribonacci"])
     def test_one_evaluator_read_per_field_step(self, name, monkeypatch):
-        # each step reads its floor and its remainder's float from one
-        # enclosure, so the orbit and its statistic read about once a step
+        # the orbit reads the evaluator only at its exact fallback steps,
+        # and the statistic reads none: far below one read a step
         base = BetaBase(named_constant(name))
         pd = parry_density(base)
         decide, calls = NumberField._decide, []

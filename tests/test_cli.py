@@ -534,6 +534,23 @@ def test_config_leaves_no_defaults_behind(tmp_path, ifs_file, monkeypatch):
         assert (tmp_path / "fresh" / name).read_bytes() == first
 
 
+def test_refused_run_leaves_no_out_dir(tmp_path, ifs_file, monkeypatch):
+    """--out-dir is made only when the outputs are written: a run refused
+    on its input exits 1 with an error line and leaves no directory."""
+    monkeypatch.chdir(tmp_path)
+    files, model_args, _ = NO_TRACEBACK["ifs-s-polynomial"]
+    (tmp_path / "bad.json").write_text(files["bad.json"])
+    refused = {"model": model_args,
+               "expand": ["expand", "--x", "1/3"],
+               "spectrum-sqrt2": ["spectrum", ifs_file.name, "--beta",
+                                  "x^2 - 2"],
+               "spectrum": ["spectrum", ifs_file.name]}
+    for out, args in refused.items():
+        code, err = run_in_process(["--out-dir", out] + args)
+        assert code == 1 and err.startswith("error: "), (out, err)
+        assert not (tmp_path / out).exists(), out
+
+
 def test_main_builds_no_parser_after_the_first_call(tmp_path, ifs_file,
                                                     monkeypatch):
     """The parser tree is built once per process: after a warm-up call,
