@@ -8,12 +8,13 @@ an estimate (R. E. Moore, Interval Analysis, 1966).  Operands of different
 precision meet at the larger one, where the shift is exact.  An int or
 Fraction operand of + - * / enters exactly, and only the result is rounded.
 Exact sources (fractions, algebraic numbers) can be re-materialized at any
-requested precision.  mpmath is needed only by `log`, for its certified
-directed-rounding logarithm, and is imported there.
+requested precision.  `log` sums atanh series on integers with an
+explicit error bound, so it is certified in the same way.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
@@ -132,21 +133,14 @@ class BigReal:
                 / (self * q.denominator))
 
     def log(self) -> "BigReal":
-        """mpmath's certified logarithm of each endpoint at prec significant
-        bits, rounded down at the low end and up at the high end."""
-        from mpmath.libmp import (from_man_exp, mpf_log, round_ceiling,
-                                  round_floor)
-
+        """The natural logarithm, the low end rounded down and the high end
+        up (see _log_bounds)."""
         if self._lo <= 0:
             raise ValueError("log of an interval touching (-inf, 0]")
-        prec, ends = self.prec, []
-        # s = -1 negates the high end, so that the floor below is a ceiling
-        for n, rnd, s in ((self._lo, round_floor, 1),
-                          (self._hi, round_ceiling, -1)):
-            sign, man, exp, _ = mpf_log(from_man_exp(n, -prec), prec, rnd)
-            v, e = (-s if sign else s) * man, exp + prec
-            ends.append(s * (v << e if e >= 0 else v >> -e))
-        return BigReal(ends[0], ends[1], prec)
+        prec = self.prec
+        lo = _log_bounds(self._lo, prec)
+        hi = lo if self._hi == self._lo else _log_bounds(self._hi, prec)
+        return BigReal(lo[0], hi[1], prec)
 
     # -- certified decisions ---------------------------------------------------
 
@@ -154,3 +148,56 @@ class BigReal:
         """The integer floor if the enclosure decides it, else None."""
         flo = self._lo >> self.prec
         return flo if flo == self._hi >> self.prec else None
+
+
+def _atanh(u: int, v: int, w: int):
+    """(s, e) with s <= 2^w atanh(u / v) <= s + e, for 0 <= u / v <= 1/3:
+    the series sum_i t^(2i+1) / (2i+1) on w places, each power the floor
+    of the one before times t^2, itself floored.  t^2 falls short by under
+    2 units, so a power by under 3 more than t^2 times the shortfall before
+    it, which keeps each below 27/8 (t^2 <= 1/9) and each term's shortfall
+    below 5; the tail past the first power that floors to 0 is under 2."""
+    p = (u << w) // v
+    t2, s, i = p * p >> w, 0, 0
+    while p:
+        s += p // (2 * i + 1)
+        p = p * t2 >> w
+        i += 1
+    return s, 5 * i + 2
+
+
+# _log_bounds splits off the leading _TABLE_BITS + 1 bits of its argument,
+# whose logarithms are summed once per precision and kept: 2^_TABLE_BITS
+# of them and log 2, for each of a few precisions
+_TABLE_BITS = 6
+
+_atanh_kept = functools.lru_cache(maxsize=1024)(_atanh)
+
+
+def _log_bounds(n: int, prec: int):
+    """(lo, hi) with lo <= 2^prec log(n / 2^prec) <= hi, for n > 0.
+
+    Write n = c 2^j (1 + d) with c = n >> j the leading r + 1 bits, so that
+    c / 2^r lies in [1, 2) and d < 2^-r.  Then
+    log(n / 2^prec) = (r + j - prec) log 2 + log(c / 2^r) + log(1 + d), and
+    log y = 2 atanh((y - 1) / (y + 1)) for each of y = 2, c / 2^r and 1 + d,
+    where the last ratio is below 2^-(r+1); all three are summed on prec + g
+    places (R. P. Brent and P. Zimmermann, Modern Computer Arithmetic, 2010,
+    section 4.4), the first two kept for the next call.  The g guard
+    places keep the summed error below 2^-8 at prec places."""
+    r = _TABLE_BITS
+    j = n.bit_length() - 1 - r
+    if j >= 0:
+        c = n >> j
+        d = (n - (c << j), n + (c << j))
+    else:
+        c, d = n << -j, (0, 1)
+    k = r + j - prec
+    w = prec + 8 + prec.bit_length() + abs(k).bit_length()
+    s0, e0 = _atanh_kept(1, 3, w)
+    s1, e1 = _atanh_kept(c - (1 << r), c + (1 << r), w)
+    s2, e2 = _atanh(*d, w)
+    lo = 2 * (s1 + s2 + k * (s0 if k >= 0 else s0 + e0))
+    hi = lo + 2 * (e1 + e2 + abs(k) * e0)
+    g = w - prec
+    return lo >> g, -(-hi >> g)

@@ -5,26 +5,32 @@ each.  Descartes' rule of signs isolates them (G. E. Collins and A. G.
 Akritas, SYMSAC 1976): inside a power-of-two bound on the roots, an interval
 whose transformed polynomial shows no sign variation holds no root, one
 that shows one variation holds exactly one, and any other is halved.  Every
-transformation is an integer Taylor shift or scaling.  Exact-sign bisection
-on integer numerators over a shared denominator refines them.  Non-real
-roots come back as one inclusion disk per conjugate pair, certified by
-Newton's bound: since p'/p(c) = sum_i 1/(c - z_i), some root lies within
-d |p(c)| / |p'(c)| of any point c.  The centers are mpmath.polyroots
-approximations rounded to dyadic Gaussian rationals, where p and p' are
-evaluated exactly.  When the m disks in the upper half plane lie strictly
-above the real axis and are pairwise disjoint, they and their mirror images
-are 2m disjoint disks, each holding at least one non-real root.  The exact
-real isolation leaves exactly 2m non-real roots, so each disk holds exactly
-one.  A failed check, or polyroots not converging, doubles the working
-precision; for a square-free polynomial that ends.  Every comparison is
-made in exact integers, and modulus bounds are exact rationals.
+transformation is an integer Taylor shift or scaling.  Refinement returns
+what exact-sign bisection on integer numerators over a shared denominator
+would; integer Newton steps guess its last cell, and exact signs confirm
+it.  Non-real roots come back as one inclusion disk per conjugate pair,
+certified by Newton's bound: since p'/p(c) = sum_i 1/(c - z_i), some root
+lies within d |p(c)| / |p'(c)| of any point c.  The centers start from
+numpy.roots, or from Aberth's points on circles where a float cannot
+hold them, and are refined together by Aberth-Ehrlich steps on Gaussian
+integers over 2^bits (D. A. Bini, Numerical computation of polynomial zeros
+by means of Aberth's method, Numer. Algorithms 13, 1996), where p and p'
+are evaluated exactly.  When the m disks in the upper half plane lie
+strictly above the real axis and are pairwise disjoint, they and their
+mirror images are 2m disjoint disks, each holding at least one non-real
+root.  The exact real isolation leaves exactly 2m non-real roots, so each
+disk holds exactly one.  A failed check doubles bits and goes on from the
+same points; for a square-free polynomial, on which Aberth's iteration
+converges to the simple roots, that ends.  Every comparison is made in
+exact integers, and modulus bounds are exact rationals.
 """
 
 from __future__ import annotations
 
+from cmath import isfinite, nan
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import cos, frexp, gcd, isqrt, pi, sin
 from typing import List, Optional, Sequence, Tuple
 
 from .intpoly import IntPolynomial, scaled_value
@@ -33,6 +39,14 @@ from .intpoly import IntPolynomial, scaled_value
 # round the midpoint: a modulus exactly halfway between two floats keeps the
 # ends of its enclosure on either side at every precision
 _FLOAT_BITS_CAP = 1024
+
+# Aberth sweeps at one precision before its disks are checked
+_ABERTH_SWEEPS = 64
+
+# refine_real_root guesses by Newton steps past this many halvings, which
+# carry this many places below the grid
+_NEWTON_LEVELS = 12
+_GUARD_BITS = 32
 
 
 @dataclass
@@ -112,11 +126,50 @@ class RootIsolation:
             iso = iso.refined()
 
 
+def _newton_guess(cs: Sequence[int], dcs: Sequence[int], x0: int, step: int,
+                  den: int, n: int, slo: bool) -> Tuple[int, int, int]:
+    """Integer Newton steps for the root r of p in the grid coordinate t of
+    (x0 + t step) / den, 0 < t < 2^n, carried with _GUARD_BITS places.
+    Each step reads the exact sign of p at its point, so the bracket (u, v)
+    around r shrinks as it goes, and a step that would leave it bisects
+    instead.  Returns (ja, jb, m): r lies strictly between the grid points
+    ja and jb, and m is the grid point nearest the last step."""
+    g = _GUARD_BITS
+    x0, den = x0 << g, den << g
+    u, v = 0, 1 << (n + g)
+    t = v >> 1
+    for _ in range(n.bit_length() + 8):
+        x = x0 + t * step
+        s = scaled_value(cs, x, den)
+        if s == 0:                      # r is this point
+            u, v = t - 1, t + 1
+            break
+        if (s > 0) == slo:
+            u = t
+        else:
+            v = t
+        ds = scaled_value(dcs, x, den)
+        if ds:
+            nxt = s // (ds * step)
+            if abs(nxt) << 16 <= 1 << g:    # below 2^-16 of a grid cell
+                t -= nxt
+                break
+            nxt = t - nxt
+        if not ds or not u < nxt < v:
+            nxt = (u + v) >> 1
+        t = nxt
+    return u >> g, -(-v >> g), (t + (1 << (g - 1))) >> g
+
+
 def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
                      width: Fraction) -> RealRootInterval:
-    """Shrink an isolating interval below `width` by exact-sign bisection.
-    The ends are integer numerators a < b over one denominator, which
-    doubles at each step, so no Fraction is built inside the loop."""
+    """Shrink an isolating interval below `width` to what bisection gives:
+    after n halvings the cell of the grid lo + j (hi - lo) / 2^n that holds
+    the root, or the root itself where it is a grid point.  Past
+    _NEWTON_LEVELS halvings, integer Newton steps guess the cell first, and
+    exact signs at its ends confirm it; bisection decides what they leave
+    open.  The ends are integer numerators over one denominator, so no
+    Fraction is built inside the loops."""
     lo, hi = Fraction(lo), Fraction(hi)
     if lo == hi:
         return RealRootInterval(lo, hi)
@@ -131,18 +184,31 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
     if scaled_value(cs, b, den) == 0:
         return RealRootInterval(hi, hi)
     slo = slo > 0
-    wn, wd = width.numerator, width.denominator
-    while (b - a) * wd > wn * den:
-        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
-        sm = scaled_value(cs, mid, den)
+    # the fewest halvings n with (b - a) / (den 2^n) <= width
+    q, r = (b - a) * width.denominator, den * width.numerator
+    n = (-(-q // r) - 1).bit_length() if q > r else 0
+    x0, step, den = a << n, b - a, den << n
+    ja, jb, guess, tries = 0, 1 << n, 0, 0
+    if n > _NEWTON_LEVELS:
+        ja, jb, guess = _newton_guess(cs, p.derivative().coeffs, x0, step,
+                                      den, n, slo)
+        tries = 2
+    # r lies strictly between the grid points ja and jb; the first `tries`
+    # probes go to the guess and its neighbour on r's side, each kept
+    # strictly between them, and the rest halve
+    while jb - ja > 1:
+        m = min(max(guess, ja + 1), jb - 1) if tries > 0 else (ja + jb) >> 1
+        tries -= 1
+        sm = scaled_value(cs, x0 + m * step, den)
         if sm == 0:
-            x = Fraction(mid, den)
+            x = Fraction(x0 + m * step, den)
             return RealRootInterval(x, x)
         if (sm > 0) == slo:
-            a = mid
+            ja, guess = m, m + 1
         else:
-            b = mid
-    return RealRootInterval(Fraction(a, den), Fraction(b, den))
+            jb, guess = m, m - 1
+    return RealRootInterval(Fraction(x0 + ja * step, den),
+                            Fraction(x0 + jb * step, den))
 
 
 def _root_separation_bound(p: IntPolynomial) -> Fraction:
@@ -191,32 +257,108 @@ def _certified(disks: List[Optional[ComplexRootDisk]]) -> bool:
                for i, a in enumerate(disks) for b in disks[i + 1:])
 
 
+def _fixed(x: float, bits: int) -> int:
+    """x 2^bits as an integer, floored where it is not one, for any bits
+    (ldexp would overflow past about 1,000)."""
+    m, e = frexp(x)
+    n, s = int(m * (1 << 53)), e - 53 + bits
+    return n << s if s >= 0 else n >> -s
+
+
+def _circle_starts(p: IntPolynomial, bits: int) -> List[Tuple[int, int]]:
+    """Aberth's starting points as Bini places them, as Gaussian integers
+    over 2^bits: each edge (a, b) of the upper convex hull of the points
+    (i, log2 |c_i|) puts b - a points on a circle of radius
+    |c_a / c_b|^(1 / (b - a)), here a power of two, at the angles
+    2 pi (j / (b - a) + a / d) + 0.7 (Bini, section 4).  A root at 0
+    starts at 0."""
+    pts = [(i, abs(c).bit_length()) for i, c in enumerate(p.coeffs) if c]
+    hull: List[Tuple[int, int]] = []
+    for x, y in pts:
+        # drop the last vertex while it lies on or below the chord to (x, y)
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (x1 - x0) * (y - y0) < (y1 - y0) * (x - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    starts = [(0, 0)] * pts[0][0]
+    for (a, la), (b, lb) in zip(hull, hull[1:]):
+        e = bits + round((la - lb) / (b - a))
+        starts += [(_fixed(cos(t), e), _fixed(sin(t), e)) for t in
+                   (2 * pi * (j / (b - a) + a / p.degree) + 0.7
+                    for j in range(b - a))]
+    return starts
+
+
+def _starts(p: IntPolynomial, bits: int) -> List[Tuple[int, int]]:
+    """Starting points for all degree-many roots as Gaussian integers over
+    2^bits: numpy.roots where it gives a finite number, else the circle
+    start."""
+    # imported on first use: importing numpy from here, ahead of the
+    # package's other modules, moved the peak memory of runs that never
+    # isolate a root by about 4%
+    import numpy as np
+    try:
+        with np.errstate(all="ignore"):
+            seeds = np.roots([float(c) for c in reversed(p.coeffs)]).tolist()
+    except (OverflowError, np.linalg.LinAlgError):     # beyond float range
+        seeds = [nan] * p.degree
+    circle = None if all(map(isfinite, seeds)) else _circle_starts(p, bits)
+    return [(_fixed(z.real, bits), _fixed(z.imag, bits)) if isfinite(z)
+            else circle[i] for i, z in enumerate(seeds)]
+
+
+def _aberth_sweep(cs: Sequence[int], dcs: Sequence[int],
+                  zs: List[Tuple[int, int]], scale: int) -> int:
+    """One Gauss-Seidel sweep of the Aberth-Ehrlich correction
+    z_k -= p / (p' - p sum_(j != k) 1 / (z_k - z_j)) over the Gaussian
+    integers zs / scale, in place, each quotient floored; the largest
+    component of a step, in units of 1 / scale."""
+    largest = 0
+    for k, (re, im) in enumerate(zs):
+        # v = scale^d p(z_k) and w = scale^(d-1) p'(z_k); each
+        # v / (scale (z_k - z_j)) also has scale^(d-1)
+        vr, vi = _gauss_horner(cs, re, im, scale)
+        wr, wi = _gauss_horner(dcs, re, im, scale)
+        for j, (r, i) in enumerate(zs):
+            dr, di = re - r, im - i
+            n = dr * dr + di * di
+            if j != k and n:
+                wr -= (vr * dr + vi * di) // n
+                wi -= (vi * dr - vr * di) // n
+        n = wr * wr + wi * wi
+        if n:
+            sr, si = (vr * wr + vi * wi) // n, (vi * wr - vr * wi) // n
+            zs[k] = (re - sr, im - si)
+            largest = max(largest, abs(sr), abs(si))
+    return largest
+
+
 def complex_root_disks(p: IntPolynomial, pairs: int,
                        bits: int) -> List[ComplexRootDisk]:
     """One certified disk for each of the `pairs` conjugate pairs of
-    non-real roots of the square-free p, centered on a multiple of 2^-bits;
-    `pairs` must be (degree - number of real roots) / 2."""
+    non-real roots of the square-free p, centered on a Gaussian integer
+    over 2^b for some b >= bits; `pairs` must be (degree - number of real
+    roots) / 2."""
     if pairs == 0:
         return []
-    import mpmath
-    dp = p.derivative()
-    coeffs = list(reversed(p.coeffs))
+    cs, dp = p.coeffs, p.derivative()
+    # every root lies in |z| >= 2^-k: resolve the smallest with 32 bits
+    if cs[0]:
+        k = (-(-max(abs(c) for c in cs[1:]) // abs(cs[0])) + 1).bit_length()
+        bits = max(bits, k + 32)
+    zs = _starts(p, bits)
     while True:
         scale = 1 << bits
-        try:
-            with mpmath.workprec(bits):
-                approx = [mpmath.mpc(z) for z in
-                          mpmath.polyroots(coeffs, maxsteps=bits)]
-                centers = [(int(mpmath.nint(z.real * scale)),
-                            int(mpmath.nint(z.imag * scale))) for z in approx]
-        except mpmath.libmp.NoConvergence:
-            bits *= 2
-            continue
-        centers.sort(key=lambda c: c[1], reverse=True)
-        disks = [_newton_disk(p, dp, re, im, scale)
-                 for re, im in centers[:pairs]]
+        for _ in range(_ABERTH_SWEEPS):
+            if _aberth_sweep(cs, dp.coeffs, zs, scale) <= 2:
+                break
+        upper = sorted(zs, key=lambda z: z[1], reverse=True)[:pairs]
+        disks = [_newton_disk(p, dp, re, im, scale) for re, im in upper]
         if _certified(disks):
             return disks
+        zs = [(re << bits, im << bits) for re, im in zs]
         bits *= 2
 
 

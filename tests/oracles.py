@@ -11,6 +11,8 @@ evidence rather than circularity.
   * ks_between: two-sample Kolmogorov-Smirnov statistic.
   * greedy_digits_ok: the greedy-expansion inequalities at high precision,
     with beta from mpmath.polyroots.
+  * bisected_root: an isolating interval halved at its midpoint, in
+    plain Fractions, until it is no wider than asked.
   * unit_disk_root_count: the exact Schur-Cohn count of roots inside the
     unit circle, from sympy's characteristic polynomial.
   * nearest_float_moduli: root moduli from mpmath.polyroots at 60 digits,
@@ -711,3 +713,27 @@ def windows_of_words(model, states, **kw):
     return windows_of_tables(model, word_fill(states),
                              [s[2] for s in states], [s[3] for s in states],
                              **kw)
+
+
+def bisected_root(coeffs: Sequence[int], lo: Fraction, hi: Fraction,
+                  width: Fraction) -> Tuple[Fraction, Fraction]:
+    """The interval [lo, hi] around the one root of sum coeffs[i] x^i in
+    it, halved at its midpoint until no wider than `width`; (x, x) as soon
+    as an end or a midpoint x is the root."""
+    def value(x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    for end in (lo, hi):
+        if value(end) == 0:
+            return end, end
+    positive_lo = value(lo) > 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            return mid, mid
+        if (v > 0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import betascenery as bs
-from oracles import (STALLING_PISOT, field_inverse, field_product,
-                     field_value, nearest_float_moduli, pslq_relation,
-                     root_moduli, unit_disk_root_count)
+from oracles import (STALLING_PISOT, bisected_root, field_inverse,
+                     field_product, field_value, nearest_float_moduli,
+                     pslq_relation, root_moduli, unit_disk_root_count)
 from betascenery import (
     AlgebraicNumber,
     BigReal,
@@ -28,8 +28,8 @@ from betascenery import (
     parse_scalar,
     scalar_to_str,
 )
-from betascenery.algebraics import monic_scaled_field
-from betascenery.algebraics.multiplicative import _exponent_bound
+from betascenery.algebraics import monic_scaled_field, refine_real_root, roots
+from betascenery.algebraics.multiplicative import _exponent_bound, _log_abs
 
 
 # certified float values of the named constants (independent references)
@@ -88,24 +88,70 @@ class TestRoots:
         assert iso.real_roots == []
         assert len(iso.complex_pairs) == 1
 
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6),
+           st.integers(1, 40), st.integers(-40, 40), st.integers(0, 6),
+           st.integers(0, 320), st.integers(1, 7), st.booleans())
+    @example([-2, 0, 1], 1, 0, 0, 200, 1, True)         # sqrt 2 and 0
+    @example([-1, -1, 1], 8, 3, 2, 64, 3, False)         # golden and 3/8
+    @settings(max_examples=120, deadline=None)
+    def test_refine_matches_bisection(self, coeffs, q, c, start, bits,
+                                      num, dyadic):
+        """refine_real_root, Newton guess or not, returns exactly the
+        interval of plain bisection, a rational root c / q hit on the grid
+        included, for widths over powers of 2 and of 3."""
+        p = IntPolynomial(tuple(coeffs))
+        if p.degree >= 1:
+            # a factor q x - c puts a rational root in p
+            p = IntPolynomial(tuple(
+                sum(a * b for i, a in enumerate(p.coeffs)
+                    for j, b in enumerate((-c, q)) if i + j == k)
+                for k in range(p.degree + 2)))
+        assume(p.degree >= 1 and p.squarefree())
+        width = Fraction(num, 2 ** bits if dyadic else 3 ** (bits // 2))
+        for iv in roots.real_root_intervals(p, start):
+            got = refine_real_root(p, iv.lo, iv.hi, width)
+            assert (got.lo, got.hi) == bisected_root(p.coeffs, iv.lo, iv.hi,
+                                                     width)
+
     @pytest.mark.parametrize("poly", sorted(STALLING_PISOT))
     def test_disks_hold_the_roots(self, poly):
-        coeffs = STALLING_PISOT[poly]
-        with mpmath.workdps(60):
-            upper = [z for z in mpmath.polyroots(coeffs, maxsteps=500,
-                                                 extraprec=200)
-                     if mpmath.im(z) > 1e-30]
-            disks = isolate_real_roots(IntPolynomial.parse(poly)).complex_pairs
-            assert len(disks) == len(upper)
-            for disk in disks:
-                center = mpmath.mpc(disk.re, disk.im) / disk.scale
-                inside = [z for z in upper
-                          if abs(z - center) <= mpmath.mpf(disk.radius) /
-                          disk.scale]
-                assert len(inside) == 1
+        disks = isolate_real_roots(IntPolynomial.parse(poly)).complex_pairs
+        _each_holds_one_root(_upper_roots(STALLING_PISOT[poly]), disks)
+
+    def test_close_roots_get_disjoint_disks(self):
+        """2^80 (x^2 + 1)^2 + 1 is square-free, with its two upper roots
+        about 2^-40 from i, where double-precision starts sit about 1e-8
+        off: Aberth steps still part them into two certified disks."""
+        s = 2 ** 80
+        p = IntPolynomial((s + 1, 0, 2 * s, 0, s))
+        disks = roots.complex_root_disks(p, 2, 64)
+        assert len(disks) == 2
+        _each_holds_one_root(_upper_roots(list(reversed(p.coeffs))), disks)
+
+    def test_circle_start_beyond_float_range(self):
+        """A coefficient past float range leaves numpy no seeds; the circle
+        start finds the roots near the cube roots of unity of
+        2^1100 (x^2 + x + 1) + 1."""
+        s = 2 ** 1100
+        with pytest.raises(OverflowError):
+            float(s)
+        iso = isolate_real_roots(IntPolynomial((s + 1, s, s)))
+        assert iso.real_roots == []
+        _each_holds_one_root(_upper_roots([s, s, s + 1]), iso.complex_pairs)
+
+    def test_circle_start_on_two_radii(self):
+        """x^4 + 2^1100 x^2 + 1 has roots at i times the square roots of
+        (2^1100 +- sqrt(2^2200 - 4)) / 2, about 2^550 and 2^-550: the
+        circle start puts two points on each radius of its Newton
+        polygon."""
+        iso = isolate_real_roots(IntPolynomial((1, 0, 2 ** 1100, 0, 1)))
+        with mpmath.workprec(4000):
+            s = mpmath.mpf(2) ** 1100
+            d = mpmath.sqrt(s * s - 4)
+            upper = [mpmath.mpc(0, mpmath.sqrt((s + e) / 2)) for e in (d, -d)]
+        _each_holds_one_root(upper, iso.complex_pairs)
 
     def test_disk_check_refuses_bad_disks(self):
-        from betascenery.algebraics import roots
         p = IntPolynomial.parse("x^3 - x - 1")
         disk, = roots.complex_root_disks(p, 1, 64)
         assert roots._certified([disk])
@@ -113,6 +159,27 @@ class TestRoots:
         on_axis = roots._newton_disk(p, p.derivative(), disk.re, 0,
                                      disk.scale)
         assert not roots._certified([on_axis])
+
+
+def _upper_roots(coeffs):
+    """The roots in the upper half plane of the polynomial with coefficients
+    `coeffs`, highest first, by mpmath.polyroots at 60 digits."""
+    with mpmath.workdps(60):
+        return [z for z in mpmath.polyroots(coeffs, maxsteps=500,
+                                            extraprec=200)
+                if mpmath.im(z) > mpmath.mpf(10) ** -40 * abs(z)]
+
+
+def _each_holds_one_root(upper, disks):
+    """Each disk holds exactly one of the roots `upper`, and there are as
+    many disks as roots."""
+    assert len(disks) == len(upper)
+    for disk in disks:
+        with mpmath.workprec(2 * disk.scale.bit_length() + 64):
+            center = mpmath.mpc(disk.re, disk.im) / disk.scale
+            inside = [z for z in upper if abs(z - center) <=
+                      mpmath.mpf(disk.radius) / disk.scale]
+        assert len(inside) == 1
 
 
 class TestPisot:
@@ -303,6 +370,42 @@ ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
 
+# dyadic points for the log tests, each with the places it needs on top of
+# the precision: next to 1, 2 and sqrt 2, and ends near 2^1000 and 2^-1000
+LOG_POINTS = [(Fraction(2), 0), (Fraction(3), 0), (Fraction(7, 4), 0),
+              (Fraction(11, 32), 0), (Fraction(181, 128), 0),
+              (1 + Fraction(1, 2 ** 90), 0), (Fraction(3, 2) * 2 ** 1000, 0),
+              (Fraction(2 ** 1000 - 2 ** 990), 0),
+              (Fraction(5, 8) / 2 ** 1000, 1000),
+              (Fraction(1, 2 ** 1000) + Fraction(1, 2 ** 1100), 1000)]
+
+
+def _atanh_fraction_bounds(t: Fraction, places: int):
+    """Fraction bounds on atanh(t) for 0 <= t < 1: the series' partial sum,
+    and that plus the geometric bound t^(2K+1) / ((2K+1)(1 - t^2)) on its
+    tail, with K terms enough to bring the tail below 2^-places."""
+    s, k, power = Fraction(0), 0, t
+    while True:
+        tail = power / ((2 * k + 1) * (1 - t * t))
+        if tail < Fraction(1, 2 ** places):
+            return s, s + tail
+        s += power / (2 * k + 1)
+        k, power = k + 1, power * t * t
+
+
+def _log_fraction_bounds(x: Fraction, places: int):
+    """Fraction bounds on log x for x > 0, from x = 2^k m with m in [1, 2),
+    log m = 2 atanh((m - 1) / (m + 1)) and log 2 = 2 atanh(1/3)."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    if x < Fraction(2) ** k:
+        k -= 1
+    m = x / Fraction(2) ** k
+    m_lo, m_hi = _atanh_fraction_bounds((m - 1) / (m + 1), places)
+    t_lo, t_hi = _atanh_fraction_bounds(Fraction(1, 3), places + 12)
+    two = (t_lo, t_hi) if k >= 0 else (t_hi, t_lo)
+    return 2 * (m_lo + k * two[0]), 2 * (m_hi + k * two[1])
+
+
 def _exact_ends(v):
     return (v.lo, v.hi) if isinstance(v, BigReal) else (Fraction(v),)
 
@@ -401,6 +504,37 @@ class TestBigReal:
         lo, hi = Fraction(got.lo), Fraction(got.hi)
         assert lo <= Fraction(str(ref)) + Fraction(1, 2 ** 150)
         assert hi >= Fraction(str(ref)) - Fraction(1, 2 ** 150)
+
+    @pytest.mark.parametrize("prec", [128, 192, 256])
+    @pytest.mark.parametrize("x,shift", LOG_POINTS)
+    def test_log_of_a_point(self, prec, x, shift):
+        """log of the one-point interval x: at most 2 units of 2^-prec wide
+        and inside mpmath's value at 400 bits, give or take 2^-390, and
+        around the Fraction bounds of the atanh partial sums; x near 2^-1000
+        is read on `shift` more places."""
+        prec += shift
+        n = x * 2 ** prec
+        assert n.denominator == 1
+        n = n.numerator
+        got = BigReal(n, n, prec).log()
+        assert 0 <= got._hi - got._lo <= 2
+        with mpmath.workprec(400):
+            ref = mpmath.log(mpmath.mpf(n) / mpmath.mpf(2) ** prec)
+            tol = mpmath.mpf(2) ** -390
+            assert mpmath.mpf(got._lo) / 2 ** prec - tol <= ref <= \
+                mpmath.mpf(got._hi) / 2 ** prec + tol
+        lo, hi = _log_fraction_bounds(Fraction(n, 2 ** prec), prec + 64)
+        assert got.lo <= lo <= hi <= got.hi
+
+    def test_log_abs_near_one(self):
+        """|x| = 1 +- 2^-300: the enclosure of log|x| leaves 0 on the
+        right side once the places pass 300."""
+        eps = Fraction(1, 2 ** 300)
+        for x, sign in ((1 + eps, 1), (-1 - eps, 1), (1 - eps, -1)):
+            got = _log_abs(x)
+            assert not got.contains(0)
+            assert (got.lo > 0) == (sign > 0) and (got.hi < 0) == (sign < 0)
+            assert got.contains(sign * eps - eps * eps / 2)
 
 
 class TestScalarParsing:

@@ -697,15 +697,51 @@ def test_commands_never_import_sympy(tmp_path):
 
 
 def test_import_loads_no_mpmath(tmp_path):
-    """mpmath serves only BigReal.log and the root-disk centres, which
-    import it when called: a fresh import of the package and its command
-    line loads no mpmath module."""
+    """mpmath is a test oracle only: a fresh import of the package and its
+    command line loads no mpmath module."""
     script = ("import sys, betascenery, betascenery.cli\n"
               "print([m for m in sys.modules if m.split('.')[0] == 'mpmath'])")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=package_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+MPMATH_FREE = [
+    ["pisot", "tribonacci"],
+    ["spectrum", "mt.json", "--beta", "golden", "--beta", "3", "--beta",
+     "plastic"],
+    ["model", "two.json", "--beta", "x^2 - 2"],
+]
+
+
+def test_commands_run_with_mpmath_blocked(tmp_path, monkeypatch):
+    """Root disks and logarithms need no mpmath: in a fresh interpreter
+    where importing it fails, each command writes byte for byte what it
+    writes in this process, where the test oracles have loaded it."""
+    monkeypatch.chdir(tmp_path)
+    Path("mt.json").write_text(MIDDLE_THIRDS)
+    Path("two.json").write_text(TWO_RATIO)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from betascenery import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(cli.main(['--out-dir', f'blocked{i}'] + argv),\n"
+        "              file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(MPMATH_FREE)], env=package_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0"] * len(MPMATH_FREE), proc.stderr
+    for i, argv in enumerate(MPMATH_FREE):
+        assert run_in_process(["--out-dir", f"normal{i}"] + argv) == (0, "")
+        files = sorted(p.name for p in Path(f"normal{i}").iterdir())
+        assert files == sorted(p.name for p in Path(f"blocked{i}").iterdir())
+        for name in files:
+            assert Path(f"blocked{i}", name).read_bytes() == \
+                Path(f"normal{i}", name).read_bytes(), (argv, name)
 
 
 def test_pisot_report_ends_on_a_float_tie(tmp_path):
