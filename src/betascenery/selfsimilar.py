@@ -7,7 +7,10 @@ random series obtained by composing maps drawn i.i.d. from the weights.
 
 Scalars are exact throughout: Fractions, or elements of a single real
 algebraic number field (all non-rational scalars must live in one field).
-Floating point enters only in bulk sampling, where it belongs.
+The attractor hull is in closed form: its ends are the extremes of the
+fixed points of the maps, their images under the reversing maps and the
+fixed points of pairs of reversing maps.  Floating point enters only in
+bulk sampling, where it belongs.
 """
 
 from __future__ import annotations
@@ -68,9 +71,6 @@ class SimilarityMap:
     def fixed_point(self) -> ExactScalar:
         return self.shift / (1 - self.ratio)
 
-    def float_pair(self) -> Tuple[float, float]:
-        return float(self.ratio), float(self.shift)
-
     def __eq__(self, other):
         if not isinstance(other, SimilarityMap):
             return NotImplemented
@@ -80,8 +80,8 @@ class SimilarityMap:
         return hash((self.ratio, self.shift))
 
     def __repr__(self):
-        r, t = self.float_pair()
-        return f"SimilarityMap({r:.6g}*x + {t:.6g})"
+        return (f"SimilarityMap({float(self.ratio):.6g}*x + "
+                f"{float(self.shift):.6g})")
 
 
 def _check_one_field(scalars) -> None:
@@ -128,12 +128,6 @@ class SimilarityIFS:
     def n(self) -> int:
         return len(self.maps)
 
-    def has_infinite_attractor(self) -> bool:
-        """True when two maps have distinct fixed points.  A one-map system
-        (or several copies of the same map) contracts to a single point."""
-        first = self.maps[0].fixed_point()
-        return any(f.fixed_point() != first for f in self.maps[1:])
-
     def __repr__(self):
         inner = ", ".join(repr(f) for f in self.maps)
         return f"SimilarityIFS([{inner}])"
@@ -161,79 +155,26 @@ class SimilarityIFS:
     # -- attractor hull -------------------------------------------------------
 
     def attractor_hull(self) -> Tuple[ExactScalar, ExactScalar]:
-        """Exact convex hull [L, H] of the attractor.
+        """Exact convex hull [L, H] of the attractor K, in closed form.
 
-        [L, H] is the unique fixed interval of the hull map
+        K = U_i f_i(K) (Hutchinson) and hull f_i(K) = f_i(hull K), so
             L = min_i min f_i([L, H]),   H = max_i max f_i([L, H]).
-        Floating point suggests which map attains each extreme; the 2x2
-        linear system for that pattern is solved exactly and the candidate
-        verified against every map.  If the suggestion fails (extremes too
-        close to call in floats), all patterns are tried; the true hull
-        always corresponds to one of them.
+        C holds every fixed point p_i, f_i(p_j) for every reversing f_i and
+        every j, and the fixed point of f_i f_j for every pair of reversing
+        maps.  C lies in K, so L <= min C.  If f_i attains L, then L = p_i
+        when r_i > 0, and otherwise L = f_i(H); if f_j attains H, then H is
+        p_j or f_j(L), so L is f_i(p_j) or the fixed point of f_i f_j.
+        Either way L is in C, so L = min C and, likewise, H = max C.
         """
-        if self._hull is not None:
-            return self._hull
-
-        pairs = [f.float_pair() for f in self.maps]
-        lo = min(t / (1 - r) for r, t in pairs)
-        hi = max(t / (1 - r) for r, t in pairs)
-        for _ in range(200):
-            lo2 = min(min(r * lo + t, r * hi + t) for r, t in pairs)
-            hi2 = max(max(r * lo + t, r * hi + t) for r, t in pairs)
-            if (lo2, hi2) == (lo, hi):
-                break
-            lo, hi = lo2, hi2
-
-        i_min = min(range(self.n),
-                    key=lambda i: min(pairs[i][0] * lo + pairs[i][1],
-                                      pairs[i][0] * hi + pairs[i][1]))
-        i_max = max(range(self.n),
-                    key=lambda i: max(pairs[i][0] * lo + pairs[i][1],
-                                      pairs[i][0] * hi + pairs[i][1]))
-
-        candidates = [(i_min, i_max)]
-        candidates += [(i, j) for i in range(self.n) for j in range(self.n)
-                       if (i, j) != (i_min, i_max)]
-        for i, j in candidates:
-            hull = self._solve_hull_pattern(i, j)
-            if hull is not None:
-                self._hull = hull
-                return hull
-        raise ArithmeticError("attractor hull fixed point not found")
-
-    def _solve_hull_pattern(self, i: int, j: int):
-        """Solve L = min f_i([L,H]), H = max f_j([L,H]) exactly and verify."""
-        ri, ti = self.maps[i].ratio, self.maps[i].shift
-        rj, tj = self.maps[j].ratio, self.maps[j].shift
-        # row (a, b, c) encodes the equation  x = a*L + b*H + c
-        if ri > 0:
-            a1, b1 = ri, 0 * ri
-        else:
-            a1, b1 = 0 * ri, ri
-        if rj > 0:
-            a2, b2 = 0 * rj, rj
-        else:
-            a2, b2 = rj, 0 * rj
-        det = (1 - a1) * (1 - b2) - b1 * a2
-        if det == 0:
-            return None
-        L = (ti * (1 - b2) + b1 * tj) / det
-        H = ((1 - a1) * tj + a2 * ti) / det
-        L, H = canonical_scalar(L), canonical_scalar(H)
-        if H < L:
-            return None
-        # verify the fixed-interval property against every map
-        images = [f.image_interval(L, H) for f in self.maps]
-        true_lo = images[0][0]
-        true_hi = images[0][1]
-        for a, b in images[1:]:
-            if a < true_lo:
-                true_lo = a
-            if b > true_hi:
-                true_hi = b
-        if true_lo == L and true_hi == H:
-            return (L, H)
-        return None
+        if self._hull is None:
+            fixed = [f.fixed_point() for f in self.maps]
+            flips = [f for f in self.maps if f.ratio < 0]
+            points = (fixed + [f(p) for f in flips for p in fixed]
+                      + [f.compose(g).fixed_point() for f in flips
+                         for g in flips])
+            self._hull = (canonical_scalar(min(points)),
+                          canonical_scalar(max(points)))
+        return self._hull
 
 
 # a sample point's truncation error stays below 2^-SAMPLING_BITS of the hull
@@ -320,10 +261,10 @@ def find_separated_pair(ifs: SimilarityIFS,
     disjoint hull images.  Raises ValueError when the search space is
     exhausted without a hit.
     """
-    if not ifs.has_infinite_attractor():
+    hull = ifs.attractor_hull()
+    if hull[0] == hull[1]:
         raise ValueError("the attractor is finite (all maps share one fixed "
                          "point); no separated pair can exist")
-    hull = ifs.attractor_hull()
     for m in range(1, max_length + 1):
         if ifs.n ** m > PAIR_SEARCH_WORDS:
             raise ValueError(

@@ -64,6 +64,11 @@ NO_TRACEBACK = {
     "model-json-1/0": ({"m.json": MODEL_1_0},
                        ["normality", "m.json", "--beta", "2"], 1),
     "model-golden-ifs": ({"g.json": GOLDEN_IFS}, ["model", "g.json"], 0),
+    # two maps with one fixed point, one of them reflecting: the hull is a
+    # single point, so no separated pair exists
+    "model-shared-fixed-point": (
+        {"p.json": '{"maps": [{"s": "1/2", "t": "0"}, '
+                   '{"s": "-1/3", "t": "0"}]}'}, ["model", "p.json"], 1),
 }
 for _poly in STALLING_PISOT:
     NO_TRACEBACK[f"parry-{_poly}"] = ({}, ["parry", "--beta", _poly], 0)
@@ -165,6 +170,9 @@ def run_table_case(tmp_path, case):
         assert r.stderr.count("\n") == 1
     if case == "ifs-s-polynomial":
         assert r.stderr.startswith("error: bad.json: map 0: ")
+    if case == "model-shared-fixed-point":
+        assert r.stderr.startswith("error: the attractor is finite")
+        assert r.stderr.count("\n") == 1
 
 
 @pytest.fixture()
@@ -850,6 +858,7 @@ def test_ifs_fuzz_exits_cleanly(fuzz_dir, doc, base):
 # -- frozen outputs ----------------------------------------------------------
 
 TWO_RATIO = '{"maps": [{"s": "1/2", "t": "0"}, {"s": "1/3", "t": "2/3"}]}'
+REVERSING = '{"maps": [{"s": "-1/2", "t": "0"}, {"s": "-1/2", "t": "1"}]}'
 SEXTIC = "x^6 + 9*x^5 + 3*x^4 - 8*x^3 - 8*x^2 - 6*x + 4"
 
 
@@ -898,6 +907,14 @@ def frozen_runs():
                        ("model two 3", ["two.json", "--beta", "3"]),
                        ("model two x^2 - 2", ["two.json", "--beta", "x^2 - 2"])):
         runs[name] = (["model"] + argv, ["model.json", "model_report.json"])
+    # hulls set by a reflection: [-golden, 2] in Q(golden) and [-2/3, 4/3];
+    # the direct sampler starts every point at the hull midpoint
+    for name in ("g", "rev"):
+        runs[f"model {name}"] = (["model", f"{name}.json"],
+                                 ["model.json", "model_report.json"])
+    runs["sample rev --mode direct"] = (
+        ["--seed", "3", "sample", "rev.json", "--mode", "direct", "--count",
+         "200"], ["samples.csv", "sample_report.json"])
     runs["spectrum mt 2 3 golden"] = (
         ["spectrum", "mt.json", "--beta", "2", "--beta", "3", "--beta",
          "golden"], ["spectrum_report.json"])
@@ -909,7 +926,8 @@ def frozen_runs():
 
 def output_digest(argv, files) -> str:
     """SHA-256 of the output files of one in-process run from the working
-    directory, which holds mt.json, two.json and the config c.json."""
+    directory, which holds mt.json, two.json, g.json, rev.json and the
+    config c.json."""
     code, err = run_in_process(["--out-dir", "out"] + argv)
     assert code == 0, err
     h = hashlib.sha256()
@@ -976,6 +994,13 @@ FROZEN_DIGESTS = {
         "84544e4afd7be94403a27b78a4f26091d202916ec88c87959bdf9ec945b12b7a",
     "sample --config count 25 seed 3":
         "1cf45ce183690f483a53db1732d17fb4d6883e1a2819d45e7e9c1b083acbe682",
+    # recorded before the attractor hull took its closed form
+    "model g":
+        "2f1ee95aa01189d7d7ef99109165ccb22d68e6db69375230adbc1efc13eb70a3",
+    "model rev":
+        "441a3aa21c6eec905937fdd3c159040473e20951e5aaf0a44d5a0fed62145061",
+    "sample rev --mode direct":
+        "b672cb1f8d05a52737fcfdb4a9ff6b52738a4c99f9eb6fe283deb2a71a5624bb",
 }
 
 
@@ -984,6 +1009,8 @@ def test_outputs_are_frozen(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     Path("mt.json").write_text(MIDDLE_THIRDS)
     Path("two.json").write_text(TWO_RATIO)
+    Path("g.json").write_text(GOLDEN_IFS)
+    Path("rev.json").write_text(REVERSING)
     Path("c.json").write_text('{"count": 25, "seed": 3}')
     assert output_digest(*frozen_runs()[name]) == FROZEN_DIGESTS[name]
 

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import betascenery as bs
 from betascenery import (
+    FieldElement,
     SimilarityIFS,
     SimilarityMap,
     find_separated_pair,
     sample_measure,
 )
 
-from oracles import cdf_eval, ifs_invariant_cdf, ks_against_cdf
+from oracles import cdf_eval, ifs_hull, ifs_invariant_cdf, ks_against_cdf
 
 
 def fifs(pairs, weights=None):
@@ -45,6 +46,41 @@ class TestMapsAndHulls:
     def test_all_reversing_hull(self):
         ifs = fifs([("-1/2", 0), ("-1/2", 1)])
         assert ifs.attractor_hull() == (Fraction(-2, 3), Fraction(4, 3))
+
+    @given(st.lists(
+        st.tuples(st.fractions(-0.75, 0.75, max_denominator=12)
+                  .filter(lambda r: r != 0),
+                  st.fractions(-2, 2, max_denominator=12)),
+        min_size=1, max_size=4))
+    # L = f_1(p_2) = -1, while f_1 f_2 and f_2 f_1 fix -2/5 and 4/5: the
+    # fixed points of words of length <= 2 alone would miss it
+    @example([(Fraction(-1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1))])
+    @example([(Fraction(1, 2), Fraction(1, 3))])
+    @example([(Fraction(1, 2), Fraction(0)), (Fraction(-1, 3), Fraction(0))])
+    @settings(max_examples=300, deadline=None)
+    def test_hull_is_the_fixed_interval(self, pairs):
+        ifs = fifs(pairs)
+        lo, hi = ifs.attractor_hull()
+        # [L, H] is the fixed interval of the hull map, exactly
+        images = [f.image_interval(lo, hi) for f in ifs.maps]
+        assert lo == min(a for a, _ in images)
+        assert hi == max(b for _, b in images)
+        # and agrees with iterated float interval images
+        flo, fhi = ifs_hull([(float(r), float(t)) for r, t in pairs])
+        scale = max(1.0, abs(float(lo)), abs(float(hi)))
+        assert abs(flo - float(lo)) <= 1e-12 * scale
+        assert abs(fhi - float(hi)) <= 1e-12 * scale
+
+    def test_golden_hull_without_floats(self, monkeypatch):
+        g = bs.parse_scalar("golden")
+
+        def no_float(self):
+            raise AssertionError("the hull converted a field element")
+        monkeypatch.setattr(FieldElement, "__float__", no_float)
+        ifs = SimilarityIFS([SimilarityMap(1 / g, 0),
+                             SimilarityMap(1 / g, -1 / g),
+                             SimilarityMap(-1 / g, 1)])
+        assert ifs.attractor_hull() == (-g, Fraction(2))
 
     def test_default_weights_uniform(self, middle_thirds):
         assert middle_thirds.weights == (Fraction(1, 2), Fraction(1, 2))
@@ -116,7 +152,7 @@ class TestSeparatedPair:
 
     def test_failure_when_no_gap(self):
         # one map: attractor is a single point, no separated pair exists
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             find_separated_pair(fifs([("1/2", 0)]), max_length=3)
 
     @pytest.mark.parametrize("pairs", [
