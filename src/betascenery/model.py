@@ -223,7 +223,7 @@ class Model:
                      else np.zeros(u.shape, dtype=np.int64))
             return fold_paths(self._path_maps, self.hull,
                               self._add_inner_draws(first, omega, u))
-        return fold_in_chunks(count, fold)
+        return fold_in_chunks(count, depth, fold)
 
     # -- serialization ----------------------------------------------------------
 

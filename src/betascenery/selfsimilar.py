@@ -188,18 +188,23 @@ def sampling_depth(ratios: Sequence[ExactScalar]) -> int:
     return max(1, math.ceil(SAMPLING_BITS / -math.log2(worst)))
 
 
-# rows the samplers draw and fold at a time, so that their memory does not
-# grow with the count; the uniforms are counter-based, so every chunk reads
-# the same draws a single pass would
-SAMPLE_CHUNK_ROWS = 8192
+# uniforms, not rows, per sampler chunk: a chunk stays in L2 at any depth
+SAMPLE_CHUNK_UNIFORMS = 1 << 16
 
 
-def fold_in_chunks(count: int, fold) -> np.ndarray:
+def fold_in_chunks(count: int, depth: int, fold) -> np.ndarray:
     """The `count` points fold(start, rows) returns for consecutive chunks
-    of at most SAMPLE_CHUNK_ROWS rows, in one array."""
+    of max(1, SAMPLE_CHUNK_UNIFORMS // depth) rows, in one array.  The
+    budget counts uniforms so that a chunk's arrays (uniforms, int64 paths,
+    the model's second uniforms: 1.5 MB at 2^16) fit a 2 MB L2 at any
+    depth.  150k points, direct/model ms at budgets 2^14 ... 2^18 (numpy
+    2.4, 2-core x86-64): middle thirds 83/88, 71/74, 65/72, 68/73, 72/114;
+    ratios 1/2, 1/3 146/110, 128/99, 112/97, 110/94, 104/149.
+    Counter-based uniforms make every chunking read the same draws."""
     out = np.empty(count)
-    for start in range(0, count, SAMPLE_CHUNK_ROWS):
-        rows = min(SAMPLE_CHUNK_ROWS, count - start)
+    step = max(1, SAMPLE_CHUNK_UNIFORMS // depth)
+    for start in range(0, count, step):
+        rows = min(step, count - start)
         out[start:start + rows] = fold(start, rows)
     return out
 
@@ -233,7 +238,7 @@ def sample_measure(ifs: SimilarityIFS, count: int, depth: Optional[int] = None,
     def fold(start, rows):
         u = stream.slice(start * depth, rows * depth).reshape(rows, depth)
         return fold_paths(ifs.maps, hull, draw_symbols(thresholds, u))
-    return fold_in_chunks(count, fold)
+    return fold_in_chunks(count, depth, fold)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,12 @@ NO_TRACEBACK = {
     "model-json-1/0": ({"m.json": MODEL_1_0},
                        ["normality", "m.json", "--beta", "2"], 1),
     "model-golden-ifs": ({"g.json": GOLDEN_IFS}, ["model", "g.json"], 0),
+    # an integer base with 8,054,868,332 digits once asked numpy for a 60 GiB
+    # frequency table
+    "normality-huge-alphabet": (
+        {"mt.json": MIDDLE_THIRDS},
+        ["normality", "mt.json", "--beta", "8054868332", "--n-points", "1",
+         "--n-digits", "20"], 1),
     # two maps with one fixed point, one of them reflecting: the hull is a
     # single point, so no separated pair exists
     "model-shared-fixed-point": (

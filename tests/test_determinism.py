@@ -119,10 +119,10 @@ FROZEN = {
          "samples.csv": "76a66fe7bc993c3f23305cf2590e75f3"
                         "875815c22dec9af4e65cb440d3d8b197"}),
     # recorded before a one-component model stopped reading a component
-    # stream and before lazy words grew by doubling: 20,000 rows are three
-    # sampler chunks, and 300 stationary windows of a third model cross
-    # the window blocks; at this short orbit the 0.05 panel check fails,
-    # so the run exits 2
+    # stream and before lazy words grew by doubling: 20,000 rows were three
+    # sampler chunks (twelve of 1,724 rows at a budget of 2^16 uniforms),
+    # and 300 stationary windows of a third model cross the window blocks;
+    # at this short orbit the 0.05 panel check fails, so the run exits 2
     "sample-model-chunks": (
         ["--seed", "15", "sample", "mt.json", "--mode", "model",
          "--count", "20000"], 0,
@@ -147,6 +147,22 @@ FROZEN = {
          "--tolerance", "0.1"], 0,
         {"disintegration_report.json": "293067e25a80730104f2c0d10a7ad860"
                                        "bac779e7a1e025731ffc7d071abd094b"}),
+    # recorded while the samplers still folded 8,192 rows per chunk: these
+    # counts cross the old chunk edges and the edges of a fixed budget of
+    # uniforms per chunk, for the direct sampler alone and for both
+    # samplers of the disintegration check
+    "sample-direct-three-chunks": (
+        ["--seed", "17", "sample", "three.json", "--mode", "direct",
+         "--count", "20000"], 0,
+        {"sample_report.json": "e3b11e27df854ac62d269cbe51f80d8e"
+                               "04f45cc601213b828483ca76558868b2",
+         "samples.csv": "0952f5bfd3fef5e52ae9dbcd0f2dbe1c"
+                        "baa2cf9a297db5aa33d37779bf816328"}),
+    "disintegration-two-chunks": (
+        ["--seed", "18", "disintegration", "two.json", "--count", "20000",
+         "--tolerance", "0.1"], 0,
+        {"disintegration_report.json": "1e30f1f4957812e2661e7125eaaf4f62"
+                                       "705adc58f5cd05ed2fd57fb423076090"}),
 }
 
 

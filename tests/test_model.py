@@ -2,6 +2,7 @@
 identities, atom bounds, and serialization."""
 
 import bisect
+import functools
 import json
 import math
 from fractions import Fraction
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import betascenery as bs
-from betascenery import rng
+from betascenery import rng, selfsimilar
 from betascenery.rng import (UniformStream, cdf_thresholds, derive_key,
                              draw_symbols)
 from betascenery.scenery import (build_extended_chain,
                                  rescale_model_for_gap, sample_Q,
                                  scenery_orbit)
-from betascenery.selfsimilar import SAMPLE_CHUNK_ROWS, canonical_scalar
+from betascenery.selfsimilar import SAMPLE_CHUNK_UNIFORMS, canonical_scalar
 from betascenery import (
     Model,
     ModelComponent,
@@ -292,19 +293,21 @@ class TestFillPattern:
                 assert word.take(k, n).tolist() == ref[off + k:off + k + n]
 
 
+@pytest.fixture()
+def slices(monkeypatch):
+    """The (start, count) of every UniformStream.slice call, in order."""
+    made = []
+    real = UniformStream.slice
+
+    def spy(stream, start, count):
+        made.append((start, count))
+        return real(stream, start, count)
+    monkeypatch.setattr(UniformStream, "slice", spy)
+    return made
+
+
 class TestNothingUnread:
     """Uniforms that no comparison reads are never generated."""
-
-    @pytest.fixture()
-    def slices(self, monkeypatch):
-        made = []
-        real = UniformStream.slice
-
-        def spy(stream, start, count):
-            made.append((start, count))
-            return real(stream, start, count)
-        monkeypatch.setattr(UniformStream, "slice", spy)
-        return made
 
     @pytest.fixture()
     def filled(self, monkeypatch):
@@ -324,12 +327,13 @@ class TestNothingUnread:
     def test_one_component_reads_no_component_stream(
             self, middle_thirds_model, slices, filled):
         m = middle_thirds_model
-        count = 2 * SAMPLE_CHUNK_ROWS + 5
         depth = sampling_depth([c.ratio for c in m.components])
+        rows = SAMPLE_CHUNK_UNIFORMS // depth
+        count = 2 * rows + 5
         m.sample_measure(count, 3)
         # three chunks, each reading only its inner half
         assert [start for start, _ in slices] == \
-            [(count + s) * depth for s in range(0, count, SAMPLE_CHUNK_ROWS)]
+            [(count + s) * depth for s in range(0, count, rows)]
         assert sum(n for _, n in slices) == count * depth
         filled.clear()
         assert not row_words(m, 3)[0].take(0, 5000).any()
@@ -363,6 +367,58 @@ class TestNothingUnread:
             if m.n_components > 1:
                 labels += [("omega", "orbit-omega")]
             assert set(filled) == generator_keys(4, labels)
+
+
+class TestChunking:
+    """Both samplers give the same bits however `fold_in_chunks` cuts their
+    rows, and read each uniform place of their stream once."""
+
+    COUNT = 50
+
+    @pytest.fixture()
+    def runs(self, middle_thirds_model, two_ratio_model, reflected_model):
+        """(draw, depth, first, end) for both samplers of each model: the
+        places [first, end) of its stream that a draw reads.  The direct
+        sampler reads count * depth places from 0, the model sampler twice
+        as many, or only the inner half in a one-component model."""
+        n = self.COUNT
+        out = []
+        for m in (middle_thirds_model, two_ratio_model, reflected_model):
+            depth = sampling_depth([f.ratio for f in m.base.maps])
+            out.append((functools.partial(sample_measure, m.base, n, seed=8),
+                        depth, 0, n * depth))
+            depth = sampling_depth([c.ratio for c in m.components])
+            first = 0 if m.n_components > 1 else n * depth
+            out.append((functools.partial(m.sample_measure, n, 9),
+                        depth, first, 2 * n * depth))
+        return out
+
+    @staticmethod
+    def budgets(depth):
+        # the default, then budgets below the depth (one row per chunk),
+        # just above it and around three rows
+        return (SAMPLE_CHUNK_UNIFORMS, 1, depth - 1, depth + 1, 3 * depth + 2)
+
+    def test_every_budget_gives_the_same_bits(self, runs, monkeypatch):
+        for draw, depth, _, _ in runs:
+            got = []
+            for budget in self.budgets(depth):
+                monkeypatch.setattr(selfsimilar, "SAMPLE_CHUNK_UNIFORMS",
+                                    budget)
+                got.append(draw().view(np.int64))
+            assert all(np.array_equal(g, got[0]) for g in got)
+
+    def test_chunks_tile_the_places_once(self, runs, slices, monkeypatch):
+        for draw, depth, first, end in runs:
+            for budget in self.budgets(depth):
+                monkeypatch.setattr(selfsimilar, "SAMPLE_CHUNK_UNIFORMS",
+                                    budget)
+                slices.clear()
+                draw()
+                spans = sorted(slices)
+                assert [s for s, _ in spans] == \
+                    [first] + [s + k for s, k in spans[:-1]]
+                assert sum(spans[-1]) == end
 
 
 def generator_keys(seed, labels):
