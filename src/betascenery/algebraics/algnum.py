@@ -186,6 +186,14 @@ def _sign(a: int, q: int) -> int:
     return (a > 0) - (a < 0)
 
 
+def _float_or_inf(a: int, q: int) -> float:
+    """a/q for q > 0, or an infinity of a's sign where that overflows."""
+    try:
+        return a / q
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
+
+
 class NumberField:
     """Q(beta) for beta a root of a monic irreducible integer polynomial.
 
@@ -450,8 +458,13 @@ class FieldElement:
         return Fraction(k, 2 ** n), Fraction(k + 1, 2 ** n)
 
     def __float__(self) -> float:
-        """The float nearest this element."""
-        return self.field._decide(self.num, self.den, operator.truediv)[0]
+        """The float nearest this element.  An enclosure end beyond float
+        range reads as an infinity, so wide ends disagree and P doubles; an
+        agreed infinity raises OverflowError, as float() of a Fraction does."""
+        f = self.field._decide(self.num, self.den, _float_or_inf)[0]
+        if math.isinf(f):
+            raise OverflowError("field element too large for a float")
+        return f
 
     def _cmp(self, other) -> int:
         return (self - other).sign()

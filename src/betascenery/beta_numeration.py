@@ -28,14 +28,14 @@ Two arithmetic paths, chosen by the type of the starting point:
     NumberField._decide, whose precision doubles for the rest of the orbit
     when the two ends of its own enclosure disagree.  No floor or float
     comes from an uncertified value.  The record keeps the digits, the
-    floats and the block-boundary vectors, and a remainder is rebuilt
-    exactly from its boundary only when read.  For a Pisot base the
-    state's coordinates over q stay bounded (K. Schmidt 1980), so P stays
-    put from block to block, and a digit costs a few operations on P-bit
-    integers plus a 1/BLOCK share of one exact advance;
+    floats and the exact point after the last digit.  For a Pisot base
+    the state's coordinates over q stay bounded (K. Schmidt 1980), so P
+    stays put from block to block, and a digit costs a few operations on
+    P-bit integers plus a 1/BLOCK share of one exact advance;
   * interval-valued x (BigReal): certified propagation; if a floor cannot be
     decided at the available precision the orbit is reported undecidable at
-    that step, never silently rounded.
+    that step, never silently rounded.  A point's float is the float
+    nearest its enclosure's midpoint (`BigReal.float_reader`).
 
 The Parry density sums beta^-n over the orbit of 1, which takes the same
 lattice steps.  Its sums are integer sums on the lattice: the n orbit values
@@ -45,7 +45,6 @@ coefficient a_0.  Each breakpoint and value is reduced once, when built.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -67,6 +66,7 @@ from .algebraics import (
     monic_scaled_field,
 )
 from .algebraics.algnum import FIXED_BITS
+from .algebraics.bigreal import float_cut
 from .algebraics.intpoly import _parse_poly_string
 
 
@@ -212,10 +212,10 @@ class _Lattice:
         return lo // self.scale, -(-hi // self.scale), bits
 
     def orbit(self, v, q: int, steps: int
-              ) -> Tuple[List[int], List[float], List[int], List[tuple]]:
+              ) -> Tuple[List[int], List[float], tuple, int]:
         """`steps` greedy digits from v/q, with the float of each remainder:
-        (digits, floats, starts, vectors), where vectors[i] is the integer
-        vector of the orbit's point number starts[i], over q*c^starts[i].
+        (digits, floats, v, q), where v/q is the point after the last
+        digit, over q*c^steps.
 
         Each block of up to BLOCK digits reads one enclosure of its first
         point (`_block`).  The exact vector then advances over the k digits
@@ -226,13 +226,9 @@ class _Lattice:
         field's evaluator (`NumberField._decide`), whose precision starts
         at FIXED_BITS and doubles, for the rest of the orbit, at each step
         it cannot certify."""
-        digits: List[int] = []
-        floats: List[float] = []
-        starts, vectors, bits = [], [], FIXED_BITS
+        digits, floats, bits = [], [], FIXED_BITS
         while len(digits) < steps:
             n = len(digits)
-            starts.append(n)
-            vectors.append(v)
             block = min(BLOCK, steps - n)
             k = self._block(v, q, block, digits, floats)
             if k:
@@ -248,7 +244,7 @@ class _Lattice:
                 v = (w[0] - d * q,) + w[1:]
                 digits.append(d)
                 floats.append(f)
-        return digits, floats, starts, vectors
+        return digits, floats, v, q
 
     def _block(self, v, q: int, steps: int, digits: List[int],
                floats: List[float]) -> int:
@@ -274,11 +270,10 @@ class _Lattice:
                 break
             bits *= 2
         blo, bhi, sh = self._beta_bounds(bits)
-        # a remainder's float is read from its top 128 bits at most:
-        # scaling the nearest float of an integer below 2^129 by 2^-cut is
-        # exact, and the result is 0 or at least 2^-128, never subnormal
-        cut = max(bits - 128, 0)
-        scale = 2.0 ** (cut - bits)
+        # a remainder's float is read from its top 128 places; a small one
+        # keeps few bits, so its two ends' floats disagree and it falls
+        # back to an exact step
+        cut, scale = float_cut(bits)
         taken = 0
         for _ in range(steps):
             ylo = lo * blo >> sh
@@ -373,83 +368,18 @@ def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
     return d, m / q
 
 
-class _LatticeRemainders(Sequence):
-    """The remainders of a lattice orbit from v/q: the one at position k of
-    the orbit is point k+1, over q*c^(k+1).  Only the digits, the
-    remainder floats and the block-boundary vectors are stored; reading a
-    remainder replays the digits exactly from the last boundary at or
-    before it (`_Lattice.replay`) and builds its Fraction or FieldElement,
-    and iterating replays each digit once.  It is a read-only sequence, not
-    a list: like a list it compares equal to a list (or another such
-    sequence) of the same values, but it has no `+` and is not meant for
-    pickling; `list(rems)` builds every value."""
-
-    def __init__(self, lattice: _Lattice, q: int, digits: Sequence[int],
-                 floats: List[float], starts: List[int],
-                 vectors: List[tuple], positions: range):
-        self.lattice = lattice
-        self.q = q
-        self.digits = digits
-        self.floats = floats         # one per position, certified
-        self.starts = starts         # orbit point of each boundary vector
-        self.vectors = vectors
-        self.positions = positions   # orbit step of each remainder
-
-    def denominator(self, k: int) -> int:
-        return self.q * self.lattice.scale ** (self.positions[k] + 1)
-
-    def __len__(self):
-        return len(self.positions)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return _LatticeRemainders(self.lattice, self.q, self.digits,
-                                      self.floats[k], self.starts,
-                                      self.vectors, self.positions[k])
-        return next(self._values([self.positions[k]]))
-
-    def __iter__(self):
-        return self._values(self.positions)
-
-    def _values(self, positions):
-        """The remainders at the given orbit steps, each replayed from the
-        last boundary at or before it, or from the remainder read before it
-        when that is nearer."""
-        lat, s = self.lattice, None
-        for p in positions:
-            t = p + 1
-            b = bisect.bisect_right(self.starts, t) - 1
-            if s is None or not self.starts[b] <= s <= t:
-                s, v = self.starts[b], self.vectors[b]
-                den = self.q * lat.scale ** s
-            for v, den in lat.replay(v, den, self.digits[s:t]):
-                pass
-            s = t
-            yield lat.element(v, den)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _LatticeRemainders)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
 @dataclass
 class OrbitRecord:
-    """A computed expansion: digits, exact or enclosed remainders, and the
-    precision that carried the floor decisions."""
-    start: object
+    """A computed expansion: the digits d_1, ..., d_n, the floats of the
+    points x_0, ..., x_{n-1} whose equidistribution normality is about, the
+    point x_n after the last digit (exact, or a BigReal for an interval
+    start), and the precision that carried the floor decisions.  The
+    digits unwind x_n to every earlier point, x_(k-1) = (x_k + d_k)/beta."""
     digits: List[int]
-    remainders: Sequence[object]  # exact scalars or BigReal, one per step
+    floats: List[float]
+    end: object
     precision_used: int
     base: BetaBase
-
-    def orbit_floats(self) -> np.ndarray:
-        """Float values of x_0, ..., x_{n-1} (the points whose
-        equidistribution normality is about)."""
-        rems = self.remainders
-        if isinstance(rems, _LatticeRemainders):
-            return np.array([float(self.start), *rems.floats[:-1]])
-        return np.array([float(r) for r in [self.start, *rems[:-1]]])
 
 
 def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
@@ -473,39 +403,34 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
         v, q = (x.numerator,) + (0,) * (lat.degree - 1), x.denominator
     else:
         v, q = x.num, x.den
-    digits, floats, starts, vectors = lat.orbit(v, q, steps)
-    # the remainders replay their own copy of the digits, so a caller that
-    # edits rec.digits does not change them
-    return OrbitRecord(x, digits,
-                       _LatticeRemainders(lat, q, tuple(digits), floats,
-                                          starts, vectors, range(steps)),
+    digits, floats, v, q = lat.orbit(v, q, steps)
+    # the kernel's floats are those of x_1, ..., x_n
+    return OrbitRecord(digits, [float(x), *floats[:-1]], lat.element(v, q),
                        0, base)
 
 
 def _orbit_interval(base: BetaBase, x: BigReal, steps: int) -> OrbitRecord:
     needed = math.ceil(steps * math.log2(float(base.beta))) + 64
     prec = max(x.prec, needed)
-    for attempt in range(2):
+    for _ in range(2):
         # a rational base multiplies exactly; an algebraic one is enclosed
         b = base.beta if isinstance(base.beta, Fraction) else \
             BigReal.from_algebraic(base.beta, prec)
         cur = BigReal.from_interval(x.lo, x.hi, prec)
-        digits: List[int] = []
-        rems: List[object] = []
-        failed_at = None
+        read = BigReal.float_reader(prec)
+        digits, floats = [], []
         for k in range(steps):
+            floats.append(read(cur))
             y = cur * b
             d = y.floor_certain()
             if d is None:
-                failed_at = k
                 break
             cur = y - d
-            digits.append(int(d))
-            rems.append(cur)
-        if failed_at is None:
-            return OrbitRecord(x, digits, rems, prec, base)
+            digits.append(d)
+        else:
+            return OrbitRecord(digits, floats, cur, prec, base)
         prec *= 4  # one restart at higher working precision
-    raise OrbitUndecidable(failed_at, prec // 4)
+    raise OrbitUndecidable(k, prec // 4)
 
 
 # -- Parry density -------------------------------------------------------------
@@ -665,8 +590,6 @@ DISCREPANCY_GRID = 1024
 class NormalityStatistic:
     digit_freqs: np.ndarray
     discrepancy: float
-    steps: int
-    precision_used: int
 
 
 def normality_from_orbit(rec: OrbitRecord,
@@ -680,12 +603,11 @@ def normality_from_orbit(rec: OrbitRecord,
         density = parry_density(base)
     freqs = np.bincount(np.asarray(rec.digits),
                         minlength=base.alphabet_size) / len(rec.digits)
-    pts = np.sort(rec.orbit_floats())
+    pts = np.sort(rec.floats)
     t = np.arange(1, DISCREPANCY_GRID + 1) / DISCREPANCY_GRID
     emp = np.searchsorted(pts, t, side="right") / len(pts)
     disc = float(np.abs(emp - density.cdf(t)).max())
-    return NormalityStatistic(freqs, disc, len(rec.digits),
-                              rec.precision_used)
+    return NormalityStatistic(freqs, disc)
 
 
 # -- pushforward maps ---------------------------------------------------------------

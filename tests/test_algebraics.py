@@ -448,6 +448,23 @@ class TestBigReal:
             first = math.nextafter(first, math.inf)
         assert x.lo <= Fraction(f) <= x.hi or Fraction(first) > x.hi
 
+    # a midpoint near 1 at 2,128 places whose top 128 places sit on a tie
+    # between two floats, with a set bit below them that breaks it upward
+    TIE = ((2 ** 52 << 76 | 2 ** 75) << 2001) + 1
+
+    @given(st.integers(128, 2200), st.integers(0, 2 ** 2200),
+           st.integers(0, 1300), st.integers(0, 2 ** 64), st.booleans())
+    @example(2128, TIE // 2 << 72, 0, 1, False)
+    @example(2128, 2 ** 2199 // 7, 1060, 0, False)
+    @settings(max_examples=300, deadline=None)
+    def test_float_reader_is_float(self, prec, bits, shift, width, negative):
+        """The reader's float is float()'s, on midpoints of every size down
+        to subnormal ones, and on ones whose top places sit on a tie."""
+        lo = bits >> (2200 - prec + shift)
+        x = BigReal(-lo - width, -lo, prec) if negative else \
+            BigReal(lo, lo + width, prec)
+        assert BigReal.float_reader(prec)(x) == float(x)
+
     def test_from_fraction_contains(self):
         x = BigReal.from_fraction(Fraction(1, 3), 128)
         assert x.contains(Fraction(1, 3))
@@ -799,15 +816,18 @@ class TestHornerOracle:
             assert float(x) == pytest.approx(float(v), rel=2 ** -50,
                                              abs=2 ** -60)
 
-    @pytest.mark.parametrize("n", [40, 100, 200])
+    @pytest.mark.parametrize("n", [40, 100, 200, 2000, 5000])
     def test_float_of_large_coordinates(self, n):
         # F_n beta - F_(n+1) = +-beta^-n: coordinates near 2^(0.69 n) around
-        # a value near 2^(-0.69 n), so a fixed-width enclosure is not enough
+        # a value near 2^(-0.69 n), so a fixed-width enclosure is not enough.
+        # From n = 2000 the first enclosure's ends are beyond float range,
+        # and an offset keeps the value from underflowing to -0.0
+        offset = Fraction(1, 3) if n >= 2000 else Fraction(0)
         fib = [0, 1]
         while len(fib) < n + 2:
             fib.append(fib[-1] + fib[-2])
         field = NumberField(AlgebraicNumber("x^2 - x - 1", 1, 2))
-        x = field.element([-fib[n + 1], fib[n]])
-        with mpmath.workdps(ORACLE_DPS):
-            v = fib[n] * _MP_BETA["golden"] - fib[n + 1]
+        x = field.element([offset - fib[n + 1], fib[n]])
+        with mpmath.workdps(ORACLE_DPS + n // 4):
+            v = fib[n] * mpmath.phi - fib[n + 1] + _mp(offset)
             assert float(x) == float(v)

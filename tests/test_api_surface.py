@@ -57,8 +57,6 @@ ALLOWED_PARAMETERS = {
 # "module.Class.field" -> why a dataclass field stays although no code in
 # src/ reads it as an attribute
 ALLOWED_FIELDS = {
-    "beta_numeration.NormalityStatistic.steps":
-        "the orbit length the frequencies average over, returned with them",
     "scenery.flow.QSamples.state_indices":
         "the chain state of each draw: with times, it rebuilds the draw",
     "scenery.flow.QSamples.times":

@@ -72,17 +72,28 @@ def lattice_base(text: str) -> BetaBase:
 
 
 def assert_matches_reference(base, x, steps):
-    """The lattice orbit against the plain exact-scalar loop: digits,
-    remainders, floats and the backward reconstruction."""
+    """The lattice orbit against the plain exact-scalar loop: digits, the
+    end point, floats and the backward reconstruction.  The digits and the
+    end point fix every remainder between them."""
     rec = beta_orbit(base, x, steps)
     x = base.coerce_point(x)
     digits, rems = greedy_reference(base, x, steps)
     assert rec.digits == digits
-    assert list(rec.remainders) == rems
+    assert rec.end == rems[-1]
     # both float paths are certified: integer division or fixed point
     # here, Fraction division or interval Horner in the reference
-    assert rec.orbit_floats().tolist() == [float(r) for r in [x, *rems[:-1]]]
-    assert unwind_reference(base, rems[-1], digits) == x
+    assert rec.floats == [float(r) for r in [x, *rems[:-1]]]
+    assert unwind_reference(base, rec.end, digits) == x
+
+
+def unwound_remainders(base, rec):
+    """The remainders x_1, ..., x_n of an exact record, rebuilt from its
+    end point by x_(k-1) = (x_k + d_k) / beta in exact scalars."""
+    b_inv = 1 / exact_beta(base)
+    rems = [rec.end]
+    for d in reversed(rec.digits[1:]):
+        rems.append((rems[-1] + d) * b_inv)
+    return rems[::-1]
 
 
 class TestDigits:
@@ -98,7 +109,7 @@ class TestDigits:
         # 2 * (1/2) lands exactly on 1: digit 1, remainder 0
         rec = beta_orbit(BetaBase(2), Fraction(1, 2), 4)
         assert list(rec.digits) == [1, 0, 0, 0]
-        assert rec.remainders[-1] == 0
+        assert rec.end == 0
 
     def test_golden_inverse(self, golden_base):
         g = bs.parse_scalar("golden")
@@ -146,21 +157,20 @@ class TestOrbitIdentities:
         n = 12
         rec = beta_orbit(base, x, n)
         acc = sum(Fraction(d, 3 ** (k + 1)) for k, d in enumerate(rec.digits))
-        assert acc + Fraction(rec.remainders[-1], 3 ** n) == x
-        for r in rec.remainders:
+        assert acc + Fraction(rec.end, 3 ** n) == x
+        for r in unwound_remainders(base, rec):
             assert 0 <= r < 1
 
     def test_reconstruct_exact_rational(self):
         base = BetaBase(2)
         for q in [Fraction(1, 3), Fraction(5, 7), Fraction(113, 997)]:
             rec = beta_orbit(base, q, 200)
-            assert unwind_reference(base, rec.remainders[-1], rec.digits) == q
+            assert unwind_reference(base, rec.end, rec.digits) == q
 
     def test_reconstruct_exact_field(self, golden_base):
         for q in [Fraction(1, 3), Fraction(2, 7), Fraction(22, 113)]:
             rec = beta_orbit(golden_base, q, 150)
-            back = unwind_reference(golden_base, rec.remainders[-1],
-                                    rec.digits)
+            back = unwind_reference(golden_base, rec.end, rec.digits)
             assert back == q
 
     def test_orbit_of_one_golden(self, golden_base):
@@ -207,15 +217,13 @@ class TestLatticeOrbit:
 
     def test_rational_base_remainders_sit_over_growing_denominators(self):
         # 1/7 in base 3/2: 3/14, 9/28, 27/56, 81/112, then 243/224 - 1
-        rec = beta_orbit(BetaBase(Fraction(3, 2)), Fraction(1, 7), 5)
+        base = BetaBase(Fraction(3, 2))
+        rec = beta_orbit(base, Fraction(1, 7), 5)
         assert rec.digits == [0, 0, 0, 0, 1]
-        rems = rec.remainders
-        assert (rems.starts, rems.vectors) == ([0], [(1,)])
-        assert [v for v, _ in rems.lattice.replay((1,), 7, rec.digits)] == \
-            [(3,), (9,), (27,), (81,), (19,)]
-        assert [rec.remainders.denominator(k) for k in range(5)] == \
-            [7 * 2 ** (k + 1) for k in range(5)]
-        assert rec.remainders[1:3] == [Fraction(9, 28), Fraction(27, 56)]
+        assert list(base._lattice.replay((1,), 7, rec.digits)) == \
+            [((3,), 14), ((9,), 28), ((27,), 56), ((81,), 112), ((19,), 224)]
+        assert rec.floats == [1 / 7, 3 / 14, 9 / 28, 27 / 56, 81 / 112]
+        assert rec.end == Fraction(19, 224)
 
     @pytest.mark.parametrize("text", ["2", "3/2", "10/3", "x^2 - x - 1",
                                       "2*x^2 - 3*x - 1"])
@@ -225,9 +233,11 @@ class TestLatticeOrbit:
         base = lattice_base(text)
         x = Fraction(1, 7 * 2 ** 1057)
         rec = beta_orbit(base, x, 40)
-        floats = rec.orbit_floats()
-        assert 0 < floats[0] < 2.0 ** -1022
+        assert 0 < rec.floats[0] < 2.0 ** -1022
         assert_matches_reference(base, x, 40)
+        # the interval path reads the same floats from its enclosures
+        wide = beta_orbit(base, BigReal.from_fraction(x, 2128), 40)
+        assert wide.floats == rec.floats
 
     def test_acceptance_points(self, golden_base):
         # the point kinds of acceptance checks 6 and 9: exact attractor
@@ -307,18 +317,15 @@ class TestLatticeOrbit:
            coords=st.lists(st.fractions(min_value=-3, max_value=3,
                                         max_denominator=10 ** 6),
                            min_size=1, max_size=3),
-           cut=st.tuples(st.integers(0, 3 * bn.BLOCK + 7),
-                         st.integers(0, 3 * bn.BLOCK + 7),
-                         st.sampled_from([1, 2, 7])))
-    @example(steps=bn.BLOCK + 1, coords=[Fraction(2, 7)],
-             cut=(bn.BLOCK - 2, bn.BLOCK + 1, 1))
+           stop=st.integers(1, 3 * bn.BLOCK + 7))
+    @example(steps=bn.BLOCK + 1, coords=[Fraction(2, 7)], stop=bn.BLOCK + 1)
     @example(steps=3 * bn.BLOCK + 7, coords=[Fraction(1, 7), Fraction(1, 3)],
-             cut=(0, 3 * bn.BLOCK + 7, 7))
+             stop=2 * bn.BLOCK)
     @settings(max_examples=8, deadline=None)
-    def test_kernel_matches_step_by_step(self, text, steps, coords, cut):
+    def test_kernel_matches_step_by_step(self, text, steps, coords, stop):
         # the block kernel against the one-step-at-a-time reference, across
-        # block edges: digits, floats, each remainder by index and by
-        # slice, and the denominators
+        # block edges: digits, floats and the end point of the orbit and of
+        # a prefix of it, which ends at an earlier remainder
         base = lattice_base(text)
         if len(coords) == 1 or base.degree == 1:
             x = coords[0] - math.floor(coords[0])
@@ -329,20 +336,14 @@ class TestLatticeOrbit:
         x = base.coerce_point(x)
         digits, rems = greedy_reference(base, x, steps)
         assert rec.digits == digits
-        assert rec.orbit_floats().tolist() == \
-            [float(r) for r in [x, *rems[:-1]]]
-        den = x.denominator if isinstance(x, Fraction) else x.den
-        lat = base._lattice
-        for k, r in enumerate(rems):
-            assert rec.remainders[k] == r
-            assert rec.remainders.denominator(k) == den * lat.scale ** (k + 1)
-        assert list(rec.remainders) == rems
-        part = slice(*cut)
-        sub = rec.remainders[part]
-        assert sub == rems[part]
-        assert list(sub) == rems[part]
-        assert [sub.denominator(j) for j in range(len(sub))] == \
-            [den * lat.scale ** (k + 1) for k in range(steps)[part]]
+        assert rec.floats == [float(r) for r in [x, *rems[:-1]]]
+        assert rec.end == rems[-1]
+        assert unwind_reference(base, rec.end, digits) == x
+        stop = min(stop, steps)
+        prefix = beta_orbit(base, x, stop)
+        assert prefix.digits == digits[:stop]
+        assert prefix.floats == rec.floats[:stop]
+        assert prefix.end == rems[stop - 1]
 
     @pytest.mark.parametrize("text,x", [("2", Fraction(2, 7)),
                                         ("3/2", Fraction(1, 7)),
@@ -350,20 +351,26 @@ class TestLatticeOrbit:
                                         ("2*x^2 - 2*x - 1", Fraction(1, 3))])
     def test_forced_fallback_keeps_records(self, text, x, monkeypatch):
         # a margin far below zero stops every block at its first step, so
-        # the orbit is all exact fallback steps, one boundary each: the
-        # record is the kernel's
+        # the orbit is all exact fallback steps: the record is the kernel's,
+        # whose blocks take every digit
         base = lattice_base(text)
         steps = 2 * bn.BLOCK + 3
+        taken = []
+        block = bn._Lattice._block
+
+        def counting(*args):
+            taken.append(block(*args))
+            return taken[-1]
+        monkeypatch.setattr(bn._Lattice, "_block", counting)
         rec = beta_orbit(base, x, steps)
+        assert taken == [bn.BLOCK, bn.BLOCK, 3]
+        taken.clear()
         monkeypatch.setattr(bn, "MARGIN", -10 ** 6)
         forced = beta_orbit(base, x, steps)
-        assert forced.remainders.starts == list(range(steps))
-        assert rec.remainders.starts == [0, bn.BLOCK, 2 * bn.BLOCK]
+        assert taken == [0] * steps
         assert forced.digits == rec.digits
-        assert forced.orbit_floats().tolist() == rec.orbit_floats().tolist()
-        assert forced.remainders.floats == rec.remainders.floats
-        assert forced.remainders == rec.remainders
-        assert forced.remainders[5:300:3] == rec.remainders[5:300:3]
+        assert forced.floats == rec.floats
+        assert forced.end == rec.end
         assert forced.precision_used == rec.precision_used == 0
 
     @pytest.mark.parametrize("text,point,hit", [
@@ -385,11 +392,11 @@ class TestLatticeOrbit:
         rec = beta_orbit(base, x, 40)
         if hit:
             assert rec.digits == [1] + [0] * 39
-            assert rec.remainders[0] == 0
+            assert rec.end == 0
         if text == "x^2 - 2":
-            assert all(r.to_rational() is not None
-                       for r in rec.remainders[1::2])
-            assert all(r.to_rational() is None for r in rec.remainders[::2])
+            rems = unwound_remainders(base, rec)
+            assert all(r.to_rational() is not None for r in rems[1::2])
+            assert all(r.to_rational() is None for r in rems[::2])
 
     def test_decide_reads_per_block(self, golden_base, monkeypatch):
         # 16,000 golden digits of a middle-thirds point with a 7,100-digit
@@ -409,10 +416,11 @@ class TestLatticeOrbit:
         assert len(calls) <= math.ceil(n / bn.BLOCK)
 
     def test_long_orbit_memory(self, golden_base):
-        # the record keeps the digits, the floats and one vector per block,
-        # not one exact remainder per digit: 32,000 golden digits of a
-        # point over 3^14,100 peak under 16 MB of Python allocations (one
-        # remainder per digit is about 2.8 KB a coordinate)
+        # the record keeps the digits, the floats and the end point, not
+        # one exact remainder per digit: 32,000 golden digits of a point
+        # over 3^14,100 peak at about 1.8 MiB of Python allocations, under
+        # the 16 MB bound (one remainder per digit is about 2.8 KB a
+        # coordinate)
         n, x = 32_000, middle_thirds_point(14_100)
         tracemalloc.start()
         try:
@@ -422,18 +430,6 @@ class TestLatticeOrbit:
             tracemalloc.stop()
         assert len(rec.digits) == n
         assert peak < 16 * 2 ** 20
-
-    def test_remainders_compare_like_a_list(self, golden_base):
-        rec = beta_orbit(golden_base, Fraction(2, 7), 30)
-        rems = list(rec.remainders)
-        assert rec.remainders == rems and rems == rec.remainders
-        assert rec.remainders[5:] == rems[5:]
-        assert rec.remainders != rems[1:]
-        assert rec.remainders != tuple(rems)
-        # the remainders are rebuilt from the record's digits, but not from
-        # the list that the record hands out
-        rec.digits[3] ^= 1
-        assert rec.remainders == rems
 
     @pytest.mark.parametrize("poly", ["x^2 - x - 1", "x^3 - x^2 - x - 1"])
     def test_greedy_oracle(self, poly):
@@ -642,9 +638,10 @@ class TestParryDensity:
 
 class TestNormalityStatistic:
     def test_digit_freqs_sum(self, golden_base):
-        st_ = normality_from_orbit(beta_orbit(golden_base, Fraction(2, 7), 500))
+        rec = beta_orbit(golden_base, Fraction(2, 7), 500)
+        st_ = normality_from_orbit(rec)
         assert st_.digit_freqs.sum() == pytest.approx(1.0)
-        assert st_.steps == 500
+        assert len(rec.digits) == 500
 
     @pytest.mark.parametrize("name", ["golden", "tribonacci"])
     def test_one_evaluator_read_per_field_step(self, name, monkeypatch):
@@ -682,7 +679,7 @@ class TestNormalityStatistic:
         rec = beta_orbit(golden_base, Fraction(3, 7), 300)
         st_ = normality_from_orbit(rec, density=pd)
         # manual sup over a coarse grid never exceeds the reported value
-        orb = rec.orbit_floats()
+        orb = np.array(rec.floats)
         for t in np.linspace(0.05, 0.95, 19):
             emp = (orb < t).mean()
             assert abs(emp - float(pd.cdf(np.array([t]))[0])) \
@@ -725,12 +722,32 @@ class TestBigRealPath:
         try:
             rec = beta_orbit(base, BigReal.from_fraction(x, prec), steps)
         except OrbitUndecidable as e:
-            assert exact.remainders[e.step] == 0
+            assert unwound_remainders(base, exact)[e.step] == 0
             return
         assert list(rec.digits) == list(exact.digits)
-        if base.degree == 1:    # the exact remainders are Fractions
-            assert all(r.contains(e)
-                       for r, e in zip(rec.remainders, exact.remainders))
+        if base.degree == 1:    # the exact end point is a Fraction
+            assert rec.end.contains(exact.end)
+        # each enclosure is far narrower than 2^-53, so its float lies
+        # within 2^-53 of the exact point's
+        assert all(abs(f - e) <= 2.0 ** -53
+                   for f, e in zip(rec.floats, exact.floats))
+
+    @pytest.mark.parametrize("text", ["2", "3/2"])
+    def test_orbit_memory(self, text):
+        # the record keeps one float a step and the end enclosure, not one
+        # enclosure a step: 2,000 digits of 1/3 at 2,128 places peak at
+        # about 0.08 MiB of Python allocations (one enclosure a step took
+        # 1.32 MiB in both bases)
+        base = lattice_base(text)
+        x = BigReal.from_fraction(Fraction(1, 3), 2128)
+        tracemalloc.start()
+        try:
+            rec = beta_orbit(base, x, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(rec.digits), rec.precision_used) == (2000, 2128)
+        assert peak < 2 ** 18
 
     def test_float_input_certified_shallow(self):
         rec = beta_orbit(BetaBase(2), 0.375, 10)

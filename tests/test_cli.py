@@ -82,6 +82,12 @@ for _poly in STALLING_PISOT:
         {"mt.json": MIDDLE_THIRDS},
         ["normality", "mt.json", "--beta", _poly, "--n-points", "2",
          "--n-digits", "50"], 0)
+# a deep golden model point has coordinates near 2^1450, and the float of
+# the orbit's start once overflowed in its first enclosure
+NO_TRACEBACK["normality-golden-deep"] = (
+    {"g.json": GOLDEN_IFS},
+    ["normality", "g.json", "--beta", "golden", "--n-points", "2",
+     "--n-digits", "2000"], 0)
 NO_TRACEBACK["config-missing"] = ({}, ["--config", "nosuch.json", "pisot",
                                       "golden"], 1)
 NO_TRACEBACK["config-not-object"] = ({"c.json": "[1]"},
