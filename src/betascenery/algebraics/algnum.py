@@ -460,11 +460,13 @@ class FieldElement:
     def __float__(self) -> float:
         """The float nearest this element.  An enclosure end beyond float
         range reads as an infinity, so wide ends disagree and P doubles; an
-        agreed infinity raises OverflowError, as float() of a Fraction does."""
+        agreed infinity raises OverflowError, as float() of a Fraction does.
+        Ends that underflow to zeros of two signs agree, so a zero takes
+        the element's sign."""
         f = self.field._decide(self.num, self.den, _float_or_inf)[0]
         if math.isinf(f):
             raise OverflowError("field element too large for a float")
-        return f
+        return f or 0.0 * self.sign()
 
     def _cmp(self, other) -> int:
         return (self - other).sign()

@@ -18,14 +18,6 @@ import functools
 from fractions import Fraction
 
 
-def float_cut(places: int) -> tuple[int, float]:
-    """(cut, scale) that read n / 2^places from n's top 128 places as
-    float(n >> cut) * scale: exactly scaled, and 0 or at least 2^-128.
-    `_Lattice._block` and `BigReal.float_reader` both read this way."""
-    cut = max(places - 128, 0)
-    return cut, 2.0 ** (cut - places)
-
-
 class BigReal:
     """The real interval [lo, hi] / 2^prec: the exact value lies in it."""
 
@@ -68,22 +60,6 @@ class BigReal:
     def __float__(self) -> float:
         # int / int rounds correctly: the float nearest the exact midpoint
         return (self._lo + self._hi) / (1 << (self.prec + 1))
-
-    @staticmethod
-    def float_reader(prec: int):
-        """float() for many BigReals at `prec` places, without its
-        full-width division: lo + hi is cut to its top 128 places, a set
-        cut bit sets the last kept one (round to odd), and 55 or more kept
-        bits then round as the midpoint does; a smaller one calls float()."""
-        cut, scale = float_cut(prec + 1)
-        mask = (1 << cut) - 1
-
-        def read(x: BigReal) -> float:
-            s = x._lo + x._hi
-            r = s >> cut
-            return float(r | bool(s & mask)) * scale \
-                if r.bit_length() > 55 else float(x)
-        return read
 
     def contains(self, q) -> bool:
         q = Fraction(q)
@@ -165,13 +141,6 @@ class BigReal:
         lo = _log_bounds(self._lo, prec)
         hi = lo if self._hi == self._lo else _log_bounds(self._hi, prec)
         return BigReal(lo[0], hi[1], prec)
-
-    # -- certified decisions ---------------------------------------------------
-
-    def floor_certain(self):
-        """The integer floor if the enclosure decides it, else None."""
-        flo = self._lo >> self.prec
-        return flo if flo == self._hi >> self.prec else None
 
 
 def _atanh(u: int, v: int, w: int):

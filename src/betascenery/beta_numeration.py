@@ -6,7 +6,7 @@ The transformation is T(x) = beta*x - d with d = floor(beta*x), digits in
 m and the remainder 0 (the expansion then continues with zeros); this is the
 greedy, lexicographically largest convention.
 
-Two arithmetic paths, chosen by the type of the starting point:
+Two kinds of starting point, one kernel:
   * exact x (a rational, or an element of the base's field): the integer
     lattice.  With c = 1 for an algebraic-integer beta (an integer, or a
     root of a monic polynomial), c = b for beta = a/b, and c the leading
@@ -32,10 +32,12 @@ Two arithmetic paths, chosen by the type of the starting point:
     the state's coordinates over q stay bounded (K. Schmidt 1980), so P
     stays put from block to block, and a digit costs a few operations on
     P-bit integers plus a 1/BLOCK share of one exact advance;
-  * interval-valued x (BigReal): certified propagation; if a floor cannot be
-    decided at the available precision the orbit is reported undecidable at
-    that step, never silently rounded.  A point's float is the float
-    nearest its enclosure's midpoint (`BigReal.float_reader`).
+  * interval-valued x (BigReal), [lo, hi] / 2^P: its two exact ends run
+    through the same kernel over one denominator, a block stepping their
+    hull.  Greedy digits preserve order (W. Parry 1960), so the digits the
+    ends share are those of every point between them; where their floors
+    part, the orbit raises OrbitUndecidable, never silently rounded.  A
+    point's float is the one both ends round to, else their midpoint's.
 
 The Parry density sums beta^-n over the orbit of 1, which takes the same
 lattice steps.  Its sums are integer sums on the lattice: the n orbit values
@@ -66,20 +68,21 @@ from .algebraics import (
     monic_scaled_field,
 )
 from .algebraics.algnum import FIXED_BITS
-from .algebraics.bigreal import float_cut
 from .algebraics.intpoly import _parse_poly_string
 
 
 class OrbitUndecidable(ValueError):
-    """A floor decision could not be certified at the available precision."""
+    """The two ends of an interval start take different digits at `step`,
+    so no digit there holds for every point between them; `precision` is
+    the start's binary places."""
 
     def __init__(self, step: int, precision: int):
         self.step = step
         self.precision = precision
         super().__init__(
-            f"orbit undecidable at step {step}: beta*x sits at an integer "
-            f"boundary within the {precision}-bit enclosure; supply an exact "
-            "or higher-precision starting point")
+            f"orbit undecidable at step {step}: the two ends of the "
+            f"{precision}-place enclosure take different digits there; "
+            "supply an exact or narrower starting point")
 
 
 class BetaBase:
@@ -211,61 +214,81 @@ class _Lattice:
             lo, hi = b[0], b[0] + e[0]
         return lo // self.scale, -(-hi // self.scale), bits
 
-    def orbit(self, v, q: int, steps: int
+    def orbit(self, ends, q: int, steps: int, room=math.inf
               ) -> Tuple[List[int], List[float], tuple, int]:
-        """`steps` greedy digits from v/q, with the float of each remainder:
-        (digits, floats, v, q), where v/q is the point after the last
-        digit, over q*c^steps.
+        """`steps` greedy digits from `ends`, the integer vectors over q of
+        one point or of an interval's two ends, with the float of each
+        remainder: (digits, floats, ends, q), the ends after the last digit
+        over q*c^steps.  Two ends share q, as they share their digits; the
+        digits stop short where their floors part.
 
-        Each block of up to BLOCK digits reads one enclosure of its first
-        point (`_block`).  The exact vector then advances over the k digits
-        the block certified, v <- gamma^k v - q S with S = sum d_j
-        c^(j+1) gamma^(k-1-j), and the denominator grows by c^k.  A block
-        cut short is followed by one exact step: its floor and float come
-        from one integer division for a rational value, else from the
-        field's evaluator (`NumberField._decide`), whose precision starts
-        at FIXED_BITS and doubles, for the rest of the orbit, at each step
-        it cannot certify."""
+        Each block of up to BLOCK digits, and none past the first `room`,
+        reads one enclosure of the ends' hull (`_block`).  Each end then
+        advances over the k digits the block certified, v <- gamma^k v - q S
+        with S = sum d_j c^(j+1) gamma^(k-1-j), and q grows by c^k.  A block
+        cut short is followed by one exact step at each end: its floor and
+        float come from one integer division for a rational value, else
+        from the field's evaluator (`NumberField._decide`), whose precision
+        starts at FIXED_BITS and doubles, for the rest of the orbit, at each
+        step it cannot certify."""
         digits, floats, bits = [], [], FIXED_BITS
         while len(digits) < steps:
             n = len(digits)
-            block = min(BLOCK, steps - n)
-            k = self._block(v, q, block, digits, floats)
+            block = min(BLOCK, steps - n, room - n)
+            k = self._block(ends, q, block, digits, floats) if block > 0 else 0
             if k:
-                v, q = self._advance(v, q, digits[n:])
-            if k < block:
-                w = _times_gamma(v, self.coeffs)
+                ends, q = self._advance(ends, q, digits[n:])
+            if k < block or block <= 0:
                 q *= self.scale
-                if self.field is None:
-                    d, f = _floor_and_rest(w[0], q)
-                else:
-                    (d, f), bits = self.field._decide(w, q, _floor_and_rest,
-                                                      bits)
-                v = (w[0] - d * q,) + w[1:]
+                ws = [_times_gamma(v, self.coeffs) for v in ends]
+                (d, f), bits = self._read(ws[0], q, bits)
+                if len(ws) > 1:
+                    (dh, fh), bits = self._read(ws[1], q, bits)
+                    if dh != d:
+                        break
+                    if fh != f:    # the float of the exact midpoint
+                        (_, f), bits = self._read(
+                            tuple(map(operator.add, *ws)), 2 * q, bits)
+                ends = tuple((w[0] - d * q,) + w[1:] for w in ws)
                 digits.append(d)
                 floats.append(f)
-        return digits, floats, v, q
+        return digits, floats, ends, q
 
-    def _block(self, v, q: int, steps: int, digits: List[int],
+    def _read(self, w, q: int, bits: int) -> Tuple[Tuple[int, float], int]:
+        """((floor(w/q), the float of the rest), the evaluator's precision
+        after the read)."""
+        if self.field is None:
+            return _floor_and_rest(w[0], q), bits
+        return self.field._decide(w, q, _floor_and_rest, bits)
+
+    def _enclose(self, v, q: int, bits: int) -> Tuple[int, int]:
+        """[lo, hi] / 2^bits around v/q, clamped at 0 from below: one
+        fixed-point read, or one shifted division for a rational base."""
+        a, r = (v[0] << bits, 0) if self.field is None else \
+            self.field._fixed(v, bits)
+        return max((a - r) // q, 0), -((-a - r) // q)
+
+    def _block(self, ends, q: int, steps: int, digits: List[int],
                floats: List[float]) -> int:
         """Append up to `steps` digits and remainder floats of the orbit
-        from v/q, read from an enclosure [lo, hi] / 2^P of v/q, and return
-        how many.  P covers the block's growth beta^steps, the state's
-        size and MARGIN bits, and doubles until the enclosure's width times
-        beta^steps is below 2^-MARGIN.  A step maps the ends by beta's
-        bounds; it is taken only when both ends have the same floor and
-        their remainders round to the same float."""
+        from `ends` over q, read from an enclosure [lo, hi] / 2^P of their
+        hull, and return how many.  P covers the block's growth beta^steps,
+        the state's size and MARGIN bits, and doubles until the enclosure's
+        width times beta^steps is below 2^-MARGIN (`orbit` keeps the ends'
+        spread below that).  A step maps the ends by beta's bounds; it is
+        taken only when both ends have the same floor and their remainders
+        round to the same float."""
         growth = math.ceil(steps * self._log2_beta)
-        # hi - lo + 1 is at most about 4 sum|v_i| / q + 2 at any P, since
-        # the table's errors are 1 or 2
-        width = max(sum(map(abs, v[1:])).bit_length() - q.bit_length() + 3,
-                    0) + 2
+        # each end's rounding adds at most about 4 sum|v_i| / q + 2 to
+        # hi - lo + 1 at any P, since the table's errors are 1 or 2
+        size = max(sum(map(abs, v[1:])) for v in ends)
+        width = max(size.bit_length() - q.bit_length() + 3, 0) + 2
         # rounded up to 32 bits, so an orbit's blocks share few tables
         bits = max(1, -(-(width + growth + MARGIN) // 32) * 32)
         while True:
-            a, r = (v[0] << bits, 0) if self.field is None else \
-                self.field._fixed(v, bits)
-            lo, hi = max((a - r) // q, 0), -((-a - r) // q)
+            lo, hi = self._enclose(ends[0], q, bits)
+            if len(ends) > 1:
+                hi = self._enclose(ends[1], q, bits)[1]
             if (hi - lo + 1).bit_length() + growth + MARGIN <= bits:
                 break
             bits *= 2
@@ -293,18 +316,18 @@ class _Lattice:
             taken += 1
         return taken
 
-    def _advance(self, v, q: int, digits: List[int]) -> Tuple[tuple, int]:
-        """The point after k known digits from v/q: gamma^k v - q S over
-        q c^k, with S = sum d_j c^(j+1) gamma^(k-1-j) summed coordinate by
+    def _advance(self, ends, q: int, digits: List[int]) -> Tuple[tuple, int]:
+        """Each end v after k known digits: gamma^k v - q S over q c^k, with
+        S = sum d_j c^(j+1) gamma^(k-1-j) summed once, coordinate by
         coordinate against gamma^(k-1), ..., gamma^0."""
         k, c, powers = len(digits), self.scale, _gamma_powers(self.coeffs)
         if c > 1:
             digits = list(map(operator.mul, digits,
                               accumulate([c] * k, operator.mul)))
-        s = [sum(map(operator.mul, digits, col))
+        s = [q * sum(map(operator.mul, digits, col))
              for col in zip(*powers[k - 1::-1])]
-        gv = self.mul(powers[k], v)
-        return tuple(a - q * b for a, b in zip(gv, s)), q * c ** k
+        return tuple(tuple(map(operator.sub, self.mul(powers[k], v), s))
+                     for v in ends), q * c ** k
 
     def replay(self, v, q: int, digits):
         """The points after each of the known digits, from v/q, exact:
@@ -368,13 +391,21 @@ def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:
     return d, m / q
 
 
+def float_cut(places: int) -> Tuple[int, float]:
+    """(cut, scale) that read n / 2^places from n's top 128 places as
+    float(n >> cut) * scale: exactly scaled, and 0 or at least 2^-128."""
+    cut = max(places - 128, 0)
+    return cut, 2.0 ** (cut - places)
+
+
 @dataclass
 class OrbitRecord:
     """A computed expansion: the digits d_1, ..., d_n, the floats of the
     points x_0, ..., x_{n-1} whose equidistribution normality is about, the
-    point x_n after the last digit (exact, or a BigReal for an interval
-    start), and the precision that carried the floor decisions.  The
-    digits unwind x_n to every earlier point, x_(k-1) = (x_k + d_k)/beta."""
+    point x_n after the last digit (exact, or for an interval start at P
+    places a BigReal at P places around both ends' x_n), and the start's
+    precision P (0 when exact).  The digits unwind x_n to every earlier
+    point, x_(k-1) = (x_k + d_k)/beta."""
     digits: List[int]
     floats: List[float]
     end: object
@@ -386,51 +417,43 @@ def beta_orbit(base: BetaBase, x, steps: int) -> OrbitRecord:
     """`steps` greedy digits of x in the given base.
 
     x must lie in [0, 1) (certified).  Exact inputs run in exact arithmetic
-    and cannot be ambiguous; interval inputs raise OrbitUndecidable when a
-    floor cannot be certified.
+    and cannot be ambiguous; an interval input runs as its two exact ends
+    and raises OrbitUndecidable at the first step where their digits part.
     """
     if steps < 1:
         raise ValueError("need at least one step")
     x = base.coerce_point(x)
+    lat = base._lattice
+    zeros = (0,) * (lat.degree - 1)
+    prec, room = 0, steps
     if isinstance(x, BigReal):
         if x.lo < 0 or x.hi >= 1:
             raise ValueError("starting point must be certified inside [0, 1)")
-        return _orbit_interval(base, x, steps)
-    if x < 0 or x >= 1:
+        prec, (lo, hi) = x.prec, x._ends(x.prec)
+        ends, q = ((lo,) + zeros, (hi,) + zeros)[:1 + (hi > lo)], 1 << prec
+        if hi > lo:
+            # the ends' spread grows by beta a digit: past `room` digits it
+            # would leave a block's enclosure fewer than MARGIN bits
+            room = math.floor((prec - (hi - lo).bit_length() - MARGIN - 4)
+                              / lat._log2_beta)
+    elif x < 0 or x >= 1:
         raise ValueError("starting point must lie in [0, 1)")
-    lat = base._lattice
-    if isinstance(x, Fraction):
-        v, q = (x.numerator,) + (0,) * (lat.degree - 1), x.denominator
+    elif isinstance(x, Fraction):
+        ends, q = ((x.numerator,) + zeros,), x.denominator
     else:
-        v, q = x.num, x.den
-    digits, floats, v, q = lat.orbit(v, q, steps)
+        ends, q = (x.num,), x.den
+    digits, floats, ends, q = lat.orbit(ends, q, steps, room)
+    if len(digits) < steps:
+        raise OrbitUndecidable(len(digits), prec)
+    if not isinstance(x, BigReal):
+        end = lat.element(ends[0], q)
+    else:
+        # at whole 32-place words, as blocks read, so many P share tables
+        up = -prec % 32
+        end = BigReal(lat._enclose(ends[0], q, prec + up)[0] >> up,
+                      -(-lat._enclose(ends[-1], q, prec + up)[1] >> up), prec)
     # the kernel's floats are those of x_1, ..., x_n
-    return OrbitRecord(digits, [float(x), *floats[:-1]], lat.element(v, q),
-                       0, base)
-
-
-def _orbit_interval(base: BetaBase, x: BigReal, steps: int) -> OrbitRecord:
-    needed = math.ceil(steps * math.log2(float(base.beta))) + 64
-    prec = max(x.prec, needed)
-    for _ in range(2):
-        # a rational base multiplies exactly; an algebraic one is enclosed
-        b = base.beta if isinstance(base.beta, Fraction) else \
-            BigReal.from_algebraic(base.beta, prec)
-        cur = BigReal.from_interval(x.lo, x.hi, prec)
-        read = BigReal.float_reader(prec)
-        digits, floats = [], []
-        for k in range(steps):
-            floats.append(read(cur))
-            y = cur * b
-            d = y.floor_certain()
-            if d is None:
-                break
-            cur = y - d
-            digits.append(d)
-        else:
-            return OrbitRecord(digits, floats, cur, prec, base)
-        prec *= 4  # one restart at higher working precision
-    raise OrbitUndecidable(k, prec // 4)
+    return OrbitRecord(digits, [float(x), *floats[:-1]], end, prec, base)
 
 
 # -- Parry density -------------------------------------------------------------
@@ -494,7 +517,8 @@ def _orbit_of_one(base: BetaBase, max_terms: int):
     v, q = (1,) + (0,) * (lat.degree - 1), 1
     values, floats, seen, run = [lat.element(v, q)], [1.0], {}, 2
     while len(values) < max_terms:
-        digits, fl, _, _ = lat.orbit(v, q, min(run, max_terms - len(values)))
+        digits, fl, _, _ = lat.orbit((v,), q,
+                                     min(run, max_terms - len(values)))
         for (v, q), f in zip(lat.replay(v, q, digits), fl):
             if not any(v):
                 return values, floats, len(values)

@@ -235,7 +235,7 @@ class TestLatticeOrbit:
         rec = beta_orbit(base, x, 40)
         assert 0 < rec.floats[0] < 2.0 ** -1022
         assert_matches_reference(base, x, 40)
-        # the interval path reads the same floats from its enclosures
+        # the interval path reads the same floats from its two exact ends
         wide = beta_orbit(base, BigReal.from_fraction(x, 2128), 40)
         assert wide.floats == rec.floats
 
@@ -686,13 +686,30 @@ class TestNormalityStatistic:
                 <= st_.discrepancy + 5e-3
 
 
+# the bases of the interval sweep: integer, rational, dyadic and
+# non-dyadic, and the quadratic and cubic Pisot units
+INTERVAL_BASES = ["2", "3", "3/2", "5/3", "x^2 - x - 1", "x^3 - x^2 - x - 1"]
+
+
+@st.composite
+def dyadic_intervals(draw):
+    """[lo, hi] / 2^P in [0, 1) at 64 to 4,096 places, of width 0 or at
+    most 2^-40, the width's binary order drawn first so that every order
+    comes up."""
+    prec = draw(st.integers(64, 4096))
+    lo = draw(st.integers(0, (1 << prec) - 1))
+    order = draw(st.integers(-1, prec - 40))
+    width = draw(st.integers(0, 1 << order)) if order >= 0 else 0
+    return BigReal(lo, min(lo + width, (1 << prec) - 1), prec)
+
+
 class TestBigRealPath:
     def test_matches_exact_digits(self, golden_base):
         xb = BigReal.from_fraction(Fraction(1, 3), 512)
         r1 = beta_orbit(golden_base, xb, 100)
         r2 = beta_orbit(golden_base, Fraction(1, 3), 100)
         assert list(r1.digits) == list(r2.digits)
-        assert r1.precision_used >= 512
+        assert r1.precision_used == 512
 
     def test_wide_interval_raises(self, golden_base):
         wide = BigReal.from_interval(Fraction(1, 3) - Fraction(1, 10 ** 12),
@@ -700,8 +717,8 @@ class TestBigRealPath:
                                      256)
         with pytest.raises(OrbitUndecidable) as exc:
             beta_orbit(golden_base, wide, 200)
-        assert exc.value.step > 0
-        assert exc.value.precision > 0
+        # the ends' digits part at step 52; the precision is the input's
+        assert (exc.value.step, exc.value.precision) == (52, 256)
 
     @pytest.mark.parametrize("name", ["2", "3", "3/2", "5/3", "x^2 - x - 1"])
     @given(x=st.fractions(0, 1, max_denominator=10 ** 6).filter(
@@ -711,9 +728,9 @@ class TestBigRealPath:
     @example(x=Fraction(3, 5))
     @settings(max_examples=25, deadline=None)
     def test_digits_match_the_lattice(self, name, x):
-        """Enclosures of rational points give the exact path's digits: in
-        5/3 each step multiplies by the exact non-dyadic base, in golden by
-        an enclosure of it.  An orbit that lands on 0 passes through an
+        """Enclosures of rational points give the exact path's digits: the
+        enclosure's two dyadic ends run exactly, in the non-dyadic base 5/3
+        and in golden alike.  An orbit that lands on 0 passes through an
         integer, which no enclosure of positive width decides."""
         base = lattice_base(name)
         steps = 300
@@ -732,12 +749,60 @@ class TestBigRealPath:
         assert all(abs(f - e) <= 2.0 ** -53
                    for f, e in zip(rec.floats, exact.floats))
 
-    @pytest.mark.parametrize("text", ["2", "3/2"])
+    @pytest.mark.parametrize("name", INTERVAL_BASES)
+    @given(x=dyadic_intervals())
+    @example(x=BigReal((1 << 127) - (1 << 27), (1 << 127) + (1 << 27), 128))
+    @example(x=BigReal(3 << 1000, 3 << 1000, 1024))
+    @settings(max_examples=25, deadline=None)
+    def test_interval_is_its_two_ends(self, name, x):
+        """An interval's digits are the longest common prefix of its two
+        exact ends' orbits, and it raises where that prefix ends.  The
+        record's floats are the ends' common float wherever they have one,
+        else their exact midpoint's, and its end encloses both ends' last
+        remainders."""
+        base, steps = lattice_base(name), 300
+        ends = [Fraction(e, 1 << x.prec) for e in x._ends(x.prec)]
+        refs = [greedy_reference(base, e, steps) for e in ends]
+        n = next((k for k, (a, b) in enumerate(zip(refs[0][0], refs[1][0]))
+                  if a != b), steps)
+        if n < steps:
+            with pytest.raises(OrbitUndecidable) as exc:
+                beta_orbit(base, x, steps)
+            assert (exc.value.step, exc.value.precision) == (n, x.prec)
+            if n == 0:
+                return
+        rec = beta_orbit(base, x, n)
+        assert rec.digits == refs[0][0][:n]
+        assert rec.precision_used == x.prec
+        points = ([e, *rems[:n - 1]] for e, (_, rems) in zip(ends, refs))
+        for f, a, b in zip(rec.floats, *points):
+            fa, fb = float(a), float(b)
+            assert f == (fa if fa == fb else float((a + b) / 2))
+        for _, rems in refs:
+            assert rec.end.lo <= rems[n - 1] <= rec.end.hi
+
+    def test_no_interval_arithmetic(self, golden_base, monkeypatch):
+        # an interval start runs as two exact ends on the lattice, and never
+        # as BigReal arithmetic
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                     "__truediv__"):
+            def spy(*args, op=getattr(BigReal, name), name=name):
+                calls.append(name)
+                return op(*args)
+            monkeypatch.setattr(BigReal, name, spy)
+        x = BigReal.from_fraction(Fraction(1, 3), 2128)
+        rec = beta_orbit(golden_base, x, 2000)
+        assert calls == []
+        assert rec.digits == beta_orbit(golden_base, Fraction(1, 3),
+                                        2000).digits
+
+    @pytest.mark.parametrize("text", ["2", "3/2", "x^2 - x - 1"])
     def test_orbit_memory(self, text):
         # the record keeps one float a step and the end enclosure, not one
         # enclosure a step: 2,000 digits of 1/3 at 2,128 places peak at
-        # about 0.08 MiB of Python allocations (one enclosure a step took
-        # 1.32 MiB in both bases)
+        # about 0.11 MiB of Python allocations in all three bases (one
+        # enclosure a step took 1.32 MiB in both rational bases)
         base = lattice_base(text)
         x = BigReal.from_fraction(Fraction(1, 3), 2128)
         tracemalloc.start()
