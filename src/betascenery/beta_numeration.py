@@ -19,11 +19,15 @@ Two kinds of starting point, one kernel:
     orbit runs in blocks of BLOCK digits.  One fixed-point read of the
     block's first point (NumberField._fixed, or one shifted division for
     a rational base) encloses it in [lo, hi] / 2^P, with P wide enough for
-    the block's growth beta^BLOCK and MARGIN bits to spare.  The two ends
-    are stepped on plain integers with bounds of beta, and a digit and a
-    float are taken only where both ends agree on them.  The exact vector
-    then advances once per block, v <- gamma^k v - q S, with S the block's
-    digits in Z[gamma].  At a step the enclosure cannot decide, the block
+    the block's growth beta^BLOCK and MARGIN bits to spare.  Only the
+    lower end is stepped, on plain integers with a lower bound of beta,
+    and an integer W_j, bounded once per SEG steps from W_0 = hi - lo,
+    gives lo_j <= X_j <= lo_j + W_j at step j for every point X of the
+    enclosure, times 2^P (derived at `_Lattice._block`).  A digit and a
+    float are taken only where lo_j and lo_j + W_j agree on them.  The
+    exact vector then advances once per block, v <- gamma^k v - q S, with
+    S the block's digits in Z[gamma] summed against cached columns of
+    gamma's powers.  At a step the enclosure cannot decide, the block
     ends and one exact step reads the floor and float at once through
     NumberField._decide, whose precision doubles for the rest of the orbit
     when the two ends of its own enclosure disagree.  No floor or float
@@ -167,10 +171,11 @@ def _reject_field():
                      "base; express it in the base's field")
 
 
-# Digits per block of the exact orbit kernel, and the bits of slack that a
-# block's enclosure keeps at its last step.
+# Digits per block of the exact orbit kernel, the bits of slack that its
+# enclosure keeps at the last step, and the steps per bound of its width.
 BLOCK = 256
 MARGIN = 64
+SEG = 32
 
 
 class _Lattice:
@@ -182,10 +187,11 @@ class _Lattice:
     Multiplying by beta is the integer companion matrix of gamma's monic
     minimal polynomial with Q multiplied by c, and subtracting a digit
     changes v[0] only, so the k-th point of an orbit from v/q sits over
-    q*c^k.  `orbit` runs in blocks of BLOCK digits: an integer enclosure of
-    the block's first point, stepped with fixed-point bounds of beta, gives
-    the digits and floats that both its ends agree on, and the exact vector
-    advances once per block (see `orbit`).
+    q*c^k.  `orbit` runs in blocks of BLOCK digits: the lower end lo_j of
+    an integer enclosure of the block's first point, stepped with a lower
+    bound of beta, and a proven bound W_j on its width, lo_j <= X_j <=
+    lo_j + W_j, give the digits and floats of every point of it, and the
+    exact vector advances once per block (see `orbit` and `_block`).
     """
 
     def __init__(self, coeffs: Sequence[int], field, scale: int):
@@ -223,7 +229,9 @@ class _Lattice:
         digits stop short where their floors part.
 
         Each block of up to BLOCK digits, and none past the first `room`,
-        reads one enclosure of the ends' hull (`_block`).  Each end then
+        reads one enclosure of the ends' hull (`_block`) and steps its
+        lower end lo_j, with a proven bound W_j on its width: lo_j <= X_j <=
+        lo_j + W_j for every point X of the hull, times 2^P.  Each end then
         advances over the k digits the block certified, v <- gamma^k v - q S
         with S = sum d_j c^(j+1) gamma^(k-1-j), and q grows by c^k.  A block
         cut short is followed by one exact step at each end: its floor and
@@ -275,9 +283,23 @@ class _Lattice:
         hull, and return how many.  P covers the block's growth beta^steps,
         the state's size and MARGIN bits, and doubles until the enclosure's
         width times beta^steps is below 2^-MARGIN (`orbit` keeps the ends'
-        spread below that).  A step maps the ends by beta's bounds; it is
-        taken only when both ends have the same floor and their remainders
-        round to the same float."""
+        spread below that).
+
+        Only the lower end is stepped: every point X of the hull, times
+        2^P, has lo_j <= X_j <= lo_j + W_j at step j, W_0 = hi - lo.  With
+        beta 2^sh in [blo, bhi] (sh = P; sh = 0 and blo = bhi for an integer
+        base), r = bhi / 2^sh and y = floor(lo_j blo / 2^sh), y <= beta X_j
+        <= (lo_j + W_j) bhi / 2^sh < y + 1 + lo_j (bhi - blo) / 2^sh + r W_j
+        <= y + r W_j + E, with E = bhi - blo + 1 as lo_j <= 2^P (E = 0 if
+        sh = 0: the step is exact).  So W_(s+i) <= r^i W_s + E (1 + r + ...
+        + r^(i-1)), which grows with i, and once per SEG steps W is bounded
+        in integers, rounded up, by ceil(W_s p_SEG / 2^64) + ceil(E (p_0 +
+        ... + p_(SEG-1)) / 2^64), with p_0 = 2^64 and p_(i+1) = ceil(p_i bhi
+        / 2^sh) >= r^(i+1) 2^64.  A digit d = floor(y / 2^P) is taken only
+        when lo_(j+1) = y - d 2^P has lo_(j+1) + W < 2^P, so that all of
+        [y, y + W] has floor d, and a float f = float(lo_(j+1) >> cut) only
+        when float(ceil((lo_(j+1) + W) / 2^cut)) == f, as rounding is
+        monotone.  An exact 0, lo = W = 0, keeps W = 0."""
         growth = math.ceil(steps * self._log2_beta)
         # each end's rounding adds at most about 4 sum|v_i| / q + 2 to
         # hi - lo + 1 at any P, since the table's errors are 1 or 2
@@ -293,39 +315,38 @@ class _Lattice:
                 break
             bits *= 2
         blo, bhi, sh = self._beta_bounds(bits)
-        # a remainder's float is read from its top 128 places; a small one
-        # keeps few bits, so its two ends' floats disagree and it falls
-        # back to an exact step
+        # p[i] >= r^i 2^64 and sums[i - 1] >= E (p_0 + ... + p_(i-1)) / 2^64:
+        # i steps take W to at most W p[i] / 2^64 + sums[i - 1]
+        e = bhi - blo + 1 if sh else 0
+        p = list(accumulate([bhi] * min(SEG, steps),
+                            lambda t, b: -(-t * b >> sh), initial=1 << 64))
+        sums = [-(-e * t >> 64) for t in accumulate(p)]
+        # a remainder's float is read from its top 128 places
         cut, scale = float_cut(bits)
-        taken = 0
-        for _ in range(steps):
-            ylo = lo * blo >> sh
-            yhi = -(-hi * bhi >> sh)
-            d = ylo >> bits
-            if yhi >> bits != d:
-                break
-            if d:
-                ylo -= d << bits
-                yhi -= d << bits
-            f = float(ylo >> cut)
-            if float(-(-yhi >> cut)) != f:
-                break
-            digits.append(d)
-            floats.append(f * scale)
-            lo, hi = ylo, yhi
-            taken += 1
-        return taken
+        mask, w, n = (1 << bits) - 1, hi - lo, len(digits)
+        for start in range(0, steps, SEG):
+            m = min(SEG, steps - start)
+            w = -(-w * p[m] >> 64) + sums[m - 1] if lo or w else 0
+            lim, up = mask + 1 - w, w + (1 << cut) - 1
+            for _ in range(m):
+                y = lo * blo >> sh
+                lo = y & mask
+                f = float(lo >> cut)
+                if lo >= lim or float((lo + up) >> cut) != f:
+                    return len(digits) - n
+                digits.append(y >> bits)
+                floats.append(f * scale)
+        return steps
 
     def _advance(self, ends, q: int, digits: List[int]) -> Tuple[tuple, int]:
         """Each end v after k known digits: gamma^k v - q S over q c^k, with
         S = sum d_j c^(j+1) gamma^(k-1-j) summed once, coordinate by
-        coordinate against gamma^(k-1), ..., gamma^0."""
-        k, c, powers = len(digits), self.scale, _gamma_powers(self.coeffs)
-        if c > 1:
-            digits = list(map(operator.mul, digits,
-                              accumulate([c] * k, operator.mul)))
-        s = [q * sum(map(operator.mul, digits, col))
-             for col in zip(*powers[k - 1::-1])]
+        coordinate against the last k entries of the weighted columns of
+        `_gamma_powers`, whose sum is c^(BLOCK-k) S."""
+        k, c = len(digits), self.scale
+        powers, columns = _gamma_powers(self.coeffs, c)
+        s = [q * (sum(map(operator.mul, digits, col[BLOCK - k:]))
+                  // c ** (BLOCK - k)) for col in columns]
         return tuple(tuple(map(operator.sub, self.mul(powers[k], v), s))
                      for v in ends), q * c ** k
 
@@ -376,13 +397,17 @@ def _times_gamma(v: tuple, coeffs: Tuple[int, ...]) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _gamma_powers(coeffs: Tuple[int, ...]) -> Tuple[tuple, ...]:
-    """gamma^0, ..., gamma^BLOCK as integer vectors, once per polynomial:
-    each CLI call builds its base afresh."""
+def _gamma_powers(coeffs: Tuple[int, ...], c: int
+                  ) -> Tuple[Tuple[tuple, ...], Tuple[tuple, ...]]:
+    """(gamma^0, ..., gamma^BLOCK as integer vectors, and for each
+    coordinate i the column of c^(j+1) gamma^(BLOCK-1-j), j < BLOCK), once
+    per polynomial and scale: each CLI call builds its base afresh."""
     powers = [(1,) + (0,) * (len(coeffs) - 2)]
     for _ in range(BLOCK):
         powers.append(_times_gamma(powers[-1], coeffs))
-    return tuple(powers)
+    cs = list(accumulate([c] * BLOCK, operator.mul))
+    return tuple(powers), tuple(tuple(map(operator.mul, cs, col))
+                                for col in zip(*powers[BLOCK - 1::-1]))
 
 
 def _floor_and_rest(a: int, q: int) -> Tuple[int, float]:

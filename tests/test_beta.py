@@ -51,6 +51,10 @@ LATTICE_BASES = ["2", "3", "10", "3/2", "5/3", "7/2", "10/3", "x^2 - x - 1",
 # more, and three blocks and a part
 KERNEL_BASES = ["2", "3", "3/2", "10/3", "x^2 - x - 1", "x^3 - x^2 - x - 1",
                 "x^3 - x - 1", "2*x^2 - 2*x - 1", "x^2 - 2"]
+# bases of the edge test: an integer, a rational, two Pisot units and the
+# non-monic base
+EDGE_BASES = ["2", "3/2", "x^2 - x - 1", "x^3 - x^2 - x - 1",
+              "2*x^2 - 2*x - 1"]
 KERNEL_STEPS = [bn.BLOCK - 1, bn.BLOCK, bn.BLOCK + 1, 3 * bn.BLOCK + 7]
 
 
@@ -61,6 +65,21 @@ def middle_thirds_point(n: int) -> Fraction:
     for w in rng.integers(0, 2, size=n).tolist():
         num = 3 * num + 2 * w
     return Fraction(num, 3 ** n)
+
+
+def midpoint_above(f: float) -> Fraction:
+    """The exact midpoint of f and the next float up."""
+    return Fraction(f) + Fraction(math.ulp(f)) / 2
+
+
+def unwound_start(base, x, j: int, seed: int):
+    """A start whose j-th greedy remainder is x, from x by j unwinding
+    steps, each digit drawn among those that keep the point in [0, 1)."""
+    rng, b = np.random.default_rng(seed), exact_beta(base)
+    for _ in range(j):
+        top = max(d for d in range(base.floor_beta + 1) if x + d < b)
+        x = unwind_reference(base, x, [int(rng.integers(0, top + 1))])
+    return x
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,6 +213,20 @@ class TestOrbitIdentities:
         # taken over a grid, so allow one grid cell of slack
         st_ = normality_from_orbit(beta_orbit(BetaBase(2), Fraction(1, 3), 400))
         assert st_.discrepancy >= 1 / 3 - 1 / bn.DISCREPANCY_GRID
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """(digits before it, steps asked, steps taken) of each
+    `_Lattice._block` call, in call order."""
+    calls, block = [], bn._Lattice._block
+
+    def recording(self, ends, q, steps, digits, floats):
+        n = len(digits)
+        calls.append((n, steps, block(self, ends, q, steps, digits, floats)))
+        return calls[-1][2]
+    monkeypatch.setattr(bn._Lattice, "_block", recording)
+    return calls
 
 
 class TestLatticeOrbit:
@@ -373,13 +406,50 @@ class TestLatticeOrbit:
         assert forced.end == rec.end
         assert forced.precision_used == rec.precision_used == 0
 
+    @pytest.mark.parametrize("text", KERNEL_BASES)
+    def test_blocks_run_whole(self, text, block_calls):
+        # the width bound certifies as much as the enclosure itself: a
+        # 2,000-digit orbit reads ceil(2000 / BLOCK) blocks, one more where
+        # a rare float or digit sits at the bound's edge; a loose bound
+        # keeps every digit right and ends blocks early
+        beta_orbit(lattice_base(text), middle_thirds_point(2_000), 2_000)
+        assert len(block_calls) <= math.ceil(2_000 / bn.BLOCK) + 1
+
+    @pytest.mark.parametrize("text", EDGE_BASES)
+    @pytest.mark.parametrize("j", [100, bn.BLOCK + 77])
+    @pytest.mark.parametrize("edge,sign", [("digit", -1), ("digit", 1),
+                                           ("float", -1), ("float", 1)])
+    def test_starts_at_the_bounds_edge(self, text, j, edge, sign,
+                                       block_calls):
+        # x_j sits 2^-700 from a digit boundary (beta x_j = 1) or from the
+        # midpoint of two floats, far closer than any block's width bound
+        # there, and the midpoint rounds (half to even) to the float on
+        # the other side: the block must refuse the step that reads it,
+        # and the exact step after it must give the reference's record
+        base = lattice_base(text)
+        b, delta = exact_beta(base), sign * Fraction(1, 2 ** 700)
+        if edge == "digit":
+            xj, cut = (1 + delta) / b, j
+        else:
+            f = next(g for g in (0.3, math.nextafter(0.3, 1))
+                     if (float(midpoint_above(g)) > g) == (sign < 0))
+            xj, cut = midpoint_above(f) + delta, j - 1
+        x = unwound_start(base, xj, j, seed=j)
+        rec = beta_orbit(base, x, j + 50)
+        digits, rems = greedy_reference(base, x, j + 50)
+        assert rems[j - 1] == xj
+        assert rec.digits == digits
+        assert rec.floats == [float(r) for r in [x, *rems[:-1]]]
+        assert rec.end == rems[-1]
+        assert any(n + k == cut < n + steps for n, steps, k in block_calls)
+
     @pytest.mark.parametrize("text,point,hit", [
         ("x^2 - x - 1", "gamma - 1", True),      # beta x = 1
         ("2*x^2 - 2*x - 1", "gamma - 2", True),  # x = 1/beta, gamma = 2 beta
         ("3/2", "2/3", True),
         ("x^2 - x - 1", "0", False),
         ("x^2 - 2", "1/3", False)])
-    def test_exact_edges(self, text, point, hit):
+    def test_exact_edges(self, text, point, hit, block_calls):
         # beta x exactly an integer (digit 1, then zeros), the point 0, and
         # 1/3 in base sqrt(2), whose every other remainder is rational
         base = lattice_base(text)
@@ -393,6 +463,10 @@ class TestLatticeOrbit:
         if hit:
             assert rec.digits == [1] + [0] * 39
             assert rec.end == 0
+            # an exact 0 keeps a zero width bound: its blocks run whole
+            block_calls.clear()
+            beta_orbit(base, x, 2_000)
+            assert len(block_calls) <= math.ceil(2_000 / bn.BLOCK) + 1
         if text == "x^2 - 2":
             rems = unwound_remainders(base, rec)
             assert all(r.to_rational() is not None for r in rems[1::2])
