@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_mul
-from .roots import (_FLOAT_BITS_CAP, _root_separation_bound,
-                    isolate_real_roots, real_root_intervals, refine_real_root)
+from .roots import (_FLOAT_BITS_CAP, isolate_real_roots, real_root_intervals,
+                    refine_real_root)
 
 
 class AlgebraicNumber:
@@ -147,13 +147,11 @@ class AlgebraicNumber:
     __floor__ = floor
 
     def equals(self, other: "AlgebraicNumber") -> bool:
-        if self.min_poly != other.min_poly:
-            return False
-        # same polynomial: distinct roots separate under refinement
-        sep = _root_separation_bound(self.min_poly)
-        a = self.refine(sep / 4)
-        b = other.refine(sep / 4)
-        return not (a[1] < b[0] or b[1] < a[0])
+        """Exact: each interval isolates one root of the shared polynomial,
+        so they name one root exactly when their hull holds one.  Neither
+        interval is narrowed."""
+        return self.min_poly == other.min_poly and self.min_poly.count_roots(
+            min(self._lo, other._lo), max(self._hi, other._hi)) == 1
 
     def negated(self) -> "AlgebraicNumber":
         return AlgebraicNumber(self.min_poly.compose_negate().primitive(),
@@ -595,21 +593,10 @@ def is_pisot(x) -> bool:
         return d == 2
 
     iso = x.conjugates()
-
-    # locate x among the real roots: its interval overlaps exactly one of
-    # the pairwise-disjoint isolation intervals once refined enough
-    own = None
-    while own is None:
-        hits = [idx for idx, r in enumerate(iso.real_roots)
-                if not (x.hi < r.lo or r.hi < x.lo)]
-        if len(hits) == 1:
-            own = hits[0]
-        elif not hits:
-            raise ArithmeticError("root lost during isolation")
-        else:
-            x.refine((x.hi - x.lo) / 4)
-
-    # refinement keeps the real roots in order, so `own` stays valid
+    # x's place among the ascending real roots: the roots below it all lie
+    # in [first root's lo, x.lo], and no root of an irreducible polynomial
+    # of degree >= 2 is rational; refinement keeps the roots in order
+    own = p.count_roots(min(iso.real_roots[0].lo, x.lo), x.lo)
     while True:
         bounds = [r.modulus_bounds() for idx, r in enumerate(iso.real_roots)
                   if idx != own]

@@ -3,14 +3,14 @@
 Coefficients are stored lowest-degree first.  Everything stays in exact
 integers: signs at a rational a/b come from the homogeneous Horner value
 b^d p(a/b), gcds from a primitive pseudo-remainder sequence, and real-root
-counts from a Sturm sequence of integer pseudo-remainders.  Evaluation over
-an interval with rational endpoints uses exact rational interval
-arithmetic, so its bounds are certificates, not estimates.
+counts from the Descartes descent of roots.py on p carried onto (0, 1) by
+an integer affine map.  Evaluation over an interval with rational
+endpoints uses exact rational interval arithmetic, so its bounds are
+certificates, not estimates.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -265,35 +265,28 @@ class IntPolynomial:
         from .irreducible import is_irreducible
         return is_irreducible(self)
 
-    @functools.cached_property
-    def _sturm(self) -> Tuple[Tuple[int, ...], ...]:
-        """The Sturm sequence p, p', -prem(p, p'), ... with every member
-        divided by its positive content.  p must be square-free."""
-        seq = [list(self.coeffs), list(self.derivative().coeffs)]
-        while len(seq[-1]) > 1:
-            r = _prem(seq[-2], seq[-1])
-            if r == [0]:
-                break
-            g = 0
-            for c in r:
-                g = gcd(g, c)
-            seq.append([-c // g for c in r])
-        return tuple(tuple(s) for s in seq)
-
     def count_roots(self, lo: Fraction, hi: Fraction) -> int:
         """The number of real roots in the closed [lo, hi] of this
-        square-free polynomial, exactly: Sturm's V(lo) - V(hi) counts those
-        in (lo, hi], and lo itself is checked."""
+        square-free polynomial, exactly.  With lo = a / den and
+        hi = (a + w) / den, the roots strictly between the ends are those
+        of q(t) = den^d p((a + w t) / den) in (0, 1), which the descent of
+        roots._unit_roots counts, and an end is a root where q is 0 there.
+        p must be square-free: the descent need not end at a repeated root."""
+        from .roots import _unit_roots
         lo, hi = Fraction(lo), Fraction(hi)
-
-        def variations(x: Fraction) -> int:
-            signs = [v for v in (scaled_value(s, x.numerator, x.denominator)
-                                 for s in self._sturm) if v]
-            return sum((a < 0) != (b < 0) for a, b in zip(signs, signs[1:]))
-        at_lo = self.sign_at(lo) == 0
         if lo == hi:
-            return int(at_lo)
-        return variations(lo) - variations(hi) + at_lo
+            return int(self.sign_at(lo) == 0)
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        w = hi.numerator * (den // hi.denominator) - a
+        # homogeneous Horner in t: q = q (a + w t) + c den^k, step by step
+        q, power = [self.coeffs[-1]], 1
+        for c in self.coeffs[-2::-1]:
+            power *= den
+            q = [a * x + w * y for x, y in zip(q + [0], [0] + q)]
+            q[0] += c * power
+        # q(0) and q(1) are den^d p(lo) and den^d p(hi)
+        return len(_unit_roots(q)) + (q[0] == 0) + (sum(q) == 0)
 
     def __str__(self) -> str:
         parts = []

@@ -5,12 +5,16 @@ each.  Descartes' rule of signs isolates them (G. E. Collins and A. G.
 Akritas, SYMSAC 1976): inside a power-of-two bound on the roots, an interval
 whose transformed polynomial shows no sign variation holds no root, one
 that shows one variation holds exactly one, and any other is halved.  Every
-transformation is an integer Taylor shift or scaling.  Refinement returns
-what exact-sign bisection on integer numerators over a shared denominator
-would; integer Newton steps guess its last cell, and exact signs confirm
-it.  Non-real roots come back as one inclusion disk per conjugate pair,
-certified by Newton's bound: since p'/p(c) = sum_i 1/(c - z_i), some root
-lies within d |p(c)| / |p'(c)| of any point c.  The centers start from
+transformation is an integer Taylor shift or scaling.  The same descent,
+run on p carried affinely onto (0, 1), counts the roots in any closed
+rational interval (IntPolynomial.count_roots), and so tells roots apart:
+two isolating intervals name one root exactly when their hull holds one.
+Refinement returns what exact-sign bisection on integer numerators over a
+shared denominator would; integer Newton steps guess its last cell, and
+exact signs confirm it.  Non-real roots come back as one inclusion disk
+per conjugate pair, certified by Newton's bound: since p'/p(c) =
+sum_i 1/(c - z_i), some root lies within d |p(c)| / |p'(c)| of any point
+c.  The centers start from
 numpy.roots, or from Aberth's points on circles where a float cannot
 hold them, and are refined together by Aberth-Ehrlich steps on Gaussian
 integers over 2^bits (D. A. Bini, Numerical computation of polynomial zeros
@@ -209,18 +213,6 @@ def refine_real_root(p: IntPolynomial, lo: Fraction, hi: Fraction,
             jb, guess = m, m - 1
     return RealRootInterval(Fraction(x0 + ja * step, den),
                             Fraction(x0 + jb * step, den))
-
-
-def _root_separation_bound(p: IntPolynomial) -> Fraction:
-    """A valid lower bound on the distance between distinct roots, from
-    Mahler's inequality sep > sqrt(3) * d^-(d+2)/2 * M(p)^-(d-1) with the
-    Mahler measure bounded by the coefficient 2-norm (Landau)."""
-    d = p.degree
-    if d < 2:
-        return Fraction(1)
-    norm_sq = sum(c * c for c in p.coeffs)
-    denom = (d ** (d + 2)) * (norm_sq ** (d - 1))
-    return Fraction(1, isqrt(denom) + 1)
 
 
 def _gauss_horner(coeffs: Sequence[int], re: int, im: int,

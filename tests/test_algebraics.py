@@ -182,6 +182,12 @@ def _each_holds_one_root(upper, disks):
         assert len(inside) == 1
 
 
+# golden, tribonacci, plastic and supergolden (the cubic and quadratic
+# Pisot bases of the certify benchmark), and x^4 - x^3 - x^2 - x - 1
+PISOT_BASES = ["x^2 - x - 1", "x^3 - x^2 - x - 1", "x^3 - x - 1",
+               "x^3 - x^2 - 1", "x^4 - x^3 - x^2 - x - 1"]
+
+
 class TestPisot:
     def test_integers(self):
         assert is_pisot(2)
@@ -212,6 +218,24 @@ class TestPisot:
 
     def test_non_algebraic_integer(self):
         assert not is_pisot(Fraction(3, 2))
+
+    @pytest.mark.parametrize("poly", PISOT_BASES + [
+        "x^2 - 2", "x^4 - x^3 - x^2 - x + 1", "x^3 - 5*x^2 + 6*x - 1"])
+    def test_interval_reaching_the_next_lower_root(self, poly):
+        # x's interval starts on the upper end of the isolation interval of
+        # the next-lower real root, or on the lower root bound where there
+        # is none, so that the two meet; in x^3 - 5x^2 + 6x - 1 that root
+        # exceeds 1 and still meets x's interval after x is compared to 1
+        p = IntPolynomial.parse(poly)
+        bound = 1 + max(abs(c) for c in p.coeffs)
+        real = isolate_real_roots(p).real_roots
+        lo = real[-2].hi if len(real) > 1 else -bound
+        x = AlgebraicNumber(p, lo, bound)
+        coeffs = list(reversed(p.coeffs))
+        count = unit_disk_root_count(coeffs)
+        want = count == p.degree - 1 and sum(coeffs) < 0
+        assert is_pisot(x) == want
+        assert want == (poly in PISOT_BASES)
 
 
 # Pairs (a, b) checked against mpmath.pslq: a rational, or a polynomial
@@ -627,6 +651,22 @@ class TestFieldEquality:
                     up.beta() - other.beta()
             del other
             gc.collect()
+
+    def test_clustered_roots_near_a_tenth(self):
+        # x^7 - 2 (10x - 1)^2 has two roots within 10^-4 of 1/10; the
+        # verdict must come from the intervals as given, which it leaves
+        poly = "x^7 - 200*x^2 + 40*x - 2"
+        ivs = roots.real_root_intervals(IntPolynomial.parse(poly), 40)
+        left, right = [r for r in ivs if abs(r.lo - Fraction(1, 10)) < 1e-3]
+        gap = right.lo - left.hi
+        low = AlgebraicNumber(poly, left.lo, left.hi + 2 * gap / 3)
+        high = AlgebraicNumber(poly, left.hi + gap / 3, right.hi)
+        narrow = AlgebraicNumber(poly, left.lo, left.hi)
+        before = [(x.lo, x.hi) for x in (low, high, narrow)]
+        assert not low.equals(high) and not high.equals(low)
+        assert low.equals(narrow) and narrow.equals(low)
+        assert not high.equals(narrow)
+        assert [(x.lo, x.hi) for x in (low, high, narrow)] == before
 
     def test_rational_value_hashes_as_fraction(self):
         field = NumberField(named_constant("golden"))
