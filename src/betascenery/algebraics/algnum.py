@@ -1,8 +1,9 @@
 """Real algebraic numbers and exact number-field arithmetic.
 
 An AlgebraicNumber is (irreducible minimal polynomial, rational isolating
-interval); the interval is refined monotonically in place, so repeated
-comparisons get cheaper and a refinement can never jump to a different root.
+interval).  Its signs, floors, floats and comparisons are reads of one
+element, itself in the field of its monic scaled copy, so they share that
+field's evaluator and never narrow the interval; only refine_bits does.
 
 A NumberField wraps a monic irreducible polynomial.  Its elements are
 integer vectors over one positive denominator in the power basis, in lowest
@@ -24,19 +25,20 @@ from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 from .intpoly import IntPolynomial, interval_mul
-from .roots import (_FLOAT_BITS_CAP, isolate_real_roots, real_root_intervals,
-                    refine_real_root)
+from .roots import isolate_real_roots, real_root_intervals, refine_real_root
 
 
 class AlgebraicNumber:
     """A real root of an irreducible integer polynomial.
 
     The isolating interval [lo, hi] contains this root and no other root of
-    min_poly.  refine() narrows it in place; all comparisons against
-    rationals are exact.
+    min_poly.  refine_bits() narrows it in place.  Comparisons against
+    rationals, sign, floor and float are exact reads of this number's
+    value in its monic scaled field, which is built once and memoised (see
+    monic_scaled_field); they leave the interval as it is.
     """
 
-    __slots__ = ("min_poly", "_lo", "_hi", "_isolation")
+    __slots__ = ("min_poly", "_lo", "_hi", "_isolation", "_field")
 
     def __init__(self, min_poly, lo, hi, _validated: bool = False):
         poly = IntPolynomial.parse(min_poly).primitive()
@@ -54,7 +56,7 @@ class AlgebraicNumber:
         self.min_poly = poly
         self._lo = lo
         self._hi = hi
-        self._isolation = None
+        self._isolation = self._field = None
 
     # -- constructors --------------------------------------------------
 
@@ -90,27 +92,24 @@ class AlgebraicNumber:
     def degree(self) -> int:
         return self.min_poly.degree
 
-    def refine(self, width: Fraction) -> Tuple[Fraction, Fraction]:
+    def refine_bits(self, bits: int) -> Tuple[Fraction, Fraction]:
+        """Narrow the interval in place to width at most 2^-bits."""
+        width = Fraction(1, 2**bits)
         if self._hi - self._lo > width:
             iv = refine_real_root(self.min_poly, self._lo, self._hi, width)
             self._lo, self._hi = iv.lo, iv.hi
         return (self._lo, self._hi)
 
-    def refine_bits(self, bits: int) -> Tuple[Fraction, Fraction]:
-        return self.refine(Fraction(1, 2**bits))
+    # -- exact decisions: reads of the field's evaluator -------------------
+
+    def value(self) -> "FieldElement":
+        """This number as the element beta / c of its monic scaled field,
+        beta the field's generator and c the scale."""
+        field, c = monic_scaled_field(self)
+        return FieldElement(field, field._reduce([0, 1]), c)
 
     def __float__(self) -> float:
-        """The float nearest this number: the interval is refined from 2^-64
-        until both ends round to one float, or up to _FLOAT_BITS_CAP bits
-        (a tie between two floats), and its midpoint is rounded."""
-        bits = 64
-        lo, hi = self.refine_bits(bits)
-        while float(lo) != float(hi) and bits < _FLOAT_BITS_CAP:
-            bits *= 2
-            lo, hi = self.refine_bits(bits)
-        return float((lo + hi) / 2)
-
-    # -- exact comparisons ------------------------------------------------
+        return float(self.value())
 
     def to_rational(self) -> Optional[Fraction]:
         if self.degree == 1:
@@ -118,31 +117,13 @@ class AlgebraicNumber:
         return None
 
     def cmp_rational(self, q) -> int:
-        q = Fraction(q)
-        r = self.to_rational()
-        if r is not None:
-            return (r > q) - (r < q)
-        if self.min_poly(q) == 0:  # impossible for irreducible degree >= 2
-            raise ArithmeticError("rational root of an irreducible polynomial")
-        lo, hi = self._lo, self._hi
-        while lo <= q <= hi:
-            width = (hi - lo) / 4
-            lo, hi = self.refine(width)
-        return 1 if lo > q else -1
+        return (self.value() - q).sign()
 
     def sign(self) -> int:
-        return self.cmp_rational(0)
+        return self.value().sign()
 
     def floor(self) -> int:
-        r = self.to_rational()
-        if r is not None:
-            return math.floor(r)
-        lo, hi = self._lo, self._hi
-        # degree >= 2 here, so the value is irrational and never sits on an
-        # integer boundary: refinement must eventually decide the floor
-        while math.floor(lo) != math.floor(hi):
-            lo, hi = self.refine((hi - lo) / 4)
-        return math.floor(lo)
+        return self.value().floor()
 
     __floor__ = floor
 
@@ -152,13 +133,6 @@ class AlgebraicNumber:
         interval is narrowed."""
         return self.min_poly == other.min_poly and self.min_poly.count_roots(
             min(self._lo, other._lo), max(self._hi, other._hi)) == 1
-
-    def negated(self) -> "AlgebraicNumber":
-        return AlgebraicNumber(self.min_poly.compose_negate().primitive(),
-                               -self._hi, -self._lo, _validated=True)
-
-    def abs_value(self) -> "AlgebraicNumber":
-        return self if self.sign() >= 0 else self.negated()
 
     def conjugates(self):
         """Root isolation of the full minimal polynomial (cached)."""
@@ -281,12 +255,16 @@ class NumberField:
         [B_i, B_i + E_i]."""
         if bits not in self._tables:
             lo, hi = self._gen.refine_bits(bits + 32)
-            b, e, pw = [], [], (Fraction(1), Fraction(1))
-            for _ in range(self.degree - 1):
-                pw = interval_mul(pw, (lo, hi))
-                lo_i = math.floor(pw[0] * 2 ** bits)
+            # [lo, hi]^i = pw / den^i, in integers
+            den = lo.denominator * hi.denominator
+            ends = (lo.numerator * hi.denominator,
+                    hi.numerator * lo.denominator)
+            b, e, pw = [], [], (1, 1)
+            for i in range(1, self.degree):
+                pw = interval_mul(pw, ends)
+                lo_i = (pw[0] << bits) // den ** i
                 b.append(lo_i)
-                e.append(-math.floor(-pw[1] * 2 ** bits) - lo_i)
+                e.append(-((-pw[1] << bits) // den ** i) - lo_i)
             self._tables[bits] = (b, e)
         return self._tables[bits]
 
@@ -325,16 +303,18 @@ class NumberField:
 def monic_scaled_field(a: AlgebraicNumber) -> Tuple[NumberField, int]:
     """The field generated by the algebraic integer c*a, plus the scale
     c > 0, the leading coefficient of a's minimal polynomial.  A monic a
-    gives its own field on a itself and c = 1."""
-    p = a.min_poly
-    if p.is_monic:
-        return NumberField(a), 1
-    d = p.degree
-    c = p.leading  # primitive() keeps it positive
-    scaled = IntPolynomial(tuple(
-        p.coeffs[k] * c ** (d - 1 - k) if k < d else 1 for k in range(d + 1)))
-    gen = AlgebraicNumber(scaled, a.lo * c, a.hi * c, _validated=True)
-    return NumberField(gen), c
+    gives its own field on a itself and c = 1.  The pair is built once and
+    memoised on a, so every decision about a, and every caller, shares one
+    field and its fixed-point tables."""
+    if a._field is None:
+        p = a.min_poly
+        d, c = p.degree, p.leading  # primitive() keeps c positive
+        # c*a is a root of x^d + sum_k p_k c^(d-1-k) x^k
+        gen = a if c == 1 else AlgebraicNumber(IntPolynomial(tuple(
+            p.coeffs[k] * c ** (d - 1 - k) for k in range(d)) + (1,)),
+            a.lo * c, a.hi * c, _validated=True)
+        a._field = NumberField(gen), c
+    return a._field
 
 
 class FieldElement:

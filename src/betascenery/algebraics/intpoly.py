@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
@@ -215,11 +216,6 @@ class IntPolynomial:
             return IntPolynomial((0,))
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
-    def compose_negate(self) -> "IntPolynomial":
-        """p(-x)."""
-        return IntPolynomial(tuple(c if k % 2 == 0 else -c
-                                   for k, c in enumerate(self.coeffs)))
-
     def is_self_reciprocal(self) -> bool:
         """True iff p == ±(its reciprocal), i.e. roots closed under z -> 1/z."""
         rev = tuple(reversed(self.coeffs))
@@ -241,19 +237,22 @@ class IntPolynomial:
 
     # -- gcds and factors ----------------------------------------------------
 
+    @cached_property
     def _derivative_gcd(self) -> List[int]:
+        """gcd(p, p'), kept on the polynomial: count_roots reads it on
+        every call."""
         return _gcd(self.coeffs, self.derivative().coeffs)
 
     def squarefree(self) -> bool:
         """True iff no root is repeated: gcd(p, p') is a constant."""
-        return self.degree < 1 or len(self._derivative_gcd()) == 1
+        return self.degree < 1 or len(self._derivative_gcd) == 1
 
     def squarefree_part(self) -> "IntPolynomial":
         """The primitive p / gcd(p, p'): each root of p once."""
         if self.degree < 1:
             return self.primitive()
         return IntPolynomial(tuple(_primitive(_divexact(
-            self.coeffs, self._derivative_gcd()))))
+            self.coeffs, self._derivative_gcd))))
 
     def divides(self, other: "IntPolynomial") -> bool:
         """True iff this nonzero polynomial divides `other` over Q."""
@@ -271,8 +270,11 @@ class IntPolynomial:
         hi = (a + w) / den, the roots strictly between the ends are those
         of q(t) = den^d p((a + w t) / den) in (0, 1), which the descent of
         roots._unit_roots counts, and an end is a root where q is 0 there.
-        p must be square-free: the descent need not end at a repeated root."""
+        Raises ValueError on a polynomial that is not square-free: the
+        descent need not end at a repeated root."""
         from .roots import _unit_roots
+        if not self.squarefree():
+            raise ValueError("repeated roots; pass the square-free part")
         lo, hi = Fraction(lo), Fraction(hi)
         if lo == hi:
             return int(self.sign_at(lo) == 0)

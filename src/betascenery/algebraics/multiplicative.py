@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-from .algnum import AlgebraicNumber, FieldElement, monic_scaled_field
+from .algnum import AlgebraicNumber, FieldElement
 from .bigreal import BigReal
 
 
@@ -158,14 +158,14 @@ def _exponent_bound(a, b) -> Tuple[int, int]:
 
 
 def _log_abs(x) -> BigReal:
-    """log|x| enclosed away from 0 (|x| != 1), from 192 binary places up;
-    a tiny |x| needs more places before its enclosure leaves 0."""
+    """log|x| enclosed away from 0 (|x| != 1), from 192 binary places up:
+    |x| is x's enclosure, negated when it lies below 0.  A tiny |x| needs
+    more places before its enclosure leaves 0."""
     prec = 192
     while True:
-        if isinstance(x, Fraction):
-            v = BigReal.from_fraction(abs(x), prec)
-        else:
-            v = BigReal.from_algebraic(x.abs_value(), prec)
+        v = (BigReal.from_fraction(x, prec) if isinstance(x, Fraction)
+             else BigReal.from_algebraic(x, prec))
+        v = -v if v.hi < 0 else v
         if v.lo > 0 and not (log := v.log()).contains(0):
             return log
         prec *= 2
@@ -175,8 +175,7 @@ def _abs_power(x, k: int) -> AlgebraicNumber:
     """|x|^k as an algebraic number (k may be negative)."""
     if isinstance(x, Fraction):
         return AlgebraicNumber.from_rational(abs(x) ** k)
-    field, c = monic_scaled_field(x.abs_value())
-    return ((field.beta() * Fraction(1, c)) ** k).to_algebraic()
+    return (abs(x.value()) ** k).to_algebraic()
 
 
 def _height_rung(a, b) -> Verdict:

@@ -39,9 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .intpoly import IntPolynomial, scaled_value
 
-# conjugate_moduli and AlgebraicNumber.__float__ stop refining here and
-# round the midpoint: a modulus exactly halfway between two floats keeps the
-# ends of its enclosure on either side at every precision
+# conjugate_moduli stops refining here and rounds the midpoint: a modulus
+# exactly halfway between two floats keeps the ends of its enclosure on
+# either side at every precision
 _FLOAT_BITS_CAP = 1024
 
 # Aberth sweeps at one precision before its disks are checked

@@ -60,6 +60,41 @@ class TestRoots:
                               -(2 ** 72) * (6 * d + 1), 2 ** 72 * d))
         root = AlgebraicNumber(poly, Fraction(lo), Fraction(hi))
         assert float(root) == (1 + 2.0 ** -52 if sign > 0 else 1.0)
+        assert root.cmp_rational(1 + Fraction(1, 2 ** 53)) == sign
+        assert (root.lo, root.hi) == (Fraction(lo), Fraction(hi))
+
+    @pytest.mark.parametrize("make", [
+        lambda: named_constant("tribonacci"),
+        lambda: AlgebraicNumber.largest_root("2*x^2 - 2*x - 1")],
+        ids=["tribonacci", "non-monic"])
+    def test_decisions_read_the_field_evaluator(self, monkeypatch, make):
+        # float, floor, comparison and sign of a fresh number all reach
+        # NumberField._decide on the number's own field, and none narrows
+        # the number: a second, refining path would show up here
+        decides, narrowed = [], []
+        decide, refine_bits = NumberField._decide, AlgebraicNumber.refine_bits
+
+        def spy_decide(field, *args):
+            decides.append(field)
+            return decide(field, *args)
+
+        def spy_refine_bits(a, bits):
+            narrowed.append(a)
+            return refine_bits(a, bits)
+
+        monkeypatch.setattr(NumberField, "_decide", spy_decide)
+        monkeypatch.setattr(AlgebraicNumber, "refine_bits", spy_refine_bits)
+        for read in (float, math.floor,
+                     lambda a: a.cmp_rational(Fraction(3, 2)),
+                     lambda a: a.sign()):
+            a = make()
+            before = (a.lo, a.hi)
+            decides.clear()
+            narrowed.clear()
+            read(a)
+            assert decides and all(f is monic_scaled_field(a)[0]
+                                   for f in decides)
+            assert a not in narrowed and (a.lo, a.hi) == before
 
     def test_refine_tightens(self):
         a = named_constant("golden")
@@ -797,7 +832,8 @@ class TestHornerOracle:
         # a fresh generator on the coarse interval [1, 2], so that every
         # decision below has to refine it
         poly = ORACLE_FIELDS[name][0]
-        field = NumberField(AlgebraicNumber(poly, 1, 2))
+        gen = AlgebraicNumber(poly, 1, 2)
+        field = NumberField(gen)
         x = field.element(vec[:field.degree])
         with mpmath.workdps(ORACLE_DPS):
             b = _MP_BETA[name]
@@ -823,6 +859,11 @@ class TestHornerOracle:
             assert _mp(lo) - slack <= v <= _mp(hi) + slack
             assert float(x) == pytest.approx(float(v), rel=2 ** -50,
                                              abs=2 ** -60)
+            # the generator's own decisions, read through its field
+            assert gen.cmp_rational(q) == (1 if b > qm else -1)
+            assert math.floor(gen) == int(mpmath.floor(b))
+            assert float(gen) == float(b)
+        assert (gen.lo, gen.hi) == (1, 2)
 
     @given(st.integers(1, 5000), st.booleans())
     @example(1540, False)   # a subnormal power

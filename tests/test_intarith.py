@@ -130,6 +130,11 @@ class TestFixedExamples:
         check_counts(p, roots + ends + [Fraction(-7, 2), Fraction(0),
                                         Fraction(1, 3), Fraction(1, 2), 5])
 
+    def test_repeated_root_is_refused(self):
+        # (x^2 - 2)^2: the descent would halve forever around sqrt(2)
+        with pytest.raises(ValueError, match="repeated roots"):
+            IntPolynomial.parse("x^4 - 4*x^2 + 4").count_roots(0, 2)
+
     def test_constants_print_with_their_sign(self):
         assert [str(IntPolynomial((c,))) for c in (0, 3, -3)] == ["0", "3", "-3"]
 
